@@ -37,6 +37,7 @@ from .errors import InvalidSpec
 from .logics import (
     LogicSpec,
     all_filters,
+    certification_detail,
     fg,
     fg_certified,
     fg_relative,
@@ -215,17 +216,29 @@ def _labels(algebra: FiniteAlgebra, elems: Iterable[int]) -> list[str]:
     return [algebra.label(e) for e in elems]
 
 
-def _uncertified(logic: LogicSpec, algebras: Iterable[FiniteAlgebra]) -> list[str]:
-    return [a.name for a in algebras if not fg_certified(a, logic)]
+def _uncertified(logic: LogicSpec, algebras: Iterable[FiniteAlgebra]) -> dict[str, str]:
+    """Algebras whose filter computations are not certified exact, by name,
+    each with what the certification search found there."""
+    out = {}
+    for a in algebras:
+        if not fg_certified(a, logic):
+            d = certification_detail(a, logic)
+            clone = "complete" if d["clone_complete"] else "incomplete"
+            out[a.name] = (
+                f"v={d['nvars_tried']} tried, clone {clone}; "
+                f"lower family {d['lower']}, unrefuted {d['unrefuted']}"
+            )
+    return out
 
 
-def _note_uncertified(names: list[str]) -> tuple[str, ...]:
-    if not names:
+def _note_uncertified(uncertified: Mapping[str, str]) -> tuple[str, ...]:
+    if not uncertified:
         return ()
-    return (f"filter computations not certified exact on: {', '.join(names)}",)
+    listed = ", ".join(f"{name} ({why})" for name, why in uncertified.items())
+    return (f"filter computations not certified exact on: {listed}",)
 
 
-def _resolve(outcome_fail: bool, witness, checker: str, uncertified: list[str]) -> Verdict:
+def _resolve(outcome_fail: bool, witness, checker: str, uncertified: Mapping[str, str]) -> Verdict:
     """Fold certification into the final verdict."""
     notes = _note_uncertified(uncertified)
     if outcome_fail:
@@ -386,17 +399,15 @@ def absolute_fep_check(
 ) -> Verdict:
     """Generated filters on subalgebras against their traces from above."""
     budget = as_budget(budget)
-    uncertified: list[str] = []
+    uncertified: dict[str, str] = {}
     for big in testbed:
-        if not fg_certified(big, logic):
-            uncertified.append(big.name)
+        uncertified.update(_uncertified(logic, [big]))
         for sub in enumerate_subuniverses(big, budget):
             if len(sub) == big.size:
                 continue
             small, inclusion = induced_subalgebra(big, sub)
             pair_certified = fg_certified(big, logic) and fg_certified(small, logic)
-            if not fg_certified(small, logic):
-                uncertified.append(small.name)
+            uncertified.update(_uncertified(logic, [small]))
             for n in range(arity_cap + 1):
                 for xs in itertools.product(range(small.size), repeat=n):
                     budget.spend()
@@ -434,17 +445,15 @@ def fep_check(
     """Filter extension over submatrices: every filter of the subalgebra above
     the trace of a base filter extends to a filter above the base filter."""
     budget = as_budget(budget)
-    uncertified = []
+    uncertified: dict[str, str] = {}
     for big in testbed:
-        if not fg_certified(big, logic):
-            uncertified.append(big.name)
+        uncertified.update(_uncertified(logic, [big]))
         big_filters = [f.members for f in all_filters(big, logic, budget)]
         for sub in enumerate_subuniverses(big, budget):
             if len(sub) == big.size:
                 continue
             small, inclusion = induced_subalgebra(big, sub)
-            if not fg_certified(small, logic):
-                uncertified.append(small.name)
+            uncertified.update(_uncertified(logic, [small]))
             small_filters = [f.members for f in all_filters(small, logic, budget)]
             for base in big_filters:
                 trace = frozenset(i for i in range(small.size) if inclusion[i] in base)
@@ -492,12 +501,11 @@ def factor_determined_check(
             for r in range(2, max_product_arity + 1)
             for combo in itertools.combinations_with_replacement(tuple(testbed), r)
         ]
-    uncertified: list[str] = []
+    uncertified: dict[str, str] = {}
     for factors in factor_lists:
         prod = direct_product(list(factors), budget=budget)
         algebra = prod.algebra
-        names = _uncertified(logic, (algebra,) + tuple(factors))
-        uncertified.extend(n for n in names if n not in uncertified)
+        uncertified.update(_uncertified(logic, (algebra,) + tuple(factors)))
         if pinned_generators is not None:
             gens_sweep = [tuple(g) for g in pinned_generators]
         else:
@@ -624,11 +632,8 @@ def smallest_relcong_check(
             for xs in itertools.product(range(algebra.size), repeat=n)
             for b in range(algebra.size)
         ]
-    uncertified: set[str] = set()
-    for theta in relative:
-        q, _ = quotient(algebra, theta.partition)
-        if not fg_certified(q, logic):
-            uncertified.add(q.name)
+    quotients = [quotient(algebra, theta.partition)[0] for theta in relative]
+    uncertified = dict(sorted(_uncertified(logic, quotients).items()))
     for xs, b in cells:
         hits = []
         for theta in relative:
@@ -653,8 +658,8 @@ def smallest_relcong_check(
                 "minimal_congruences": [t.to_blocks_json() for t in minimal],
                 "meet_blocks": meet.to_blocks_json(),
             }
-            return _resolve(True, witness, "smallest-relative-congruence", sorted(uncertified))
-    return _resolve(False, None, "smallest-relative-congruence", sorted(uncertified))
+            return _resolve(True, witness, "smallest-relative-congruence", uncertified)
+    return _resolve(False, None, "smallest-relative-congruence", uncertified)
 
 
 def dually_brouwerian_check(

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import builtins as bi
-from .algebras import Budget, FiniteAlgebra, enumerate_homomorphisms
+from .algebras import DEFAULT_BUDGET, Budget, FiniteAlgebra, enumerate_homomorphisms
 from .checks import (
     INCONCLUSIVE,
     PASS,
@@ -201,7 +201,10 @@ def cmd_check(args) -> int:
 
 
 def _replay_command(args) -> str:
-    parts = ["filtra", "check", args.checker]
+    parts = ["filtra"]
+    if args.budget != DEFAULT_BUDGET:
+        parts.extend(["--budget", str(args.budget)])
+    parts.extend(["check", args.checker])
     for flag, attr in [
         ("--logic", "logic"), ("--algebra", "algebra"), ("--class", "klass"),
         ("--candidate", "candidate"), ("--candidate2", "candidate2"),
@@ -427,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Logical filters, congruences, and equational-definability checks on finite algebras.",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--budget", type=int, default=10_000_000, help="elementary step budget")
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="elementary step budget")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized relabeling tests")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -12,10 +12,19 @@ algebra and on the matrix algebras:
   (always sound: each such element is a genuine valid-rule instance);
 * the check is complete when v reaches the carrier size and the clone closes,
   since v variables then name every element;
-* when the budget forces a smaller v, exactness is certified differently:
-  homomorphism preimages of designated sets and their intersections are
-  always genuine filters, so whenever that lower family coincides with the
-  unrefuted upper family the enumeration is provably exact.
+* below that, exactness is certified differently: homomorphism preimages of
+  designated sets and their intersections are always genuine filters, so
+  whenever that lower family coincides with the unrefuted upper family the
+  enumeration is provably exact.
+
+The variable count ascends from 1 and stops at the first v that certifies;
+refuting power only grows with v, so a larger v could not certify more.
+Should none certify, the largest complete clone is kept.  When the
+homomorphisms from the target into the matrix algebras separate its points,
+the target lies in ISP of the matrix algebras and satisfies every identity
+they do; its tables are then read off the term DAG of the clone on the matrix
+algebras alone, which is built once per (matrix algebras, v) and shared by
+every such target.  Any other target is closed jointly with the matrices.
 
 All built-in matrix logics certify on the shipped testbeds; uncertified
 results are flagged so report-level verdicts can degrade to "inconclusive"
@@ -27,9 +36,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebras import (
+    DEFAULT_BUDGET,
     Budget,
     FiniteAlgebra,
     Matrix,
@@ -40,7 +50,7 @@ from .algebras import (
 )
 from .congruences import Congruence
 from .errors import InvalidSpec, SizeBudgetExceeded
-from .terms import App, Rule, Term, Var, format_term, rule_variables
+from .terms import Rule, rule_variables
 
 DEFAULT_CLONE_ELEMENT_CAP = 3000
 CLONE_STEP_ALLOWANCE = 2_000_000
@@ -173,17 +183,21 @@ def _iterate_consequence(
 
 @dataclass
 class _Clone:
+    """Term functions in `nvars` variables, closed jointly on some algebras.
+
+    Element e is the term DAG node nodes[e], either (None, i) for the variable
+    x{i+1} or (symbol, argument elements); tables[e] holds one table per
+    algebra, indexed by valuation tuples in lexicographic order.
+    """
+
     nvars: int
     complete: bool
-    a_tables: list[tuple[int, ...]]
-    b_tables: list[tuple[tuple[int, ...], ...]]
-    terms: list[Term]
+    nodes: list[tuple]
+    tables: list[tuple[tuple[int, ...], ...]]
 
 
 def _apply_pointwise(table: tuple[int, ...], size: int, arg_tabs: Sequence[tuple[int, ...]]):
     k = len(arg_tabs)
-    if k == 0:
-        return None
     if k == 1:
         t0 = arg_tabs[0]
         return tuple(table[x] for x in t0)
@@ -199,94 +213,128 @@ def _apply_pointwise(table: tuple[int, ...], size: int, arg_tabs: Sequence[tuple
     return tuple(out)
 
 
+def _leaf_table(algebra: FiniteAlgebra, nvars: int, node: tuple) -> tuple[int, ...]:
+    """Table of a variable or constant node."""
+    sym, arg = node
+    if sym is None:
+        return tuple(point[arg] for point in itertools.product(range(algebra.size), repeat=nvars))
+    return (algebra.op(sym),) * algebra.size**nvars
+
+
 def _build_clone(
-    target: FiniteAlgebra, matrix_algebras: tuple[FiniteAlgebra, ...], nvars: int,
+    algebras: tuple[FiniteAlgebra, ...], nvars: int,
     element_cap: int = DEFAULT_CLONE_ELEMENT_CAP,
 ) -> _Clone:
     """Close the joint projections under all operations, within caps."""
-    sig = target.signature
-    comps = (target,) + matrix_algebras
-    widths = [alg.size**nvars for alg in comps]
+    step = sum(alg.size**nvars for alg in algebras)
     allowance = Budget(CLONE_STEP_ALLOWANCE)
+    seen: set[tuple] = set()
+    nodes: list[tuple] = []
+    tables: list[tuple] = []
 
-    seen: dict[tuple, int] = {}
-    tabs_list: list[tuple] = []
-    terms: list[Term] = []
-
-    def add(tabs, term) -> bool:
-        if tabs in seen:
-            return False
-        seen[tabs] = len(tabs_list)
-        tabs_list.append(tabs)
-        terms.append(term)
-        return True
+    def add(node, tabs) -> None:
+        if tabs not in seen:
+            seen.add(tabs)
+            nodes.append(node)
+            tables.append(tabs)
 
     for i in range(nvars):
-        proj = tuple(
-            tuple(point[i] for point in itertools.product(range(alg.size), repeat=nvars))
-            for alg in comps
-        )
-        add(proj, Var(f"x{i + 1}"))
+        add((None, i), tuple(_leaf_table(alg, nvars, (None, i)) for alg in algebras))
 
     complete = True
     try:
         frontier_start = 0
         while True:
-            prev_count = len(tabs_list)
-            for sym, arity in sig.symbols:
+            prev_count = len(tables)
+            for sym, arity in algebras[0].signature.symbols:
                 if arity == 0:
-                    value_tabs = tuple(
-                        (alg.op(sym),) * widths[ci] for ci, alg in enumerate(comps)
-                    )
-                    allowance.spend(sum(widths))
-                    add(value_tabs, App(sym, ()))
+                    allowance.spend(step)
+                    add((sym, ()), tuple(_leaf_table(alg, nvars, (sym, ())) for alg in algebras))
                     continue
                 for args in itertools.product(range(prev_count), repeat=arity):
                     if frontier_start and max(args) < frontier_start:
                         continue
-                    allowance.spend(sum(widths))
-                    new_tabs = tuple(
-                        _apply_pointwise(
-                            alg.table(sym), alg.size, [tabs_list[a][ci] for a in args]
-                        )
-                        for ci, alg in enumerate(comps)
-                    )
-                    add(new_tabs, App(sym, tuple(terms[a] for a in args)))
-                    if len(tabs_list) > element_cap:
+                    allowance.spend(step)
+                    add((sym, args), tuple(
+                        _apply_pointwise(alg.table(sym), alg.size, [tables[a][ci] for a in args])
+                        for ci, alg in enumerate(algebras)
+                    ))
+                    if len(tables) > element_cap:
                         raise SizeBudgetExceeded("clone element cap")
-            if len(tabs_list) == prev_count:
+            if len(tables) == prev_count:
                 break
             frontier_start = prev_count
     except SizeBudgetExceeded:
         complete = False
-
-    return _Clone(
-        nvars=nvars,
-        complete=complete,
-        a_tables=[tabs[0] for tabs in tabs_list],
-        b_tables=[tabs[1:] for tabs in tabs_list],
-        terms=terms,
-    )
+    return _Clone(nvars, complete, nodes, tables)
 
 
 @lru_cache(maxsize=None)
-def _clone_for(target: FiniteAlgebra, matrix_algebras: tuple[FiniteAlgebra, ...], bound: int) -> _Clone:
-    """Largest completed clone with at most `bound` variables.
+def _shared_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int) -> _Clone:
+    """_build_clone, built once: the matrix side serves every target in ISP of
+    the matrices, a joint build every logic over the same matrix algebras."""
+    return _build_clone(algebras, nvars)
 
-    Should no variable count complete within the caps, the cheapest truncated
-    attempt is kept: still a sound refuter, and its instantiation sweeps stay
-    affordable.
+
+def _evaluate_clone(target: FiniteAlgebra, shared: _Clone) -> _Clone:
+    """The joint clone on the target and the shared algebras, read off the DAG.
+
+    Valid when the target satisfies every identity of the shared algebras: two
+    terms that agree there agree on the target, so the shared closure already
+    lists each joint term function once, in the order a joint build finds it.
     """
-    fallback = None
-    for v in range(bound, -1, -1):
-        storage = target.size**v + sum(b.size**v for b in matrix_algebras)
-        if storage > MAX_CLONE_TABLE:
-            continue
-        clone = _build_clone(target, matrix_algebras, v)
-        if clone.complete:
-            return clone
-        fallback = clone
-    return fallback if fallback is not None else _build_clone(target, matrix_algebras, 0)
+    nvars = shared.nvars
+    allowance = Budget(CLONE_STEP_ALLOWANCE)
+    width = target.size**nvars
+    mine: list[tuple[int, ...]] = []
+    complete = shared.complete
+    try:
+        for sym, args in shared.nodes:
+            allowance.spend(width)
+            if sym is None or not args:
+                mine.append(_leaf_table(target, nvars, (sym, args)))
+            else:
+                mine.append(_apply_pointwise(target.table(sym), target.size, [mine[a] for a in args]))
+    except SizeBudgetExceeded:
+        complete = False
+    tables = [(t,) + tabs for t, tabs in zip(mine, shared.tables)]
+    return _Clone(nvars, complete, shared.nodes[: len(tables)], tables)
+
+
+def _subsets(size: int) -> Iterator[frozenset[int]]:
+    """Every subset of the carrier, ascending by cardinality then lexicographically."""
+    for r in range(size + 1):
+        for combo in itertools.combinations(range(size), r):
+            yield frozenset(combo)
+
+
+def _homomorphic_lower(
+    algebra: FiniteAlgebra, logic: MatrixDetermined
+) -> tuple[list[tuple[int, ...]], set[frozenset[int]]]:
+    """Homomorphisms into the matrix algebras, with the lower family they give.
+
+    The preimages of designated sets, the carrier and their intersections are
+    genuine filters.  Should a search exceed its budget, the matrices from that
+    one on contribute nothing.
+    """
+    homs: list[tuple[int, ...]] = []
+    lower: set[frozenset[int]] = {frozenset(range(algebra.size))}
+    try:
+        for m in logic.matrices:
+            for h in enumerate_homomorphisms(algebra, m.algebra):
+                homs.append(h)
+                lower.add(frozenset(a for a in range(algebra.size) if h[a] in m.designated))
+    except SizeBudgetExceeded:
+        pass
+    grew = True
+    while grew:
+        grew = False
+        for f, g in itertools.combinations(list(lower), 2):
+            meet = f & g
+            if meet not in lower:
+                lower.add(meet)
+                grew = True
+    return homs, lower
 
 
 @dataclass
@@ -294,29 +342,28 @@ class _MatrixContext:
     algebra: FiniteAlgebra
     logic: MatrixDetermined
     clone: _Clone
+    a_tables: list[tuple[int, ...]]
     desig: list[int]
     full_mask: int
     lower: tuple[frozenset[int], ...]
     has_theorem: bool | None
     exact_by_bound: bool
+    # every subset outside the lower family is refuted, so the two coincide
+    matched: bool = False
+    # the highest variable count built, and whether that clone completed
+    tried: tuple[int, bool] = (0, False)
 
 
-@lru_cache(maxsize=None)
-def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined) -> _MatrixContext:
-    for m in logic.matrices:
-        if m.algebra.signature != algebra.signature:
-            raise InvalidSpec("matrix logic applied to an algebra of another signature")
-    algebras = tuple(m.algebra for m in logic.matrices)
-    bound = min(algebra.size, logic.variable_bound or algebra.size)
-    clone = _clone_for(algebra, algebras, bound)
-
+def _clone_context(
+    algebra: FiniteAlgebra, logic: MatrixDetermined, clone: _Clone, hom_lower: set[frozenset[int]]
+) -> _MatrixContext:
     # designation bitmask per clone element over all (matrix, valuation) points
     desig = []
-    for bt in clone.b_tables:
+    for tabs in clone.tables:
         bits = 0
         pos = 0
-        for j, m in enumerate(logic.matrices):
-            for value in bt[j]:
+        for m, bt in zip(logic.matrices, tabs[1:]):
+            for value in bt:
                 if value in m.designated:
                     bits |= 1 << pos
                 pos += 1
@@ -334,63 +381,89 @@ def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined) -> _MatrixC
     else:
         has_theorem = None
 
-    lower: set[frozenset[int]] = {frozenset(range(algebra.size))}
-    try:
-        for m in logic.matrices:
-            for h in enumerate_homomorphisms(algebra, m.algebra):
-                lower.add(frozenset(a for a in range(algebra.size) if h[a] in m.designated))
-    except SizeBudgetExceeded:
-        pass
-    if has_theorem is False:
-        lower.add(frozenset())
-    grew = True
-    while grew:
-        grew = False
-        for f, g in itertools.combinations(list(lower), 2):
-            meet = f & g
-            if meet not in lower:
-                lower.add(meet)
-                grew = True
-
-    exact = clone.complete and clone.nvars == algebra.size
+    # adding the empty set keeps the family closed under intersection
+    lower = hom_lower | {frozenset()} if has_theorem is False else hom_lower
     return _MatrixContext(
-        algebra, logic, clone, desig, full_mask,
-        tuple(sorted(lower, key=lambda s: (len(s), sorted(s)))), has_theorem, exact,
+        algebra, logic, clone, [tabs[0] for tabs in clone.tables], desig, full_mask,
+        tuple(sorted(lower, key=lambda s: (len(s), sorted(s)))), has_theorem,
+        clone.complete and clone.nvars == algebra.size,
     )
 
 
-def _refute_matrix_filter(ctx: _MatrixContext, members: frozenset[int]):
-    """First valid-rule violation, or None.
+@lru_cache(maxsize=None)
+def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined) -> _MatrixContext:
+    """Context of the first variable count that certifies the filter family.
+
+    v ascends from 1 to the bound.  It stops when the tables would outgrow
+    MAX_CLONE_TABLE or a clone fails to complete, since both only get worse
+    with v, and at the first v that certifies: exactly (complete at v = |A|)
+    or by refuting every subset outside the lower family.  Without a
+    certificate the largest complete clone is kept; with none, the constants
+    alone.  A target whose homomorphisms into the matrix algebras separate its
+    points lies in ISP of them, so its tables are read off the shared matrix
+    clone (see the module docstring); any other target is closed jointly.
+    """
+    for m in logic.matrices:
+        if m.algebra.signature != algebra.signature:
+            raise InvalidSpec("matrix logic applied to an algebra of another signature")
+    algebras = tuple(m.algebra for m in logic.matrices)
+    bound = min(algebra.size, logic.variable_bound or algebra.size)
+    homs, hom_lower = _homomorphic_lower(algebra, logic)
+    in_isp = len({tuple(h[a] for h in homs) for a in algebra.elements()}) == algebra.size
+    can_sweep = 2**algebra.size <= DEFAULT_BUDGET  # as _all_filters_cached allows
+
+    def clone_at(v: int) -> _Clone:
+        if in_isp:
+            return _evaluate_clone(algebra, _shared_clone(algebras, v))
+        return _shared_clone((algebra,) + algebras, v)
+
+    best = None
+    tried = None
+    for v in range(1, bound + 1):
+        if algebra.size**v + sum(b.size**v for b in algebras) > MAX_CLONE_TABLE:
+            break
+        clone = clone_at(v)
+        tried = (v, clone.complete)
+        if not clone.complete:
+            break
+        best = _clone_context(algebra, logic, clone, hom_lower)
+        if best.exact_by_bound:
+            break
+        lower = set(best.lower)
+        if can_sweep and all(_refuted(best, ms) for ms in _subsets(algebra.size) if ms not in lower):
+            best.matched = True
+            break
+    if best is None:
+        best = _clone_context(algebra, logic, clone_at(0), hom_lower)
+    best.tried = tried or (0, best.clone.complete)
+    return best
+
+
+def _refuted(ctx: _MatrixContext, members: frozenset[int]) -> bool:
+    """Whether some rule valid in the matrices leads out of the subset.
 
     For each instantiation of the clone variables by elements, the premises
     are every clone element landing in the candidate set; an element entailed
     by them at every matrix point must land there too.
     """
-    clone = ctx.clone
-    a_tables = clone.a_tables
+    a_tables = ctx.a_tables
     desig = ctx.desig
     n = len(a_tables)
-    size = ctx.algebra.size
-    for w_flat, w in enumerate(itertools.product(range(size), repeat=clone.nvars)):
+    for w in range(ctx.algebra.size**ctx.clone.nvars):
         mask = ctx.full_mask
         for e in range(n):
-            if a_tables[e][w_flat] in members:
+            if a_tables[e][w] in members:
                 mask &= desig[e]
         for e in range(n):
-            value = a_tables[e][w_flat]
-            if value not in members and desig[e] & mask == mask:
-                return {
-                    "valuation": {f"x{i + 1}": ctx.algebra.label(c) for i, c in enumerate(w)},
-                    "conclusion_term": format_term(clone.terms[e]),
-                    "conclusion_value": ctx.algebra.label(value),
-                }
-    return None
+            if a_tables[e][w] not in members and desig[e] & mask == mask:
+                return True
+    return False
 
 
 def _filter_status(algebra: FiniteAlgebra, members: frozenset[int], logic: MatrixDetermined):
     """(is_filter_verdict, certain) for a single subset."""
     ctx = _matrix_context(algebra, logic)
-    if _refute_matrix_filter(ctx, members) is not None:
+    if _refuted(ctx, members):
         return False, True
     if ctx.exact_by_bound or members in ctx.lower:
         return True, True
@@ -429,24 +502,21 @@ def is_filter_certain(algebra: FiniteAlgebra, members: Iterable[int], logic: Log
 def _all_filters_cached(algebra: FiniteAlgebra, logic: LogicSpec):
     budget = Budget()
     budget.check(2**algebra.size)
-    elements = list(algebra.elements())
     found: list[frozenset[int]] = []
     if isinstance(logic, RulePresented):
         instances = _rule_instances(algebra, logic)
-        for r in range(algebra.size + 1):
-            for combo in itertools.combinations(elements, r):
-                budget.spend()
-                ms = frozenset(combo)
-                if _closed_under_instances(ms, instances):
-                    found.append(ms)
+        for ms in _subsets(algebra.size):
+            budget.spend()
+            if _closed_under_instances(ms, instances):
+                found.append(ms)
         return tuple(found), True
     ctx = _matrix_context(algebra, logic)
-    for r in range(algebra.size + 1):
-        for combo in itertools.combinations(elements, r):
-            budget.spend()
-            ms = frozenset(combo)
-            if _refute_matrix_filter(ctx, ms) is None:
-                found.append(ms)
+    if ctx.matched:
+        return ctx.lower, True
+    for ms in _subsets(algebra.size):
+        budget.spend()
+        if not _refuted(ctx, ms):
+            found.append(ms)
     certified = ctx.exact_by_bound or set(found) == set(ctx.lower)
     return tuple(found), certified
 
@@ -462,6 +532,23 @@ def all_filters(
 def filters_certified(algebra: FiniteAlgebra, logic: LogicSpec) -> bool:
     """True when the filter enumeration (hence fg) is provably exact."""
     return _all_filters_cached(algebra, logic)[1]
+
+
+def certification_detail(algebra: FiniteAlgebra, logic: MatrixDetermined) -> dict:
+    """Why a matrix logic's filter enumeration is (un)certified.
+
+    The highest variable count whose clone was built and whether it completed,
+    then the sizes of the lower family (genuine filters) and of the unrefuted
+    family (a superset of the filters); certification needs them equal.
+    """
+    ctx = _matrix_context(algebra, logic)
+    nvars, complete = ctx.tried
+    return {
+        "nvars_tried": nvars,
+        "clone_complete": complete,
+        "lower": len(ctx.lower),
+        "unrefuted": len(_all_filters_cached(algebra, logic)[0]),
+    }
 
 
 def fg_trace(
@@ -481,16 +568,14 @@ def fg_trace(
 def _fg_cached(algebra: FiniteAlgebra, generators: frozenset[int], logic: LogicSpec) -> frozenset[int]:
     if isinstance(logic, RulePresented):
         return _iterate_consequence(generators, _rule_instances(algebra, logic))[-1]
+    # the unrefuted family is the closure system of the clone's rule
+    # instances: it contains the carrier and is closed under intersection
     families, _ = _all_filters_cached(algebra, logic)
-    containing = [ms for ms in families if generators <= ms]
     inter = frozenset(range(algebra.size))
-    for ms in containing:
-        inter &= ms
-    if inter in containing:
-        return inter
-    # uncertified family without a least member: take the first minimal one
-    minimal = [m for m in containing if not any(o < m for o in containing)]
-    return min(minimal, key=lambda m: (len(m), sorted(m)))
+    for ms in families:
+        if generators <= ms:
+            inter &= ms
+    return inter
 
 
 def fg(

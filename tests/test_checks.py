@@ -22,7 +22,7 @@ from filtra.checks import (
 from filtra.checks import test_algebra_check as run_test_algebra_check
 from filtra.classes import Axiomatic, GeneratedQuasivariety
 from filtra.errors import InvalidSpec
-from filtra.logics import RulePresented, fg, is_filter
+from filtra.logics import MatrixDetermined, RulePresented, fg, filters_certified, is_filter
 from filtra.terms import Equation, Rule, Signature, Var, parse_term
 
 
@@ -60,6 +60,26 @@ def test_generate_testbed_k3_square(k3):
 def test_kleene_global_edcf_passes(kl):
     v = check_edcf(kl, bi.testbed("k3-isp"), bi.candidate("kl-global"), "global")
     assert v.passed
+
+
+def test_edcf_inconclusive_below_the_needed_variable_count(kl):
+    # one variable cannot tell apart the filters of K3^2 and two of its
+    # subalgebras; the note names each with what the search found there
+    low = MatrixDetermined(kl.matrices, variable_bound=1, name="KL-v1")
+    bed = bi.testbed("k3-isp")
+    assert [a.name for a in bed if not filters_certified(a, low)] == [
+        "K3xK3", "K3xK3|{0,1,2,6,7,8}", "K3xK3|{0,1,3,4,5,7,8}",
+    ]
+    v = check_edcf(low, bed, bi.candidate("kl-global"), "global")
+    assert v.outcome == "inconclusive"
+    assert v.notes[0] == (
+        "filter computations not certified exact on: "
+        "K3xK3 (v=1 tried, clone complete; lower family 4, unrefuted 13), "
+        "K3xK3|{0,1,2,6,7,8} (v=1 tried, clone complete; lower family 4, unrefuted 7), "
+        "K3xK3|{0,1,3,4,5,7,8} (v=1 tried, clone complete; lower family 4, unrefuted 5)"
+    )
+    certified = check_edcf(kl, bed, bi.candidate("kl-global"), "global")
+    assert certified.passed and certified.notes == ()
 
 
 def test_lp_global_edcf_passes(lp):

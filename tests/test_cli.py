@@ -101,6 +101,18 @@ def test_budget_exit(capsys):
     assert "budget exceeded" in err
 
 
+def test_replay_carries_a_non_default_budget(capsys):
+    argv = ("check", "brouwer", "--logic", "ORD", "--algebra", "M3")
+    _, out, _ = run(capsys, "--format", "json", *argv)
+    assert json.loads(out)["replay"].startswith("filtra check brouwer ")
+    code, out, _ = run(capsys, "--format", "json", "--budget", "5000000", *argv)
+    replay = json.loads(out)["replay"]
+    assert replay.startswith("filtra --budget 5000000 check brouwer ")
+    # the replay runs under the same budget and reproduces itself
+    again, out, _ = run(capsys, "--format", "json", *replay.split()[1:])
+    assert (again, json.loads(out)["replay"]) == (code, replay)
+
+
 def test_list_kinds(capsys):
     code, out, _ = run(capsys, "list", "algebras")
     assert code == EXIT_PASS

@@ -14,6 +14,10 @@ from filtra.congruences import Congruence, all_congruences, is_compatible
 from filtra.errors import InvalidSpec
 from filtra.logics import (
     MatrixDetermined,
+    _build_clone,
+    _evaluate_clone,
+    _homomorphic_lower,
+    _matrix_context,
     RulePresented,
     all_filters,
     fg,
@@ -295,3 +299,68 @@ def test_kl_filters_on_the_square_are_the_projection_preimages(k3, kl):
     pi1 = frozenset(e for e in range(9) if square.to_tuple(e)[0] == 2)
     pi2 = frozenset(e for e in range(9) if square.to_tuple(e)[1] == 2)
     assert families == {top, pi1, pi2, pi1 & pi2}
+
+
+# --- clone selection ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_clone_read_off_the_matrix_dag_equals_the_joint_build(k3, nvars):
+    shared = _build_clone((k3,), nvars)
+    for algebra in bi.testbed("k3-isp"):
+        joint = _build_clone((algebra, k3), nvars)
+        evaluated = _evaluate_clone(algebra, shared)
+        assert evaluated.tables == joint.tables, algebra.name
+        assert evaluated.nodes == joint.nodes, algebra.name
+        assert evaluated.complete == joint.complete, algebra.name
+
+
+def test_dm4_is_outside_isp_of_k3_and_built_jointly(k3, kl, lp):
+    dm4 = bi.algebra("DM4")
+    homs, _ = _homomorphic_lower(dm4, kl)
+    assert homs == []  # nothing separates points, so the joint path is taken
+    for logic in (kl, lp):
+        ctx = _matrix_context(dm4, logic)
+        joint = _build_clone((dm4, k3), ctx.clone.nvars)
+        assert ctx.clone.tables == joint.tables
+    # DM4 breaks identities of K3, so K3's DAG would merge distinct terms
+    assert _evaluate_clone(dm4, _build_clone((k3,), 2)).tables != joint.tables
+
+
+# filter families on k3-isp and DM4 before the clone's variable count was
+# chosen bottom-up; every one is certified and every logic has a theorem
+PINNED_FAMILIES = {
+    "KL": {
+        "K3": [[2], [0, 1, 2]],
+        "K3xK3": [[8], [2, 5, 8], [6, 7, 8], list(range(9))],
+        "K3|{0,2}": [[1], [0, 1]],
+        "K3xK3|{0,1,7,8}": [[3], [2, 3], [0, 1, 2, 3]],
+        "K3xK3|{0,2,6,8}": [[3], [1, 3], [2, 3], [0, 1, 2, 3]],
+        "K3xK3|{0,1,4,7,8}": [[4], [3, 4], [0, 1, 2, 3, 4]],
+        "K3xK3|{0,1,2,6,7,8}": [[5], [2, 5], [3, 4, 5], list(range(6))],
+        "K3xK3|{0,1,3,4,5,7,8}": [[6], [4, 6], [5, 6], list(range(7))],
+        "DM4": [[0, 1, 2, 3]],
+    },
+    "LP": {
+        "K3": [[1, 2], [0, 1, 2]],
+        "K3xK3": [[4, 5, 7, 8], [1, 2, 4, 5, 7, 8], [3, 4, 5, 6, 7, 8], list(range(9))],
+        "K3|{0,2}": [[1], [0, 1]],
+        "K3xK3|{0,1,7,8}": [[2, 3], [1, 2, 3], [0, 1, 2, 3]],
+        "K3xK3|{0,2,6,8}": [[3], [1, 3], [2, 3], [0, 1, 2, 3]],
+        "K3xK3|{0,1,4,7,8}": [[2, 3, 4], [1, 2, 3, 4], [0, 1, 2, 3, 4]],
+        "K3xK3|{0,1,2,6,7,8}": [[4, 5], [3, 4, 5], [1, 2, 4, 5], list(range(6))],
+        "K3xK3|{0,1,3,4,5,7,8}": [
+            [3, 4, 5, 6], [1, 3, 4, 5, 6], [2, 3, 4, 5, 6], list(range(7)),
+        ],
+        "DM4": [[0, 1, 2, 3]],
+    },
+}
+
+
+def test_kl_lp_filters_pinned_on_k3_isp_and_dm4(kl, lp):
+    for name, logic in (("KL", kl), ("LP", lp)):
+        for algebra in list(bi.testbed("k3-isp")) + [bi.algebra("DM4")]:
+            families = [sorted(f.members) for f in all_filters(algebra, logic)]
+            assert families == PINNED_FAMILIES[name][algebra.name], (name, algebra.name)
+            assert filters_certified(algebra, logic), (name, algebra.name)
+            assert has_theorem(algebra, logic) is True, (name, algebra.name)
