@@ -52,9 +52,7 @@ from .congruences import (
     cg_generated,
     is_compatible,
     is_congruence,
-    join_congruences,
     leibniz_congruence,
-    unary_polynomials,
 )
 from .errors import (
     ArityMismatch,

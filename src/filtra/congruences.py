@@ -87,6 +87,15 @@ class Congruence:
             out.append(pairs[key])
         return Congruence(tuple(out))
 
+    def join(self, other: "Congruence") -> "Congruence":
+        """Join as equivalence relations (the transitive closure of the
+        union); the join of two congruences of an algebra is again one."""
+        uf = _UnionFind(self.num_blocks)  # over the blocks of self
+        first: dict[int, int] = {}
+        for mine, theirs in zip(self.partition, other.partition):
+            uf.union(first.setdefault(theirs, mine), mine)
+        return Congruence(tuple(uf.find(b) for b in self.partition))
+
     def refines(self, other: "Congruence") -> bool:
         """True if every block of self sits inside a block of other."""
         seen: dict[int, int] = {}
@@ -167,6 +176,46 @@ class _UnionFind:
         return True
 
 
+def _translations(algebra: FiniteAlgebra, budget: Budget) -> list[tuple[int, ...]]:
+    """The basic translations x -> f(c.., x, ..c) of the algebra, as tuples
+    over the carrier, without repeats.
+
+    Constant maps and the identity are left out: they send a pair to one
+    element or to itself, so they neither merge nor split blocks.  An
+    equivalence relation is a congruence iff every basic translation
+    preserves it (Mal'cev), so this table is all that generating congruences
+    and refining to the Leibniz congruence need.
+    """
+    n = algebra.size
+    found: set[tuple[int, ...]] = set()
+    for sym, arity in algebra.signature.symbols:
+        if arity == 0:
+            continue
+        table = algebra.table(sym)
+        for pos in range(arity):
+            stride = n ** (arity - 1 - pos)
+            for base in range(len(table)):
+                if (base // stride) % n == 0:
+                    budget.spend()
+                    found.add(table[base : base + n * stride : stride])
+    found.discard(tuple(range(n)))
+    return [t for t in found if t.count(t[0]) < n]
+
+
+def _generated(
+    translations: list[tuple[int, ...]], n: int, pairs: Iterable[tuple[int, int]], budget: Budget
+) -> Congruence:
+    uf = _UnionFind(n)
+    worklist = [p for p in pairs if uf.union(*p)]
+    while worklist:
+        a, b = worklist.pop()
+        budget.spend(len(translations))
+        for t in translations:
+            if uf.union(t[a], t[b]):
+                worklist.append((t[a], t[b]))
+    return Congruence(tuple(uf.find(e) for e in range(n)))
+
+
 def cg_generated(
     algebra: FiniteAlgebra,
     pairs: Iterable[tuple[int, int]],
@@ -174,37 +223,12 @@ def cg_generated(
 ) -> Congruence:
     """Least congruence containing the pairs.
 
-    Union-find seeded with the pairs; whenever two elements merge, every
-    operation instance differing only in that argument is merged as well,
-    to fixpoint.
+    Union-find seeded with the pairs; whenever two elements a, b merge, the
+    images t(a), t(b) under every basic translation t are merged as well, to
+    fixpoint.  The translations are tabulated once per call.
     """
     budget = as_budget(budget)
-    n = algebra.size
-    uf = _UnionFind(n)
-    worklist = [p for p in pairs if uf.union(*p)]
-    unary_contexts = []
-    for sym, arity in algebra.signature.symbols:
-        if arity == 0:
-            continue
-        for pos in range(arity):
-            for rest in itertools.product(range(n), repeat=arity - 1):
-                unary_contexts.append((sym, pos, rest))
-    while worklist:
-        a, b = worklist.pop()
-        for sym, pos, rest in unary_contexts:
-            budget.spend()
-            args_a = rest[:pos] + (a,) + rest[pos:]
-            args_b = rest[:pos] + (b,) + rest[pos:]
-            va, vb = algebra.op(sym, *args_a), algebra.op(sym, *args_b)
-            if uf.union(va, vb):
-                worklist.append((va, vb))
-    return Congruence(tuple(uf.find(e) for e in range(n)))
-
-
-def join_congruences(
-    algebra: FiniteAlgebra, t1: Congruence, t2: Congruence, budget: Budget | int | None = None
-) -> Congruence:
-    return cg_generated(algebra, t1.pairs() + t2.pairs(), budget)
+    return _generated(_translations(algebra, budget), algebra.size, pairs, budget)
 
 
 def all_congruences(
@@ -212,26 +236,34 @@ def all_congruences(
 ) -> CongruenceSet:
     """The whole congruence lattice: principal congruences closed under joins.
 
-    Every congruence is the join of the principal congruences below it, so the
-    join closure of the principal ones plus the identity is complete.
+    Every congruence is the join of the principal congruences below it, so
+    closing {identity} and the principal congruences under joins with a
+    single principal congruence reaches all of them: O(L * P) joins for L
+    congruences and P principal ones.  The principal congruences share one
+    table of basic translations; a join needs no operation at all, since the
+    join of two congruences as equivalence relations is already a congruence.
     """
     budget = as_budget(budget)
     if algebra.size > size_cap:
         raise SizeBudgetExceeded(
             f"congruence enumeration capped at carrier size {size_cap}"
         )
-    found: set[Congruence] = {Congruence.identity(algebra.size)}
-    principals = set()
-    for a in range(algebra.size):
-        for b in range(a + 1, algebra.size):
-            principals.add(cg_generated(algebra, [(a, b)], budget))
-    found |= principals
-    frontier = list(principals)
+    n = algebra.size
+    translations = _translations(algebra, budget)
+    # each principal congruence with one pair generating it
+    principals: dict[Congruence, tuple[int, int]] = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            principals.setdefault(_generated(translations, n, [(a, b)], budget), (a, b))
+    found = set(principals) | {Congruence.identity(n)}
+    frontier = list(found)
     while frontier:
         theta = frontier.pop()
-        for other in list(found):
-            budget.spend()
-            joined = join_congruences(algebra, theta, other, budget)
+        for principal, (a, b) in principals.items():
+            if theta.same(a, b):  # Cg(a, b) is already below theta
+                continue
+            budget.spend(n)
+            joined = theta.join(principal)
             if joined not in found:
                 found.add(joined)
                 frontier.append(joined)
@@ -247,66 +279,27 @@ def is_compatible(theta: Congruence, subset: Iterable[int]) -> bool:
     return all((theta.partition[e] in marked) == (e in members) for e in range(theta.size))
 
 
-@dataclass(frozen=True)
-class UnaryPolynomialClone:
-    """Unary maps obtained from the identity by plugging into one argument of
-    a basic operation, all other arguments frozen at constants."""
-
-    functions: frozenset[tuple[int, ...]]
-
-    def __iter__(self):
-        return iter(sorted(self.functions))
-
-    def __len__(self):
-        return len(self.functions)
-
-
-def unary_polynomials(
-    algebra: FiniteAlgebra, budget: Budget | int | None = None
-) -> UnaryPolynomialClone:
-    budget = as_budget(budget)
-    n = algebra.size
-    identity = tuple(range(n))
-    found: set[tuple[int, ...]] = {identity}
-    frontier = [identity]
-    while frontier:
-        p = frontier.pop()
-        for sym, arity in algebra.signature.symbols:
-            if arity == 0:
-                continue
-            for pos in range(arity):
-                for rest in itertools.product(range(n), repeat=arity - 1):
-                    budget.spend()
-                    q = tuple(
-                        algebra.op(sym, *(rest[:pos] + (p[x],) + rest[pos:]))
-                        for x in range(n)
-                    )
-                    if q not in found:
-                        found.add(q)
-                        frontier.append(q)
-    return UnaryPolynomialClone(frozenset(found))
-
-
 def leibniz_congruence(
     algebra: FiniteAlgebra, subset: Iterable[int], budget: Budget | int | None = None
 ) -> Congruence:
     """Largest congruence compatible with the subset.
 
-    Two elements are related iff no unary polynomial maps exactly one of them
-    into the subset.  Chaining single-argument replacements shows the relation
-    is a congruence, and any congruence compatible with the subset is forced
-    below it.
+    Partition refinement (Moore; Paige & Tarjan 1987): start from the
+    partition {F, A minus F} and, each round, split every block by the blocks
+    that the basic translations send its members to, until the number of
+    blocks stops growing.  The stable partition is preserved by every basic
+    translation, hence a congruence (Mal'cev), and it is compatible with F.
+    Every congruence compatible with F refines each round's partition, so the
+    result is the largest one.
     """
     budget = as_budget(budget)
     members = frozenset(subset)
-    clone = unary_polynomials(algebra, budget)
-    profiles: dict[tuple[bool, ...], list[int]] = {}
-    polys = sorted(clone.functions)
-    for e in range(algebra.size):
-        profile = tuple((p[e] in members) for p in polys)
-        profiles.setdefault(profile, []).append(e)
-    partition = [0] * algebra.size
-    for i, (_, block) in enumerate(sorted(profiles.items(), key=lambda kv: kv[1][0])):
-        for e in block:
-            partition[e] = i
-    return Congruence(tuple(partition))
+    translations = _translations(algebra, budget)
+    blocks = _canonical([e in members for e in range(algebra.size)])
+    while True:
+        budget.spend(algebra.size * (len(translations) + 1))
+        columns = [blocks] + [[blocks[x] for x in t] for t in translations]
+        refined = _canonical(list(zip(*columns)))
+        if max(refined) == max(blocks):
+            return Congruence(blocks)
+        blocks = refined

@@ -2,11 +2,13 @@
 
 The oracles here recompute expected values by brute force, independently of
 the library's own algorithms: partitions are enumerated as restricted growth
-strings, homomorphisms as raw function tables, and term forests by bounded
-structural enumeration.
+strings, homomorphisms as raw function tables, term forests by bounded
+structural enumeration, and Leibniz congruences either read off the partition
+lattice or from the profiles of the whole unary polynomial clone.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import pytest
 
@@ -131,6 +133,94 @@ def oracle_congruences(algebra: FiniteAlgebra) -> set[Congruence]:
         for p in all_partitions(algebra.size)
         if oracle_is_congruence(algebra, p)
     }
+
+
+def oracle_compatible(partition, subset) -> bool:
+    """The subset is a union of blocks: no block meets it and its complement."""
+    members = set(subset)
+    return all(
+        (a in members) == (b in members)
+        for a, b in itertools.combinations(range(len(partition)), 2)
+        if partition[a] == partition[b]
+    )
+
+
+def oracle_largest_compatible(congruences, subset) -> Congruence:
+    """Largest member of the lattice whose blocks the subset is a union of."""
+    compatible = [t for t in congruences if oracle_compatible(t.partition, subset)]
+    top = min(compatible, key=lambda t: t.num_blocks)
+    for t in compatible:
+        assert all(
+            top.same(a, b)
+            for a, b in itertools.combinations(range(t.size), 2)
+            if t.same(a, b)
+        ), "no largest member"
+    return top
+
+
+def oracle_least_containing(congruences, pairs) -> Congruence:
+    """Least member of the lattice relating every pair."""
+    containing = [t for t in congruences if all(t.same(a, b) for a, b in pairs)]
+    top = max(containing, key=lambda t: t.num_blocks)
+    for t in containing:
+        assert all(
+            t.same(a, b)
+            for a, b in itertools.combinations(range(t.size), 2)
+            if top.same(a, b)
+        ), "no least member"
+    return top
+
+
+@dataclass(frozen=True)
+class UnaryPolynomialClone:
+    """Unary maps obtained from the identity by plugging into one argument of
+    a basic operation, all other arguments frozen at constants."""
+
+    functions: frozenset[tuple[int, ...]]
+
+    def __iter__(self):
+        return iter(sorted(self.functions))
+
+
+def unary_polynomials(algebra: FiniteAlgebra) -> UnaryPolynomialClone:
+    """Closure of the identity under composition with basic translations."""
+    n = algebra.size
+    identity = tuple(range(n))
+    found: set[tuple[int, ...]] = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for sym, arity in algebra.signature.symbols:
+            if arity == 0:
+                continue
+            for pos in range(arity):
+                for rest in itertools.product(range(n), repeat=arity - 1):
+                    q = tuple(
+                        algebra.op(sym, *(rest[:pos] + (p[x],) + rest[pos:]))
+                        for x in range(n)
+                    )
+                    if q not in found:
+                        found.add(q)
+                        frontier.append(q)
+    return UnaryPolynomialClone(frozenset(found))
+
+
+def oracle_leibniz_profiles(clone: UnaryPolynomialClone, subset) -> Congruence:
+    """Leibniz congruence by polynomial profiles: two elements are related iff
+    no unary polynomial of the clone maps exactly one of them into the
+    subset."""
+    members = frozenset(subset)
+    profiles: dict[tuple[bool, ...], list[int]] = {}
+    polys = list(clone)
+    size = len(polys[0])
+    for e in range(size):
+        profile = tuple((p[e] in members) for p in polys)
+        profiles.setdefault(profile, []).append(e)
+    partition = [0] * size
+    for i, (_, block) in enumerate(sorted(profiles.items(), key=lambda kv: kv[1][0])):
+        for e in block:
+            partition[e] = i
+    return Congruence(tuple(partition))
 
 
 def brute_homomorphisms(dom: FiniteAlgebra, cod: FiniteAlgebra):

@@ -1,22 +1,30 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_congruences
+from conftest import (
+    oracle_compatible,
+    oracle_congruences,
+    oracle_is_congruence,
+    oracle_largest_compatible,
+    oracle_least_containing,
+    oracle_leibniz_profiles,
+    unary_polynomials,
+)
 
 from filtra import builtins as bi
-from filtra.algebras import FiniteAlgebra, trivial_algebra
+from filtra.algebras import Budget, FiniteAlgebra, trivial_algebra
 from filtra.congruences import (
     Congruence,
     all_congruences,
     cg_generated,
     is_compatible,
     is_congruence,
-    join_congruences,
     leibniz_congruence,
-    unary_polynomials,
 )
 from filtra.errors import SizeBudgetExceeded
+from filtra.logics import all_filters
 from filtra.terms import Signature
 
 THETA1 = Congruence.from_blocks([[0, 1], [2, 4], [3]], 5)
@@ -65,17 +73,10 @@ def test_cg_k3_collapses(k3):
 
 
 def test_cg_equals_least_containing_congruence(wk3, k3, box5, bool4):
-    # oracle: the least member of the full congruence lattice over the pairs
     for algebra in (wk3, k3, box5, bool4):
-        lattice = list(all_congruences(algebra))
-        pairs_pool = list(itertools.combinations(range(algebra.size), 2))
-        for pair in pairs_pool:
-            generated = cg_generated(algebra, [pair])
-            containing = [t for t in lattice if t.same(*pair)]
-            least = containing[0]
-            for t in containing[1:]:
-                least = least.meet(t)
-            assert generated == least
+        lattice = oracle_congruences(algebra)
+        for pair in itertools.combinations(range(algebra.size), 2):
+            assert cg_generated(algebra, [pair]) == oracle_least_containing(lattice, [pair])
 
 
 # --- enumeration -----------------------------------------------------------
@@ -112,7 +113,7 @@ def test_all_congruences_budget_cap():
 def test_join_is_least_upper_bound(box5):
     lattice = list(all_congruences(box5))
     for t1, t2 in itertools.combinations(lattice, 2):
-        j = join_congruences(box5, t1, t2)
+        j = t1.join(t2)
         assert t1.refines(j) and t2.refines(j)
         for other in lattice:
             if t1.refines(other) and t2.refines(other):
@@ -142,7 +143,7 @@ def test_theta1_not_compatible_with_one(box5):
     assert is_compatible(THETA1, {0, 1})
 
 
-# --- unary polynomial clone ------------------------------------------------
+# --- unary polynomial clone (the profile oracle in conftest) ----------------
 
 
 def test_clone_of_trivial_algebra():
@@ -166,16 +167,6 @@ def test_k3_clone_contains_expected_maps(k3):
 # --- Leibniz congruence ----------------------------------------------------
 
 
-def leibniz_oracle(algebra, subset):
-    """Largest compatible congruence, from the full lattice."""
-    compatible = [t for t in all_congruences(algebra) if is_compatible(t, subset)]
-    top = compatible[0]
-    for t in compatible[1:]:
-        top = join_congruences(algebra, top, t)
-    assert is_compatible(top, subset)
-    return top
-
-
 def test_leibniz_of_carrier_is_total(k3):
     assert leibniz_congruence(k3, range(3)) == Congruence.total(3)
 
@@ -187,9 +178,115 @@ def test_leibniz_examples(k3, wk3):
 
 def test_leibniz_equals_largest_compatible(wk3, k3, box5, bool4):
     for algebra in (wk3, k3, box5, bool4):
+        lattice = oracle_congruences(algebra)
         for r in range(algebra.size + 1):
             for subset in itertools.combinations(range(algebra.size), r):
                 got = leibniz_congruence(algebra, subset)
-                assert got == leibniz_oracle(algebra, set(subset))
+                assert got == oracle_largest_compatible(lattice, subset)
                 assert is_compatible(got, set(subset))
                 assert is_congruence(algebra, got)
+
+
+def test_leibniz_of_kg_filters_on_mchain4_is_maximal(kg):
+    mchain4 = bi.algebra("mchain4")
+    for f in all_filters(mchain4, kg):
+        theta = leibniz_congruence(mchain4, f.members)
+        assert oracle_is_congruence(mchain4, theta.partition)
+        assert oracle_compatible(theta.partition, f.members)
+        for a, b in itertools.combinations(range(mchain4.size), 2):
+            if not theta.same(a, b):
+                bigger = cg_generated(mchain4, theta.pairs() + [(a, b)])
+                assert not oracle_compatible(bigger.partition, f.members), (sorted(f.members), a, b)
+
+
+def test_leibniz_equals_profile_oracle_on_mchain3():
+    mchain3 = bi.algebra("mchain3")
+    clone = unary_polynomials(mchain3)
+    for r in range(mchain3.size + 1):
+        for subset in itertools.combinations(range(mchain3.size), r):
+            assert leibniz_congruence(mchain3, subset) == oracle_leibniz_profiles(clone, subset)
+
+
+# --- step budget -----------------------------------------------------------
+
+
+def test_budget_bounds_congruence_calls(wk3_sq):
+    mchain4 = bi.algebra("mchain4")
+    with pytest.raises(SizeBudgetExceeded):
+        leibniz_congruence(mchain4, {15}, Budget(50))
+    with pytest.raises(SizeBudgetExceeded):
+        cg_generated(mchain4, [(14, 15)], Budget(50))
+    with pytest.raises(SizeBudgetExceeded):
+        all_congruences(wk3_sq.algebra, Budget(50))
+
+
+def test_budget_bounds_refinement_and_joins():
+    # with no operations there is nothing to tabulate or propagate, so only
+    # the refinement rounds and the joins can spend
+    bare = FiniteAlgebra.make("bare", 3, Signature(()), {})
+    assert leibniz_congruence(bare, {0}) == Congruence((0, 1, 1))
+    with pytest.raises(SizeBudgetExceeded):
+        leibniz_congruence(bare, {0}, Budget(0))
+    assert len(all_congruences(bare)) == 5
+    with pytest.raises(SizeBudgetExceeded):
+        all_congruences(bare, Budget(0))
+
+
+# --- random algebras against the oracles ------------------------------------
+
+RANDOM_SIGNATURE = Signature((("f", 1), ("g", 2)))
+
+
+@st.composite
+def random_algebras(draw):
+    """An algebra on at most 4 elements with one unary and one binary table,
+    and a permutation of its carrier."""
+    n = draw(st.integers(1, 4))
+    element = st.integers(0, n - 1)
+    tables = {
+        "f": draw(st.lists(element, min_size=n, max_size=n)),
+        "g": draw(st.lists(element, min_size=n * n, max_size=n * n)),
+    }
+    perm = draw(st.permutations(range(n)))
+    return FiniteAlgebra.make("random", n, RANDOM_SIGNATURE, tables), perm
+
+
+def _relabel(algebra, perm):
+    """The isomorphic copy in which element x is called perm[x]."""
+    n = algebra.size
+    tables = {}
+    for sym, arity in algebra.signature.symbols:
+        table = [0] * n**arity
+        for args in itertools.product(range(n), repeat=arity):
+            idx = 0
+            for a in args:
+                idx = idx * n + perm[a]
+            table[idx] = perm[algebra.op(sym, *args)]
+        tables[sym] = table
+    return FiniteAlgebra.make("relabelled", n, algebra.signature, tables)
+
+
+def _relabel_congruence(theta, perm):
+    partition = [0] * theta.size
+    for x, block in enumerate(theta.partition):
+        partition[perm[x]] = block
+    return Congruence(tuple(partition))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(random_algebras())
+def test_random_algebras_match_oracles(algebra_and_perm):
+    algebra, perm = algebra_and_perm
+    n = algebra.size
+    lattice = oracle_congruences(algebra)
+    assert set(all_congruences(algebra)) == lattice
+    for pair in itertools.combinations(range(n), 2):
+        assert cg_generated(algebra, [pair]) == oracle_least_containing(lattice, [pair])
+    copy = _relabel(algebra, perm)
+    assert set(all_congruences(copy)) == {_relabel_congruence(t, perm) for t in lattice}
+    for r in range(n + 1):
+        for subset in itertools.combinations(range(n), r):
+            got = leibniz_congruence(algebra, subset)
+            assert got == oracle_largest_compatible(lattice, subset)
+            moved = leibniz_congruence(copy, [perm[x] for x in subset])
+            assert moved == _relabel_congruence(got, perm)
