@@ -3,6 +3,11 @@
 Carriers are always {0, ..., n-1}; element labels are display-only.  Operation
 tables are stored flat in row-major order (first argument varies slowest), so
 the value of f(a1, ..., ak) sits at index a1*n^(k-1) + ... + ak.
+
+Terms are evaluated one valuation at a time by eval_term, or compiled by
+compile_term into the table of their term function over every valuation at
+once.  Compiled tables live for one call and are never cached; each node's
+table spends its width from the caller's budget.
 """
 
 from __future__ import annotations
@@ -179,16 +184,80 @@ def _free_variables(eq: Equation, algebra: FiniteAlgebra) -> tuple[str, ...]:
     return tuple(v for v in equation_variables(eq) if v not in labels)
 
 
+def _apply_pointwise(table: tuple[int, ...], size: int, arg_tabs: Sequence[tuple[int, ...]]):
+    """Apply an operation table pointwise to the tables of its arguments."""
+    if len(arg_tabs) == 1:
+        return tuple([table[x] for x in arg_tabs[0]])
+    if len(arg_tabs) == 2:
+        return tuple([table[x * size + y] for x, y in zip(*arg_tabs)])
+    out = []
+    for point in zip(*arg_tabs):
+        idx = 0
+        for a in point:
+            idx = idx * size + a
+        out.append(table[idx])
+    return tuple(out)
+
+
+def _leaf_table(algebra: FiniteAlgebra, nvars: int, node: tuple) -> tuple[int, ...]:
+    """Table of a variable node (None, i) or a constant node (symbol, ())."""
+    sym, arg = node
+    if sym is None:
+        run = algebra.size ** (nvars - arg - 1)  # consecutive valuations sharing its value
+        return tuple([v for v in range(algebra.size) for _ in range(run)]) * algebra.size**arg
+    return (algebra.table(sym)[0],) * algebra.size**nvars
+
+
+def compile_term(
+    t: Term, algebra: FiniteAlgebra, variables: Sequence[str], budget: Budget | int | None = None
+) -> tuple[int, ...]:
+    """The table of the term function of t over the variables.
+
+    Entry i is the value of t at the i-th valuation in lexicographic order
+    (the first variable varies slowest).  Names resolve as in eval_term: a
+    listed variable first, then an element label.  Each distinct subterm is
+    tabulated once and spends the table width from the budget.
+    """
+    budget = as_budget(budget)
+    budget.check(algebra.size ** len(variables))
+    return _tabulate(t, algebra, {v: i for i, v in enumerate(variables)}, budget, {})
+
+
+def _tabulate(
+    t: Term, algebra: FiniteAlgebra, position: Mapping[str, int], budget: Budget, tables: dict
+) -> tuple[int, ...]:
+    """compile_term's recursion; tables holds the subterms tabulated so far."""
+    if t in tables:
+        return tables[t]
+    nvars = len(position)
+    width = algebra.size**nvars
+    if isinstance(t, Var):
+        if t.name not in position and t.name not in (algebra.labels or ()):
+            raise UnboundVariable(f"variable {t.name!r} is unbound")
+        budget.spend(width)
+        if t.name in position:
+            tables[t] = _leaf_table(algebra, nvars, (None, position[t.name]))
+        else:
+            tables[t] = (algebra.labels.index(t.name),) * width
+        return tables[t]
+    args = [_tabulate(a, algebra, position, budget, tables) for a in t.args]
+    table = algebra.table(t.symbol)
+    arity = algebra.signature.arity(t.symbol)
+    if len(args) != arity:
+        raise ArityMismatch(f"{t.symbol} expects {arity} arguments, got {len(args)}")
+    budget.spend(width)
+    tables[t] = _apply_pointwise(table, algebra.size, args) if args else (table[0],) * width
+    return tables[t]
+
+
 def holds_universally(eq: Equation, algebra: FiniteAlgebra, budget: Budget | int | None = None) -> bool:
     """True iff the equation holds under every assignment of its variables."""
     budget = as_budget(budget)
     variables = _free_variables(eq, algebra)
     budget.check(algebra.size ** len(variables))
-    for values in itertools.product(algebra.elements(), repeat=len(variables)):
-        budget.spend()
-        if not holds_equation(eq, algebra, dict(zip(variables, values))):
-            return False
-    return True
+    return compile_term(eq.lhs, algebra, variables, budget) == compile_term(
+        eq.rhs, algebra, variables, budget
+    )
 
 
 @dataclass(frozen=True)
@@ -247,42 +316,31 @@ def direct_product(
     budget.check(table_cells)
 
     prod_name = name or "x".join(a.name for a in algebras)
+    points = list(itertools.product(*(range(s) for s in sizes)))
     labels = None
     if all(a.labels is not None for a in algebras):
-        labels = []
-        for idx in range(total):
-            coords = []
-            rest = idx
-            for s in reversed(sizes):
-                coords.append(rest % s)
-                rest //= s
-            coords.reverse()
-            labels.append("(" + ",".join(a.labels[c] for a, c in zip(algebras, coords)) + ")")
-
-    def decode(e: int) -> tuple[int, ...]:
-        out = []
-        for s in reversed(sizes):
-            out.append(e % s)
-            e //= s
-        return tuple(reversed(out))
+        labels = ["(" + ",".join(a.labels[c] for a, c in zip(algebras, p)) + ")" for p in points]
 
     tables = {}
     for sym, arity in sig.symbols:
-        entries = []
-        for args in itertools.product(range(total), repeat=arity):
-            budget.spend()
-            coords = [decode(a) for a in args]
-            value_coords = [
-                alg.op(sym, *(coords[j][i] for j in range(arity)))
-                for i, alg in enumerate(algebras)
-            ]
-            idx = 0
-            for s, c in zip(sizes, value_coords):
-                idx = idx * s + c
-            entries.append(idx)
+        budget.spend(total**arity)
+        entries = [0] * total**arity
+        # mixed-radix encoding of the value coordinates, first factor slowest
+        for alg, coords in zip(algebras, zip(*points)):
+            table = alg.table(sym)
+            indices = _tuple_indices(alg.size, coords, arity)
+            entries = [e * alg.size + table[i] for e, i in zip(entries, indices)]
         tables[sym] = entries
     algebra = FiniteAlgebra.make(prod_name, total, sig, tables, labels)
     return Product(algebra, sizes)
+
+
+def _tuple_indices(size: int, coords: Sequence[int], arity: int) -> list[int]:
+    """Flat table indices of every arity-tuple over coords, lexicographically."""
+    indices = [0]
+    for _ in range(arity):
+        indices = [i * size + c for i in indices for c in coords]
+    return indices
 
 
 def subuniverse_generated(
@@ -295,7 +353,7 @@ def subuniverse_generated(
     budget = as_budget(budget)
     current = set(subset)
     for c in algebra.signature.constants:
-        current.add(algebra.op(c))
+        current.add(algebra.table(c)[0])
     changed = True
     while changed:
         changed = False
@@ -303,27 +361,22 @@ def subuniverse_generated(
         for sym, arity in algebra.signature.symbols:
             if arity == 0:
                 continue
-            for args in itertools.product(members, repeat=arity):
-                budget.spend()
-                v = algebra.op(sym, *args)
-                if v not in current:
-                    current.add(v)
-                    changed = True
+            budget.spend(len(members) ** arity)
+            table = algebra.table(sym)
+            image = {table[i] for i in _tuple_indices(algebra.size, members, arity)}
+            if not image <= current:
+                current |= image
+                changed = True
     return frozenset(current)
 
 
 def is_subuniverse(algebra: FiniteAlgebra, subset: frozenset[int]) -> bool:
-    for c in algebra.signature.constants:
-        if algebra.op(c) not in subset:
-            return False
     members = sorted(subset)
-    for sym, arity in algebra.signature.symbols:
-        if arity == 0:
-            continue
-        for args in itertools.product(members, repeat=arity):
-            if algebra.op(sym, *args) not in subset:
-                return False
-    return True
+    return all(
+        algebra.table(sym)[i] in subset
+        for sym, arity in algebra.signature.symbols
+        for i in _tuple_indices(algebra.size, members, arity)
+    )
 
 
 def enumerate_subuniverses(
@@ -362,10 +415,8 @@ def induced_subalgebra(
     back = {e: i for i, e in enumerate(members)}
     tables = {}
     for sym, arity in algebra.signature.symbols:
-        entries = []
-        for args in itertools.product(members, repeat=arity):
-            entries.append(back[algebra.op(sym, *args)])
-        tables[sym] = entries
+        table = algebra.table(sym)
+        tables[sym] = [back[table[i]] for i in _tuple_indices(algebra.size, members, arity)]
     labels = None
     if algebra.labels is not None:
         labels = [algebra.labels[e] for e in members]
@@ -395,18 +446,14 @@ def quotient(
 
     tables = {}
     for sym, arity in algebra.signature.symbols:
-        entries = []
-        for rep_args in itertools.product(reps, repeat=arity):
-            entries.append(proj[algebra.op(sym, *rep_args)])
-        tables[sym] = entries
+        table = algebra.table(sym)
+        tables[sym] = [proj[table[i]] for i in _tuple_indices(n, reps, arity)]
     # well-definedness: every tuple must agree with its representative tuple
+    rep_of = [reps[b] for b in proj]
     for sym, arity in algebra.signature.symbols:
-        for args in itertools.product(range(n), repeat=arity):
-            rep_args = tuple(reps[proj[a]] for a in args)
-            if proj[algebra.op(sym, *args)] != proj[algebra.op(sym, *rep_args)]:
-                raise NotACongruence(
-                    f"operation {sym!r} is not well defined on the blocks"
-                )
+        table = algebra.table(sym)
+        if [proj[v] for v in table] != [proj[table[i]] for i in _tuple_indices(n, rep_of, arity)]:
+            raise NotACongruence(f"operation {sym!r} is not well defined on the blocks")
     labels = None
     if algebra.labels is not None:
         blocks: dict[int, list[str]] = {}
@@ -426,11 +473,11 @@ def is_homomorphism(
         return False
     if any(not (0 <= v < cod.size) for v in mapping):
         return False
-    for sym, arity in dom.signature.symbols:
-        for args in itertools.product(range(dom.size), repeat=arity):
-            if mapping[dom.op(sym, *args)] != cod.op(sym, *(mapping[a] for a in args)):
-                return False
-    return True
+    return all(
+        [mapping[v] for v in dom.table(sym)]
+        == [cod.table(sym)[i] for i in _tuple_indices(cod.size, mapping, arity)]
+        for sym, arity in dom.signature.symbols
+    )
 
 
 def enumerate_homomorphisms(

@@ -15,9 +15,10 @@ Shape conventions per variant:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import InvalidSpec
 from .terms import App, Equation, Term, Var, equation_variables
@@ -92,17 +93,6 @@ def fold_terms(symbol: str, terms: Sequence[Term], empty: Term | None = None) ->
     return out
 
 
-def fold_with(combine: Callable[[Term, Term], Term], terms: Sequence[Term], empty: Term | None = None) -> Term:
-    if not terms:
-        if empty is None:
-            raise InvalidSpec("empty fold needs a base term")
-        return empty
-    out = terms[0]
-    for t in terms[1:]:
-        out = combine(out, t)
-    return out
-
-
 def leq(lhs: Term, rhs: Term, form: str = "join", meet_symbol: str = "and", join_symbol: str = "or") -> Equation:
     """Order comparison as an equation: meet form a&b = a, join form a|b = b."""
     if form == "meet":
@@ -169,7 +159,7 @@ def pwk_local(n_max: int = 3, name: str = "pwk-local") -> EDCFCandidate:
         xs = xvars(n)
         for r in range(1, n + 1):
             for subset in itertools.combinations(xs, r):
-                meet = fold_with(_wk_meet, list(subset))
+                meet = functools.reduce(_wk_meet, subset)
                 family.append((leq(meet, y, "join"),))
         families.append(tuple(family))
     return EDCFCandidate(name, n_max, tuple(families))

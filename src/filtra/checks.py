@@ -14,6 +14,7 @@ that order is the one reported.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -22,11 +23,10 @@ from .algebras import (
     Budget,
     FiniteAlgebra,
     as_budget,
+    compile_term,
     direct_product,
     enumerate_homomorphisms,
     enumerate_subuniverses,
-    eval_term,
-    holds_equation,
     induced_subalgebra,
     quotient,
 )
@@ -166,50 +166,47 @@ def generate_testbed(
 # candidate satisfaction
 
 
-def _satisfies_family(
+def _sweep_table(
     algebra: FiniteAlgebra,
     family: Sequence,
-    xs: Sequence[int],
-    b: int,
+    n: int,
     param_count: int,
     budget: Budget,
-) -> bool:
-    """Existential over family members and parameter tuples."""
-    base = {f"x{i + 1}": a for i, a in enumerate(xs)}
-    base["y"] = b
-    for theta in family:
-        for params in itertools.product(range(algebra.size), repeat=param_count):
-            budget.spend()
-            v = dict(base)
-            v.update({f"z{j + 1}": c for j, c in enumerate(params)})
-            if all(holds_equation(eq, algebra, v) for eq in theta):
-                return True
-    return False
+    theta: Congruence | None = None,
+) -> list[bool]:
+    """For each cell (generators, element) in sweep order, whether some member
+    of the family holds there at some parameter tuple.
+
+    With theta the two sides of an equation need only share a block.
+    """
+    variables = [f"x{i + 1}" for i in range(n)] + ["y"] + [f"z{j + 1}" for j in range(param_count)]
+    block = theta.partition if theta is not None else range(algebra.size)
+    width = algebra.size ** len(variables)
+    somewhere = [False] * width
+    for member in family:
+        holds = [True] * width
+        for eq in member:
+            lhs = map(block.__getitem__, compile_term(eq.lhs, algebra, variables, budget))
+            rhs = map(block.__getitem__, compile_term(eq.rhs, algebra, variables, budget))
+            holds = list(map(operator.and_, holds, map(operator.eq, lhs, rhs)))
+        somewhere = list(map(operator.or_, somewhere, holds))
+    fan = algebra.size**param_count
+    return somewhere if fan == 1 else [any(somewhere[c : c + fan]) for c in range(0, width, fan)]
 
 
-def _theta_subset_of(
-    algebra: FiniteAlgebra,
-    family: Sequence,
-    xs: Sequence[int],
-    b: int,
-    param_count: int,
-    theta: Congruence,
-    budget: Budget,
-) -> bool:
-    """Existential form with equations read modulo a congruence."""
-    base = {f"x{i + 1}": a for i, a in enumerate(xs)}
-    base["y"] = b
-    for eqs in family:
-        for params in itertools.product(range(algebra.size), repeat=param_count):
-            budget.spend()
-            v = dict(base)
-            v.update({f"z{j + 1}": c for j, c in enumerate(params)})
-            if all(
-                theta.same(eval_term(eq.lhs, algebra, v), eval_term(eq.rhs, algebra, v))
-                for eq in eqs
-            ):
-                return True
-    return False
+def _sweep_cells(algebra: FiniteAlgebra, n: int) -> Iterable[tuple[tuple[int, ...], int]]:
+    """The cells (generators, element) of generator count n, in sweep order."""
+    return itertools.product(itertools.product(range(algebra.size), repeat=n), range(algebra.size))
+
+
+def _cell(algebra: FiniteAlgebra, xs: Sequence[int], b: int) -> dict:
+    return {
+        "algebra": algebra.name,
+        "generators": list(xs),
+        "generator_labels": _labels(algebra, xs),
+        "element": b,
+        "element_label": algebra.label(b),
+    }
 
 
 def _labels(algebra: FiniteAlgebra, elems: Iterable[int]) -> list[str]:
@@ -254,6 +251,36 @@ def _resolve(outcome_fail: bool, witness, checker: str, uncertified: Mapping[str
 # checkers
 
 
+def _top(candidate: EDCFCandidate, variant: str, n_max: int | None) -> int:
+    if not candidate.matches_variant(variant):
+        raise InvalidSpec(f"candidate {candidate.name!r} does not have the {variant} shape")
+    return candidate.n_max if n_max is None else min(n_max, candidate.n_max)
+
+
+def _first_mismatch(
+    logic: LogicSpec,
+    algebra: FiniteAlgebra,
+    candidate: EDCFCandidate,
+    top: int,
+    budget: Budget,
+    theta: Congruence | None = None,
+) -> dict | None:
+    """The first cell where filter membership and candidate satisfaction differ."""
+    for n in range(top + 1):
+        sat = None
+        for c, (xs, b) in enumerate(_sweep_cells(algebra, n)):
+            if b == 0:
+                members = fg(algebra, frozenset(xs), logic, budget).members
+            if sat is None:  # built after the first fg, whose errors come first
+                sat = _sweep_table(algebra, candidate.family(n), n, candidate.param_count, budget, theta)
+            budget.spend()
+            if (b in members) != sat[c]:
+                return {"algebra": algebra.name, "n": n} | _cell(algebra, xs, b) | {
+                    "in_fg": b in members
+                }
+    return None
+
+
 def check_edcf(
     logic: LogicSpec,
     testbed: Testbed,
@@ -264,32 +291,14 @@ def check_edcf(
 ) -> Verdict:
     """Compare filter membership with candidate satisfaction on every cell."""
     budget = as_budget(budget)
-    if not candidate.matches_variant(variant):
-        raise InvalidSpec(f"candidate {candidate.name!r} does not have the {variant} shape")
-    top = candidate.n_max if n_max is None else min(n_max, candidate.n_max)
+    top = _top(candidate, variant, n_max)
     uncertified = _uncertified(logic, testbed)
     for algebra in testbed:
-        for n in range(top + 1):
-            family = candidate.family(n)
-            for xs in itertools.product(range(algebra.size), repeat=n):
-                members = fg(algebra, frozenset(xs), logic, budget).members
-                for b in range(algebra.size):
-                    budget.spend()
-                    in_fg = b in members
-                    sat = _satisfies_family(algebra, family, xs, b, candidate.param_count, budget)
-                    if in_fg != sat:
-                        witness = {
-                            "algebra": algebra.name,
-                            "n": n,
-                            "generators": list(xs),
-                            "generator_labels": _labels(algebra, xs),
-                            "element": b,
-                            "element_label": algebra.label(b),
-                            "in_fg": in_fg,
-                            "satisfies_candidate": sat,
-                            "candidate": candidate.name,
-                        }
-                        return _resolve(True, witness, "edcf", uncertified)
+        witness = _first_mismatch(logic, algebra, candidate, top, budget)
+        if witness is not None:
+            witness["satisfies_candidate"] = not witness["in_fg"]
+            witness["candidate"] = candidate.name
+            return _resolve(True, witness, "edcf", uncertified)
     return _resolve(False, None, "edcf", uncertified)
 
 
@@ -306,36 +315,16 @@ def check_edcf_theta_form(
     congruence instead of outright satisfaction; algebras need not lie in the
     class."""
     budget = as_budget(budget)
-    if not candidate.matches_variant(variant):
-        raise InvalidSpec(f"candidate {candidate.name!r} does not have the {variant} shape")
-    top = candidate.n_max if n_max is None else min(n_max, candidate.n_max)
+    top = _top(candidate, variant, n_max)
     uncertified = _uncertified(logic, algebras)
     for algebra in algebras:
         theta = theta_k(algebra, class_spec, budget)
-        for n in range(top + 1):
-            family = candidate.family(n)
-            for xs in itertools.product(range(algebra.size), repeat=n):
-                members = fg(algebra, frozenset(xs), logic, budget).members
-                for b in range(algebra.size):
-                    budget.spend()
-                    in_fg = b in members
-                    sat = _theta_subset_of(
-                        algebra, family, xs, b, candidate.param_count, theta, budget
-                    )
-                    if in_fg != sat:
-                        witness = {
-                            "algebra": algebra.name,
-                            "n": n,
-                            "generators": list(xs),
-                            "generator_labels": _labels(algebra, xs),
-                            "element": b,
-                            "element_label": algebra.label(b),
-                            "in_fg": in_fg,
-                            "theta_blocks": theta.to_blocks_json(),
-                            "satisfies_candidate_mod_theta": sat,
-                            "candidate": candidate.name,
-                        }
-                        return _resolve(True, witness, "edcf-theta-form", uncertified)
+        witness = _first_mismatch(logic, algebra, candidate, top, budget, theta)
+        if witness is not None:
+            witness["theta_blocks"] = theta.to_blocks_json()
+            witness["satisfies_candidate_mod_theta"] = not witness["in_fg"]
+            witness["candidate"] = candidate.name
+            return _resolve(True, witness, "edcf-theta-form", uncertified)
     return _resolve(False, None, "edcf-theta-form", uncertified)
 
 
@@ -347,47 +336,53 @@ def compare_candidates(
     budget: Budget | int | None = None,
 ) -> Verdict:
     """Mutual refinement: every member of one family is implied, across the
-    testbed, by some member of the other, in both directions."""
+    testbed, by some member of the other, in both directions.
+
+    A fail names, for each member of the other family, the first cell in
+    sweep order where the unmatched member holds and that one does not.
+    """
     budget = as_budget(budget)
     top = min(c1.n_max, c2.n_max)
     if n_max is not None:
         top = min(top, n_max)
+    tables: dict[tuple[int, int, int, int], list[bool]] = {}
 
-    def implied_on_testbed(first: EDCFCandidate, theta, second: EDCFCandidate, n: int):
-        """Some member of second implied by theta everywhere; else a witness."""
-        for other in second.family(n):
-            ok = True
-            for algebra in testbed:
-                for xs in itertools.product(range(algebra.size), repeat=n):
-                    for b in range(algebra.size):
-                        budget.spend()
-                        if _satisfies_family(algebra, [theta], xs, b, first.param_count, budget) and not _satisfies_family(
-                            algebra, [other], xs, b, second.param_count, budget
-                        ):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                return None
-        # no match: report the last sweep position as a witness anchor
-        return {"unmatched_candidate": first.name, "n": n}
+    def sat(side: int, n: int, i: int, a: int) -> list[bool]:
+        key = (side, n, i, a)
+        if key not in tables:
+            cand = (c1, c2)[side]
+            tables[key] = _sweep_table(
+                testbed.algebras[a], [cand.family(n)[i]], n, cand.param_count, budget
+            )
+        return tables[key]
+
+    def first_break(side: int, i: int, j: int, n: int) -> dict | None:
+        """The first cell where member i holds and member j of the other does not."""
+        for a, algebra in enumerate(testbed.algebras):
+            mine, theirs = sat(side, n, i, a), sat(1 - side, n, j, a)
+            for (xs, b), m, t in zip(_sweep_cells(algebra, n), mine, theirs):
+                budget.spend()
+                if m and not t:
+                    return _cell(algebra, xs, b)
+        return None
 
     for n in range(top + 1):
-        for i, theta in enumerate(c1.family(n)):
-            w = implied_on_testbed(c1, theta, c2, n)
-            if w is not None:
-                w["direction"] = f"{c1.name} -> {c2.name}"
-                w["member_index"] = i
-                return Verdict(FAIL, "compare-candidates", w)
-        for i, theta in enumerate(c2.family(n)):
-            w = implied_on_testbed(c2, theta, c1, n)
-            if w is not None:
-                w["direction"] = f"{c2.name} -> {c1.name}"
-                w["member_index"] = i
-                return Verdict(FAIL, "compare-candidates", w)
+        for side, (first, second) in enumerate(((c1, c2), (c2, c1))):
+            for i in range(len(first.family(n))):
+                breaks = []
+                for j in range(len(second.family(n))):
+                    cell = first_break(side, i, j, n)
+                    if cell is None:
+                        break
+                    breaks.append(cell)
+                else:  # no member of the other family is implied
+                    return Verdict(FAIL, "compare-candidates", {
+                        "unmatched_candidate": first.name,
+                        "n": n,
+                        "breaking_cells": breaks,
+                        "direction": f"{first.name} -> {second.name}",
+                        "member_index": i,
+                    })
     return Verdict(PASS, "compare-candidates")
 
 
@@ -545,17 +540,13 @@ def factor_determined_check(
                 )
                 if on_product != boxed:
                     missing = sorted(boxed - on_product) or sorted(on_product - boxed)
-                    witness = {
-                        "algebra": algebra.name,
-                        "factors": [f.name for f in factors],
-                        "generators": list(xs),
-                        "generator_labels": _labels(algebra, xs),
-                        "element": missing[0],
-                        "element_label": algebra.label(missing[0]),
-                        "side": "product_of_factor_filters_minus_fg"
+                    witness = {"algebra": algebra.name, "factors": [f.name for f in factors]}
+                    witness |= _cell(algebra, xs, missing[0])
+                    witness["side"] = (
+                        "product_of_factor_filters_minus_fg"
                         if boxed - on_product
-                        else "fg_minus_product_of_factor_filters",
-                    }
+                        else "fg_minus_product_of_factor_filters"
+                    )
                     if bases is not None:
                         witness["base_filters"] = [sorted(b) for b in bases]
                     return _resolve(True, witness, "factor-determined", uncertified)
@@ -599,14 +590,8 @@ def test_algebra_check(
                     for h in homs
                 )
                 if not matched:
-                    witness = {
-                        "algebra": algebra.name,
-                        "generators": list(xs),
-                        "generator_labels": _labels(algebra, xs),
-                        "element": b,
-                        "element_label": algebra.label(b),
-                        "reason": "no homomorphism maps the test elements onto this cell",
-                    }
+                    witness = _cell(algebra, xs, b)
+                    witness["reason"] = "no homomorphism maps the test elements onto this cell"
                     return _resolve(True, witness, "test-algebra", uncertified)
     return _resolve(False, None, "test-algebra", uncertified)
 
@@ -649,12 +634,7 @@ def smallest_relcong_check(
             minimal = [
                 t for t in hits if not any(o != t and o.refines(t) for o in hits)
             ]
-            witness = {
-                "algebra": algebra.name,
-                "generators": list(xs),
-                "generator_labels": _labels(algebra, xs),
-                "element": b,
-                "element_label": algebra.label(b),
+            witness = _cell(algebra, xs, b) | {
                 "minimal_congruences": [t.to_blocks_json() for t in minimal],
                 "meet_blocks": meet.to_blocks_json(),
             }

@@ -10,7 +10,7 @@ ultraproducts contribute nothing further.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,8 +18,8 @@ from .algebras import (
     Budget,
     FiniteAlgebra,
     as_budget,
+    compile_term,
     enumerate_homomorphisms,
-    holds_equation,
     holds_universally,
     quotient,
 )
@@ -75,12 +75,16 @@ def _holds_quasiequation(
     labels = set(algebra.labels or ())
     variables = tuple(v for v in q.variables() if v not in labels)
     budget.check(algebra.size ** len(variables))
-    for values in itertools.product(algebra.elements(), repeat=len(variables)):
+
+    def agreement(eq: Equation) -> list[bool]:
+        lhs = compile_term(eq.lhs, algebra, variables, budget)
+        return list(map(operator.eq, lhs, compile_term(eq.rhs, algebra, variables, budget)))
+
+    antecedents = [agreement(eq) for eq in q.antecedents]
+    for point, holds in enumerate(agreement(q.consequent)):
         budget.spend()
-        v = dict(zip(variables, values))
-        if all(holds_equation(eq, algebra, v) for eq in q.antecedents):
-            if not holds_equation(q.consequent, algebra, v):
-                return False
+        if not holds and all(a[point] for a in antecedents):
+            return False
     return True
 
 

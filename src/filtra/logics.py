@@ -36,16 +36,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .algebras import (
     DEFAULT_BUDGET,
     Budget,
     FiniteAlgebra,
     Matrix,
+    _apply_pointwise,
+    _leaf_table,
     as_budget,
+    compile_term,
     enumerate_homomorphisms,
-    eval_term,
     quotient,
 )
 from .congruences import Congruence
@@ -116,18 +118,23 @@ def _free_rule_variables(rule: Rule, algebra: FiniteAlgebra) -> tuple[str, ...]:
     return tuple(v for v in rule_variables(rule) if v not in labels)
 
 
+def _rule_tables(rule: Rule, algebra: FiniteAlgebra, budget: Budget):
+    """Compiled premise and conclusion tables over the rule's free variables."""
+    variables = _free_rule_variables(rule, algebra)
+    budget.check(algebra.size ** len(variables))
+    premises = [compile_term(p, algebra, variables, budget) for p in rule.premises]
+    return premises, compile_term(rule.conclusion, algebra, variables, budget)
+
+
 def rule_valid_in_matrix(rule: Rule, matrix: Matrix, budget: Budget | int | None = None) -> bool:
     """Quantify the rule over all valuations into the matrix algebra."""
     budget = as_budget(budget)
-    algebra = matrix.algebra
-    variables = _free_rule_variables(rule, algebra)
-    budget.check(algebra.size ** len(variables))
-    for values in itertools.product(algebra.elements(), repeat=len(variables)):
+    premises, conclusion = _rule_tables(rule, matrix.algebra, budget)
+    designated = matrix.designated
+    for point, concl in enumerate(conclusion):
         budget.spend()
-        v = dict(zip(variables, values))
-        if all(eval_term(p, algebra, v) in matrix.designated for p in rule.premises):
-            if eval_term(rule.conclusion, algebra, v) not in matrix.designated:
-                return False
+        if concl not in designated and all(p[point] in designated for p in premises):
+            return False
     return True
 
 
@@ -143,13 +150,10 @@ def _rule_instances(
     budget = Budget()
     instances: set[tuple[frozenset[int], int]] = set()
     for rule in logic.rules:
-        variables = _free_rule_variables(rule, algebra)
-        budget.check(algebra.size ** len(variables))
-        for values in itertools.product(algebra.elements(), repeat=len(variables)):
+        premises, conclusion = _rule_tables(rule, algebra, budget)
+        for point, concl in enumerate(conclusion):
             budget.spend()
-            v = dict(zip(variables, values))
-            prem = frozenset(eval_term(p, algebra, v) for p in rule.premises)
-            concl = eval_term(rule.conclusion, algebra, v)
+            prem = frozenset(p[point] for p in premises)
             if concl not in prem:
                 instances.add((prem, concl))
     return tuple(sorted(instances, key=lambda pc: (sorted(pc[0]), pc[1])))
@@ -194,31 +198,6 @@ class _Clone:
     complete: bool
     nodes: list[tuple]
     tables: list[tuple[tuple[int, ...], ...]]
-
-
-def _apply_pointwise(table: tuple[int, ...], size: int, arg_tabs: Sequence[tuple[int, ...]]):
-    k = len(arg_tabs)
-    if k == 1:
-        t0 = arg_tabs[0]
-        return tuple(table[x] for x in t0)
-    if k == 2:
-        t0, t1 = arg_tabs
-        return tuple(table[x * size + y] for x, y in zip(t0, t1))
-    out = []
-    for point in range(len(arg_tabs[0])):
-        idx = 0
-        for t in arg_tabs:
-            idx = idx * size + t[point]
-        out.append(table[idx])
-    return tuple(out)
-
-
-def _leaf_table(algebra: FiniteAlgebra, nvars: int, node: tuple) -> tuple[int, ...]:
-    """Table of a variable or constant node."""
-    sym, arg = node
-    if sym is None:
-        return tuple(point[arg] for point in itertools.product(range(algebra.size), repeat=nvars))
-    return (algebra.op(sym),) * algebra.size**nvars
 
 
 def _build_clone(

@@ -3,8 +3,9 @@
 The oracles here recompute expected values by brute force, independently of
 the library's own algorithms: partitions are enumerated as restricted growth
 strings, homomorphisms as raw function tables, term forests by bounded
-structural enumeration, and Leibniz congruences either read off the partition
-lattice or from the profiles of the whole unary polynomial clone.
+structural enumeration, Leibniz congruences either read off the partition
+lattice or from the profiles of the whole unary polynomial clone, and
+candidate satisfaction one valuation at a time through eval_term.
 """
 
 import itertools
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import pytest
 
 from filtra import builtins as bi
-from filtra.algebras import FiniteAlgebra, direct_product
+from filtra.algebras import FiniteAlgebra, direct_product, eval_term
 from filtra.congruences import Congruence
 from filtra.terms import App, Var
 
@@ -259,3 +260,19 @@ def terms_up_to_depth(signature, variables, depth):
             seen = seen[:4000]
             break
     return seen
+
+
+def oracle_satisfies_family(algebra: FiniteAlgebra, family, xs, b, param_count, theta=None) -> bool:
+    """Whether some member of the family holds at the cell (xs, b) for some
+    parameter tuple, each equation evaluated pointwise; with a congruence,
+    its two sides need only be related."""
+    same = theta.same if theta is not None else (lambda u, v: u == v)
+    base = {f"x{i + 1}": a for i, a in enumerate(xs)}
+    base["y"] = b
+    for member in family:
+        for params in itertools.product(range(algebra.size), repeat=param_count):
+            v = dict(base)
+            v.update({f"z{j + 1}": c for j, c in enumerate(params)})
+            if all(same(eval_term(eq.lhs, algebra, v), eval_term(eq.rhs, algebra, v)) for eq in member):
+                return True
+    return False

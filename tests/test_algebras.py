@@ -1,11 +1,16 @@
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_homomorphisms, terms_up_to_depth
 
 from filtra import builtins as bi
 from filtra.algebras import (
+    Budget,
+    FiniteAlgebra,
+    compile_term,
     direct_product,
     enumerate_homomorphisms,
     enumerate_subuniverses,
@@ -26,7 +31,7 @@ from filtra.errors import (
     SizeBudgetExceeded,
     UnboundVariable,
 )
-from filtra.terms import Equation, Signature, parse_equation, parse_term
+from filtra.terms import App, Equation, Signature, Var, parse_equation, parse_term
 
 
 # --- evaluation ------------------------------------------------------------
@@ -68,6 +73,78 @@ def test_op_arity_mismatch(wk3):
         wk3.op("neg", 0, 1)
 
 
+# --- compiled terms ----------------------------------------------------------
+
+TERM_SIGNATURE = Signature((("c", 0), ("f", 1), ("g", 2)))
+# three variable names and four label literals; a name that is neither a
+# listed variable nor a label of the drawn algebra is unbound, and a listed
+# label name is a variable
+TERM_NAMES = ("x", "y", "z", "e0", "e1", "e2", "e3")
+
+
+def random_terms(depth):
+    leaves = st.sampled_from(TERM_NAMES).map(Var) | st.just(App("c"))
+    if depth == 0:
+        return leaves
+    sub = random_terms(depth - 1)
+    return st.one_of(
+        leaves,
+        sub.map(lambda a: App("f", (a,))),
+        st.tuples(sub, sub).map(lambda ab: App("g", ab)),
+    )
+
+
+@st.composite
+def compilations(draw):
+    """An algebra on at most 4 labelled elements with one constant, one unary
+    and one binary table, a list of at most 3 variables and a term of depth at
+    most 4."""
+    n = draw(st.integers(1, 4))
+    element = st.integers(0, n - 1)
+    tables = {
+        "c": [draw(element)],
+        "f": draw(st.lists(element, min_size=n, max_size=n)),
+        "g": draw(st.lists(element, min_size=n * n, max_size=n * n)),
+    }
+    algebra = FiniteAlgebra.make("random", n, TERM_SIGNATURE, tables, [f"e{i}" for i in range(n)])
+    variables = draw(st.lists(st.sampled_from(TERM_NAMES[:4]), unique=True, max_size=3))
+    return algebra, variables, draw(random_terms(4))
+
+
+def _subterms(t):
+    out = {t}
+    for a in getattr(t, "args", ()):
+        out |= _subterms(a)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(compilations())
+def test_compiled_term_matches_pointwise_evaluation(compilation):
+    algebra, variables, term = compilation
+    budget = Budget()
+    try:
+        table = compile_term(term, algebra, variables, budget)
+    except UnboundVariable as exc:
+        with pytest.raises(UnboundVariable, match=re.escape(str(exc))):
+            eval_term(term, algebra, dict.fromkeys(variables, 0))
+        return
+    points = list(itertools.product(range(algebra.size), repeat=len(variables)))
+    assert table == tuple(eval_term(term, algebra, dict(zip(variables, p))) for p in points)
+    # each distinct subterm is tabulated once, at the width of the table
+    assert budget.spent == len(points) * len(_subterms(term))
+
+
+def test_compile_term_checks_the_budget_before_allocating():
+    mchain4 = bi.algebra("mchain4")
+    variables = [f"v{i}" for i in range(16)]
+    budget = Budget()
+    with pytest.raises(SizeBudgetExceeded):
+        # a table of 16^16 entries: only the up-front check keeps this fast
+        compile_term(parse_term("(and v0 v15)", mchain4.signature), mchain4, variables, budget)
+    assert budget.spent == 0
+
+
 # --- equations -------------------------------------------------------------
 
 
@@ -91,6 +168,13 @@ def test_negation_not_identity_on_k3(k3):
     assert expected is False
     assert holds_universally(eq, k3) is False
     assert not holds_equation(eq, k3, {"x": 0})
+
+
+def test_holds_universally_spends_the_budget(k3_sq):
+    eq = parse_equation("(and x (or y z))", "(or (and x y) (and x z))", k3_sq.algebra.signature)
+    assert holds_universally(eq, k3_sq.algebra)
+    with pytest.raises(SizeBudgetExceeded):
+        holds_universally(eq, k3_sq.algebra, Budget(10))
 
 
 # --- products --------------------------------------------------------------
@@ -170,6 +254,14 @@ def test_subuniverse_generated_is_a_closure_operator(wk3, k3, bool4):
             for y in subsets[:16]:
                 if x <= y:
                     assert subuniverse_generated(algebra, x) <= subuniverse_generated(algebra, y)
+
+
+def test_subuniverse_closure_spends_one_step_per_tuple(k3):
+    # the constants add 0 and 1, then one pass over and, or, neg on three
+    # members applies 9 + 9 + 3 tuples and finds nothing new
+    assert subuniverse_generated(k3, {1}, Budget(21)) == {0, 1, 2}
+    with pytest.raises(SizeBudgetExceeded):
+        subuniverse_generated(k3, {1}, Budget(20))
 
 
 def test_enumerate_subuniverses_wk3(wk3):
@@ -252,6 +344,13 @@ def test_identity_is_a_homomorphism(k3):
 
 def test_constant_map_fails_on_constants(k3):
     assert not is_homomorphism((0, 0, 0), k3, k3)
+
+
+def test_is_homomorphism_matches_brute_force(wk3, k3):
+    for algebra in (wk3, k3):
+        homs = set(brute_homomorphisms(algebra, algebra))
+        for mapping in itertools.product(range(algebra.size), repeat=algebra.size):
+            assert is_homomorphism(mapping, algebra, algebra) == (mapping in homs)
 
 
 def test_enumeration_matches_brute_force(wk3, k3):

@@ -2,11 +2,14 @@ import itertools
 
 import pytest
 
+from conftest import oracle_satisfies_family
+
 from filtra import builtins as bi
-from filtra.algebras import FiniteAlgebra, direct_product, trivial_algebra
-from filtra.candidates import EDCFCandidate, kl_global, lp_global, pwk_local
+from filtra.algebras import Budget, FiniteAlgebra, direct_product, eval_term, trivial_algebra
+from filtra.candidates import EDCFCandidate, fold_terms, kl_global, lp_global, pwk_local, xvars
 from filtra.checks import (
     Testbed,
+    _sweep_table,
     absolute_fep_check,
     check_edcf,
     check_edcf_theta_form,
@@ -21,7 +24,8 @@ from filtra.checks import (
 )
 from filtra.checks import test_algebra_check as run_test_algebra_check
 from filtra.classes import Axiomatic, GeneratedQuasivariety
-from filtra.errors import InvalidSpec
+from filtra.congruences import all_congruences
+from filtra.errors import InvalidSpec, SizeBudgetExceeded
 from filtra.logics import MatrixDetermined, RulePresented, fg, filters_certified, is_filter
 from filtra.terms import Equation, Rule, Signature, Var, parse_term
 
@@ -158,6 +162,75 @@ def test_theta_form_on_trivial_algebra(one_logic, box5):
     assert v.failed  # the single point satisfies every equation but generates nothing
 
 
+# --- sweep tables against the pointwise oracle ---------------------------------
+
+
+def assert_sweep_matches_oracle(algebra, family, n, param_count, theta=None):
+    table = _sweep_table(algebra, family, n, param_count, Budget(), theta)
+    cells = list(itertools.product(itertools.product(range(algebra.size), repeat=n), range(algebra.size)))
+    assert len(table) == len(cells)
+    for (xs, b), got in zip(cells, table):
+        assert got == oracle_satisfies_family(algebra, family, xs, b, param_count, theta), (xs, b)
+
+
+@pytest.mark.parametrize(
+    "candidate, testbed",
+    [("kl-global", "k3-isp"), ("pwk-local", "wk3-isp"), ("luk-local-and", "mv-chains")],
+)
+def test_sweep_table_matches_pointwise_oracle(candidate, testbed):
+    c = bi.candidate(candidate)
+    for algebra in bi.testbed(testbed):
+        for n in range(c.n_max + 1):
+            assert_sweep_matches_oracle(algebra, c.family(n), n, c.param_count)
+
+
+def parametrized_candidate(signature):
+    """Two members: y is the join of the generators and some z1, or y is the
+    negation of a z1 that meets y at the bottom."""
+    second = (
+        Equation(Var("y"), parse_term("(neg z1)", signature)),
+        Equation(parse_term("(and z1 y)", signature), parse_term("0", signature)),
+    )
+    families = tuple(
+        ((Equation(Var("y"), fold_terms("or", xvars(n) + [Var("z1")])),), second) for n in range(3)
+    )
+    return EDCFCandidate("param", 2, families, param_count=1)
+
+
+def test_parametrized_sweep_matches_pointwise_oracle(k3):
+    c = parametrized_candidate(k3.signature)
+    assert c.matches_variant("parametrized_local") and not c.matches_variant("local")
+    for algebra in bi.testbed("k3-isp"):
+        for n in range(c.n_max + 1):
+            assert_sweep_matches_oracle(algebra, c.family(n), n, c.param_count)
+
+
+def test_theta_sweep_matches_pointwise_oracle(k3_sq):
+    algebra = k3_sq.algebra
+    thetas = [t for t in all_congruences(algebra) if 1 < t.num_blocks < algebra.size]
+    assert thetas
+    for theta in thetas:
+        for c in (bi.candidate("kl-global"), parametrized_candidate(algebra.signature)):
+            for n in range(3):
+                assert_sweep_matches_oracle(algebra, c.family(n), n, c.param_count, theta)
+
+
+# --- step budget -------------------------------------------------------------------
+
+
+def test_check_edcf_spends_the_budget(kl, k3):
+    with pytest.raises(SizeBudgetExceeded):
+        check_edcf(kl, bi.testbed("k3-isp"), bi.candidate("kl-global"), "global", budget=Budget(100))
+    # with no members nothing is compiled, and each cell swept spends one step:
+    # without rules fg({0}) = {0}, so the fourth cell is the first mismatch
+    theoremless = RulePresented((), name="none")
+    empty = EDCFCandidate("empty", 1, ((), ()))
+    with pytest.raises(SizeBudgetExceeded):
+        check_edcf(theoremless, Testbed((k3,)), empty, budget=Budget(3))
+    v = check_edcf(theoremless, Testbed((k3,)), empty, budget=Budget(4))
+    assert v.failed and (v.witness["n"], v.witness["element"]) == (1, 0)
+
+
 # --- candidate comparison ---------------------------------------------------------
 
 
@@ -182,6 +255,19 @@ def test_compare_distinguishes_fixpoint_from_constant(wk3):
     v = compare_candidates(fixpoint, only_one, Testbed((wk3,)))
     assert v.failed
     assert v.witness["direction"] == "own-excluded-middle -> just-one"
+    assert v.witness["member_index"] == 0
+    # one breaking cell per member of the other family, replayed pointwise
+    [cell] = v.witness["breaking_cells"]
+    assert cell["algebra"] == wk3.name
+    assert cell["element_label"] == wk3.label(cell["element"])
+    valuation = {f"x{i + 1}": g for i, g in enumerate(cell["generators"])}
+    valuation["y"] = cell["element"]
+
+    def holds(candidate):
+        [member] = candidate.family(0)
+        return all(eval_term(eq.lhs, wk3, valuation) == eval_term(eq.rhs, wk3, valuation) for eq in member)
+
+    assert holds(fixpoint) and not holds(only_one)
 
 
 # --- absolute filter extension -----------------------------------------------------

@@ -8,6 +8,7 @@ from filtra.algebras import FiniteAlgebra, direct_product, eval_term, induced_su
 from filtra.classes import (
     Axiomatic,
     GeneratedQuasivariety,
+    Quasiequation,
     cg_k,
     k_congruences,
     member,
@@ -76,6 +77,35 @@ def test_quasiequation_on_quotients_of_the_square(wk3, wk3_sq, pwk_quasi):
             ) and eval_term(q_spec.consequent.lhs, q, v) != eval_term(q_spec.consequent.rhs, q, v):
                 fixpoints_collapse = False
         assert member(q, pwk_quasi) == fixpoints_collapse
+
+
+QUASIEQUATIONS = (
+    # (antecedents, consequent); the first and last hold only when every
+    # antecedent must hold, not some
+    ([("x", "y"), ("(neg x)", "(neg x)")], ("x", "y")),
+    ([("x", "(neg x)"), ("y", "(neg y)")], ("x", "y")),
+    ([("x", "x")], ("x", "(neg x)")),
+    ([("(or x y)", "y")], ("(or (neg y) (neg x))", "(neg x)")),
+    ([("(or x y)", "x"), ("(or x y)", "y")], ("x", "y")),
+)
+
+
+def test_quasiequations_match_pointwise_oracle(wk3, k3, wk3_sq):
+    for algebra in (wk3, k3, wk3_sq.algebra):
+        for antecedents, consequent in QUASIEQUATIONS:
+            q = Quasiequation(
+                tuple(parse_equation(l, r, algebra.signature) for l, r in antecedents),
+                parse_equation(*consequent, algebra.signature),
+            )
+
+            def holds(eq, v):
+                return eval_term(eq.lhs, algebra, v) == eval_term(eq.rhs, algebra, v)
+
+            expected = all(
+                holds(q.consequent, v) or not all(holds(eq, v) for eq in q.antecedents)
+                for v in (dict(zip("xy", p)) for p in itertools.product(range(algebra.size), repeat=2))
+            )
+            assert member(algebra, Axiomatic(quasiequations=(q,))) == expected, (algebra.name, q)
 
 
 def test_member_invariant_under_relabeling(wk3, k3, box5, alpha12):

@@ -101,6 +101,13 @@ def test_budget_exit(capsys):
     assert "budget exceeded" in err
 
 
+def test_budget_exit_in_candidate_sweep(capsys):
+    code, _, err = run(capsys, "--budget", "10", "check", "edcf", "--logic", "KL",
+                       "--testbed", "k3-isp", "--candidate", "kl-global", "--variant", "global")
+    assert code == EXIT_BUDGET
+    assert "budget exceeded" in err
+
+
 def test_replay_carries_a_non_default_budget(capsys):
     argv = ("check", "brouwer", "--logic", "ORD", "--algebra", "M3")
     _, out, _ = run(capsys, "--format", "json", *argv)
