@@ -13,7 +13,7 @@ table spends its width from the caller's budget.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -59,6 +59,15 @@ def as_budget(budget: "Budget | int | None") -> Budget:
     return budget
 
 
+def _hash_fields_once(self) -> int:
+    """__hash__ of a frozen dataclass that serves as a cache key: its fields,
+    operation tables or terms among them, are hashed on the first call only."""
+    h = self.__dict__.get("_hash")
+    if h is None:
+        h = self.__dict__["_hash"] = hash(tuple(getattr(self, f.name) for f in fields(self)))
+    return h
+
+
 @dataclass(frozen=True)
 class FiniteAlgebra:
     """A total algebra on {0, ..., size-1} with one table per symbol."""
@@ -68,6 +77,8 @@ class FiniteAlgebra:
     signature: Signature
     tables: tuple[tuple[str, tuple[int, ...]], ...]
     labels: tuple[str, ...] | None = None
+
+    __hash__ = _hash_fields_once
 
     @classmethod
     def make(
@@ -179,9 +190,9 @@ def holds_equation(eq: Equation, algebra: FiniteAlgebra, valuation: Valuation) -
     return eval_term(eq.lhs, algebra, valuation) == eval_term(eq.rhs, algebra, valuation)
 
 
-def _free_variables(eq: Equation, algebra: FiniteAlgebra) -> tuple[str, ...]:
+def _free_variables(names: Iterable[str], algebra: FiniteAlgebra) -> tuple[str, ...]:
     labels = set(algebra.labels or ())
-    return tuple(v for v in equation_variables(eq) if v not in labels)
+    return tuple(v for v in names if v not in labels)
 
 
 def _apply_pointwise(table: tuple[int, ...], size: int, arg_tabs: Sequence[tuple[int, ...]]):
@@ -253,7 +264,7 @@ def _tabulate(
 def holds_universally(eq: Equation, algebra: FiniteAlgebra, budget: Budget | int | None = None) -> bool:
     """True iff the equation holds under every assignment of its variables."""
     budget = as_budget(budget)
-    variables = _free_variables(eq, algebra)
+    variables = _free_variables(equation_variables(eq), algebra)
     budget.check(algebra.size ** len(variables))
     return compile_term(eq.lhs, algebra, variables, budget) == compile_term(
         eq.rhs, algebra, variables, budget

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .algebras import (
@@ -25,13 +24,12 @@ from .algebras import (
     as_budget,
     compile_term,
     direct_product,
-    enumerate_homomorphisms,
     enumerate_subuniverses,
     induced_subalgebra,
     quotient,
 )
 from .candidates import EDCFCandidate
-from .classes import ClassSpec, k_congruences, theta_k
+from .classes import ClassSpec, _all_homomorphisms, k_congruences, theta_k
 from .congruences import Congruence, leibniz_congruence
 from .errors import InvalidSpec
 from .logics import (
@@ -553,11 +551,6 @@ def factor_determined_check(
     return _resolve(False, None, "factor-determined", uncertified)
 
 
-@lru_cache(maxsize=None)
-def _homs_cached(dom: FiniteAlgebra, cod: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
-    return tuple(enumerate_homomorphisms(dom, cod))
-
-
 def test_algebra_check(
     logic: LogicSpec,
     testbed: Testbed,
@@ -580,7 +573,7 @@ def test_algebra_check(
         }
         return _resolve(True, witness, "test-algebra", uncertified)
     for algebra in testbed:
-        homs = _homs_cached(test_algebra, algebra)
+        homs = _all_homomorphisms(test_algebra, algebra)
         for xs in itertools.product(range(algebra.size), repeat=n):
             members = fg(algebra, frozenset(xs), logic, budget).members
             for b in sorted(members):
@@ -711,19 +704,6 @@ def leibniz_probe(
                         }
                         return _resolve(True, witness, "leibniz-injective", uncertified)
     return _resolve(False, None, f"leibniz-{mode}", uncertified)
-
-
-CHECKERS = {
-    "edcf": check_edcf,
-    "fdc": factor_determined_check,
-    "absfep": absolute_fep_check,
-    "fep": fep_check,
-    "brouwer": dually_brouwerian_check,
-    "minrelcong": smallest_relcong_check,
-    "testalg": test_algebra_check,
-    "leibniz": leibniz_probe,
-    "compare": compare_candidates,
-}
 
 
 def search_counterexample(

@@ -17,6 +17,7 @@ from functools import lru_cache
 from .algebras import (
     Budget,
     FiniteAlgebra,
+    _free_variables,
     as_budget,
     compile_term,
     enumerate_homomorphisms,
@@ -72,8 +73,7 @@ ClassSpec = Axiomatic | GeneratedQuasivariety
 def _holds_quasiequation(
     q: Quasiequation, algebra: FiniteAlgebra, budget: Budget
 ) -> bool:
-    labels = set(algebra.labels or ())
-    variables = tuple(v for v in q.variables() if v not in labels)
+    variables = _free_variables(q.variables(), algebra)
     budget.check(algebra.size ** len(variables))
 
     def agreement(eq: Equation) -> list[bool]:
@@ -90,6 +90,7 @@ def _holds_quasiequation(
 
 @lru_cache(maxsize=None)
 def _all_homomorphisms(dom: FiniteAlgebra, cod: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
+    """Every homomorphism dom -> cod, enumerated once per pair in the process."""
     return tuple(enumerate_homomorphisms(dom, cod))
 
 

@@ -137,56 +137,39 @@ def cmd_fg(args) -> int:
     return EXIT_PASS
 
 
+# the parser's choices; each entry reads its inputs off the parsed arguments
+CHECKS = {
+    "edcf": lambda args, budget: check_edcf(
+        resolve_logic(args.logic), resolve_testbed(args.testbed),
+        resolve_candidate(args.candidate, args.algebra), args.variant, n_max=args.nmax, budget=budget),
+    "fdc": lambda args, budget: factor_determined_check(
+        resolve_logic(args.logic), Testbed(tuple(resolve_algebra(tok) for tok in args.generators.split(","))),
+        absolute=not args.relative, max_product_arity=args.arity, budget=budget),
+    "absfep": lambda args, budget: absolute_fep_check(
+        resolve_logic(args.logic), resolve_testbed(args.testbed), budget=budget),
+    "fep": lambda args, budget: fep_check(
+        resolve_logic(args.logic), resolve_testbed(args.testbed), budget=budget),
+    "brouwer": lambda args, budget: dually_brouwerian_check(
+        resolve_logic(args.logic), resolve_algebra(args.algebra), budget=budget),
+    "minrelcong": lambda args, budget: smallest_relcong_check(
+        resolve_logic(args.logic), resolve_algebra(args.algebra),
+        resolve_class(args.klass), arity_cap=args.arity, budget=budget),
+    "leibniz": lambda args, budget: leibniz_probe(
+        resolve_logic(args.logic), resolve_testbed(args.testbed), mode=args.mode, budget=budget),
+    "compare": lambda args, budget: compare_candidates(
+        resolve_candidate(args.candidate, args.algebra), resolve_candidate(args.candidate2, args.algebra),
+        resolve_testbed(args.testbed), budget=budget),
+    "search": lambda args, budget: search_counterexample(
+        resolve_logic(args.logic), args.property,
+        [resolve_algebra(tok) for tok in args.generators.split(",")] if args.generators else [],
+        max_product_arity=args.arity, budget=budget, checker_kwargs={
+            "candidate": resolve_candidate(args.candidate, args.algebra), "variant": args.variant,
+        } if args.property == "edcf" else {}),
+}
+
+
 def cmd_check(args) -> int:
-    budget = Budget(args.budget)
-    name = args.checker
-    if name == "edcf":
-        logic = resolve_logic(args.logic)
-        v = check_edcf(
-            logic,
-            resolve_testbed(args.testbed),
-            resolve_candidate(args.candidate, args.algebra),
-            args.variant,
-            n_max=args.nmax,
-            budget=budget,
-        )
-    elif name == "fdc":
-        logic = resolve_logic(args.logic)
-        gens = [resolve_algebra(tok) for tok in args.generators.split(",")]
-        v = factor_determined_check(
-            logic, Testbed(tuple(gens)), absolute=not args.relative,
-            max_product_arity=args.arity, budget=budget,
-        )
-    elif name == "absfep":
-        v = absolute_fep_check(resolve_logic(args.logic), resolve_testbed(args.testbed), budget=budget)
-    elif name == "fep":
-        v = fep_check(resolve_logic(args.logic), resolve_testbed(args.testbed), budget=budget)
-    elif name == "brouwer":
-        v = dually_brouwerian_check(resolve_logic(args.logic), resolve_algebra(args.algebra), budget=budget)
-    elif name == "minrelcong":
-        v = smallest_relcong_check(
-            resolve_logic(args.logic), resolve_algebra(args.algebra),
-            resolve_class(args.klass), arity_cap=args.arity, budget=budget,
-        )
-    elif name == "leibniz":
-        v = leibniz_probe(resolve_logic(args.logic), resolve_testbed(args.testbed), mode=args.mode, budget=budget)
-    elif name == "compare":
-        v = compare_candidates(
-            resolve_candidate(args.candidate, args.algebra),
-            resolve_candidate(args.candidate2, args.algebra),
-            resolve_testbed(args.testbed), budget=budget,
-        )
-    elif name == "search":
-        gens = [resolve_algebra(tok) for tok in args.generators.split(",")] if args.generators else []
-        kwargs = {}
-        if args.property == "edcf":
-            kwargs = {"candidate": resolve_candidate(args.candidate, args.algebra), "variant": args.variant}
-        v = search_counterexample(
-            resolve_logic(args.logic), args.property, gens,
-            max_product_arity=args.arity, checker_kwargs=kwargs, budget=budget,
-        )
-    else:
-        raise UnknownName(f"no checker {name!r}")
+    v = CHECKS[args.checker](args, Budget(args.budget))
     lines = [f"checker: {v.checker}", f"outcome: {v.outcome}"]
     if v.witness:
         lines.append("witness: " + json.dumps(dict(v.witness)))
@@ -431,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="elementary step budget")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized relabeling tests")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fg = sub.add_parser("fg", help="generate a filter and print the closure trace")
@@ -441,10 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fg.set_defaults(func=cmd_fg)
 
     p_check = sub.add_parser("check", help="run a property checker")
-    p_check.add_argument(
-        "checker",
-        choices=("edcf", "fdc", "absfep", "fep", "brouwer", "minrelcong", "leibniz", "compare", "search"),
-    )
+    p_check.add_argument("checker", choices=tuple(CHECKS))
     p_check.add_argument("--logic")
     p_check.add_argument("--algebra")
     p_check.add_argument("--class", dest="klass")

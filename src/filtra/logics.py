@@ -1,11 +1,18 @@
 """Deductive filters and filter generation on finite algebras.
 
 A logic is given either by finitely many rules or by finitely many finite
-matrices.  Rule-presented filters are computed exactly by closing under all
-valuation instances of the rules.  Matrix-determined filters quantify over
-every rule valid in the matrices; that is reduced to a finite check through
-the clone of term functions in v variables, evaluated jointly on the target
-algebra and on the matrix algebras:
+matrices.  Each (algebra, logic) pair has one context for the life of the
+process.  It holds subsets of the carrier as bitmasks (element e is bit e),
+memoizes fg by generator mask, and computes each of its parts on first need
+from that call's budget; a computation that raises leaves nothing behind.
+
+Rule-presented filters are exact: fg iterates the one-step consequence of the
+rule instances to its fixpoint, and the family is enumerated by Ganter's
+NextClosure, which computes at most |A| closures per filter.
+
+Matrix-determined filters quantify over every rule valid in the matrices; that
+is reduced to a finite check through the clone of term functions in v
+variables, evaluated jointly on the target algebra and on the matrix algebras:
 
 * a subset is refuted as a filter when some clone element is entailed by the
   designated premises at an instantiation tuple yet lands outside the subset
@@ -25,6 +32,8 @@ the target lies in ISP of the matrix algebras and satisfies every identity
 they do; its tables are then read off the term DAG of the clone on the matrix
 algebras alone, which is built once per (matrix algebras, v) and shared by
 every such target.  Any other target is closed jointly with the matrices.
+The clone and the homomorphism search have allowances of their own, whose
+exhaustion leaves the family uncertified rather than raising.
 
 All built-in matrix logics certify on the shipped testbeds; uncertified
 results are flagged so report-level verdicts can degrade to "inconclusive"
@@ -34,7 +43,7 @@ instead of overclaiming.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -44,6 +53,8 @@ from .algebras import (
     FiniteAlgebra,
     Matrix,
     _apply_pointwise,
+    _free_variables,
+    _hash_fields_once,
     _leaf_table,
     as_budget,
     compile_term,
@@ -64,12 +75,16 @@ class RulePresented:
     rules: tuple[Rule, ...]
     name: str = ""
 
+    __hash__ = _hash_fields_once
+
 
 @dataclass(frozen=True)
 class MatrixDetermined:
     matrices: tuple[Matrix, ...]
     variable_bound: int | None = None
     name: str = ""
+
+    __hash__ = _hash_fields_once
 
     def __post_init__(self):
         if not self.matrices:
@@ -82,10 +97,6 @@ class MatrixDetermined:
 
 
 LogicSpec = RulePresented | MatrixDetermined
-
-
-def logic_name(logic: LogicSpec) -> str:
-    return logic.name or ("<rules>" if isinstance(logic, RulePresented) else "<matrices>")
 
 
 @dataclass(frozen=True)
@@ -102,9 +113,6 @@ class Filter:
     def __contains__(self, element: int) -> bool:
         return element in self.members
 
-    def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
 
 def make_filter(algebra: FiniteAlgebra, members: Iterable[int], logic: LogicSpec) -> Filter:
     ms = frozenset(members)
@@ -113,72 +121,108 @@ def make_filter(algebra: FiniteAlgebra, members: Iterable[int], logic: LogicSpec
     return Filter(algebra, ms)
 
 
-def _free_rule_variables(rule: Rule, algebra: FiniteAlgebra) -> tuple[str, ...]:
-    labels = set(algebra.labels or ())
-    return tuple(v for v in rule_variables(rule) if v not in labels)
+def _mask(elements: Iterable[int]) -> int:
+    mask = 0
+    for e in elements:
+        mask |= 1 << e
+    return mask
 
 
-def _rule_tables(rule: Rule, algebra: FiniteAlgebra, budget: Budget):
-    """Compiled premise and conclusion tables over the rule's free variables."""
-    variables = _free_rule_variables(rule, algebra)
-    budget.check(algebra.size ** len(variables))
-    premises = [compile_term(p, algebra, variables, budget) for p in rule.premises]
-    return premises, compile_term(rule.conclusion, algebra, variables, budget)
+def _elements(mask: int) -> list[int]:
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+
+def _by_size(mask: int) -> tuple[int, list[int]]:
+    """Sort key: ascending by cardinality, then lexicographically."""
+    return mask.bit_count(), _elements(mask)
 
 
 def rule_valid_in_matrix(rule: Rule, matrix: Matrix, budget: Budget | int | None = None) -> bool:
-    """Quantify the rule over all valuations into the matrix algebra."""
-    budget = as_budget(budget)
-    premises, conclusion = _rule_tables(rule, matrix.algebra, budget)
-    designated = matrix.designated
-    for point, concl in enumerate(conclusion):
-        budget.spend()
-        if concl not in designated and all(p[point] in designated for p in premises):
-            return False
-    return True
+    """Whether the designated set is closed under every valuation instance of
+    the rule, that is, a filter of the one-rule logic."""
+    one_rule = _RuleContext(matrix.algebra, RulePresented((rule,)))
+    return one_rule.is_filter(_mask(matrix.designated), as_budget(budget))
 
 
 # ---------------------------------------------------------------------------
 # rule-presented logics
 
 
-@lru_cache(maxsize=None)
-def _rule_instances(
-    algebra: FiniteAlgebra, logic: RulePresented
-) -> tuple[tuple[frozenset[int], int], ...]:
-    """All valuation instances of all rules, as (premise values, conclusion)."""
-    budget = Budget()
-    instances: set[tuple[frozenset[int], int]] = set()
-    for rule in logic.rules:
-        premises, conclusion = _rule_tables(rule, algebra, budget)
-        for point, concl in enumerate(conclusion):
-            budget.spend()
-            prem = frozenset(p[point] for p in premises)
-            if concl not in prem:
-                instances.add((prem, concl))
-    return tuple(sorted(instances, key=lambda pc: (sorted(pc[0]), pc[1])))
+class _RuleContext:
+    """A rule logic on one algebra, with what has been computed of it so far."""
 
+    def __init__(self, algebra: FiniteAlgebra, logic: RulePresented):
+        self.algebra = algebra
+        self.rules = logic.rules
+        self._instances: tuple[tuple[int, int], ...] | None = None
+        self.memo: dict[int, frozenset[int]] = {}
+        self.family: tuple[int, ...] | None = None
 
-def _closed_under_instances(members: frozenset[int], instances) -> bool:
-    return all(concl in members for prem, concl in instances if prem <= members)
+    def instances(self, budget: Budget) -> tuple[tuple[int, int], ...]:
+        """Every valuation instance of every rule, as (premise mask, conclusion bit)."""
+        if self._instances is None:
+            found: set[tuple[int, int]] = set()
+            for rule in self.rules:
+                variables = _free_variables(rule_variables(rule), self.algebra)
+                premises = [compile_term(p, self.algebra, variables, budget) for p in rule.premises]
+                conclusion = compile_term(rule.conclusion, self.algebra, variables, budget)
+                for point, concl in enumerate(conclusion):
+                    budget.spend()
+                    prem = _mask(p[point] for p in premises)
+                    if not prem >> concl & 1:
+                        found.add((prem, 1 << concl))
+            self._instances = tuple(found)
+        return self._instances
 
+    def stages(self, mask: int, budget: Budget) -> list[int]:
+        """Stages of the one-step consequence operator, first stage included."""
+        instances = self.instances(budget)
+        stages = [mask]
+        while True:
+            current = stages[-1]
+            step = current
+            for prem, concl in instances:
+                if prem & current == prem:
+                    step |= concl
+            if step == current:
+                return stages
+            stages.append(step)
 
-def _iterate_consequence(
-    start: frozenset[int], instances
-) -> list[frozenset[int]]:
-    """Stages of the one-step consequence operator, first stage included."""
-    stages = [start]
-    current = start
-    while True:
-        step = set(current)
-        for prem, concl in instances:
-            if prem <= current:
-                step.add(concl)
-        nxt = frozenset(step)
-        if nxt == current:
-            return stages
-        stages.append(nxt)
-        current = nxt
+    def is_filter(self, mask: int, budget: Budget) -> bool:
+        return all(concl & mask for prem, concl in self.instances(budget) if prem & mask == prem)
+
+    def is_filter_certain(self, mask: int) -> bool:
+        return True
+
+    def certified(self, budget: Budget) -> bool:
+        return True
+
+    @property
+    def has_theorem(self) -> bool:
+        return self.stages(0, Budget())[-1] != 0
+
+    def filters(self, budget: Budget) -> tuple[int, ...]:
+        """NextClosure (Ganter 1984): the closed sets in lectic order, where
+        the smaller element weighs more, each found from its predecessor A as
+        the first closure of (A below i) + i that adds nothing below i."""
+        if self.family is None:
+            size = self.algebra.size
+            closed = self.stages(0, budget)[-1]
+            found = [closed]
+            while closed != (1 << size) - 1:
+                for i in reversed(range(size)):
+                    bit = 1 << i
+                    if closed & bit:
+                        continue
+                    below = closed & (bit - 1)
+                    budget.spend()
+                    candidate = self.stages(below | bit, budget)[-1]
+                    if candidate & (bit - 1) == below:
+                        closed = candidate
+                        break
+                found.append(closed)
+            self.family = tuple(sorted(found, key=_by_size))
+        return self.family
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +244,7 @@ class _Clone:
     tables: list[tuple[tuple[int, ...], ...]]
 
 
-def _build_clone(
-    algebras: tuple[FiniteAlgebra, ...], nvars: int,
-    element_cap: int = DEFAULT_CLONE_ELEMENT_CAP,
-) -> _Clone:
+def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int) -> _Clone:
     """Close the joint projections under all operations, within caps."""
     step = sum(alg.size**nvars for alg in algebras)
     allowance = Budget(CLONE_STEP_ALLOWANCE)
@@ -238,7 +279,7 @@ def _build_clone(
                         _apply_pointwise(alg.table(sym), alg.size, [tables[a][ci] for a in args])
                         for ci, alg in enumerate(algebras)
                     ))
-                    if len(tables) > element_cap:
+                    if len(tables) > DEFAULT_CLONE_ELEMENT_CAP:
                         raise SizeBudgetExceeded("clone element cap")
             if len(tables) == prev_count:
                 break
@@ -280,16 +321,16 @@ def _evaluate_clone(target: FiniteAlgebra, shared: _Clone) -> _Clone:
     return _Clone(nvars, complete, shared.nodes[: len(tables)], tables)
 
 
-def _subsets(size: int) -> Iterator[frozenset[int]]:
+def _subsets(size: int) -> Iterator[int]:
     """Every subset of the carrier, ascending by cardinality then lexicographically."""
     for r in range(size + 1):
         for combo in itertools.combinations(range(size), r):
-            yield frozenset(combo)
+            yield _mask(combo)
 
 
 def _homomorphic_lower(
     algebra: FiniteAlgebra, logic: MatrixDetermined
-) -> tuple[list[tuple[int, ...]], set[frozenset[int]]]:
+) -> tuple[list[tuple[int, ...]], set[int]]:
     """Homomorphisms into the matrix algebras, with the lower family they give.
 
     The preimages of designated sets, the carrier and their intersections are
@@ -297,12 +338,12 @@ def _homomorphic_lower(
     one on contribute nothing.
     """
     homs: list[tuple[int, ...]] = []
-    lower: set[frozenset[int]] = {frozenset(range(algebra.size))}
+    lower: set[int] = {(1 << algebra.size) - 1}
     try:
         for m in logic.matrices:
             for h in enumerate_homomorphisms(algebra, m.algebra):
                 homs.append(h)
-                lower.add(frozenset(a for a in range(algebra.size) if h[a] in m.designated))
+                lower.add(_mask(a for a in range(algebra.size) if h[a] in m.designated))
     except SizeBudgetExceeded:
         pass
     grew = True
@@ -319,22 +360,51 @@ def _homomorphic_lower(
 @dataclass
 class _MatrixContext:
     algebra: FiniteAlgebra
-    logic: MatrixDetermined
     clone: _Clone
     a_tables: list[tuple[int, ...]]
     desig: list[int]
     full_mask: int
-    lower: tuple[frozenset[int], ...]
+    lower: tuple[int, ...]
     has_theorem: bool | None
     exact_by_bound: bool
-    # every subset outside the lower family is refuted, so the two coincide
-    matched: bool = False
     # the highest variable count built, and whether that clone completed
     tried: tuple[int, bool] = (0, False)
+    memo: dict[int, frozenset[int]] = field(default_factory=dict)
+    family: tuple[int, ...] | None = None
+
+    def is_filter(self, mask: int, budget: Budget) -> bool:
+        return not _refuted(self, mask)
+
+    def is_filter_certain(self, mask: int) -> bool:
+        return self.exact_by_bound or mask in self.lower or _refuted(self, mask)
+
+    def filters(self, budget: Budget) -> tuple[int, ...]:
+        """Every unrefuted subset; set to the lower family once that matched."""
+        if self.family is None:
+            budget.check(2**self.algebra.size)
+            found = []
+            for ms in _subsets(self.algebra.size):
+                budget.spend()
+                if not _refuted(self, ms):
+                    found.append(ms)
+            self.family = tuple(found)
+        return self.family
+
+    def certified(self, budget: Budget) -> bool:
+        return self.exact_by_bound or set(self.filters(budget)) == set(self.lower)
+
+    def stages(self, mask: int, budget: Budget) -> list[int]:
+        # the unrefuted family is the closure system of the clone's rule
+        # instances: it contains the carrier and is closed under intersection
+        closed = (1 << self.algebra.size) - 1
+        for ms in self.filters(budget):
+            if mask & ms == mask:
+                closed &= ms
+        return [mask, closed]
 
 
 def _clone_context(
-    algebra: FiniteAlgebra, logic: MatrixDetermined, clone: _Clone, hom_lower: set[frozenset[int]]
+    algebra: FiniteAlgebra, logic: MatrixDetermined, clone: _Clone, hom_lower: set[int]
 ) -> _MatrixContext:
     # designation bitmask per clone element over all (matrix, valuation) points
     desig = []
@@ -361,15 +431,14 @@ def _clone_context(
         has_theorem = None
 
     # adding the empty set keeps the family closed under intersection
-    lower = hom_lower | {frozenset()} if has_theorem is False else hom_lower
+    lower = hom_lower | {0} if has_theorem is False else hom_lower
     return _MatrixContext(
-        algebra, logic, clone, [tabs[0] for tabs in clone.tables], desig, full_mask,
-        tuple(sorted(lower, key=lambda s: (len(s), sorted(s)))), has_theorem,
+        algebra, clone, [tabs[0] for tabs in clone.tables], desig, full_mask,
+        tuple(sorted(lower, key=_by_size)), has_theorem,
         clone.complete and clone.nvars == algebra.size,
     )
 
 
-@lru_cache(maxsize=None)
 def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined) -> _MatrixContext:
     """Context of the first variable count that certifies the filter family.
 
@@ -389,7 +458,7 @@ def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined) -> _MatrixC
     bound = min(algebra.size, logic.variable_bound or algebra.size)
     homs, hom_lower = _homomorphic_lower(algebra, logic)
     in_isp = len({tuple(h[a] for h in homs) for a in algebra.elements()}) == algebra.size
-    can_sweep = 2**algebra.size <= DEFAULT_BUDGET  # as _all_filters_cached allows
+    can_sweep = 2**algebra.size <= DEFAULT_BUDGET  # as the default budget allows filters()
 
     def clone_at(v: int) -> _Clone:
         if in_isp:
@@ -410,7 +479,7 @@ def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined) -> _MatrixC
             break
         lower = set(best.lower)
         if can_sweep and all(_refuted(best, ms) for ms in _subsets(algebra.size) if ms not in lower):
-            best.matched = True
+            best.family = best.lower  # every subset outside it is refuted
             break
     if best is None:
         best = _clone_context(algebra, logic, clone_at(0), hom_lower)
@@ -418,7 +487,7 @@ def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined) -> _MatrixC
     return best
 
 
-def _refuted(ctx: _MatrixContext, members: frozenset[int]) -> bool:
+def _refuted(ctx: _MatrixContext, members: int) -> bool:
     """Whether some rule valid in the matrices leads out of the subset.
 
     For each instantiation of the clone variables by elements, the premises
@@ -428,29 +497,33 @@ def _refuted(ctx: _MatrixContext, members: frozenset[int]) -> bool:
     a_tables = ctx.a_tables
     desig = ctx.desig
     n = len(a_tables)
+    inside = [members >> a & 1 for a in range(ctx.algebra.size)]
     for w in range(ctx.algebra.size**ctx.clone.nvars):
         mask = ctx.full_mask
         for e in range(n):
-            if a_tables[e][w] in members:
+            if inside[a_tables[e][w]]:
                 mask &= desig[e]
         for e in range(n):
-            if a_tables[e][w] not in members and desig[e] & mask == mask:
+            if not inside[a_tables[e][w]] and desig[e] & mask == mask:
                 return True
     return False
 
 
-def _filter_status(algebra: FiniteAlgebra, members: frozenset[int], logic: MatrixDetermined):
-    """(is_filter_verdict, certain) for a single subset."""
-    ctx = _matrix_context(algebra, logic)
-    if _refuted(ctx, members):
-        return False, True
-    if ctx.exact_by_bound or members in ctx.lower:
-        return True, True
-    return True, False
-
-
 # ---------------------------------------------------------------------------
-# public operations
+# one context per (algebra, logic), and the public operations on it
+
+
+_CONTEXTS: dict[tuple[FiniteAlgebra, LogicSpec], _RuleContext | _MatrixContext] = {}
+
+
+def _context(algebra: FiniteAlgebra, logic: LogicSpec) -> _RuleContext | _MatrixContext:
+    """The pair's context, keyed by value: equal algebras built apart share it."""
+    key = (algebra, logic)
+    ctx = _CONTEXTS.get(key)
+    if ctx is None:
+        build = _RuleContext if isinstance(logic, RulePresented) else _matrix_context
+        ctx = _CONTEXTS[key] = build(algebra, logic)
+    return ctx
 
 
 def is_filter(
@@ -464,53 +537,28 @@ def is_filter(
     Exact for rule-presented logics.  For matrix-determined logics a False is
     always definitive; a True is definitive when is_filter_certain agrees.
     """
-    ms = frozenset(members)
-    if isinstance(logic, RulePresented):
-        return _closed_under_instances(ms, _rule_instances(algebra, logic))
-    return _filter_status(algebra, ms, logic)[0]
+    return _context(algebra, logic).is_filter(_mask(members), as_budget(budget))
 
 
 def is_filter_certain(algebra: FiniteAlgebra, members: Iterable[int], logic: LogicSpec) -> bool:
     """Whether is_filter's answer on this subset is conclusive."""
-    if isinstance(logic, RulePresented):
-        return True
-    return _filter_status(algebra, frozenset(members), logic)[1]
-
-
-@lru_cache(maxsize=None)
-def _all_filters_cached(algebra: FiniteAlgebra, logic: LogicSpec):
-    budget = Budget()
-    budget.check(2**algebra.size)
-    found: list[frozenset[int]] = []
-    if isinstance(logic, RulePresented):
-        instances = _rule_instances(algebra, logic)
-        for ms in _subsets(algebra.size):
-            budget.spend()
-            if _closed_under_instances(ms, instances):
-                found.append(ms)
-        return tuple(found), True
-    ctx = _matrix_context(algebra, logic)
-    if ctx.matched:
-        return ctx.lower, True
-    for ms in _subsets(algebra.size):
-        budget.spend()
-        if not _refuted(ctx, ms):
-            found.append(ms)
-    certified = ctx.exact_by_bound or set(found) == set(ctx.lower)
-    return tuple(found), certified
+    return _context(algebra, logic).is_filter_certain(_mask(members))
 
 
 def all_filters(
     algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | int | None = None
 ) -> list[Filter]:
     """Every filter, ascending by cardinality then lexicographically."""
-    families, _ = _all_filters_cached(algebra, logic)
-    return [Filter(algebra, ms) for ms in families]
+    family = _context(algebra, logic).filters(as_budget(budget))
+    return [Filter(algebra, frozenset(_elements(ms))) for ms in family]
 
 
 def filters_certified(algebra: FiniteAlgebra, logic: LogicSpec) -> bool:
     """True when the filter enumeration (hence fg) is provably exact."""
-    return _all_filters_cached(algebra, logic)[1]
+    return _context(algebra, logic).certified(Budget())
+
+
+fg_certified = filters_certified
 
 
 def certification_detail(algebra: FiniteAlgebra, logic: MatrixDetermined) -> dict:
@@ -520,13 +568,13 @@ def certification_detail(algebra: FiniteAlgebra, logic: MatrixDetermined) -> dic
     then the sizes of the lower family (genuine filters) and of the unrefuted
     family (a superset of the filters); certification needs them equal.
     """
-    ctx = _matrix_context(algebra, logic)
+    ctx = _context(algebra, logic)
     nvars, complete = ctx.tried
     return {
         "nvars_tried": nvars,
         "clone_complete": complete,
         "lower": len(ctx.lower),
-        "unrefuted": len(_all_filters_cached(algebra, logic)[0]),
+        "unrefuted": len(ctx.filters(Budget())),
     }
 
 
@@ -537,24 +585,8 @@ def fg_trace(
     budget: Budget | int | None = None,
 ) -> list[frozenset[int]]:
     """Stages of filter generation; the last stage is the filter."""
-    start = frozenset(generators)
-    if isinstance(logic, RulePresented):
-        return _iterate_consequence(start, _rule_instances(algebra, logic))
-    return [start, fg(algebra, start, logic, budget).members]
-
-
-@lru_cache(maxsize=None)
-def _fg_cached(algebra: FiniteAlgebra, generators: frozenset[int], logic: LogicSpec) -> frozenset[int]:
-    if isinstance(logic, RulePresented):
-        return _iterate_consequence(generators, _rule_instances(algebra, logic))[-1]
-    # the unrefuted family is the closure system of the clone's rule
-    # instances: it contains the carrier and is closed under intersection
-    families, _ = _all_filters_cached(algebra, logic)
-    inter = frozenset(range(algebra.size))
-    for ms in families:
-        if generators <= ms:
-            inter &= ms
-    return inter
+    stages = _context(algebra, logic).stages(_mask(generators), as_budget(budget))
+    return [frozenset(_elements(stage)) for stage in stages]
 
 
 def fg(
@@ -569,13 +601,12 @@ def fg(
     Matrix-determined: least member of the filter enumeration; exact whenever
     filters_certified holds for the algebra and logic.
     """
-    return Filter(algebra, _fg_cached(algebra, frozenset(generators), logic))
-
-
-def fg_certified(algebra: FiniteAlgebra, logic: LogicSpec) -> bool:
-    if isinstance(logic, RulePresented):
-        return True
-    return filters_certified(algebra, logic)
+    ctx = _context(algebra, logic)
+    mask = _mask(generators)
+    members = ctx.memo.get(mask)
+    if members is None:
+        members = ctx.memo[mask] = frozenset(_elements(ctx.stages(mask, as_budget(budget))[-1]))
+    return Filter(algebra, members)
 
 
 def fg_relative(
@@ -597,8 +628,4 @@ def fg_relative(
 
 def has_theorem(algebra: FiniteAlgebra, logic: LogicSpec) -> bool | None:
     """Whether the logic proves anything outright; None when undecided."""
-    if isinstance(logic, RulePresented):
-        return any(not r.premises for r in logic.rules) or bool(
-            _iterate_consequence(frozenset(), _rule_instances(algebra, logic))[-1]
-        )
-    return _matrix_context(algebra, logic).has_theorem
+    return _context(algebra, logic).has_theorem

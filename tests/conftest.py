@@ -4,19 +4,22 @@ The oracles here recompute expected values by brute force, independently of
 the library's own algorithms: partitions are enumerated as restricted growth
 strings, homomorphisms as raw function tables, term forests by bounded
 structural enumeration, Leibniz congruences either read off the partition
-lattice or from the profiles of the whole unary polynomial clone, and
-candidate satisfaction one valuation at a time through eval_term.
+lattice or from the profiles of the whole unary polynomial clone, candidate
+satisfaction one valuation at a time through eval_term, and the filters of a
+rule logic as the subsets closed under rule instances evaluated by eval_term.
 """
 
 import itertools
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import strategies as st
 
 from filtra import builtins as bi
+from filtra import logics
 from filtra.algebras import FiniteAlgebra, direct_product, eval_term
 from filtra.congruences import Congruence
-from filtra.terms import App, Var
+from filtra.terms import App, Signature, Var
 
 
 @pytest.fixture(scope="session")
@@ -92,6 +95,47 @@ def kg():
 @pytest.fixture(scope="session")
 def id_logic():
     return bi.logic("ID")
+
+
+@pytest.fixture
+def cold_contexts(monkeypatch):
+    """No (algebra, logic) context built yet, as in a fresh process."""
+    monkeypatch.setattr(logics, "_CONTEXTS", {})
+
+
+# ---------------------------------------------------------------------------
+# random algebras
+
+RANDOM_SIGNATURE = Signature((("f", 1), ("g", 2)))
+
+
+@st.composite
+def random_algebras(draw):
+    """An algebra on at most 4 elements with one unary and one binary table,
+    and a permutation of its carrier."""
+    n = draw(st.integers(1, 4))
+    element = st.integers(0, n - 1)
+    tables = {
+        "f": draw(st.lists(element, min_size=n, max_size=n)),
+        "g": draw(st.lists(element, min_size=n * n, max_size=n * n)),
+    }
+    perm = draw(st.permutations(range(n)))
+    return FiniteAlgebra.make("random", n, RANDOM_SIGNATURE, tables), perm
+
+
+def relabel(algebra, perm):
+    """The isomorphic copy in which element x is called perm[x]."""
+    n = algebra.size
+    tables = {}
+    for sym, arity in algebra.signature.symbols:
+        table = [0] * n**arity
+        for args in itertools.product(range(n), repeat=arity):
+            idx = 0
+            for a in args:
+                idx = idx * n + perm[a]
+            table[idx] = perm[algebra.op(sym, *args)]
+        tables[sym] = table
+    return FiniteAlgebra.make("relabelled", n, algebra.signature, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -276,3 +320,48 @@ def oracle_satisfies_family(algebra: FiniteAlgebra, family, xs, b, param_count, 
             if all(same(eval_term(eq.lhs, algebra, v), eval_term(eq.rhs, algebra, v)) for eq in member):
                 return True
     return False
+
+
+def _term_names(t, out):
+    if isinstance(t, Var):
+        if t.name not in out:
+            out.append(t.name)
+    else:
+        for a in t.args:
+            _term_names(a, out)
+    return out
+
+
+def oracle_rule_instances(algebra: FiniteAlgebra, rules):
+    """(premise values, conclusion value) of every rule at every valuation of
+    its variables, each term evaluated by eval_term (carriers without labels)."""
+    out = []
+    for rule in rules:
+        names = []
+        for t in rule.premises + (rule.conclusion,):
+            _term_names(t, names)
+        for values in itertools.product(range(algebra.size), repeat=len(names)):
+            v = dict(zip(names, values))
+            prem = frozenset(eval_term(p, algebra, v) for p in rule.premises)
+            out.append((prem, eval_term(rule.conclusion, algebra, v)))
+    return out
+
+
+def oracle_closed_sets(algebra: FiniteAlgebra, rules) -> list[frozenset[int]]:
+    """Every subset closed under every rule instance, ascending by cardinality
+    then lexicographically."""
+    instances = oracle_rule_instances(algebra, rules)
+    return [
+        s
+        for r in range(algebra.size + 1)
+        for s in map(frozenset, itertools.combinations(range(algebra.size), r))
+        if all(concl in s for prem, concl in instances if prem <= s)
+    ]
+
+
+def oracle_least_closed(closed_sets, generators) -> frozenset[int]:
+    """The least closed superset of the generators, checked to be least."""
+    above = [s for s in closed_sets if set(generators) <= s]
+    least = frozenset.intersection(*above)
+    assert least in above
+    return least

@@ -108,6 +108,24 @@ def test_budget_exit_in_candidate_sweep(capsys):
     assert "budget exceeded" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fg", "--algebra", "mchain4", "--logic", "KG", "--gen", "1"],
+    ["check", "brouwer", "--logic", "ORD", "--algebra", "M3"],
+])
+def test_a_cold_context_is_built_within_the_budget(capsys, cold_contexts, argv):
+    code, _, err = run(capsys, "--budget", "10", *argv)
+    assert code == EXIT_BUDGET
+    assert "budget exceeded" in err
+
+
+def test_fg_on_mchain5_is_certified_without_a_subset_sweep(capsys, cold_contexts):
+    code, out, _ = run(capsys, "--format", "json", "fg", "--algebra", "mchain5", "--logic", "KG", "--gen", "1")
+    assert code == EXIT_PASS
+    doc = json.loads(out)
+    assert doc["certified"] is True
+    assert doc["filter"] == list(range(32))
+
+
 def test_replay_carries_a_non_default_budget(capsys):
     argv = ("check", "brouwer", "--logic", "ORD", "--algebra", "M3")
     _, out, _ = run(capsys, "--format", "json", *argv)

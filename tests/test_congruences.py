@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from conftest import (
     oracle_compatible,
@@ -10,6 +10,8 @@ from conftest import (
     oracle_largest_compatible,
     oracle_least_containing,
     oracle_leibniz_profiles,
+    random_algebras,
+    relabel,
     unary_polynomials,
 )
 
@@ -234,38 +236,6 @@ def test_budget_bounds_refinement_and_joins():
 
 # --- random algebras against the oracles ------------------------------------
 
-RANDOM_SIGNATURE = Signature((("f", 1), ("g", 2)))
-
-
-@st.composite
-def random_algebras(draw):
-    """An algebra on at most 4 elements with one unary and one binary table,
-    and a permutation of its carrier."""
-    n = draw(st.integers(1, 4))
-    element = st.integers(0, n - 1)
-    tables = {
-        "f": draw(st.lists(element, min_size=n, max_size=n)),
-        "g": draw(st.lists(element, min_size=n * n, max_size=n * n)),
-    }
-    perm = draw(st.permutations(range(n)))
-    return FiniteAlgebra.make("random", n, RANDOM_SIGNATURE, tables), perm
-
-
-def _relabel(algebra, perm):
-    """The isomorphic copy in which element x is called perm[x]."""
-    n = algebra.size
-    tables = {}
-    for sym, arity in algebra.signature.symbols:
-        table = [0] * n**arity
-        for args in itertools.product(range(n), repeat=arity):
-            idx = 0
-            for a in args:
-                idx = idx * n + perm[a]
-            table[idx] = perm[algebra.op(sym, *args)]
-        tables[sym] = table
-    return FiniteAlgebra.make("relabelled", n, algebra.signature, tables)
-
-
 def _relabel_congruence(theta, perm):
     partition = [0] * theta.size
     for x, block in enumerate(theta.partition):
@@ -282,7 +252,7 @@ def test_random_algebras_match_oracles(algebra_and_perm):
     assert set(all_congruences(algebra)) == lattice
     for pair in itertools.combinations(range(n), 2):
         assert cg_generated(algebra, [pair]) == oracle_least_containing(lattice, [pair])
-    copy = _relabel(algebra, perm)
+    copy = relabel(algebra, perm)
     assert set(all_congruences(copy)) == {_relabel_congruence(t, perm) for t in lattice}
     for r in range(n + 1):
         for subset in itertools.combinations(range(n), r):

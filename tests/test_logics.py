@@ -1,9 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import oracle_closed_sets, oracle_least_closed, random_algebras, relabel
 
 from filtra import builtins as bi
 from filtra.algebras import (
+    Budget,
     Matrix,
     direct_product,
     enumerate_homomorphisms,
@@ -11,13 +15,13 @@ from filtra.algebras import (
     induced_subalgebra,
 )
 from filtra.congruences import Congruence, all_congruences, is_compatible
-from filtra.errors import InvalidSpec
+from filtra.errors import InvalidSpec, SizeBudgetExceeded
 from filtra.logics import (
     MatrixDetermined,
     _build_clone,
+    _context,
     _evaluate_clone,
     _homomorphic_lower,
-    _matrix_context,
     RulePresented,
     all_filters,
     fg,
@@ -30,7 +34,7 @@ from filtra.logics import (
     make_filter,
     rule_valid_in_matrix,
 )
-from filtra.terms import Rule, parse_term
+from filtra.terms import App, Rule, Var, parse_term
 
 
 def rule(sig, premises, conclusion):
@@ -320,7 +324,7 @@ def test_dm4_is_outside_isp_of_k3_and_built_jointly(k3, kl, lp):
     homs, _ = _homomorphic_lower(dm4, kl)
     assert homs == []  # nothing separates points, so the joint path is taken
     for logic in (kl, lp):
-        ctx = _matrix_context(dm4, logic)
+        ctx = _context(dm4, logic)
         joint = _build_clone((dm4, k3), ctx.clone.nvars)
         assert ctx.clone.tables == joint.tables
     # DM4 breaks identities of K3, so K3's DAG would merge distinct terms
@@ -364,3 +368,71 @@ def test_kl_lp_filters_pinned_on_k3_isp_and_dm4(kl, lp):
             assert families == PINNED_FAMILIES[name][algebra.name], (name, algebra.name)
             assert filters_certified(algebra, logic), (name, algebra.name)
             assert has_theorem(algebra, logic) is True, (name, algebra.name)
+
+
+# --- contexts, budgets and NextClosure -----------------------------------------
+
+
+def test_a_context_build_spends_the_callers_budget(cold_contexts):
+    mchain4, kg = bi.algebra("mchain4"), bi.logic("KG")
+    with pytest.raises(SizeBudgetExceeded):
+        all_filters(mchain4, kg, Budget(50))
+    # the failed build left nothing behind, and a warm answer costs nothing
+    assert len(all_filters(mchain4, kg)) == 5
+    assert fg(mchain4, {1}, kg, Budget(0)).members == frozenset(range(16))
+
+
+def test_rule_instances_spend_table_widths_and_points_and_fg_nothing_more(cold_contexts, k3):
+    axiom = RulePresented((rule(k3.signature, [], "x"),))
+    budget = Budget()
+    fg(k3, (), axiom, budget)
+    assert budget.spent == 3 + 3  # the table of x, then one step per valuation
+    fg(k3, (0,), axiom, budget)
+    assert budget.spent == 6
+
+
+def test_equal_algebras_built_apart_share_one_context(kl):
+    assert _context(bi.algebra("K3^2"), kl) is _context(bi.algebra("K3^2"), kl)
+
+
+def test_rule_logic_filters_on_mchain5_without_a_subset_sweep(cold_contexts, kg):
+    mchain5 = bi.algebra("mchain5")
+    filters = all_filters(mchain5, kg)
+    assert len(filters) == 6
+    assert all(is_filter(mchain5, f.members, kg) for f in filters)
+    assert filters_certified(mchain5, kg)
+
+
+def _terms(depth):
+    leaves = st.sampled_from([Var("x"), Var("y")])
+    if depth == 0:
+        return leaves
+    sub = _terms(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(lambda a: App("f", (a,)), sub),
+        st.builds(lambda a, b: App("g", (a, b)), sub, sub),
+    )
+
+
+_RULES = st.builds(Rule, st.lists(_terms(2), max_size=2).map(tuple), _terms(2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(random_algebras(), st.lists(_RULES, min_size=1, max_size=3))
+def test_random_rule_logics_match_the_closure_oracle(algebra_and_perm, rules):
+    algebra, perm = algebra_and_perm
+    logic = RulePresented(tuple(rules))
+    closed = oracle_closed_sets(algebra, logic.rules)
+    assert [f.members for f in all_filters(algebra, logic)] == closed
+    for r in range(algebra.size + 1):
+        for subset in itertools.combinations(range(algebra.size), r):
+            assert is_filter(algebra, subset, logic) == (frozenset(subset) in closed)
+            least = oracle_least_closed(closed, subset)
+            assert fg(algebra, subset, logic).members == least
+            stages = fg_trace(algebra, subset, logic)
+            assert stages[0] == frozenset(subset) and stages[-1] == least
+            assert all(a < b for a, b in zip(stages, stages[1:]))
+    assert has_theorem(algebra, logic) == bool(oracle_least_closed(closed, ()))
+    moved = {f.members for f in all_filters(relabel(algebra, perm), logic)}
+    assert moved == {frozenset(perm[x] for x in s) for s in closed}
