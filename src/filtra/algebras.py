@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -57,6 +57,50 @@ def as_budget(budget: "Budget | int | None") -> Budget:
     if isinstance(budget, int):
         return Budget(budget)
     return budget
+
+
+def _mask(elements: Iterable[int]) -> int:
+    """A subset of the carrier as a bitmask: element e is bit e."""
+    mask = 0
+    for e in elements:
+        mask |= 1 << e
+    return mask
+
+
+def _elements(mask: int) -> list[int]:
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+
+def _by_size(mask: int) -> tuple[int, list[int]]:
+    """Sort key: ascending by cardinality, then lexicographically."""
+    return mask.bit_count(), _elements(mask)
+
+
+def next_closure(size: int, close: Callable[[int], int], budget: Budget) -> Iterator[int]:
+    """The closed sets of a closure operator on {0, ..., size-1}, as bitmasks.
+
+    NextClosure (Ganter 1984): the closed sets in lectic order, where the
+    smaller element weighs more, each found from its predecessor A as the
+    first closure of (A below i) + i that adds nothing below i.  At most size
+    closures per closed set, each spending one step; a caller that stops
+    iterating stops the search.
+    """
+    full = (1 << size) - 1
+    budget.spend()
+    closed = close(0)
+    yield closed
+    while closed != full:
+        for i in reversed(range(size)):
+            bit = 1 << i
+            if closed & bit:
+                continue
+            below = closed & (bit - 1)
+            budget.spend()
+            candidate = close(below | bit)
+            if candidate & (bit - 1) == below:
+                closed = candidate
+                break
+        yield closed
 
 
 def _hash_fields_once(self) -> int:
@@ -395,19 +439,17 @@ def enumerate_subuniverses(
 ) -> list[frozenset[int]]:
     """All non-empty subuniverses containing the constants, smallest first.
 
-    Computed by closing every subset of the carrier; fine at corpus sizes.
+    They are the closed sets of subuniverse_generated, enumerated by
+    next_closure: at most |A| closures per subuniverse, each spending one
+    step besides what subuniverse_generated spends.
     """
     budget = as_budget(budget)
-    budget.check(2**algebra.size)
-    found: set[frozenset[int]] = set()
-    elements = list(algebra.elements())
-    for r in range(algebra.size + 1):
-        for seed in itertools.combinations(elements, r):
-            budget.spend()
-            closed = subuniverse_generated(algebra, seed, budget)
-            if closed:
-                found.add(closed)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+    def close(mask: int) -> int:
+        return _mask(subuniverse_generated(algebra, _elements(mask), budget))
+
+    found = sorted((m for m in next_closure(algebra.size, close, budget) if m), key=_by_size)
+    return [frozenset(_elements(m)) for m in found]
 
 
 def induced_subalgebra(

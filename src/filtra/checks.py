@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebras import (
     Budget,
@@ -384,6 +384,19 @@ def compare_candidates(
     return Verdict(PASS, "compare-candidates")
 
 
+def _proper_subalgebras(
+    big: FiniteAlgebra, logic: LogicSpec, uncertified: dict[str, str], budget: Budget
+) -> Iterator[tuple[frozenset[int], FiniteAlgebra, tuple[int, ...]]]:
+    """Each proper subuniverse of big with its subalgebra and inclusion map,
+    the subalgebra noted in `uncertified` when its filters are not exact."""
+    for sub in enumerate_subuniverses(big, budget):
+        if len(sub) == big.size:
+            continue
+        small, inclusion = induced_subalgebra(big, sub)
+        uncertified.update(_uncertified(logic, [small]))
+        yield sub, small, inclusion
+
+
 def absolute_fep_check(
     logic: LogicSpec,
     testbed: Testbed,
@@ -395,12 +408,8 @@ def absolute_fep_check(
     uncertified: dict[str, str] = {}
     for big in testbed:
         uncertified.update(_uncertified(logic, [big]))
-        for sub in enumerate_subuniverses(big, budget):
-            if len(sub) == big.size:
-                continue
-            small, inclusion = induced_subalgebra(big, sub)
+        for sub, small, inclusion in _proper_subalgebras(big, logic, uncertified, budget):
             pair_certified = fg_certified(big, logic) and fg_certified(small, logic)
-            uncertified.update(_uncertified(logic, [small]))
             for n in range(arity_cap + 1):
                 for xs in itertools.product(range(small.size), repeat=n):
                     budget.spend()
@@ -442,11 +451,7 @@ def fep_check(
     for big in testbed:
         uncertified.update(_uncertified(logic, [big]))
         big_filters = [f.members for f in all_filters(big, logic, budget)]
-        for sub in enumerate_subuniverses(big, budget):
-            if len(sub) == big.size:
-                continue
-            small, inclusion = induced_subalgebra(big, sub)
-            uncertified.update(_uncertified(logic, [small]))
+        for sub, small, inclusion in _proper_subalgebras(big, logic, uncertified, budget):
             small_filters = [f.members for f in all_filters(small, logic, budget)]
             for base in big_filters:
                 trace = frozenset(i for i in range(small.size) if inclusion[i] in base)

@@ -24,6 +24,15 @@ variables, evaluated jointly on the target algebra and on the matrix algebras:
   whenever that lower family coincides with the unrefuted upper family the
   enumeration is provably exact.
 
+Refutation is one consequence step of a closure operator, read off rows built
+once per context: one per valuation of the clone variables in the target,
+each holding the meet of the designation masks landing on every element and
+the maximal masks landing on it.  The unrefuted subsets are its closed sets,
+so NextClosure serves matrix logics as it serves rule logics; certification
+stops at the first closed set outside the lower family.  The rows spend one
+step of the caller's budget per clone element and valuation, NextClosure one
+per closure.
+
 The variable count ascends from 1 and stops at the first v that certifies;
 refuting power only grows with v, so a larger v could not certify more.
 Should none certify, the largest complete clone is kept.  When the
@@ -45,20 +54,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .algebras import (
-    DEFAULT_BUDGET,
     Budget,
     FiniteAlgebra,
     Matrix,
     _apply_pointwise,
+    _by_size,
+    _elements,
     _free_variables,
     _hash_fields_once,
     _leaf_table,
+    _mask,
     as_budget,
     compile_term,
     enumerate_homomorphisms,
+    next_closure,
     quotient,
 )
 from .congruences import Congruence
@@ -119,22 +131,6 @@ def make_filter(algebra: FiniteAlgebra, members: Iterable[int], logic: LogicSpec
     if not is_filter(algebra, ms, logic):
         raise InvalidSpec(f"{algebra.describe(ms)} is not a filter on {algebra.name!r}")
     return Filter(algebra, ms)
-
-
-def _mask(elements: Iterable[int]) -> int:
-    mask = 0
-    for e in elements:
-        mask |= 1 << e
-    return mask
-
-
-def _elements(mask: int) -> list[int]:
-    return [e for e in range(mask.bit_length()) if mask >> e & 1]
-
-
-def _by_size(mask: int) -> tuple[int, list[int]]:
-    """Sort key: ascending by cardinality, then lexicographically."""
-    return mask.bit_count(), _elements(mask)
 
 
 def rule_valid_in_matrix(rule: Rule, matrix: Matrix, budget: Budget | int | None = None) -> bool:
@@ -202,26 +198,9 @@ class _RuleContext:
         return self.stages(0, Budget())[-1] != 0
 
     def filters(self, budget: Budget) -> tuple[int, ...]:
-        """NextClosure (Ganter 1984): the closed sets in lectic order, where
-        the smaller element weighs more, each found from its predecessor A as
-        the first closure of (A below i) + i that adds nothing below i."""
         if self.family is None:
-            size = self.algebra.size
-            closed = self.stages(0, budget)[-1]
-            found = [closed]
-            while closed != (1 << size) - 1:
-                for i in reversed(range(size)):
-                    bit = 1 << i
-                    if closed & bit:
-                        continue
-                    below = closed & (bit - 1)
-                    budget.spend()
-                    candidate = self.stages(below | bit, budget)[-1]
-                    if candidate & (bit - 1) == below:
-                        closed = candidate
-                        break
-                found.append(closed)
-            self.family = tuple(sorted(found, key=_by_size))
+            closed = next_closure(self.algebra.size, lambda m: self.stages(m, budget)[-1], budget)
+            self.family = tuple(sorted(closed, key=_by_size))
         return self.family
 
 
@@ -245,47 +224,102 @@ class _Clone:
 
 
 def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int) -> _Clone:
-    """Close the joint projections under all operations, within caps."""
-    step = sum(alg.size**nvars for alg in algebras)
-    allowance = Budget(CLONE_STEP_ALLOWANCE)
-    seen: set[tuple] = set()
-    nodes: list[tuple] = []
-    tables: list[tuple] = []
+    """Close the joint projections under all operations, within caps.
 
-    def add(node, tabs) -> None:
-        if tabs not in seen:
-            seen.add(tabs)
+    An element is one flat key over every (algebra, valuation) position, a
+    bytes object when every value fits in a byte.  Each round applies the
+    operations to the elements known when it starts, the argument tuples in
+    lexicographic order, skipping those that use no element of the previous
+    round's frontier.  The tuples sharing all but the last argument form a
+    block: each position reads the table row its prefix selects and maps it
+    over the last argument's column.  A block spends one step per position and
+    tuple, and is cut at the count the allowance affords.
+    """
+    if max(alg.size for alg in algebras) <= 256:
+        pack, join = bytes, b"".join
+
+        def table_row(values: tuple[int, ...]) -> bytes:
+            return bytes(values).ljust(256, b"\0")
+
+        def gather(row: bytes, column: bytes) -> bytes:
+            return column.translate(row)
+    else:
+        pack, table_row = tuple, tuple
+
+        def join(parts: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+            return tuple(itertools.chain.from_iterable(parts))
+
+        def gather(row: tuple[int, ...], column: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple(map(row.__getitem__, column))
+
+    widths = [alg.size**nvars for alg in algebras]
+    step = sum(widths)
+    owner = [ci for ci, width in enumerate(widths) for _ in range(width)]
+    sizes = [algebras[ci].size for ci in owner]
+    spent = 0
+    seen: set = set()
+    nodes: list[tuple] = []
+    keys: list = []
+
+    def add(node: tuple, key) -> None:
+        if key not in seen:
+            seen.add(key)
             nodes.append(node)
-            tables.append(tabs)
+            keys.append(key)
+
+    def leaf(node: tuple):
+        return pack(itertools.chain.from_iterable(_leaf_table(a, nvars, node) for a in algebras))
 
     for i in range(nvars):
-        add((None, i), tuple(_leaf_table(alg, nvars, (None, i)) for alg in algebras))
+        add((None, i), leaf((None, i)))
 
     complete = True
     try:
         frontier_start = 0
         while True:
-            prev_count = len(tables)
+            prev_count = len(keys)
+            everything = join(keys)
+            columns = [everything[p::step] for p in range(step)]  # columns[p][e]
+            fresh = [column[frontier_start:] for column in columns]
             for sym, arity in algebras[0].signature.symbols:
                 if arity == 0:
-                    allowance.spend(step)
-                    add((sym, ()), tuple(_leaf_table(alg, nvars, (sym, ())) for alg in algebras))
+                    spent += step
+                    if spent > CLONE_STEP_ALLOWANCE:
+                        raise SizeBudgetExceeded("clone step allowance")
+                    add((sym, ()), leaf((sym, ())))
                     continue
-                for args in itertools.product(range(prev_count), repeat=arity):
-                    if frontier_start and max(args) < frontier_start:
-                        continue
-                    allowance.spend(step)
-                    add((sym, args), tuple(
-                        _apply_pointwise(alg.table(sym), alg.size, [tables[a][ci] for a in args])
-                        for ci, alg in enumerate(algebras)
-                    ))
-                    if len(tables) > DEFAULT_CLONE_ELEMENT_CAP:
-                        raise SizeBudgetExceeded("clone element cap")
-            if len(tables) == prev_count:
+                rows_of = []
+                for alg in algebras:
+                    table, n = alg.table(sym), alg.size
+                    rows_of.append([table_row(table[r : r + n]) for r in range(0, len(table), n)])
+                rows = [rows_of[ci] for ci in owner]
+                for prefix in itertools.product(range(prev_count), repeat=arity - 1):
+                    lo = 0 if prefix and max(prefix) >= frontier_start else frontier_start
+                    index = [0] * step
+                    for a in prefix:
+                        index = [i * n + v for i, n, v in zip(index, sizes, keys[a])]
+                    count = min(prev_count - lo, (CLONE_STEP_ALLOWANCE - spent) // step)
+                    spent += count * step
+                    selected = map(list.__getitem__, rows, index)
+                    source = fresh if lo else columns
+                    joined = join([gather(row, col[:count]) for row, col in zip(selected, source)])
+                    block = [joined[j::count] for j in range(count)]
+                    if not seen.issuperset(block):
+                        for last, key in enumerate(block, lo):
+                            add((sym, prefix + (last,)), key)
+                            if len(keys) > DEFAULT_CLONE_ELEMENT_CAP:
+                                raise SizeBudgetExceeded("clone element cap")
+                    elif block and len(keys) > DEFAULT_CLONE_ELEMENT_CAP:
+                        raise SizeBudgetExceeded("clone element cap")  # a constant went over
+                    if count < prev_count - lo:
+                        raise SizeBudgetExceeded("clone step allowance")
+            if len(keys) == prev_count:
                 break
             frontier_start = prev_count
     except SizeBudgetExceeded:
         complete = False
+    bounds = list(itertools.accumulate(widths, initial=0))
+    tables = [tuple(tuple(key[i:j]) for i, j in zip(bounds, bounds[1:])) for key in keys]
     return _Clone(nvars, complete, nodes, tables)
 
 
@@ -321,13 +355,6 @@ def _evaluate_clone(target: FiniteAlgebra, shared: _Clone) -> _Clone:
     return _Clone(nvars, complete, shared.nodes[: len(tables)], tables)
 
 
-def _subsets(size: int) -> Iterator[int]:
-    """Every subset of the carrier, ascending by cardinality then lexicographically."""
-    for r in range(size + 1):
-        for combo in itertools.combinations(range(size), r):
-            yield _mask(combo)
-
-
 def _homomorphic_lower(
     algebra: FiniteAlgebra, logic: MatrixDetermined
 ) -> tuple[list[tuple[int, ...]], set[int]]:
@@ -359,43 +386,78 @@ def _homomorphic_lower(
 
 @dataclass
 class _MatrixContext:
+    """A matrix logic on one algebra through the clone at one variable count.
+
+    Each row stands for valuations of the clone variables in the algebra and
+    holds, over the matrix points, meets[a]: the meet of the designation
+    masks of the clone elements landing on a, and kept: the pairs
+    (designation mask, bit of b) of the maximal masks landing on b.  A subset's
+    premises are designated at the meet of its members' masks; one step adds
+    every b with a kept mask containing it (a valid-rule instance leading out
+    of the subset).  The subsets one step leaves alone are the unrefuted
+    family, the closed sets of this closure operator.
+    """
+
     algebra: FiniteAlgebra
     clone: _Clone
-    a_tables: list[tuple[int, ...]]
-    desig: list[int]
+    rows: tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]
     full_mask: int
     lower: tuple[int, ...]
     has_theorem: bool | None
-    exact_by_bound: bool
+    # whether the unrefuted family is the filter family: True from the start
+    # when the clone is complete at v = |A|, else known once certified() ran
+    exact: bool | None
     # the highest variable count built, and whether that clone completed
     tried: tuple[int, bool] = (0, False)
     memo: dict[int, frozenset[int]] = field(default_factory=dict)
     family: tuple[int, ...] | None = None
 
+    def step(self, mask: int) -> int:
+        """The elements outside the subset that some row adds."""
+        members = _elements(mask)
+        added = 0
+        for meets, kept in self.rows:
+            premises = self.full_mask
+            for a in members:
+                premises &= meets[a]
+            for designated, bit in kept:
+                if designated & premises == premises:
+                    added |= bit
+        return added & ~mask
+
+    def close(self, mask: int) -> int:
+        while added := self.step(mask):
+            mask |= added
+        return mask
+
     def is_filter(self, mask: int, budget: Budget) -> bool:
-        return not _refuted(self, mask)
+        if self.family is not None:
+            return mask in self.family
+        return not self.step(mask)
 
     def is_filter_certain(self, mask: int) -> bool:
-        return self.exact_by_bound or mask in self.lower or _refuted(self, mask)
+        return bool(self.exact) or mask in self.lower or bool(self.step(mask))
 
     def filters(self, budget: Budget) -> tuple[int, ...]:
-        """Every unrefuted subset; set to the lower family once that matched."""
+        """The unrefuted family; set to the lower family once that matched."""
         if self.family is None:
-            budget.check(2**self.algebra.size)
-            found = []
-            for ms in _subsets(self.algebra.size):
-                budget.spend()
-                if not _refuted(self, ms):
-                    found.append(ms)
-            self.family = tuple(found)
+            closed = next_closure(self.algebra.size, self.close, budget)
+            self.family = tuple(sorted(closed, key=_by_size))
         return self.family
 
     def certified(self, budget: Budget) -> bool:
-        return self.exact_by_bound or set(self.filters(budget)) == set(self.lower)
+        """Exact at the variable bound, or NextClosure meets no unrefuted set
+        outside the lower family (it stops at the first it meets)."""
+        if self.exact is None:
+            lower = set(self.lower)
+            closed = next_closure(self.algebra.size, self.close, budget)
+            self.exact = all(ms in lower for ms in closed)
+            if self.exact:
+                self.family = self.lower
+        return self.exact
 
     def stages(self, mask: int, budget: Budget) -> list[int]:
-        # the unrefuted family is the closure system of the clone's rule
-        # instances: it contains the carrier and is closed under intersection
+        # the least unrefuted superset, as the meet of the family above it
         closed = (1 << self.algebra.size) - 1
         for ms in self.filters(budget):
             if mask & ms == mask:
@@ -404,7 +466,11 @@ class _MatrixContext:
 
 
 def _clone_context(
-    algebra: FiniteAlgebra, logic: MatrixDetermined, clone: _Clone, hom_lower: set[int]
+    algebra: FiniteAlgebra,
+    logic: MatrixDetermined,
+    clone: _Clone,
+    hom_lower: set[int],
+    budget: Budget,
 ) -> _MatrixContext:
     # designation bitmask per clone element over all (matrix, valuation) points
     desig = []
@@ -430,26 +496,50 @@ def _clone_context(
     else:
         has_theorem = None
 
+    # one row per valuation of the clone variables in the algebra, each
+    # spending one step per clone element; a mask inside another landing on
+    # the same element adds nothing, so elements are visited by decreasing
+    # mask size and each kept only if no kept mask there contains it
+    order = sorted(range(len(desig)), key=lambda e: -desig[e].bit_count())
+    ordered = [desig[e] for e in order]
+    rows = {}
+    for values in zip(*(clone.tables[e][0] for e in order)):
+        budget.spend(len(desig))
+        meets = [full_mask] * algebra.size
+        tops: list[list[int]] = [[] for _ in range(algebra.size)]
+        for a, bits in zip(values, ordered):
+            meets[a] &= bits
+            for t in tops[a]:
+                if bits & t == bits:
+                    break
+            else:
+                tops[a].append(bits)
+        kept = tuple((bits, 1 << a) for a, top in enumerate(tops) for bits in top)
+        rows[tuple(meets), kept] = None  # equal rows are kept once
+
     # adding the empty set keeps the family closed under intersection
     lower = hom_lower | {0} if has_theorem is False else hom_lower
     return _MatrixContext(
-        algebra, clone, [tabs[0] for tabs in clone.tables], desig, full_mask,
+        algebra, clone, tuple(rows), full_mask,
         tuple(sorted(lower, key=_by_size)), has_theorem,
-        clone.complete and clone.nvars == algebra.size,
+        True if clone.complete and clone.nvars == algebra.size else None,
     )
 
 
-def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined) -> _MatrixContext:
+def _matrix_context(
+    algebra: FiniteAlgebra, logic: MatrixDetermined, budget: Budget
+) -> _MatrixContext:
     """Context of the first variable count that certifies the filter family.
 
     v ascends from 1 to the bound.  It stops when the tables would outgrow
     MAX_CLONE_TABLE or a clone fails to complete, since both only get worse
     with v, and at the first v that certifies: exactly (complete at v = |A|)
-    or by refuting every subset outside the lower family.  Without a
-    certificate the largest complete clone is kept; with none, the constants
-    alone.  A target whose homomorphisms into the matrix algebras separate its
-    points lies in ISP of them, so its tables are read off the shared matrix
-    clone (see the module docstring); any other target is closed jointly.
+    or by NextClosure meeting no unrefuted subset outside the lower family.
+    Without a certificate the largest complete clone is kept; with none, the
+    constants alone.  A target whose homomorphisms into the matrix algebras
+    separate its points lies in ISP of them, so its tables are read off the
+    shared matrix clone (see the module docstring); any other target is
+    closed jointly.  The rows and the certification spend the caller's budget.
     """
     for m in logic.matrices:
         if m.algebra.signature != algebra.signature:
@@ -458,7 +548,6 @@ def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined) -> _MatrixC
     bound = min(algebra.size, logic.variable_bound or algebra.size)
     homs, hom_lower = _homomorphic_lower(algebra, logic)
     in_isp = len({tuple(h[a] for h in homs) for a in algebra.elements()}) == algebra.size
-    can_sweep = 2**algebra.size <= DEFAULT_BUDGET  # as the default budget allows filters()
 
     def clone_at(v: int) -> _Clone:
         if in_isp:
@@ -474,39 +563,13 @@ def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined) -> _MatrixC
         tried = (v, clone.complete)
         if not clone.complete:
             break
-        best = _clone_context(algebra, logic, clone, hom_lower)
-        if best.exact_by_bound:
-            break
-        lower = set(best.lower)
-        if can_sweep and all(_refuted(best, ms) for ms in _subsets(algebra.size) if ms not in lower):
-            best.family = best.lower  # every subset outside it is refuted
+        best = _clone_context(algebra, logic, clone, hom_lower, budget)
+        if best.certified(budget):
             break
     if best is None:
-        best = _clone_context(algebra, logic, clone_at(0), hom_lower)
+        best = _clone_context(algebra, logic, clone_at(0), hom_lower, budget)
     best.tried = tried or (0, best.clone.complete)
     return best
-
-
-def _refuted(ctx: _MatrixContext, members: int) -> bool:
-    """Whether some rule valid in the matrices leads out of the subset.
-
-    For each instantiation of the clone variables by elements, the premises
-    are every clone element landing in the candidate set; an element entailed
-    by them at every matrix point must land there too.
-    """
-    a_tables = ctx.a_tables
-    desig = ctx.desig
-    n = len(a_tables)
-    inside = [members >> a & 1 for a in range(ctx.algebra.size)]
-    for w in range(ctx.algebra.size**ctx.clone.nvars):
-        mask = ctx.full_mask
-        for e in range(n):
-            if inside[a_tables[e][w]]:
-                mask &= desig[e]
-        for e in range(n):
-            if not inside[a_tables[e][w]] and desig[e] & mask == mask:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +579,22 @@ def _refuted(ctx: _MatrixContext, members: int) -> bool:
 _CONTEXTS: dict[tuple[FiniteAlgebra, LogicSpec], _RuleContext | _MatrixContext] = {}
 
 
-def _context(algebra: FiniteAlgebra, logic: LogicSpec) -> _RuleContext | _MatrixContext:
-    """The pair's context, keyed by value: equal algebras built apart share it."""
+def _context(
+    algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | None = None
+) -> _RuleContext | _MatrixContext:
+    """The pair's context, keyed by value: equal algebras built apart share it.
+
+    A matrix context is built from the budget of the call that first needs it
+    and stored only once built.
+    """
     key = (algebra, logic)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
-        build = _RuleContext if isinstance(logic, RulePresented) else _matrix_context
-        ctx = _CONTEXTS[key] = build(algebra, logic)
+        if isinstance(logic, RulePresented):
+            ctx = _RuleContext(algebra, logic)
+        else:
+            ctx = _matrix_context(algebra, logic, budget or Budget())
+        _CONTEXTS[key] = ctx
     return ctx
 
 
@@ -537,7 +609,8 @@ def is_filter(
     Exact for rule-presented logics.  For matrix-determined logics a False is
     always definitive; a True is definitive when is_filter_certain agrees.
     """
-    return _context(algebra, logic).is_filter(_mask(members), as_budget(budget))
+    budget = as_budget(budget)
+    return _context(algebra, logic, budget).is_filter(_mask(members), budget)
 
 
 def is_filter_certain(algebra: FiniteAlgebra, members: Iterable[int], logic: LogicSpec) -> bool:
@@ -549,32 +622,39 @@ def all_filters(
     algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | int | None = None
 ) -> list[Filter]:
     """Every filter, ascending by cardinality then lexicographically."""
-    family = _context(algebra, logic).filters(as_budget(budget))
+    budget = as_budget(budget)
+    family = _context(algebra, logic, budget).filters(budget)
     return [Filter(algebra, frozenset(_elements(ms))) for ms in family]
 
 
-def filters_certified(algebra: FiniteAlgebra, logic: LogicSpec) -> bool:
+def filters_certified(
+    algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | int | None = None
+) -> bool:
     """True when the filter enumeration (hence fg) is provably exact."""
-    return _context(algebra, logic).certified(Budget())
+    budget = as_budget(budget)
+    return _context(algebra, logic, budget).certified(budget)
 
 
 fg_certified = filters_certified
 
 
-def certification_detail(algebra: FiniteAlgebra, logic: MatrixDetermined) -> dict:
+def certification_detail(
+    algebra: FiniteAlgebra, logic: MatrixDetermined, budget: Budget | int | None = None
+) -> dict:
     """Why a matrix logic's filter enumeration is (un)certified.
 
     The highest variable count whose clone was built and whether it completed,
     then the sizes of the lower family (genuine filters) and of the unrefuted
     family (a superset of the filters); certification needs them equal.
     """
-    ctx = _context(algebra, logic)
+    budget = as_budget(budget)
+    ctx = _context(algebra, logic, budget)
     nvars, complete = ctx.tried
     return {
         "nvars_tried": nvars,
         "clone_complete": complete,
         "lower": len(ctx.lower),
-        "unrefuted": len(ctx.filters(Budget())),
+        "unrefuted": len(ctx.filters(budget)),
     }
 
 
@@ -585,7 +665,8 @@ def fg_trace(
     budget: Budget | int | None = None,
 ) -> list[frozenset[int]]:
     """Stages of filter generation; the last stage is the filter."""
-    stages = _context(algebra, logic).stages(_mask(generators), as_budget(budget))
+    budget = as_budget(budget)
+    stages = _context(algebra, logic, budget).stages(_mask(generators), budget)
     return [frozenset(_elements(stage)) for stage in stages]
 
 
@@ -601,11 +682,12 @@ def fg(
     Matrix-determined: least member of the filter enumeration; exact whenever
     filters_certified holds for the algebra and logic.
     """
-    ctx = _context(algebra, logic)
+    budget = as_budget(budget)
+    ctx = _context(algebra, logic, budget)
     mask = _mask(generators)
     members = ctx.memo.get(mask)
     if members is None:
-        members = ctx.memo[mask] = frozenset(_elements(ctx.stages(mask, as_budget(budget))[-1]))
+        members = ctx.memo[mask] = frozenset(_elements(ctx.stages(mask, budget)[-1]))
     return Filter(algebra, members)
 
 

@@ -5,8 +5,11 @@ the library's own algorithms: partitions are enumerated as restricted growth
 strings, homomorphisms as raw function tables, term forests by bounded
 structural enumeration, Leibniz congruences either read off the partition
 lattice or from the profiles of the whole unary polynomial clone, candidate
-satisfaction one valuation at a time through eval_term, and the filters of a
-rule logic as the subsets closed under rule instances evaluated by eval_term.
+satisfaction one valuation at a time through eval_term, the filters of a
+rule logic as the subsets closed under rule instances evaluated by eval_term,
+the clone of term functions one argument tuple at a time, subuniverses by
+closing every subset, and a matrix logic's unrefuted subsets by testing each
+subset against every clone element at every valuation.
 """
 
 import itertools
@@ -17,7 +20,16 @@ from hypothesis import strategies as st
 
 from filtra import builtins as bi
 from filtra import logics
-from filtra.algebras import FiniteAlgebra, direct_product, eval_term
+from filtra.algebras import (
+    Budget,
+    FiniteAlgebra,
+    _apply_pointwise,
+    _leaf_table,
+    direct_product,
+    eval_term,
+    subuniverse_generated,
+)
+from filtra.errors import SizeBudgetExceeded
 from filtra.congruences import Congruence
 from filtra.terms import App, Signature, Var
 
@@ -121,6 +133,36 @@ def random_algebras(draw):
     }
     perm = draw(st.permutations(range(n)))
     return FiniteAlgebra.make("random", n, RANDOM_SIGNATURE, tables), perm
+
+
+CLONE_SIGNATURES = (
+    Signature((("f", 1), ("g", 2), ("h", 3))),
+    Signature((("f", 1), ("c", 0), ("g", 2), ("h", 3))),
+)
+
+
+MATRIX_SIGNATURES = (
+    Signature((("f", 1), ("h", 1))),
+    Signature((("g", 2),)),
+    Signature((("f", 1), ("c", 0), ("g", 2))),
+)
+
+
+@st.composite
+def random_clone_algebras(draw, signatures=CLONE_SIGNATURES, count=(1, 2)):
+    """`count` bounds how many algebras on at most 4 elements are drawn, all
+    sharing one of the signatures (by default unary, binary and ternary
+    tables, with or without a constant)."""
+    signature = draw(st.sampled_from(signatures))
+    algebras = []
+    for name in ("A", "B")[: draw(st.integers(*count))]:
+        n = draw(st.integers(1, 4))
+        tables = {
+            sym: draw(st.lists(st.integers(0, n - 1), min_size=n**arity, max_size=n**arity))
+            for sym, arity in signature.symbols
+        }
+        algebras.append(FiniteAlgebra.make(name, n, signature, tables))
+    return tuple(algebras)
 
 
 def relabel(algebra, perm):
@@ -365,3 +407,91 @@ def oracle_least_closed(closed_sets, generators) -> frozenset[int]:
     least = frozenset.intersection(*above)
     assert least in above
     return least
+
+
+def oracle_build_clone(algebras, nvars) -> logics._Clone:
+    """The clone closed one argument tuple at a time, each applied pointwise
+    to the argument tables, under the same caps and frontier rule as
+    logics._build_clone (read from the module, so monkeypatching applies)."""
+    step = sum(alg.size**nvars for alg in algebras)
+    allowance = Budget(logics.CLONE_STEP_ALLOWANCE)
+    seen = set()
+    nodes = []
+    tables = []
+
+    def add(node, tabs):
+        if tabs not in seen:
+            seen.add(tabs)
+            nodes.append(node)
+            tables.append(tabs)
+
+    for i in range(nvars):
+        add((None, i), tuple(_leaf_table(alg, nvars, (None, i)) for alg in algebras))
+
+    complete = True
+    try:
+        frontier_start = 0
+        while True:
+            prev_count = len(tables)
+            for sym, arity in algebras[0].signature.symbols:
+                if arity == 0:
+                    allowance.spend(step)
+                    add((sym, ()), tuple(_leaf_table(alg, nvars, (sym, ())) for alg in algebras))
+                    continue
+                for args in itertools.product(range(prev_count), repeat=arity):
+                    if frontier_start and max(args) < frontier_start:
+                        continue
+                    allowance.spend(step)
+                    add((sym, args), tuple(
+                        _apply_pointwise(alg.table(sym), alg.size, [tables[a][ci] for a in args])
+                        for ci, alg in enumerate(algebras)
+                    ))
+                    if len(tables) > logics.DEFAULT_CLONE_ELEMENT_CAP:
+                        raise SizeBudgetExceeded("clone element cap")
+            if len(tables) == prev_count:
+                break
+            frontier_start = prev_count
+    except SizeBudgetExceeded:
+        complete = False
+    return logics._Clone(nvars, complete, nodes, tables)
+
+
+def oracle_subuniverses(algebra: FiniteAlgebra) -> list[frozenset[int]]:
+    """The non-empty closures of every subset, smallest first."""
+    found = set()
+    for r in range(algebra.size + 1):
+        for seed in itertools.combinations(range(algebra.size), r):
+            closed = subuniverse_generated(algebra, seed, Budget(10**12))
+            if closed:
+                found.add(closed)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def oracle_unrefuted(algebra: FiniteAlgebra, logic, clone) -> list[int]:
+    """Every subset, as a bitmask ascending by cardinality then
+    lexicographically, that the clone does not refute: at no valuation does a
+    clone element entailed, at every matrix point, by the elements landing in
+    the subset land outside it."""
+    designation = []
+    for tabs in clone.tables:
+        points = [value in m.designated for m, table in zip(logic.matrices, tabs[1:]) for value in table]
+        designation.append(sum(1 << p for p, d in enumerate(points) if d))
+    everywhere = (1 << sum(m.algebra.size**clone.nvars for m in logic.matrices)) - 1
+    columns = list(zip(*(tabs[0] for tabs in clone.tables)))
+
+    def refuted(subset):
+        for values in columns:
+            premises = everywhere
+            for a, d in zip(values, designation):
+                if a in subset:
+                    premises &= d
+            if any(a not in subset and d & premises == premises for a, d in zip(values, designation)):
+                return True
+        return False
+
+    return [
+        sum(1 << a for a in subset)
+        for r in range(algebra.size + 1)
+        for subset in map(frozenset, itertools.combinations(range(algebra.size), r))
+        if not refuted(subset)
+    ]

@@ -273,6 +273,11 @@ def test_enumerate_subuniverses_wk3(wk3):
     assert len(subs) == 3
 
 
+def test_subuniverses_of_cubes_answer_within_the_default_budget(k3, wk3):
+    assert len(enumerate_subuniverses(direct_product([k3, k3, k3]).algebra)) == 122
+    assert len(enumerate_subuniverses(direct_product([wk3, wk3, wk3]).algebra)) == 601
+
+
 def test_induced_subalgebra_requires_closure(k3):
     with pytest.raises(InvalidSpec):
         induced_subalgebra(k3, {1})  # misses the constants

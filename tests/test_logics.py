@@ -3,11 +3,23 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_closed_sets, oracle_least_closed, random_algebras, relabel
+from conftest import (
+    MATRIX_SIGNATURES,
+    oracle_build_clone,
+    oracle_closed_sets,
+    oracle_least_closed,
+    oracle_subuniverses,
+    oracle_unrefuted,
+    random_algebras,
+    random_clone_algebras,
+    relabel,
+)
 
 from filtra import builtins as bi
+from filtra import logics
 from filtra.algebras import (
     Budget,
+    FiniteAlgebra,
     Matrix,
     direct_product,
     enumerate_homomorphisms,
@@ -24,6 +36,7 @@ from filtra.logics import (
     _homomorphic_lower,
     RulePresented,
     all_filters,
+    certification_detail,
     fg,
     fg_relative,
     fg_trace,
@@ -34,7 +47,7 @@ from filtra.logics import (
     make_filter,
     rule_valid_in_matrix,
 )
-from filtra.terms import App, Rule, Var, parse_term
+from filtra.terms import App, Rule, Signature, Var, parse_term
 
 
 def rule(sig, premises, conclusion):
@@ -436,3 +449,137 @@ def test_random_rule_logics_match_the_closure_oracle(algebra_and_perm, rules):
     assert has_theorem(algebra, logic) == bool(oracle_least_closed(closed, ()))
     moved = {f.members for f in all_filters(relabel(algebra, perm), logic)}
     assert moved == {frozenset(perm[x] for x in s) for s in closed}
+
+
+# --- the clone by columns, and NextClosure for matrix logics ---------------------
+
+
+def _same_clone(got, want):
+    assert got.nodes == want.nodes
+    assert got.tables == want.tables
+    assert got.complete == want.complete
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    random_clone_algebras(),
+    st.sampled_from([3, 7, 20, 3000]),
+    st.sampled_from([5, 40, 300, 1000]),
+    st.integers(0, 31),
+)
+def test_clone_by_columns_and_subuniverses_match_the_oracles(algebras, cap, tuples, extra):
+    # the oracle needs seconds for the default allowance on four elements, so
+    # it affords a few argument tuples here (cut mid-tuple by `extra`); the
+    # built-in clones below are checked at the defaults
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logics, "DEFAULT_CLONE_ELEMENT_CAP", cap)
+        for nvars in (1, 2):
+            step = sum(a.size**nvars for a in algebras)
+            mp.setattr(logics, "CLONE_STEP_ALLOWANCE", tuples * step + extra)
+            _same_clone(_build_clone(algebras, nvars), oracle_build_clone(algebras, nvars))
+    for algebra in algebras:
+        assert enumerate_subuniverses(algebra) == oracle_subuniverses(algebra)
+
+
+@pytest.mark.parametrize("names", [("K3",), ("DM4",), ("K3xDM4", "K3")])
+def test_builtin_clones_at_the_default_caps_match_the_oracle(names):
+    k3, dm4 = bi.algebra("K3"), bi.algebra("DM4")
+    named = {"K3": k3, "DM4": dm4, "K3xDM4": direct_product([k3, dm4]).algebra}
+    algebras = tuple(named[n] for n in names)
+    for nvars in (1, 2):
+        _same_clone(_build_clone(algebras, nvars), oracle_build_clone(algebras, nvars))
+
+
+def test_clone_of_an_algebra_wider_than_a_byte_matches_the_oracle():
+    n = 300
+    signature = Signature((("f", 1), ("g", 2)))
+    tables = {
+        "f": [(x + 1) % n for x in range(n)],
+        "g": [min(x, y) for x in range(n) for y in range(n)],
+    }
+    wide = FiniteAlgebra.make("wide", n, signature, tables)
+    small = FiniteAlgebra.make("small", 2, signature, {"f": [1, 0], "g": [0, 0, 0, 1]})
+    clone = _build_clone((wide, small), 1)
+    assert not clone.complete  # the allowance ran out
+    _same_clone(clone, oracle_build_clone((wide, small), 1))
+
+
+MATRIX_LOGICS = [
+    MatrixDetermined(bi.logic(name).matrices, bound, f"{name}{bound or ''}")
+    for name in ("KL", "LP")
+    for bound in (None, 1, 2)
+]
+
+
+def _matrix_targets():
+    k3, dm4 = bi.algebra("K3"), bi.algebra("DM4")
+    small = [bi.algebra(n) for n in bi.algebra_names() if bi.algebra(n).signature == k3.signature]
+    squares = [direct_product([a, a]).algebra for a in small]
+    return small + squares + [direct_product([k3, dm4]).algebra]
+
+
+@pytest.mark.parametrize("logic", MATRIX_LOGICS, ids=lambda logic: logic.name)
+@pytest.mark.parametrize("algebra", _matrix_targets(), ids=lambda algebra: algebra.name)
+def test_matrix_family_equals_the_unrefuted_sweep(cold_contexts, algebra, logic):
+    unrefuted = oracle_unrefuted(algebra, logic, _context(algebra, logic).clone)
+    ctx = _context(algebra, logic)
+    assert [sum(1 << a for a in f.members) for f in all_filters(algebra, logic)] == unrefuted
+    exact_by_bound = ctx.clone.complete and ctx.clone.nvars == algebra.size
+    assert filters_certified(algebra, logic) == (exact_by_bound or set(unrefuted) == set(ctx.lower))
+    assert certification_detail(algebra, logic)["unrefuted"] == len(unrefuted)
+    for ms in range(1 << algebra.size) if algebra.size <= 9 else ():
+        members = [a for a in range(algebra.size) if ms >> a & 1]
+        assert is_filter(algebra, members, logic) == (ms in unrefuted)
+
+
+def test_kl_filters_on_k3_cubed_are_certified(cold_contexts, k3, kl):
+    k3_cubed = direct_product([k3, k3, k3]).algebra
+    filters = all_filters(k3_cubed, kl)
+    assert len(filters) == 8
+    assert filters_certified(k3_cubed, kl)
+
+
+def test_a_cold_matrix_context_spends_the_callers_budget(cold_contexts, kl):
+    k3_sq = bi.algebra("K3^2")
+    with pytest.raises(SizeBudgetExceeded):
+        is_filter(k3_sq, {8}, kl, Budget(0))
+    assert (k3_sq, kl) not in logics._CONTEXTS
+    with pytest.raises(SizeBudgetExceeded):
+        filters_certified(k3_sq, kl, Budget(0))
+    budget = Budget()
+    assert is_filter(k3_sq, {8}, kl, budget)
+    assert budget.spent > 0 and (k3_sq, kl) in logics._CONTEXTS
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(random_clone_algebras(MATRIX_SIGNATURES, (2, 2)), st.data())
+def test_random_matrix_logics_match_the_unrefuted_sweep(algebras, data):
+    matrix_algebra, target = algebras
+    designated = data.draw(st.frozensets(st.integers(0, matrix_algebra.size - 1)))
+    bound = data.draw(st.sampled_from([1, 2]))
+    logic = MatrixDetermined((Matrix(matrix_algebra, designated),), bound)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logics, "_CONTEXTS", {})
+        unrefuted = oracle_unrefuted(target, logic, _context(target, logic).clone)
+        ctx = _context(target, logic)
+        assert [sum(1 << a for a in f.members) for f in all_filters(target, logic)] == unrefuted
+        exact_by_bound = ctx.clone.complete and ctx.clone.nvars == target.size
+        assert filters_certified(target, logic) == (exact_by_bound or set(unrefuted) == set(ctx.lower))
+        for ms in range(1 << target.size):
+            members = [a for a in range(target.size) if ms >> a & 1]
+            assert is_filter(target, members, logic) == (ms in unrefuted)
+            least = min((u for u in unrefuted if u & ms == ms), key=int.bit_count)
+            least_members = frozenset(a for a in range(target.size) if least >> a & 1)
+            assert fg(target, members, logic).members == least_members
+
+
+def test_a_row_keeps_every_maximal_mask_landing_on_an_element(cold_contexts):
+    # at every valuation two incomparable designation masks land on 0 (and on
+    # 2), and keeping only one of them can make {1} look closed
+    signature = Signature((("f", 1), ("h", 1)))
+    negation = FiniteAlgebra.make("N2", 2, signature, {"f": [1, 0], "h": [1, 0]})
+    logic = MatrixDetermined((Matrix(negation, frozenset({0})),), 1)
+    target = FiniteAlgebra.make("T3", 3, signature, {"f": [2, 0, 2], "h": [2, 2, 0]})
+    unrefuted = oracle_unrefuted(target, logic, _context(target, logic).clone)
+    assert unrefuted == [0, 0b111]
+    assert [f.members for f in all_filters(target, logic)] == [frozenset(), frozenset({0, 1, 2})]
