@@ -7,13 +7,16 @@ the value of f(a1, ..., ak) sits at index a1*n^(k-1) + ... + ak.
 Terms are evaluated one valuation at a time by eval_term, or compiled by
 compile_term into the table of their term function over every valuation at
 once.  Compiled tables live for one call and are never cached; each node's
-table spends its width from the caller's budget.
+table spends its width from the caller's budget.  On carriers of at most 256
+elements a compiled table is a byte lane: a bytes object holding one value per
+byte, so operations apply to whole tables through bytes.translate and big
+integer arithmetic; above 256 elements it is a tuple.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -25,7 +28,7 @@ from .errors import (
     UnboundVariable,
     UnknownName,
 )
-from .terms import Equation, Signature, Term, Var, equation_variables
+from .terms import Equation, Signature, Term, Var, _hash_fields_once, equation_variables
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -103,15 +106,6 @@ def next_closure(size: int, close: Callable[[int], int], budget: Budget) -> Iter
         yield closed
 
 
-def _hash_fields_once(self) -> int:
-    """__hash__ of a frozen dataclass that serves as a cache key: its fields,
-    operation tables or terms among them, are hashed on the first call only."""
-    h = self.__dict__.get("_hash")
-    if h is None:
-        h = self.__dict__["_hash"] = hash(tuple(getattr(self, f.name) for f in fields(self)))
-    return h
-
-
 @dataclass(frozen=True)
 class FiniteAlgebra:
     """A total algebra on {0, ..., size-1} with one table per symbol."""
@@ -158,6 +152,12 @@ class FiniteAlgebra:
     @cached_property
     def _tmap(self) -> dict[str, tuple[int, ...]]:
         return dict(self.tables)
+
+    @cached_property
+    def _byte_tables(self) -> dict[str, bytes]:
+        """The tables with at most 256 entries (size**arity <= 256), each as a
+        256-byte translation table."""
+        return {sym: bytes(table).ljust(256, b"\0") for sym, table in self.tables if len(table) <= 256}
 
     def table(self, symbol: str) -> tuple[int, ...]:
         try:
@@ -239,37 +239,59 @@ def _free_variables(names: Iterable[str], algebra: FiniteAlgebra) -> tuple[str, 
     return tuple(v for v in names if v not in labels)
 
 
-def _apply_pointwise(table: tuple[int, ...], size: int, arg_tabs: Sequence[tuple[int, ...]]):
-    """Apply an operation table pointwise to the tables of its arguments."""
-    if len(arg_tabs) == 1:
-        return tuple([table[x] for x in arg_tabs[0]])
-    if len(arg_tabs) == 2:
-        return tuple([table[x * size + y] for x, y in zip(*arg_tabs)])
-    out = []
-    for point in zip(*arg_tabs):
-        idx = 0
-        for a in point:
-            idx = idx * size + a
-        out.append(table[idx])
-    return tuple(out)
+Table = bytes | tuple[int, ...]
 
 
-def _leaf_table(algebra: FiniteAlgebra, nvars: int, node: tuple) -> tuple[int, ...]:
+def _table_type(size: int) -> type:
+    """Term tables are byte lanes on carriers of at most 256 elements, tuples above."""
+    return bytes if size <= 256 else tuple
+
+
+def _apply_pointwise(algebra: FiniteAlgebra, symbol: str, args: Sequence[Table]) -> Table:
+    """Apply an operation pointwise to the tables of its arguments.
+
+    When the operation's whole table fits a byte lane (size**arity <= 256),
+    the arguments are combined by Horner's rule as big integers, one byte per
+    valuation: multiplying by the size and adding the next argument keeps each
+    byte below size**arity, so no byte carries into the next, and each byte
+    ends up holding the flat table index of its point, which one translate
+    turns into the value.  Otherwise each point's index is computed in turn.
+    """
+    translation = algebra._byte_tables.get(symbol)
+    if translation is not None:
+        index = 0
+        for arg in args:
+            index = index * algebra.size + int.from_bytes(arg, "little")
+        return index.to_bytes(len(args[0]), "little").translate(translation)
+    index = list(args[0])
+    for arg in args[1:]:
+        index = [i * algebra.size + a for i, a in zip(index, arg)]
+    return _table_type(algebra.size)(map(algebra.table(symbol).__getitem__, index))
+
+
+def _constant_table(algebra: FiniteAlgebra, value: int, width: int) -> Table:
+    return _table_type(algebra.size)((value,)) * width
+
+
+def _leaf_table(algebra: FiniteAlgebra, nvars: int, node: tuple) -> Table:
     """Table of a variable node (None, i) or a constant node (symbol, ())."""
     sym, arg = node
     if sym is None:
         run = algebra.size ** (nvars - arg - 1)  # consecutive valuations sharing its value
-        return tuple([v for v in range(algebra.size) for _ in range(run)]) * algebra.size**arg
-    return (algebra.table(sym)[0],) * algebra.size**nvars
+        blocks = [_constant_table(algebra, v, run) for v in range(algebra.size)]
+        column = b"".join(blocks) if algebra.size <= 256 else tuple(itertools.chain.from_iterable(blocks))
+        return column * algebra.size**arg
+    return _constant_table(algebra, algebra.table(sym)[0], algebra.size**nvars)
 
 
 def compile_term(
     t: Term, algebra: FiniteAlgebra, variables: Sequence[str], budget: Budget | int | None = None
-) -> tuple[int, ...]:
+) -> Table:
     """The table of the term function of t over the variables.
 
     Entry i is the value of t at the i-th valuation in lexicographic order
-    (the first variable varies slowest).  Names resolve as in eval_term: a
+    (the first variable varies slowest); the table is bytes on carriers of at
+    most 256 elements, else a tuple.  Names resolve as in eval_term: a
     listed variable first, then an element label.  Each distinct subterm is
     tabulated once and spends the table width from the budget.
     """
@@ -280,10 +302,11 @@ def compile_term(
 
 def _tabulate(
     t: Term, algebra: FiniteAlgebra, position: Mapping[str, int], budget: Budget, tables: dict
-) -> tuple[int, ...]:
+) -> Table:
     """compile_term's recursion; tables holds the subterms tabulated so far."""
-    if t in tables:
-        return tables[t]
+    done = tables.get(t)
+    if done is not None:
+        return done
     nvars = len(position)
     width = algebra.size**nvars
     if isinstance(t, Var):
@@ -293,7 +316,7 @@ def _tabulate(
         if t.name in position:
             tables[t] = _leaf_table(algebra, nvars, (None, position[t.name]))
         else:
-            tables[t] = (algebra.labels.index(t.name),) * width
+            tables[t] = _constant_table(algebra, algebra.labels.index(t.name), width)
         return tables[t]
     args = [_tabulate(a, algebra, position, budget, tables) for a in t.args]
     table = algebra.table(t.symbol)
@@ -301,7 +324,10 @@ def _tabulate(
     if len(args) != arity:
         raise ArityMismatch(f"{t.symbol} expects {arity} arguments, got {len(args)}")
     budget.spend(width)
-    tables[t] = _apply_pointwise(table, algebra.size, args) if args else (table[0],) * width
+    if args:
+        tables[t] = _apply_pointwise(algebra, t.symbol, args)
+    else:
+        tables[t] = _constant_table(algebra, table[0], width)
     return tables[t]
 
 

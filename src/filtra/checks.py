@@ -8,7 +8,9 @@ computations are not certified exact (see logics.filters_certified) degrade to
 
 Sweeps are deterministic: testbed order, then generator count ascending, then
 tuples lexicographically, then elements ascending.  The first witness found in
-that order is the one reported.
+that order is the one reported.  Checks that read the generators only as a set
+sweep the sorted tuples alone, which reports the same first witness.  A cap
+that would leave a sweep empty is a configuration error, not a vacuous pass.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .algebras import (
     Budget,
     FiniteAlgebra,
+    Table,
     as_budget,
     compile_term,
     direct_product,
@@ -164,6 +167,28 @@ def generate_testbed(
 # candidate satisfaction
 
 
+# translates byte 0 to 1 and every other byte to 0
+_IS_ZERO = b"\1" + bytes(255)
+
+
+def _lanes(table: bytes) -> int:
+    """A byte table as a big integer, byte i in bits 8i to 8i+7."""
+    return int.from_bytes(table, "little")
+
+
+def _agreement(lhs: Table, rhs: Table, block: bytes | tuple[int, ...] | None) -> int:
+    """Lanes holding 1 where the two tables agree, or share a block when block
+    maps elements to block ids, and 0 elsewhere."""
+    if isinstance(lhs, tuple):  # a carrier above 256 elements
+        if block is not None:
+            lhs, rhs = map(block.__getitem__, lhs), map(block.__getitem__, rhs)
+        return _lanes(bytes(map(operator.eq, lhs, rhs)))
+    if block is not None:
+        lhs, rhs = lhs.translate(block), rhs.translate(block)
+    differ = _lanes(lhs) ^ _lanes(rhs)
+    return _lanes(differ.to_bytes(len(lhs), "little").translate(_IS_ZERO))
+
+
 def _sweep_table(
     algebra: FiniteAlgebra,
     family: Sequence,
@@ -171,25 +196,36 @@ def _sweep_table(
     param_count: int,
     budget: Budget,
     theta: Congruence | None = None,
-) -> list[bool]:
-    """For each cell (generators, element) in sweep order, whether some member
-    of the family holds there at some parameter tuple.
+) -> bytes:
+    """For each cell (generators, element) in sweep order, 1 where some member
+    of the family holds at some parameter tuple, else 0.
 
-    With theta the two sides of an equation need only share a block.
+    With theta the two sides of an equation need only share a block.  The
+    tables are combined as big integers, one byte lane per valuation: an
+    equation holds where its sides XOR to zero, a member where all its
+    equations hold (AND), the family where some member does (OR), and a cell
+    where some of its parameter lanes does.
     """
     variables = [f"x{i + 1}" for i in range(n)] + ["y"] + [f"z{j + 1}" for j in range(param_count)]
-    block = theta.partition if theta is not None else range(algebra.size)
     width = algebra.size ** len(variables)
-    somewhere = [False] * width
+    block = None
+    if theta is not None:
+        block = theta.partition if algebra.size > 256 else bytes(theta.partition).ljust(256, b"\0")
+    everywhere = _lanes(b"\1" * width)
+    somewhere = 0
     for member in family:
-        holds = [True] * width
+        holds = everywhere
         for eq in member:
-            lhs = map(block.__getitem__, compile_term(eq.lhs, algebra, variables, budget))
-            rhs = map(block.__getitem__, compile_term(eq.rhs, algebra, variables, budget))
-            holds = list(map(operator.and_, holds, map(operator.eq, lhs, rhs)))
-        somewhere = list(map(operator.or_, somewhere, holds))
+            lhs = compile_term(eq.lhs, algebra, variables, budget)
+            rhs = compile_term(eq.rhs, algebra, variables, budget)
+            holds &= _agreement(lhs, rhs, block)
+        somewhere |= holds
     fan = algebra.size**param_count
-    return somewhere if fan == 1 else [any(somewhere[c : c + fan]) for c in range(0, width, fan)]
+    lanes = somewhere.to_bytes(width, "little")
+    cells = 0
+    for j in range(fan):
+        cells |= _lanes(lanes[j::fan])
+    return cells.to_bytes(width // fan, "little")
 
 
 def _sweep_cells(algebra: FiniteAlgebra, n: int) -> Iterable[tuple[tuple[int, ...], int]]:
@@ -249,9 +285,16 @@ def _resolve(outcome_fail: bool, witness, checker: str, uncertified: Mapping[str
 # checkers
 
 
+def _require(cap: int | None, least: int, what: str) -> None:
+    """A cap below its least value would sweep nothing and pass vacuously."""
+    if cap is not None and cap < least:
+        raise InvalidSpec(f"{what} must be at least {least}, got {cap}: the sweep would be empty")
+
+
 def _top(candidate: EDCFCandidate, variant: str, n_max: int | None) -> int:
     if not candidate.matches_variant(variant):
         raise InvalidSpec(f"candidate {candidate.name!r} does not have the {variant} shape")
+    _require(n_max, 0, "n_max")
     return candidate.n_max if n_max is None else min(n_max, candidate.n_max)
 
 
@@ -263,19 +306,32 @@ def _first_mismatch(
     budget: Budget,
     theta: Congruence | None = None,
 ) -> dict | None:
-    """The first cell where filter membership and candidate satisfaction differ."""
+    """The first cell where filter membership and candidate satisfaction differ.
+
+    Each generator tuple's row of cells, one per element, is compared whole
+    with its slice of the sweep table; one step per cell up to the first that
+    differs, as a cell-by-cell sweep would spend.  The membership row depends
+    on the generator set alone and is built once per set.
+    """
+    size = algebra.size
+    rows: dict[frozenset[int], bytes] = {}
     for n in range(top + 1):
         sat = None
-        for c, (xs, b) in enumerate(_sweep_cells(algebra, n)):
-            if b == 0:
-                members = fg(algebra, frozenset(xs), logic, budget).members
+        for r, xs in enumerate(itertools.product(range(size), repeat=n)):
+            gens = frozenset(xs)
+            row = rows.get(gens)
+            if row is None:
+                members = fg(algebra, gens, logic, budget).members
+                row = rows[gens] = bytes([b in members for b in range(size)])
             if sat is None:  # built after the first fg, whose errors come first
                 sat = _sweep_table(algebra, candidate.family(n), n, candidate.param_count, budget, theta)
-            budget.spend()
-            if (b in members) != sat[c]:
-                return {"algebra": algebra.name, "n": n} | _cell(algebra, xs, b) | {
-                    "in_fg": b in members
-                }
+            cells = sat[r * size : (r + 1) * size]
+            if row == cells:
+                budget.spend(size)
+                continue
+            b = next(b for b in range(size) if row[b] != cells[b])
+            budget.spend(b + 1)
+            return {"algebra": algebra.name, "n": n} | _cell(algebra, xs, b) | {"in_fg": bool(row[b])}
     return None
 
 
@@ -340,12 +396,13 @@ def compare_candidates(
     sweep order where the unmatched member holds and that one does not.
     """
     budget = as_budget(budget)
+    _require(n_max, 0, "n_max")
     top = min(c1.n_max, c2.n_max)
     if n_max is not None:
         top = min(top, n_max)
-    tables: dict[tuple[int, int, int, int], list[bool]] = {}
+    tables: dict[tuple[int, int, int, int], bytes] = {}
 
-    def sat(side: int, n: int, i: int, a: int) -> list[bool]:
+    def sat(side: int, n: int, i: int, a: int) -> bytes:
         key = (side, n, i, a)
         if key not in tables:
             cand = (c1, c2)[side]
@@ -355,13 +412,16 @@ def compare_candidates(
         return tables[key]
 
     def first_break(side: int, i: int, j: int, n: int) -> dict | None:
-        """The first cell where member i holds and member j of the other does not."""
+        """The first cell where member i holds and member j of the other does
+        not, spending one step per cell up to it."""
         for a, algebra in enumerate(testbed.algebras):
             mine, theirs = sat(side, n, i, a), sat(1 - side, n, j, a)
-            for (xs, b), m, t in zip(_sweep_cells(algebra, n), mine, theirs):
-                budget.spend()
-                if m and not t:
-                    return _cell(algebra, xs, b)
+            broken = _lanes(mine) & ~_lanes(theirs)
+            if broken:
+                c = (broken & -broken).bit_length() // 8  # the lowest lane set
+                budget.spend(c + 1)
+                return _cell(algebra, *next(itertools.islice(_sweep_cells(algebra, n), c, None)))
+            budget.spend(len(mine))
         return None
 
     for n in range(top + 1):
@@ -403,15 +463,22 @@ def absolute_fep_check(
     arity_cap: int = 3,
     budget: Budget | int | None = None,
 ) -> Verdict:
-    """Generated filters on subalgebras against their traces from above."""
+    """Generated filters on subalgebras against their traces from above.
+
+    One step per generator set of at most arity_cap elements, each swept as
+    its sorted tuple: fg depends on the set alone, and the sorted tuple is the
+    first in product order to give a new set, so the first witness is the one
+    a sweep over every tuple finds.
+    """
     budget = as_budget(budget)
+    _require(arity_cap, 0, "arity_cap")
     uncertified: dict[str, str] = {}
     for big in testbed:
         uncertified.update(_uncertified(logic, [big]))
         for sub, small, inclusion in _proper_subalgebras(big, logic, uncertified, budget):
             pair_certified = fg_certified(big, logic) and fg_certified(small, logic)
             for n in range(arity_cap + 1):
-                for xs in itertools.product(range(small.size), repeat=n):
+                for xs in itertools.combinations(range(small.size), n):
                     budget.spend()
                     inner = fg(small, frozenset(xs), logic, budget).members
                     outer = fg(
@@ -489,8 +556,16 @@ def factor_determined_check(
 ) -> Verdict:
     """Generated filters on finite products against products of factorwise
     generated filters; a necessary condition only, since only small index sets
-    are swept."""
+    are swept.
+
+    Unless pinned, the generators are every set of at most generator_cap
+    elements, one step each, swept as sorted tuples; as in absolute_fep_check
+    the first witness is the one a sweep over every tuple finds.
+    """
     budget = as_budget(budget)
+    _require(generator_cap, 0, "generator_cap")
+    if pinned_factors is None:
+        _require(max_product_arity, 2, "max_product_arity")
     if pinned_factors is not None:
         factor_lists = [tuple(pinned_factors)]
     else:
@@ -510,7 +585,7 @@ def factor_determined_check(
             gens_sweep = [
                 xs
                 for n in range(generator_cap + 1)
-                for xs in itertools.product(range(algebra.size), repeat=n)
+                for xs in itertools.combinations(range(algebra.size), n)
             ]
         base_choices = [None]
         if not absolute:
@@ -728,7 +803,7 @@ def search_counterexample(
     searchable = ("fdc", "edcf", "absfep", "fep", "brouwer", "leibniz")
     if property_name not in searchable:
         raise InvalidSpec(f"no searchable property {property_name!r}")
-    for arity in range(1, max_product_arity + 1):
+    for arity in range(2 if property_name == "fdc" else 1, max_product_arity + 1):
         if property_name == "fdc":
             # products are formed inside the checker; grow its arity instead
             bed = generate_testbed(

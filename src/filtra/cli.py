@@ -146,7 +146,7 @@ CHECKS = {
         resolve_logic(args.logic), Testbed(tuple(resolve_algebra(tok) for tok in args.generators.split(","))),
         absolute=not args.relative, max_product_arity=args.arity, budget=budget),
     "absfep": lambda args, budget: absolute_fep_check(
-        resolve_logic(args.logic), resolve_testbed(args.testbed), budget=budget),
+        resolve_logic(args.logic), resolve_testbed(args.testbed), arity_cap=args.arity, budget=budget),
     "fep": lambda args, budget: fep_check(
         resolve_logic(args.logic), resolve_testbed(args.testbed), budget=budget),
     "brouwer": lambda args, budget: dually_brouwerian_check(
@@ -407,13 +407,20 @@ def cmd_list(args) -> int:
     return EXIT_PASS
 
 
+def _budget(text: str) -> int:
+    steps = int(text)
+    if steps < 0:
+        raise argparse.ArgumentTypeError(f"the budget must be at least 0, got {steps}")
+    return steps
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filtra",
         description="Logical filters, congruences, and equational-definability checks on finite algebras.",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="elementary step budget")
+    parser.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help="elementary step budget")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fg = sub.add_parser("fg", help="generate a filter and print the closure trace")

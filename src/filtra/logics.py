@@ -60,11 +60,11 @@ from .algebras import (
     Budget,
     FiniteAlgebra,
     Matrix,
+    Table,
     _apply_pointwise,
     _by_size,
     _elements,
     _free_variables,
-    _hash_fields_once,
     _leaf_table,
     _mask,
     as_budget,
@@ -75,7 +75,7 @@ from .algebras import (
 )
 from .congruences import Congruence
 from .errors import InvalidSpec, SizeBudgetExceeded
-from .terms import Rule, rule_variables
+from .terms import Rule, _hash_fields_once, rule_variables
 
 DEFAULT_CLONE_ELEMENT_CAP = 3000
 CLONE_STEP_ALLOWANCE = 2_000_000
@@ -155,16 +155,19 @@ class _RuleContext:
         self.family: tuple[int, ...] | None = None
 
     def instances(self, budget: Budget) -> tuple[tuple[int, int], ...]:
-        """Every valuation instance of every rule, as (premise mask, conclusion bit)."""
+        """Every valuation instance of every rule, as (premise mask, conclusion
+        bit); one step per valuation, though equal instances are masked once."""
         if self._instances is None:
             found: set[tuple[int, int]] = set()
             for rule in self.rules:
                 variables = _free_variables(rule_variables(rule), self.algebra)
-                premises = [compile_term(p, self.algebra, variables, budget) for p in rule.premises]
-                conclusion = compile_term(rule.conclusion, self.algebra, variables, budget)
-                for point, concl in enumerate(conclusion):
-                    budget.spend()
-                    prem = _mask(p[point] for p in premises)
+                tables = [
+                    compile_term(t, self.algebra, variables, budget)
+                    for t in rule.premises + (rule.conclusion,)
+                ]
+                budget.spend(len(tables[-1]))
+                for *premises, concl in set(zip(*tables)):
+                    prem = _mask(premises)
                     if not prem >> concl & 1:
                         found.add((prem, 1 << concl))
             self._instances = tuple(found)
@@ -214,13 +217,14 @@ class _Clone:
 
     Element e is the term DAG node nodes[e], either (None, i) for the variable
     x{i+1} or (symbol, argument elements); tables[e] holds one table per
-    algebra, indexed by valuation tuples in lexicographic order.
+    algebra, indexed by valuation tuples in lexicographic order: bytes when
+    no algebra of the build exceeds 256 elements, tuples otherwise.
     """
 
     nvars: int
     complete: bool
     nodes: list[tuple]
-    tables: list[tuple[tuple[int, ...], ...]]
+    tables: list[tuple[Table, ...]]
 
 
 def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int) -> _Clone:
@@ -236,7 +240,7 @@ def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int) -> _Clone:
     tuple, and is cut at the count the allowance affords.
     """
     if max(alg.size for alg in algebras) <= 256:
-        pack, join = bytes, b"".join
+        join = b"".join
 
         def table_row(values: tuple[int, ...]) -> bytes:
             return bytes(values).ljust(256, b"\0")
@@ -244,7 +248,7 @@ def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int) -> _Clone:
         def gather(row: bytes, column: bytes) -> bytes:
             return column.translate(row)
     else:
-        pack, table_row = tuple, tuple
+        table_row = tuple
 
         def join(parts: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
             return tuple(itertools.chain.from_iterable(parts))
@@ -268,7 +272,7 @@ def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int) -> _Clone:
             keys.append(key)
 
     def leaf(node: tuple):
-        return pack(itertools.chain.from_iterable(_leaf_table(a, nvars, node) for a in algebras))
+        return join([_leaf_table(a, nvars, node) for a in algebras])
 
     for i in range(nvars):
         add((None, i), leaf((None, i)))
@@ -319,7 +323,7 @@ def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int) -> _Clone:
     except SizeBudgetExceeded:
         complete = False
     bounds = list(itertools.accumulate(widths, initial=0))
-    tables = [tuple(tuple(key[i:j]) for i, j in zip(bounds, bounds[1:])) for key in keys]
+    tables = [tuple(key[i:j] for i, j in zip(bounds, bounds[1:])) for key in keys]
     return _Clone(nvars, complete, nodes, tables)
 
 
@@ -340,7 +344,7 @@ def _evaluate_clone(target: FiniteAlgebra, shared: _Clone) -> _Clone:
     nvars = shared.nvars
     allowance = Budget(CLONE_STEP_ALLOWANCE)
     width = target.size**nvars
-    mine: list[tuple[int, ...]] = []
+    mine: list[Table] = []
     complete = shared.complete
     try:
         for sym, args in shared.nodes:
@@ -348,7 +352,7 @@ def _evaluate_clone(target: FiniteAlgebra, shared: _Clone) -> _Clone:
             if sym is None or not args:
                 mine.append(_leaf_table(target, nvars, (sym, args)))
             else:
-                mine.append(_apply_pointwise(target.table(sym), target.size, [mine[a] for a in args]))
+                mine.append(_apply_pointwise(target, sym, [mine[a] for a in args]))
     except SizeBudgetExceeded:
         complete = False
     tables = [(t,) + tabs for t, tabs in zip(mine, shared.tables)]

@@ -8,10 +8,19 @@ concrete algebra is decided at evaluation time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .errors import ArityMismatch, TermSyntaxError, UnknownName
+
+
+def _hash_fields_once(self) -> int:
+    """__hash__ of a frozen dataclass that serves as a cache key: its fields,
+    operation tables or subterms among them, are hashed on the first call only."""
+    h = self.__dict__.get("_hash")
+    if h is None:
+        h = self.__dict__["_hash"] = hash(tuple(getattr(self, f.name) for f in fields(self)))
+    return h
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,8 @@ class Var:
 class App:
     symbol: str
     args: tuple = ()
+
+    __hash__ = _hash_fields_once  # memo keys at every node: hash each subterm once
 
 
 Term = Var | App

@@ -23,15 +23,17 @@ from filtra import logics
 from filtra.algebras import (
     Budget,
     FiniteAlgebra,
-    _apply_pointwise,
     _leaf_table,
     direct_product,
+    enumerate_subuniverses,
     eval_term,
+    induced_subalgebra,
     subuniverse_generated,
 )
 from filtra.errors import SizeBudgetExceeded
 from filtra.congruences import Congruence
-from filtra.terms import App, Signature, Var
+from filtra.logics import all_filters, fg
+from filtra.terms import App, Rule, Signature, Var
 
 
 @pytest.fixture(scope="session")
@@ -133,6 +135,25 @@ def random_algebras(draw):
     }
     perm = draw(st.permutations(range(n)))
     return FiniteAlgebra.make("random", n, RANDOM_SIGNATURE, tables), perm
+
+
+def _rule_terms(depth):
+    leaves = st.sampled_from([Var("x"), Var("y")])
+    if depth == 0:
+        return leaves
+    sub = _rule_terms(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(lambda a: App("f", (a,)), sub),
+        st.builds(lambda a, b: App("g", (a, b)), sub, sub),
+    )
+
+
+def random_rules():
+    """One to three rules in the signature of random_algebras, each with at
+    most two premises, terms of depth at most 2 in x and y."""
+    rule = st.builds(Rule, st.lists(_rule_terms(2), max_size=2).map(tuple), _rule_terms(2))
+    return st.lists(rule, min_size=1, max_size=3)
 
 
 CLONE_SIGNATURES = (
@@ -409,10 +430,32 @@ def oracle_least_closed(closed_sets, generators) -> frozenset[int]:
     return least
 
 
+def oracle_apply_pointwise(table, size, arg_tabs) -> tuple[int, ...]:
+    """An operation table applied to the tables of its arguments one point at
+    a time, as a tuple."""
+    if len(arg_tabs) == 1:
+        return tuple([table[x] for x in arg_tabs[0]])
+    if len(arg_tabs) == 2:
+        return tuple([table[x * size + y] for x, y in zip(*arg_tabs)])
+    out = []
+    for point in zip(*arg_tabs):
+        idx = 0
+        for a in point:
+            idx = idx * size + a
+        out.append(table[idx])
+    return tuple(out)
+
+
+def as_tuples(tables):
+    """Clone tables, one per algebra, each as a tuple whatever its type."""
+    return [tuple(map(tuple, tabs)) for tabs in tables]
+
+
 def oracle_build_clone(algebras, nvars) -> logics._Clone:
     """The clone closed one argument tuple at a time, each applied pointwise
     to the argument tables, under the same caps and frontier rule as
-    logics._build_clone (read from the module, so monkeypatching applies)."""
+    logics._build_clone (read from the module, so monkeypatching applies).
+    Its tables are tuples."""
     step = sum(alg.size**nvars for alg in algebras)
     allowance = Budget(logics.CLONE_STEP_ALLOWANCE)
     seen = set()
@@ -426,7 +469,7 @@ def oracle_build_clone(algebras, nvars) -> logics._Clone:
             tables.append(tabs)
 
     for i in range(nvars):
-        add((None, i), tuple(_leaf_table(alg, nvars, (None, i)) for alg in algebras))
+        add((None, i), tuple(tuple(_leaf_table(alg, nvars, (None, i))) for alg in algebras))
 
     complete = True
     try:
@@ -436,14 +479,14 @@ def oracle_build_clone(algebras, nvars) -> logics._Clone:
             for sym, arity in algebras[0].signature.symbols:
                 if arity == 0:
                     allowance.spend(step)
-                    add((sym, ()), tuple(_leaf_table(alg, nvars, (sym, ())) for alg in algebras))
+                    add((sym, ()), tuple(tuple(_leaf_table(alg, nvars, (sym, ()))) for alg in algebras))
                     continue
                 for args in itertools.product(range(prev_count), repeat=arity):
                     if frontier_start and max(args) < frontier_start:
                         continue
                     allowance.spend(step)
                     add((sym, args), tuple(
-                        _apply_pointwise(alg.table(sym), alg.size, [tables[a][ci] for a in args])
+                        oracle_apply_pointwise(alg.table(sym), alg.size, [tables[a][ci] for a in args])
                         for ci, alg in enumerate(algebras)
                     ))
                     if len(tables) > logics.DEFAULT_CLONE_ELEMENT_CAP:
@@ -495,3 +538,91 @@ def oracle_unrefuted(algebra: FiniteAlgebra, logic, clone) -> list[int]:
         for subset in map(frozenset, itertools.combinations(range(algebra.size), r))
         if not refuted(subset)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the sweeps of the checkers, over every generator tuple and every cell
+
+
+def oracle_first_mismatch(logic, algebra, candidate, top, theta=None):
+    """(n, generators, element, in_fg) of the first cell in sweep order where
+    membership in the generated filter and candidate satisfaction (pointwise,
+    modulo theta when given) differ, or None."""
+    for n in range(top + 1):
+        for xs in itertools.product(range(algebra.size), repeat=n):
+            members = fg(algebra, xs, logic).members
+            for b in range(algebra.size):
+                sat = oracle_satisfies_family(algebra, candidate.family(n), xs, b, candidate.param_count, theta)
+                if (b in members) != sat:
+                    return n, list(xs), b, b in members
+    return None
+
+
+def oracle_absolute_fep_check(logic, testbed, arity_cap) -> dict:
+    """absolute_fep_check's verdict as JSON for a rule logic (whose filters
+    are always certified), sweeping every generator tuple in product order."""
+    for big in testbed:
+        for sub in enumerate_subuniverses(big):
+            if len(sub) == big.size:
+                continue
+            small, inclusion = induced_subalgebra(big, sub)
+            for n in range(arity_cap + 1):
+                for xs in itertools.product(range(small.size), repeat=n):
+                    inner = fg(small, xs, logic).members
+                    outer = fg(big, [inclusion[x] for x in xs], logic).members
+                    trace = frozenset(i for i in range(small.size) if inclusion[i] in outer)
+                    if inner != trace:
+                        generators = [inclusion[x] for x in xs]
+                        return {"outcome": "fail", "checker": "absolute-fep", "witness": {
+                            "algebra": big.name,
+                            "subalgebra": sorted(sub),
+                            "subalgebra_labels": [big.label(e) for e in sub],
+                            "generators": generators,
+                            "generator_labels": [big.label(g) for g in generators],
+                            "fg_in_subalgebra": sorted(inclusion[i] for i in inner),
+                            "trace_from_extension": sorted(inclusion[i] for i in trace),
+                        }}
+    return {"outcome": "pass", "checker": "absolute-fep"}
+
+
+def oracle_factor_determined_check(logic, testbed, absolute, generator_cap) -> dict:
+    """factor_determined_check's verdict as JSON for a rule logic over the
+    squares and products of two testbed algebras, sweeping every generator
+    tuple in product order."""
+    for factors in itertools.combinations_with_replacement(tuple(testbed), 2):
+        prod = direct_product(list(factors))
+        algebra = prod.algebra
+        coords = [prod.to_tuple(e) for e in range(algebra.size)]
+        base_choices = [None]
+        if not absolute:
+            base_choices = list(itertools.product(
+                *([f.members for f in all_filters(fac, logic)] for fac in factors)
+            ))
+        for bases in base_choices:
+            for n in range(generator_cap + 1):
+                for xs in itertools.product(range(algebra.size), repeat=n):
+                    seeds = [{coords[x][i] for x in xs} | (bases[i] if bases else set()) for i in range(2)]
+                    factor_fgs = [fg(fac, seed, logic).members for fac, seed in zip(factors, seeds)]
+                    seed_product = set(xs)
+                    if bases is not None:
+                        seed_product |= {e for e in range(algebra.size)
+                                         if all(coords[e][i] in bases[i] for i in range(2))}
+                    on_product = fg(algebra, seed_product, logic).members
+                    boxed = frozenset(e for e in range(algebra.size)
+                                      if all(coords[e][i] in factor_fgs[i] for i in range(2)))
+                    if on_product != boxed:
+                        missing = sorted(boxed - on_product) or sorted(on_product - boxed)
+                        witness = {
+                            "algebra": algebra.name,
+                            "factors": [f.name for f in factors],
+                            "generators": list(xs),
+                            "generator_labels": [algebra.label(x) for x in xs],
+                            "element": missing[0],
+                            "element_label": algebra.label(missing[0]),
+                            "side": "product_of_factor_filters_minus_fg" if boxed - on_product
+                            else "fg_minus_product_of_factor_filters",
+                        }
+                        if bases is not None:
+                            witness["base_filters"] = [sorted(b) for b in bases]
+                        return {"outcome": "fail", "checker": "factor-determined", "witness": witness}
+    return {"outcome": "pass", "checker": "factor-determined"}

@@ -130,9 +130,44 @@ def test_compiled_term_matches_pointwise_evaluation(compilation):
             eval_term(term, algebra, dict.fromkeys(variables, 0))
         return
     points = list(itertools.product(range(algebra.size), repeat=len(variables)))
-    assert table == tuple(eval_term(term, algebra, dict(zip(variables, p))) for p in points)
+    assert tuple(table) == tuple(eval_term(term, algebra, dict(zip(variables, p))) for p in points)
     # each distinct subterm is tabulated once, at the width of the table
     assert budget.spent == len(points) * len(_subterms(term))
+
+
+def _arithmetic_algebra(n, symbols):
+    """An algebra on n elements with the listed symbols among f, g and h
+    (arities 1, 2 and 3), each a polynomial modulo n."""
+    formulas = {
+        "f": lambda x: (7 * x + 3) % n,
+        "g": lambda x, y: (3 * x + 5 * y + x * y) % n,
+        "h": lambda x, y, z: (x + 2 * y + 4 * z + x * y * z) % n,
+    }
+    signature = Signature(tuple((sym, formulas[sym].__code__.co_argcount) for sym in symbols))
+    tables = {
+        sym: [formulas[sym](*args) for args in itertools.product(range(n), repeat=arity)]
+        for sym, arity in signature.symbols
+    }
+    return FiniteAlgebra.make(f"Z{n}", n, signature, tables)
+
+
+@pytest.mark.parametrize(
+    "n, symbols, text, variables",
+    [
+        (16, "fg", "(g (f x) (g y (f z)))", "xyz"),  # 16^2 = 256: byte lanes throughout
+        (17, "fg", "(g (f x) (g y (f z)))", "xyz"),  # 17^2 > 256: g point by point
+        (6, "fh", "(h (f x) y (h z x y))", "xyz"),  # 6^3 = 216
+        (7, "fh", "(h (f x) y (h z x y))", "xyz"),  # 7^3 > 256
+        (300, "fg", "(g (f x) (g x (f x)))", "x"),  # above 256 elements: tuples
+    ],
+)
+def test_compiled_tables_on_both_sides_of_a_byte_lane(n, symbols, text, variables):
+    algebra = _arithmetic_algebra(n, symbols)
+    term = parse_term(text, algebra.signature)
+    table = compile_term(term, algebra, list(variables))
+    assert type(table) is (bytes if n <= 256 else tuple)
+    points = itertools.product(range(n), repeat=len(variables))
+    assert tuple(table) == tuple(eval_term(term, algebra, dict(zip(variables, p))) for p in points)
 
 
 def test_compile_term_checks_the_budget_before_allocating():

@@ -2,13 +2,23 @@ import itertools
 
 import pytest
 
-from conftest import oracle_satisfies_family
+from hypothesis import given, settings
+
+from conftest import (
+    oracle_absolute_fep_check,
+    oracle_factor_determined_check,
+    oracle_first_mismatch,
+    oracle_satisfies_family,
+    random_algebras,
+    random_rules,
+)
 
 from filtra import builtins as bi
 from filtra.algebras import Budget, FiniteAlgebra, direct_product, eval_term, trivial_algebra
 from filtra.candidates import EDCFCandidate, fold_terms, kl_global, lp_global, pwk_local, xvars
 from filtra.checks import (
     Testbed,
+    _first_mismatch,
     _sweep_table,
     absolute_fep_check,
     check_edcf,
@@ -184,6 +194,22 @@ def test_sweep_table_matches_pointwise_oracle(candidate, testbed):
             assert_sweep_matches_oracle(algebra, c.family(n), n, c.param_count)
 
 
+@pytest.mark.parametrize(
+    "logic, candidate, algebra",
+    [("PWK", "pwk-local", "WK3"), ("KL", "kl-global", "K3^2"), ("KG", "modal-global-k0", "mchain2"),
+     ("LUK", "luk-global-k1", "L3")],
+)
+def test_first_mismatch_by_rows_is_the_first_cell_by_cell(logic, candidate, algebra):
+    logic, candidate, algebra = bi.logic(logic), bi.candidate(candidate), bi.algebra(algebra)
+    for theta in [None] + list(all_congruences(algebra)):
+        got = _first_mismatch(logic, algebra, candidate, candidate.n_max, Budget(), theta)
+        want = oracle_first_mismatch(logic, algebra, candidate, candidate.n_max, theta)
+        if want is None:
+            assert got is None, theta
+        else:
+            assert (got["n"], got["generators"], got["element"], got["in_fg"]) == want, theta
+
+
 def parametrized_candidate(signature):
     """Two members: y is the join of the generators and some z1, or y is the
     negation of a z1 that meets y at the bottom."""
@@ -301,7 +327,7 @@ def test_absolute_fep_synthetic_failure():
 def test_fep_with_base_filters(pwk, one_logic):
     assert fep_check(one_logic, bi.testbed("box5")).passed
     bed = generate_testbed([bi.algebra("WK3")], 1, include_subalgebras=True)
-    assert fep_check(pwk, bed).outcome in ("pass", "fail")
+    assert fep_check(pwk, bed).passed
 
 
 def test_fep_ord_logic_on_lattices(ord_logic):
@@ -309,10 +335,11 @@ def test_fep_ord_logic_on_lattices(ord_logic):
         [bi.algebra("BOOL4"), bi.algebra("M3")], 1, include_subalgebras=True
     )
     v = fep_check(ord_logic, bed)
-    assert v.outcome in ("pass", "fail")
-    # replay: a failure must exhibit a real unextendable filter
-    if v.failed:
-        assert "filter_without_extension" in v.witness
+    assert v.failed
+    assert v.witness == {
+        "algebra": "BOOL4", "subalgebra": [0, 1, 3], "base_filter": [2, 3],
+        "filter_without_extension": [1, 3],
+    }
 
 
 # --- factor determination ------------------------------------------------------------
@@ -346,9 +373,73 @@ def test_kleene_factor_determined(kl, k3):
     assert factor_determined_check(kl, Testbed((k3,)), generator_cap=1).passed
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_algebras(), random_rules())
+def test_set_sweeps_report_the_first_witness_of_the_tuple_sweeps(algebra_and_perm, rules):
+    algebra, _ = algebra_and_perm
+    logic, bed = RulePresented(tuple(rules)), Testbed((algebra,))
+    for cap in (2, 3):
+        assert absolute_fep_check(logic, bed, arity_cap=cap).to_json() == oracle_absolute_fep_check(
+            logic, bed, cap
+        )
+        assert factor_determined_check(logic, bed, generator_cap=cap).to_json() == (
+            oracle_factor_determined_check(logic, bed, True, cap)
+        )
+    if algebra.size <= 3:  # the relative sweep repeats per pair of factor filters
+        assert factor_determined_check(logic, bed, absolute=False, generator_cap=2).to_json() == (
+            oracle_factor_determined_check(logic, bed, False, 2)
+        )
+
+
+def test_absolute_fep_first_fails_at_a_pair_of_generators():
+    # a derivation leaves the subalgebra {0, 2, 3} through g(1, 1) = 0 once
+    # both 2 and 3 are in; random rule logics rarely fail absfep at all
+    sig = Signature((("g", 2),))
+    table = [3, 3, 2, 0, 0, 0, 0, 3, 2, 3, 2, 2, 3, 2, 3, 3, 0, 3, 2, 1, 3, 1, 0, 1, 2]
+    bed = Testbed((FiniteAlgebra.make("A", 5, sig, {"g": table}),))
+    premises = tuple(parse_term(p, sig) for p in ("x", "y", "(g x y)"))
+    logic = RulePresented((Rule(premises, parse_term("(g u u)", sig)),))
+    for cap in (2, 3):
+        v = absolute_fep_check(logic, bed, arity_cap=cap)
+        assert v.to_json() == oracle_absolute_fep_check(logic, bed, cap)
+        assert v.witness["generators"] == [2, 3]
+        assert v.witness["trace_from_extension"] == [0, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pwk, wk3, cand: check_edcf(pwk, Testbed((wk3,)), cand, n_max=-1),
+        lambda pwk, wk3, cand: check_edcf_theta_form(pwk, [wk3], Axiomatic(), cand, n_max=-1),
+        lambda pwk, wk3, cand: compare_candidates(cand, cand, Testbed((wk3,)), n_max=-1),
+        lambda pwk, wk3, cand: absolute_fep_check(pwk, Testbed((wk3,)), arity_cap=-1),
+        lambda pwk, wk3, cand: factor_determined_check(pwk, Testbed((wk3,)), generator_cap=-1),
+        lambda pwk, wk3, cand: factor_determined_check(pwk, Testbed((wk3,)), max_product_arity=1),
+    ],
+    ids=["edcf", "edcf-theta", "compare", "absfep", "fdc-generators", "fdc-arity"],
+)
+def test_a_cap_leaving_the_sweep_empty_is_a_configuration_error(pwk, wk3, call):
+    with pytest.raises(InvalidSpec, match="the sweep would be empty"):
+        call(pwk, wk3, bi.candidate("pwk-local"))
+
+
+def test_caps_at_their_least_values_still_sweep(pwk, wk3):
+    cand = bi.candidate("pwk-local")
+    assert check_edcf(pwk, Testbed((wk3,)), cand, n_max=0).passed
+    assert compare_candidates(cand, cand, Testbed((wk3,)), n_max=0).passed
+    # a cap of 0 sweeps the empty generator set
+    assert absolute_fep_check(pwk, Testbed((wk3,)), arity_cap=0).passed
+    assert factor_determined_check(pwk, Testbed((wk3,)), generator_cap=0).passed
+    # pinned factors need no product arity
+    v = factor_determined_check(
+        pwk, Testbed((wk3,)), max_product_arity=1, pinned_factors=(wk3, wk3), pinned_generators=[(6,)]
+    )
+    assert v.failed
+
+
 def test_relative_factor_determination_runs(pwk, wk3):
     v = factor_determined_check(pwk, Testbed((wk3,)), absolute=False, generator_cap=0)
-    assert v.outcome in ("pass", "fail")
+    assert v.passed
 
 
 # --- test algebras ---------------------------------------------------------------------

@@ -94,6 +94,31 @@ def test_unknown_names_exit_config(capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "absfep", "--logic", "PWK", "--testbed", "wk3-isp", "--arity", "-1"),
+        ("check", "edcf", "--logic", "PWK", "--testbed", "wk3-isp", "--candidate", "pwk-local", "--nmax", "-1"),
+        ("check", "fdc", "--logic", "PWK", "--generators", "WK3", "--arity", "1"),
+    ],
+    ids=["absfep", "edcf", "fdc"],
+)
+def test_an_empty_sweep_exits_config(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "the sweep would be empty" in err
+
+
+def test_a_negative_budget_is_refused_at_parse_time(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--budget", "-5", "fg", "--algebra", "WK3", "--logic", "PWK"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "the budget must be at least 0, got -5" in capsys.readouterr().err
+    code, out, _ = run(capsys, "--budget", "0", "list", "logics")
+    assert code == EXIT_PASS and "PWK" in out
+
+
 def test_budget_exit(capsys):
     code, _, err = run(capsys, "--budget", "10", "check", "fdc", "--logic", "PWK",
                        "--generators", "WK3", "--arity", "2")

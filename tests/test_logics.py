@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     MATRIX_SIGNATURES,
+    as_tuples,
     oracle_build_clone,
     oracle_closed_sets,
     oracle_least_closed,
@@ -12,6 +13,7 @@ from conftest import (
     oracle_unrefuted,
     random_algebras,
     random_clone_algebras,
+    random_rules,
     relabel,
 )
 
@@ -47,7 +49,7 @@ from filtra.logics import (
     make_filter,
     rule_valid_in_matrix,
 )
-from filtra.terms import App, Rule, Signature, Var, parse_term
+from filtra.terms import Rule, Signature, parse_term
 
 
 def rule(sig, premises, conclusion):
@@ -416,23 +418,8 @@ def test_rule_logic_filters_on_mchain5_without_a_subset_sweep(cold_contexts, kg)
     assert filters_certified(mchain5, kg)
 
 
-def _terms(depth):
-    leaves = st.sampled_from([Var("x"), Var("y")])
-    if depth == 0:
-        return leaves
-    sub = _terms(depth - 1)
-    return st.one_of(
-        leaves,
-        st.builds(lambda a: App("f", (a,)), sub),
-        st.builds(lambda a, b: App("g", (a, b)), sub, sub),
-    )
-
-
-_RULES = st.builds(Rule, st.lists(_terms(2), max_size=2).map(tuple), _terms(2))
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(random_algebras(), st.lists(_RULES, min_size=1, max_size=3))
+@given(random_algebras(), random_rules())
 def test_random_rule_logics_match_the_closure_oracle(algebra_and_perm, rules):
     algebra, perm = algebra_and_perm
     logic = RulePresented(tuple(rules))
@@ -456,7 +443,7 @@ def test_random_rule_logics_match_the_closure_oracle(algebra_and_perm, rules):
 
 def _same_clone(got, want):
     assert got.nodes == want.nodes
-    assert got.tables == want.tables
+    assert as_tuples(got.tables) == as_tuples(want.tables)
     assert got.complete == want.complete
 
 
