@@ -559,46 +559,55 @@ def is_homomorphism(
     )
 
 
-def enumerate_homomorphisms(
-    dom: FiniteAlgebra, cod: FiniteAlgebra, budget: Budget | int | None = None
-) -> list[tuple[int, ...]]:
-    """All homomorphisms dom -> cod in lexicographic order.
+def _homomorphisms(
+    dom: FiniteAlgebra, cod: FiniteAlgebra, budget: Budget, injective: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """Homomorphisms dom -> cod in lexicographic order, each yielded once found.
 
-    Depth-first search assigning images of 0, 1, ... in turn; a partial map is
-    pruned as soon as some fully-assigned operation instance disagrees.
+    Depth-first search assigning the images of 0, 1, ... in turn; a partial
+    map is pruned as soon as some operation instance it fully decides reads a
+    different value off cod's table.  Each candidate image spends one step;
+    with injective, an image already in use is skipped before it spends.
     """
-    budget = as_budget(budget)
     if dom.signature != cod.signature:
         raise InvalidSpec("homomorphisms need a shared signature")
-    n = dom.size
-
+    n, m = dom.size, cod.size
     # for each element e, the op instances fully decided once 0..e are assigned
-    instances_at: list[list[tuple[str, tuple[int, ...], int]]] = [[] for _ in range(n)]
+    instances_at: list[list[tuple[tuple[int, ...], tuple[int, ...], int]]] = [[] for _ in range(n)]
     for sym, arity in dom.signature.symbols:
-        for args in itertools.product(range(n), repeat=arity):
-            value = dom.op(sym, *args)
-            latest = max(args + (value,)) if args else value
-            instances_at[latest].append((sym, args, value))
-
-    out: list[tuple[int, ...]] = []
-    image: list[int] = []
+        for args, value in zip(itertools.product(range(n), repeat=arity), dom.table(sym)):
+            instances_at[max(args + (value,))].append((cod.table(sym), args, value))
+    image = [0] * n
+    used = [False] * m
 
     def consistent(e: int) -> bool:
-        for sym, args, value in instances_at[e]:
-            if image[value] != cod.op(sym, *(image[a] for a in args)):
+        for table, args, value in instances_at[e]:
+            idx = 0
+            for a in args:
+                idx = idx * m + image[a]
+            if table[idx] != image[value]:
                 return False
         return True
 
-    def search(e: int) -> None:
+    def search(e: int) -> Iterator[tuple[int, ...]]:
         if e == n:
-            out.append(tuple(image))
+            yield tuple(image)
             return
-        for v in range(cod.size):
+        for v in range(m):
+            if injective and used[v]:
+                continue
             budget.spend()
-            image.append(v)
+            image[e] = v
             if consistent(e):
-                search(e + 1)
-            image.pop()
+                used[v] = True
+                yield from search(e + 1)
+                used[v] = False
 
-    search(0)
-    return out
+    return search(0)
+
+
+def enumerate_homomorphisms(
+    dom: FiniteAlgebra, cod: FiniteAlgebra, budget: Budget | int | None = None
+) -> list[tuple[int, ...]]:
+    """All homomorphisms dom -> cod in lexicographic order (see _homomorphisms)."""
+    return list(_homomorphisms(dom, cod, as_budget(budget)))

@@ -24,15 +24,17 @@ from .algebras import (
     Budget,
     FiniteAlgebra,
     Table,
+    _homomorphisms,
     as_budget,
     compile_term,
     direct_product,
+    enumerate_homomorphisms,
     enumerate_subuniverses,
     induced_subalgebra,
     quotient,
 )
 from .candidates import EDCFCandidate
-from .classes import ClassSpec, _all_homomorphisms, k_congruences, theta_k
+from .classes import ClassSpec, k_congruences, theta_k
 from .congruences import Congruence, leibniz_congruence
 from .errors import InvalidSpec
 from .logics import (
@@ -79,7 +81,6 @@ class Testbed:
 
     algebras: tuple[FiniteAlgebra, ...]
     provenance: tuple[str, ...] = ()
-    class_spec: ClassSpec | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -90,61 +91,25 @@ class Testbed:
         return iter(self.algebras)
 
 
-def _isomorphic(a: FiniteAlgebra, b: FiniteAlgebra, budget: Budget) -> bool:
-    """Bijective homomorphism search with injective pruning."""
-    if a.size != b.size or a.signature != b.signature:
-        return False
-    n = a.size
-    instances_at: list[list[tuple[str, tuple[int, ...], int]]] = [[] for _ in range(n)]
-    for sym, arity in a.signature.symbols:
-        for args in itertools.product(range(n), repeat=arity):
-            value = a.op(sym, *args)
-            latest = max(args + (value,)) if args else value
-            instances_at[latest].append((sym, args, value))
-    image: list[int] = []
-    used = [False] * n
-
-    def search(e: int) -> bool:
-        if e == n:
-            return True
-        for v in range(n):
-            if used[v]:
-                continue
-            budget.spend()
-            image.append(v)
-            used[v] = True
-            ok = all(
-                image[value] == b.op(sym, *(image[x] for x in args))
-                for sym, args, value in instances_at[e]
-            )
-            if ok and search(e + 1):
-                return True
-            image.pop()
-            used[v] = False
-        return False
-
-    return search(0)
-
-
 def generate_testbed(
     generators: Sequence[FiniteAlgebra],
     max_product_arity: int = 1,
     include_subalgebras: bool = False,
-    class_spec: ClassSpec | None = None,
-    dedup: bool = True,
     budget: Budget | int | None = None,
     name: str = "",
 ) -> Testbed:
     """Generators, their products up to the arity bound, optionally all
-    subalgebras, deduplicated up to isomorphism when sizes permit."""
+    subalgebras, deduplicated up to isomorphism among algebras of at most 8
+    elements."""
     budget = as_budget(budget)
     algebras: list[FiniteAlgebra] = []
     provenance: list[str] = []
 
     def push(alg: FiniteAlgebra, source: str) -> None:
-        if dedup:
-            for seen in algebras:
-                if seen.size == alg.size and seen.size <= 8 and _isomorphic(seen, alg, budget):
+        for seen in algebras:
+            # above 8 elements the isomorphism searches cost more than the duplicates they drop
+            if seen.size == alg.size <= 8 and seen.signature == alg.signature:
+                if next(_homomorphisms(seen, alg, budget, injective=True), None) is not None:
                     return
         algebras.append(alg)
         provenance.append(source)
@@ -160,7 +125,7 @@ def generate_testbed(
                 if len(sub) == alg.size:
                     continue
                 push(induced_subalgebra(alg, sub)[0], "subalgebra")
-    return Testbed(tuple(algebras), tuple(provenance), class_spec, name)
+    return Testbed(tuple(algebras), tuple(provenance), name)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +618,7 @@ def test_algebra_check(
         }
         return _resolve(True, witness, "test-algebra", uncertified)
     for algebra in testbed:
-        homs = _all_homomorphisms(test_algebra, algebra)
+        homs = enumerate_homomorphisms(test_algebra, algebra, budget)
         for xs in itertools.product(range(algebra.size), repeat=n):
             members = fg(algebra, frozenset(xs), logic, budget).members
             for b in sorted(members):

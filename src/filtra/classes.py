@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebras import (
     Budget,
@@ -88,12 +87,6 @@ def _holds_quasiequation(
     return True
 
 
-@lru_cache(maxsize=None)
-def _all_homomorphisms(dom: FiniteAlgebra, cod: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
-    """Every homomorphism dom -> cod, enumerated once per pair in the process."""
-    return tuple(enumerate_homomorphisms(dom, cod))
-
-
 def member(
     algebra: FiniteAlgebra, spec: ClassSpec, budget: Budget | int | None = None
 ) -> bool:
@@ -110,7 +103,7 @@ def member(
         if g.signature != algebra.signature:
             raise InvalidSpec("membership test across different signatures")
     # separating-homomorphism criterion; homs are enumerated once per generator
-    hom_sets = [_all_homomorphisms(algebra, g) for g in spec.generators]
+    hom_sets = [enumerate_homomorphisms(algebra, g, budget) for g in spec.generators]
     for a in range(algebra.size):
         for b in range(a + 1, algebra.size):
             budget.spend()

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import builtins as bi
-from .algebras import DEFAULT_BUDGET, Budget, FiniteAlgebra, enumerate_homomorphisms
+from .algebras import DEFAULT_BUDGET, Budget, FiniteAlgebra, direct_product, enumerate_homomorphisms
 from .checks import (
     INCONCLUSIVE,
     PASS,
@@ -209,16 +209,12 @@ def _replay_command(args) -> str:
 # reproduce catalog
 
 
+def _row(results: list, label: str, expected, got, ok: bool, **extra) -> None:
+    results.append({"step": label, "expected": expected, "got": got, "ok": ok, **extra})
+
+
 def _expect(results: list, label: str, verdict: Verdict, expected: str) -> None:
-    results.append(
-        {
-            "step": label,
-            "expected": expected,
-            "got": verdict.outcome,
-            "ok": verdict.outcome == expected,
-            "verdict": verdict.to_json(),
-        }
-    )
+    _row(results, label, expected, verdict.outcome, verdict.outcome == expected, verdict=verdict.to_json())
 
 
 def _reproduce_kleene_edcf(results):
@@ -246,32 +242,17 @@ def _reproduce_pwk_no_pedcf(results):
         pinned_factors=(wk3, wk3), pinned_generators=[(6,)],
     )
     _expect(results, "factor-determined filters fail on WK3 x WK3 at generator (half,0)", v, "fail")
-    ok_witness = bool(v.witness) and v.witness.get("element_label") == "(1,0)"
-    results.append(
-        {
-            "step": "witness element is (1,0)",
-            "expected": "(1,0)",
-            "got": (v.witness or {}).get("element_label"),
-            "ok": ok_witness,
-        }
-    )
-    from .algebras import direct_product
-
+    label = (v.witness or {}).get("element_label")
+    _row(results, "witness element is (1,0)", "(1,0)", label, label == "(1,0)")
     prod = direct_product([wk3, wk3])
     published = tuple(
         2 if 2 in prod.to_tuple(e) else prod.to_tuple(e)[1] for e in range(9)
     )
-    homs = enumerate_homomorphisms(prod.algebra, wk3)
-    results.append(
-        {
-            "step": "the collapsing homomorphism WK3^2 -> WK3 is enumerated",
-            "expected": "present",
-            "got": "present" if published in homs else "absent",
-            "ok": published in homs,
-            "homomorphism": {
-                prod.algebra.label(e): wk3.label(published[e]) for e in range(9)
-            },
-        }
+    found = published in enumerate_homomorphisms(prod.algebra, wk3)
+    _row(
+        results, "the collapsing homomorphism WK3^2 -> WK3 is enumerated", "present",
+        "present" if found else "absent", found,
+        homomorphism={prod.algebra.label(e): wk3.label(published[e]) for e in range(9)},
     )
 
 
@@ -284,24 +265,12 @@ def _reproduce_box5_no_min(results):
     t1 = [[0, 1], [2, 4], [3]]
     t2 = [[0, 1], [2], [3, 4]]
     minimal = (v.witness or {}).get("minimal_congruences", [])
-    ok = t1 in minimal and t2 in minimal
-    results.append(
-        {
-            "step": "published incomparable pair among the minimal congruences",
-            "expected": [t1, t2],
-            "got": minimal,
-            "ok": ok,
-        }
+    _row(
+        results, "published incomparable pair among the minimal congruences", [t1, t2],
+        minimal, t1 in minimal and t2 in minimal,
     )
-    meet_ok = (v.witness or {}).get("meet_blocks") == [[0, 1], [2], [3], [4]]
-    results.append(
-        {
-            "step": "their meet collapses only {0,1}",
-            "expected": [[0, 1], [2], [3], [4]],
-            "got": (v.witness or {}).get("meet_blocks"),
-            "ok": meet_ok,
-        }
-    )
+    meet, expected = (v.witness or {}).get("meet_blocks"), [[0, 1], [2], [3], [4]]
+    _row(results, "their meet collapses only {0,1}", expected, meet, meet == expected)
 
 
 def _reproduce_m3_not_brouwerian(results):
@@ -340,15 +309,10 @@ def _reproduce_luk_local_only(results):
 def _reproduce_kl_only_filter(results):
     k3 = bi.algebra("K3")
     families = [sorted(f.members) for f in all_filters(k3, bi.logic("KL"))]
-    expected = [[2], [0, 1, 2]]
-    results.append(
-        {
-            "step": "KL filters on K3 are exactly {1} and the carrier",
-            "expected": expected,
-            "got": families,
-            "ok": families == expected and filters_certified(k3, bi.logic("KL")),
-            "certified": filters_certified(k3, bi.logic("KL")),
-        }
+    expected, certified = [[2], [0, 1, 2]], filters_certified(k3, bi.logic("KL"))
+    _row(
+        results, "KL filters on K3 are exactly {1} and the carrier", expected, families,
+        families == expected and certified, certified=certified,
     )
 
 

@@ -4,12 +4,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_homomorphisms, terms_up_to_depth
+from conftest import brute_homomorphisms, random_algebras, relabel, terms_up_to_depth
 
 from filtra import builtins as bi
 from filtra.algebras import (
     Budget,
     FiniteAlgebra,
+    _homomorphisms,
     compile_term,
     direct_product,
     enumerate_homomorphisms,
@@ -23,6 +24,7 @@ from filtra.algebras import (
     subuniverse_generated,
     trivial_algebra,
 )
+from filtra.checks import generate_testbed
 from filtra.congruences import Congruence
 from filtra.errors import (
     ArityMismatch,
@@ -396,6 +398,21 @@ def test_is_homomorphism_matches_brute_force(wk3, k3):
 def test_enumeration_matches_brute_force(wk3, k3):
     for dom, cod in [(wk3, wk3), (k3, k3), (wk3, bi.algebra("WK3"))]:
         assert enumerate_homomorphisms(dom, cod) == brute_homomorphisms(dom, cod)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(random_algebras(), random_algebras())
+def test_homomorphism_search_matches_brute_force(drawn, other):
+    algebra, perm = drawn
+    twin = relabel(algebra, perm)
+    for cod in (algebra, twin, other[0]):
+        homs = brute_homomorphisms(algebra, cod)
+        assert enumerate_homomorphisms(algebra, cod) == homs
+        # the injective search yields the first injective map, a bijection when sizes agree
+        injective = [h for h in homs if len(set(h)) == algebra.size]
+        assert next(_homomorphisms(algebra, cod, Budget(), injective=True), None) == next(iter(injective), None)
+        assert injective or cod is not twin
+    assert len(generate_testbed([algebra, twin]).algebras) == 1
 
 
 def test_enumeration_is_lexicographic(wk3):

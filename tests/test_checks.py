@@ -14,7 +14,8 @@ from conftest import (
 )
 
 from filtra import builtins as bi
-from filtra.algebras import Budget, FiniteAlgebra, direct_product, eval_term, trivial_algebra
+from filtra import checks
+from filtra.algebras import Budget, FiniteAlgebra, direct_product, enumerate_homomorphisms, eval_term, trivial_algebra
 from filtra.candidates import EDCFCandidate, fold_terms, kl_global, lp_global, pwk_local, xvars
 from filtra.checks import (
     Testbed,
@@ -455,6 +456,24 @@ def test_pwk_candidate_test_algebra_fails(pwk, wk3):
     v = run_test_algebra_check(pwk, Testbed((wk3,)), wk3, (2,), 1)
     assert v.failed
     assert v.witness["reason"] == "no homomorphism maps the test elements onto this cell"
+
+
+def test_test_algebra_check_spends_its_homomorphism_search(monkeypatch, pwk, wk3_sq):
+    square = wk3_sq.algebra
+    bed = Testbed((square,))
+    run_test_algebra_check(pwk, bed, square, (0,), 4)  # build the filter contexts
+    search = Budget()
+    enumerate_homomorphisms(square, square, search)
+    uncharged = Budget()
+    with monkeypatch.context() as m:
+        m.setattr(
+            checks, "enumerate_homomorphisms",
+            lambda dom, cod, budget=None: enumerate_homomorphisms(dom, cod), raising=False,
+        )
+        run_test_algebra_check(pwk, bed, square, (0,), 4, uncharged)
+    charged = Budget()
+    assert run_test_algebra_check(pwk, bed, square, (0,), 4, charged).failed
+    assert charged.spent == uncharged.spent + search.spent
 
 
 def test_square_test_algebra_for_pwk(pwk, wk3, wk3_sq):

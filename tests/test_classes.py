@@ -4,7 +4,16 @@ import random
 import pytest
 
 from filtra import builtins as bi
-from filtra.algebras import FiniteAlgebra, direct_product, eval_term, induced_subalgebra, quotient
+from filtra import classes
+from filtra.algebras import (
+    Budget,
+    FiniteAlgebra,
+    direct_product,
+    enumerate_homomorphisms,
+    eval_term,
+    induced_subalgebra,
+    quotient,
+)
 from filtra.classes import (
     Axiomatic,
     GeneratedQuasivariety,
@@ -15,6 +24,7 @@ from filtra.classes import (
     theta_k,
 )
 from filtra.congruences import Congruence, all_congruences
+from filtra.errors import SizeBudgetExceeded
 from filtra.terms import parse_equation
 
 THETA1 = Congruence.from_blocks([[0, 1], [2, 4], [3]], 5)
@@ -225,3 +235,31 @@ def test_relative_set_always_contains_the_total_congruence(wk3, k3, box5, alpha1
 
 def test_cg_k_with_collapsing_pairs(k3):
     assert cg_k(k3, GeneratedQuasivariety((k3,)), [(0, 2)]) == Congruence.total(3)
+
+
+def test_member_spends_the_callers_budget_on_its_homomorphism_search(wk3):
+    square = direct_product([wk3, wk3]).algebra
+    search = Budget()
+    enumerate_homomorphisms(square, wk3, search)
+    spent = Budget()
+    assert member(square, bi.class_spec("qwk3"), spent)
+    # the search, then one step per pair of elements checked for separation
+    assert spent.spent == search.spent + 9 * 8 // 2
+
+
+def test_k_congruences_spend_their_homomorphism_searches(monkeypatch, wk3):
+    square = direct_product([wk3, wk3]).algebra
+    qwk3 = bi.class_spec("qwk3")
+    searches = Budget()
+    for theta in all_congruences(square):
+        enumerate_homomorphisms(quotient(square, theta.partition)[0], wk3, searches)
+    uncharged = Budget()
+    with monkeypatch.context() as m:
+        m.setattr(classes, "enumerate_homomorphisms", lambda dom, cod, budget=None: enumerate_homomorphisms(dom, cod))
+        k_congruences(square, qwk3, uncharged)
+    charged = Budget()
+    k_congruences(square, qwk3, charged)
+    assert charged.spent == uncharged.spent + searches.spent
+    # a budget that suffices once the searches go uncharged no longer does
+    with pytest.raises(SizeBudgetExceeded):
+        k_congruences(square, qwk3, Budget(uncharged.spent))
