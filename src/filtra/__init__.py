@@ -34,7 +34,6 @@ from .checks import (
     Verdict,
     absolute_fep_check,
     check_edcf,
-    check_edcf_theta_form,
     compare_candidates,
     dually_brouwerian_check,
     factor_determined_check,
@@ -47,7 +46,6 @@ from .checks import (
 )
 from .congruences import (
     Congruence,
-    CongruenceSet,
     all_congruences,
     cg_generated,
     is_compatible,
@@ -56,7 +54,6 @@ from .congruences import (
 )
 from .errors import (
     ArityMismatch,
-    EmptyRelativeCongruenceSet,
     FiltraError,
     InvalidSpec,
     NotACongruence,

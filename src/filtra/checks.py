@@ -15,6 +15,7 @@ that would leave a sweep empty is a configuration error, not a vacuous pass.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -306,45 +307,25 @@ def check_edcf(
     candidate: EDCFCandidate,
     variant: str = "local",
     n_max: int | None = None,
+    class_spec: ClassSpec | None = None,
     budget: Budget | int | None = None,
 ) -> Verdict:
-    """Compare filter membership with candidate satisfaction on every cell."""
+    """Compare filter membership with candidate satisfaction on every cell;
+    with a class, satisfaction modulo each algebra's least relative congruence
+    (theta_k), the algebras need not lie in the class."""
     budget = as_budget(budget)
     top = _top(candidate, variant, n_max)
     uncertified = _uncertified(logic, testbed)
     for algebra in testbed:
-        witness = _first_mismatch(logic, algebra, candidate, top, budget)
+        theta = None if class_spec is None else theta_k(algebra, class_spec, budget)
+        witness = _first_mismatch(logic, algebra, candidate, top, budget, theta)
         if witness is not None:
+            if theta is not None:
+                witness["theta_blocks"] = theta.to_blocks_json()
             witness["satisfies_candidate"] = not witness["in_fg"]
             witness["candidate"] = candidate.name
             return _resolve(True, witness, "edcf", uncertified)
     return _resolve(False, None, "edcf", uncertified)
-
-
-def check_edcf_theta_form(
-    logic: LogicSpec,
-    algebras: Sequence[FiniteAlgebra],
-    class_spec: ClassSpec,
-    candidate: EDCFCandidate,
-    variant: str = "local",
-    n_max: int | None = None,
-    budget: Budget | int | None = None,
-) -> Verdict:
-    """Candidate equations tested for inclusion in the least relative
-    congruence instead of outright satisfaction; algebras need not lie in the
-    class."""
-    budget = as_budget(budget)
-    top = _top(candidate, variant, n_max)
-    uncertified = _uncertified(logic, algebras)
-    for algebra in algebras:
-        theta = theta_k(algebra, class_spec, budget)
-        witness = _first_mismatch(logic, algebra, candidate, top, budget, theta)
-        if witness is not None:
-            witness["theta_blocks"] = theta.to_blocks_json()
-            witness["satisfies_candidate_mod_theta"] = not witness["in_fg"]
-            witness["candidate"] = candidate.name
-            return _resolve(True, witness, "edcf-theta-form", uncertified)
-    return _resolve(False, None, "edcf-theta-form", uncertified)
 
 
 def compare_candidates(
@@ -645,7 +626,7 @@ def smallest_relcong_check(
     """For each cell, the relative congruences putting the element into the
     relatively generated filter must have a least member."""
     budget = as_budget(budget)
-    relative = list(k_congruences(algebra, class_spec, budget))
+    relative = k_congruences(algebra, class_spec, budget)
     if pinned_cells is not None:
         cells = [(tuple(xs), b) for xs, b in pinned_cells]
     else:
@@ -665,9 +646,7 @@ def smallest_relcong_check(
                 hits.append(theta)
         if not hits:
             continue
-        meet = hits[0]
-        for theta in hits[1:]:
-            meet = meet.meet(theta)
+        meet = functools.reduce(Congruence.meet, hits)
         if meet not in hits:
             minimal = [
                 t for t in hits if not any(o != t and o.refines(t) for o in hits)
@@ -676,7 +655,10 @@ def smallest_relcong_check(
                 "minimal_congruences": [t.to_blocks_json() for t in minimal],
                 "meet_blocks": meet.to_blocks_json(),
             }
-            return _resolve(True, witness, "smallest-relative-congruence", uncertified)
+            if uncertified:  # every cell reads the filters of every quotient
+                notes = _note_uncertified(uncertified) + ("witness read an uncertified quotient",)
+                return Verdict(INCONCLUSIVE, "smallest-relative-congruence", witness, notes)
+            return Verdict(FAIL, "smallest-relative-congruence", witness)
     return _resolve(False, None, "smallest-relative-congruence", uncertified)
 
 
@@ -751,6 +733,26 @@ def leibniz_probe(
     return _resolve(False, None, f"leibniz-{mode}", uncertified)
 
 
+def _dually_brouwerian_each(logic: LogicSpec, testbed: Testbed, budget: Budget, **kwargs) -> Verdict:
+    """dually_brouwerian_check on each algebra of the testbed up to the first fail."""
+    for algebra in testbed:
+        verdict = dually_brouwerian_check(logic, algebra, budget=budget, **kwargs)
+        if verdict.failed:
+            break
+    return verdict
+
+
+# each searchable property's checker(logic, testbed, budget=..., **checker_kwargs)
+_SEARCHES = {
+    "edcf": check_edcf,
+    "absfep": absolute_fep_check,
+    "fep": fep_check,
+    "leibniz": leibniz_probe,
+    "brouwer": _dually_brouwerian_each,
+    "fdc": factor_determined_check,
+}
+
+
 def search_counterexample(
     logic: LogicSpec,
     property_name: str,
@@ -764,38 +766,18 @@ def search_counterexample(
     budget = as_budget(budget)
     if not generators:
         return Verdict(INCONCLUSIVE, "search", notes=("empty generator set",))
-    kwargs = dict(checker_kwargs or {})
-    searchable = ("fdc", "edcf", "absfep", "fep", "brouwer", "leibniz")
-    if property_name not in searchable:
+    if property_name not in _SEARCHES:
         raise InvalidSpec(f"no searchable property {property_name!r}")
-    for arity in range(2 if property_name == "fdc" else 1, max_product_arity + 1):
-        if property_name == "fdc":
-            # products are formed inside the checker; grow its arity instead
-            bed = generate_testbed(
-                generators, 1, include_subalgebras, budget=budget,
-                name=f"search-arity-{arity}",
-            )
-            verdict = factor_determined_check(
-                logic, bed, max_product_arity=arity, budget=budget, **kwargs
-            )
-        else:
-            bed = generate_testbed(
-                generators, arity, include_subalgebras, budget=budget,
-                name=f"search-arity-{arity}",
-            )
-            if property_name == "edcf":
-                verdict = check_edcf(logic, bed, budget=budget, **kwargs)
-            elif property_name == "absfep":
-                verdict = absolute_fep_check(logic, bed, budget=budget, **kwargs)
-            elif property_name == "fep":
-                verdict = fep_check(logic, bed, budget=budget, **kwargs)
-            elif property_name == "brouwer":
-                for algebra in bed:
-                    verdict = dually_brouwerian_check(logic, algebra, budget=budget, **kwargs)
-                    if verdict.failed:
-                        break
-            else:
-                verdict = leibniz_probe(logic, bed, budget=budget, **kwargs)
+    kwargs = dict(checker_kwargs or {})
+    fdc = property_name == "fdc"  # products are formed inside the checker; grow its arity instead
+    for arity in range(2 if fdc else 1, max_product_arity + 1):
+        bed = generate_testbed(
+            generators, 1 if fdc else arity, include_subalgebras, budget=budget,
+            name=f"search-arity-{arity}",
+        )
+        if fdc:
+            kwargs["max_product_arity"] = arity
+        verdict = _SEARCHES[property_name](logic, bed, budget=budget, **kwargs)
         if verdict.failed:
             return Verdict(
                 FAIL, f"search/{property_name}", verdict.witness,

@@ -10,6 +10,7 @@ ultraproducts contribute nothing further.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -23,8 +24,8 @@ from .algebras import (
     holds_universally,
     quotient,
 )
-from .congruences import Congruence, CongruenceSet, all_congruences
-from .errors import EmptyRelativeCongruenceSet, InvalidSpec
+from .congruences import Congruence, all_congruences
+from .errors import InvalidSpec
 from .terms import Equation, equation_variables
 
 
@@ -114,30 +115,25 @@ def member(
 
 def k_congruences(
     algebra: FiniteAlgebra, spec: ClassSpec, budget: Budget | int | None = None
-) -> CongruenceSet:
-    """Congruences whose quotient lies in the class."""
+) -> tuple[Congruence, ...]:
+    """Congruences whose quotient lies in the class, finer first.
+
+    The total congruence is always among them: its quotient has one element,
+    which satisfies every (quasi)equation and has no pair to separate.
+    """
     budget = as_budget(budget)
-    keep = []
-    for theta in all_congruences(algebra, budget):
-        q, _ = quotient(algebra, theta.partition)
-        if member(q, spec, budget):
-            keep.append(theta)
-    return CongruenceSet(tuple(keep), closed_under_meet=True)
+    return tuple(
+        theta
+        for theta in all_congruences(algebra, budget)
+        if member(quotient(algebra, theta.partition)[0], spec, budget)
+    )
 
 
 def theta_k(
     algebra: FiniteAlgebra, spec: ClassSpec, budget: Budget | int | None = None
 ) -> Congruence:
     """The least congruence with quotient in the class."""
-    relative = k_congruences(algebra, spec, budget)
-    if not len(relative):
-        raise EmptyRelativeCongruenceSet(
-            f"no congruence of {algebra.name!r} has its quotient in the class"
-        )
-    out = None
-    for theta in relative:
-        out = theta if out is None else out.meet(theta)
-    return out
+    return cg_k(algebra, spec, (), budget)
 
 
 def cg_k(
@@ -146,16 +142,11 @@ def cg_k(
     pairs,
     budget: Budget | int | None = None,
 ) -> Congruence:
-    """Least relative congruence containing the pairs."""
-    relative = k_congruences(algebra, spec, budget)
-    candidates = [
-        theta for theta in relative if all(theta.same(a, b) for a, b in pairs)
+    """Least relative congruence containing the pairs; the total congruence
+    contains every pair, so the meet is never over nothing."""
+    above = [
+        theta
+        for theta in k_congruences(algebra, spec, budget)
+        if all(theta.same(a, b) for a, b in pairs)
     ]
-    if not candidates:
-        raise EmptyRelativeCongruenceSet(
-            f"no relative congruence of {algebra.name!r} contains the given pairs"
-        )
-    out = candidates[0]
-    for theta in candidates[1:]:
-        out = out.meet(theta)
-    return out
+    return functools.reduce(Congruence.meet, above)

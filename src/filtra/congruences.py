@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebras import Budget, FiniteAlgebra, as_budget
-from .errors import NotACongruence, SizeBudgetExceeded
+from .errors import NotACongruence
 
 
 def _canonical(partition: Sequence[int]) -> tuple[int, ...]:
@@ -114,26 +114,8 @@ class Congruence:
     def is_identity(self) -> bool:
         return self.num_blocks == self.size
 
-    def is_total(self) -> bool:
-        return self.num_blocks <= 1
-
     def to_blocks_json(self) -> list[list[int]]:
         return self.blocks()
-
-
-@dataclass(frozen=True)
-class CongruenceSet:
-    congruences: tuple[Congruence, ...]
-    closed_under_meet: bool = True
-
-    def __iter__(self):
-        return iter(self.congruences)
-
-    def __len__(self):
-        return len(self.congruences)
-
-    def __contains__(self, theta: Congruence) -> bool:
-        return theta in self.congruences
 
 
 def is_congruence(algebra: FiniteAlgebra, theta: Congruence) -> bool:
@@ -231,9 +213,7 @@ def cg_generated(
     return _generated(_translations(algebra, budget), algebra.size, pairs, budget)
 
 
-def all_congruences(
-    algebra: FiniteAlgebra, budget: Budget | int | None = None, size_cap: int = 12
-) -> CongruenceSet:
+def all_congruences(algebra: FiniteAlgebra, budget: Budget | int | None = None) -> tuple[Congruence, ...]:
     """The whole congruence lattice: principal congruences closed under joins.
 
     Every congruence is the join of the principal congruences below it, so
@@ -242,12 +222,9 @@ def all_congruences(
     congruences and P principal ones.  The principal congruences share one
     table of basic translations; a join needs no operation at all, since the
     join of two congruences as equivalence relations is already a congruence.
+    Only the budget bounds the enumeration.  Finer congruences come first.
     """
     budget = as_budget(budget)
-    if algebra.size > size_cap:
-        raise SizeBudgetExceeded(
-            f"congruence enumeration capped at carrier size {size_cap}"
-        )
     n = algebra.size
     translations = _translations(algebra, budget)
     # each principal congruence with one pair generating it
@@ -268,8 +245,7 @@ def all_congruences(
                 found.add(joined)
                 frontier.append(joined)
     # deterministic order: finer first, then lexicographic on the block array
-    ordered = sorted(found, key=lambda t: (-t.num_blocks, t.partition))
-    return CongruenceSet(tuple(ordered), closed_under_meet=True)
+    return tuple(sorted(found, key=lambda t: (-t.num_blocks, t.partition)))
 
 
 def is_compatible(theta: Congruence, subset: Iterable[int]) -> bool:

@@ -29,10 +29,6 @@ class SizeBudgetExceeded(FiltraError):
     """A computation would exceed the configured step budget."""
 
 
-class EmptyRelativeCongruenceSet(FiltraError):
-    """No congruence of the algebra has its quotient in the given class."""
-
-
 class UnknownName(FiltraError):
     """A name does not resolve against the workspace or built-in corpus."""
 

@@ -27,12 +27,12 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 from .algebras import FiniteAlgebra, Matrix
-from .candidates import EDCFCandidate, fold_terms
+from .candidates import EDCFCandidate, fold_terms, leq
 from .classes import Axiomatic, ClassSpec, GeneratedQuasivariety, Quasiequation
 from .congruences import Congruence
 from .errors import InvalidSpec
 from .logics import LogicSpec, MatrixDetermined, RulePresented
-from .terms import App, Equation, Rule, Signature, Term, Var, format_term, parse_term
+from .terms import Equation, Rule, Signature, Term, Var, format_term, parse_term
 
 Resolver = Callable[[str], FiniteAlgebra]
 
@@ -143,7 +143,7 @@ def class_from_json(doc: Mapping, resolve: Resolver) -> ClassSpec:
     raise InvalidSpec(f"class {name!r}: kind must be 'axioms' or 'generators'")
 
 
-def _expand_candidate_term(text: str, sig: Signature, n: int, template: Mapping | None) -> Term:
+def _expand_candidate_term(text: str, sig: Signature, n: int, template: Mapping) -> Term:
     if template and "@fold" in text:
         fold_sym = template.get("fold")
         if fold_sym is None:
@@ -158,7 +158,7 @@ def _expand_candidate_term(text: str, sig: Signature, n: int, template: Mapping 
 
 
 def candidate_from_json(doc: Mapping, sig: Signature, name: str | None = None) -> EDCFCandidate:
-    template = doc.get("template")
+    template = doc.get("template") or {}
     n_max = int(doc["n_max"])
     param_count = int(doc.get("param_count", 0))
     families = []
@@ -171,15 +171,12 @@ def candidate_from_json(doc: Mapping, sig: Signature, name: str | None = None) -
             eqs = []
             for raw_eq in raw_theta:
                 if len(raw_eq) == 3 and raw_eq[0] == "<=":
-                    form = (template or {}).get("leq", "join")
-                    meet_sym = (template or {}).get("meet_symbol", "and")
-                    join_sym = (template or {}).get("join_symbol", "or")
-                    lhs = _expand_candidate_term(raw_eq[1], sig, n, template)
-                    rhs = _expand_candidate_term(raw_eq[2], sig, n, template)
-                    if form == "meet":
-                        eqs.append(Equation(App(meet_sym, (lhs, rhs)), lhs))
-                    else:
-                        eqs.append(Equation(App(join_sym, (lhs, rhs)), rhs))
+                    eqs.append(leq(
+                        _expand_candidate_term(raw_eq[1], sig, n, template),
+                        _expand_candidate_term(raw_eq[2], sig, n, template),
+                        template.get("leq", "join"), template.get("meet_symbol", "and"),
+                        template.get("join_symbol", "or"),
+                    ))
                 elif len(raw_eq) == 2:
                     eqs.append(
                         Equation(

@@ -15,7 +15,9 @@ from conftest import (
 
 from filtra import builtins as bi
 from filtra import checks
-from filtra.algebras import Budget, FiniteAlgebra, direct_product, enumerate_homomorphisms, eval_term, trivial_algebra
+from filtra.algebras import (
+    Budget, FiniteAlgebra, direct_product, enumerate_homomorphisms, eval_term, quotient, trivial_algebra,
+)
 from filtra.candidates import EDCFCandidate, fold_terms, kl_global, lp_global, pwk_local, xvars
 from filtra.checks import (
     Testbed,
@@ -23,7 +25,6 @@ from filtra.checks import (
     _sweep_table,
     absolute_fep_check,
     check_edcf,
-    check_edcf_theta_form,
     compare_candidates,
     dually_brouwerian_check,
     factor_determined_check,
@@ -140,7 +141,7 @@ def test_theta_form_agrees_on_members(kl, k3):
     # on a member of the class the least relative congruence is the identity
     spec = GeneratedQuasivariety((k3,))
     plain = check_edcf(kl, Testbed((k3,)), bi.candidate("kl-global"), "global")
-    relative = check_edcf_theta_form(kl, [k3], spec, bi.candidate("kl-global"), "global")
+    relative = check_edcf(kl, Testbed((k3,)), bi.candidate("kl-global"), "global", class_spec=spec)
     assert plain.outcome == relative.outcome == "pass"
 
 
@@ -152,13 +153,11 @@ def test_theta_form_box5_candidate_misses_the_constant(box5, one_logic):
             ((Equation(Var("x1"), Var("y")),),),
         ),
     )
-    v = check_edcf_theta_form(
-        one_logic, [box5], bi.class_spec("alpha12"), cand, "global"
-    )
+    v = check_edcf(one_logic, Testbed((box5,)), cand, "global", class_spec=bi.class_spec("alpha12"))
     assert v.failed
     # first witness in deterministic order: the constant itself is generated
     assert v.witness["n"] == 1
-    assert v.witness["in_fg"] is True and v.witness["satisfies_candidate_mod_theta"] is False
+    assert v.witness["in_fg"] is True and v.witness["satisfies_candidate"] is False
 
 
 def test_theta_form_on_trivial_algebra(one_logic, box5):
@@ -166,10 +165,10 @@ def test_theta_form_on_trivial_algebra(one_logic, box5):
     # algebra exactly when the logic proves something outright
     t = trivial_algebra(box5.signature, "t")
     cand = EDCFCandidate("point", 0, (((Equation(Var("y"), parse_term("one", box5.signature)),),),))
-    v = check_edcf_theta_form(one_logic, [t], Axiomatic(), cand, "global")
+    v = check_edcf(one_logic, Testbed((t,)), cand, "global", class_spec=Axiomatic())
     assert v.passed
     theoremless = RulePresented((), name="none")
-    v = check_edcf_theta_form(theoremless, [t], Axiomatic(), cand, "global")
+    v = check_edcf(theoremless, Testbed((t,)), cand, "global", class_spec=Axiomatic())
     assert v.failed  # the single point satisfies every equation but generates nothing
 
 
@@ -411,7 +410,7 @@ def test_absolute_fep_first_fails_at_a_pair_of_generators():
     "call",
     [
         lambda pwk, wk3, cand: check_edcf(pwk, Testbed((wk3,)), cand, n_max=-1),
-        lambda pwk, wk3, cand: check_edcf_theta_form(pwk, [wk3], Axiomatic(), cand, n_max=-1),
+        lambda pwk, wk3, cand: check_edcf(pwk, Testbed((wk3,)), cand, n_max=-1, class_spec=Axiomatic()),
         lambda pwk, wk3, cand: compare_candidates(cand, cand, Testbed((wk3,)), n_max=-1),
         lambda pwk, wk3, cand: absolute_fep_check(pwk, Testbed((wk3,)), arity_cap=-1),
         lambda pwk, wk3, cand: factor_determined_check(pwk, Testbed((wk3,)), generator_cap=-1),
@@ -519,6 +518,18 @@ def test_member_algebra_passes(kl, k3):
     assert smallest_relcong_check(kl, k3, GeneratedQuasivariety((k3,)), arity_cap=2).passed
 
 
+def test_a_fail_read_off_an_uncertified_quotient_is_inconclusive(kl, k3):
+    # every relative congruence's quotient is read for every cell, and the
+    # quotients of K3 x DM4 all share one name, none of them the witness's
+    algebra = direct_product([k3, bi.algebra("DM4")]).algebra
+    quotients = [quotient(algebra, t.partition)[0] for t in all_congruences(algebra)]
+    assert not all(filters_certified(q, kl) for q in quotients)
+    v = smallest_relcong_check(kl, algebra, Axiomatic(), arity_cap=1)
+    assert v.outcome == "inconclusive"
+    assert v.witness["algebra"] == algebra.name and v.witness["meet_blocks"]
+    assert v.notes[-1] == "witness read an uncertified quotient"
+
+
 # --- dually Brouwerian -----------------------------------------------------------------
 
 
@@ -586,6 +597,41 @@ def test_search_modal_global_candidates(kg):
 
 def test_search_empty_generators(pwk):
     assert search_counterexample(pwk, "fdc", []).outcome == "inconclusive"
+
+
+@pytest.mark.parametrize(
+    "prop, inputs, arity, subalgebras, kwargs, direct",
+    [
+        ("edcf", lambda: (bi.logic("KG"), [bi.algebra("mchain2")]), 1, False,
+         {"candidate": bi.candidate("modal-global-k0"), "variant": "global"},
+         lambda logic, bed, arity, kw: check_edcf(logic, bed, **kw)),
+        ("absfep", lambda: (lambda big, logic: (logic, [big]))(*synthetic_extension_failure()), 1, False,
+         {"arity_cap": 1},
+         lambda logic, bed, arity, kw: absolute_fep_check(logic, bed, **kw)),
+        ("fep", lambda: (bi.logic("ORD"), [bi.algebra("BOOL4"), bi.algebra("M3")]), 1, True, {},
+         lambda logic, bed, arity, kw: fep_check(logic, bed)),
+        ("leibniz", lambda: (bi.logic("PWK"), [bi.algebra("WK3")]), 2, False, {"mode": "monotone"},
+         lambda logic, bed, arity, kw: leibniz_probe(logic, bed, **kw)),
+        ("brouwer", lambda: (bi.logic("ORD"), [bi.algebra("BOOL4"), bi.algebra("M3")]), 1, False, {},
+         lambda logic, bed, arity, kw: next(
+             v for v in map(lambda a: dually_brouwerian_check(logic, a), bed) if v.failed)),
+        ("fdc", lambda: (bi.logic("PWK"), [bi.algebra("WK3")]), 2, False, {"generator_cap": 1},
+         lambda logic, bed, arity, kw: factor_determined_check(logic, bed, max_product_arity=arity, **kw)),
+    ],
+    ids=["edcf", "absfep", "fep", "leibniz", "brouwer", "fdc"],
+)
+def test_search_reports_its_checkers_first_fail(prop, inputs, arity, subalgebras, kwargs, direct):
+    logic, generators = inputs()
+    # fdc forms its products itself and grows its own arity over the generators
+    bed = generate_testbed(generators, 1 if prop == "fdc" else arity, subalgebras)
+    want = direct(logic, bed, arity, kwargs)
+    got = search_counterexample(
+        logic, prop, generators, max_product_arity=arity, include_subalgebras=subalgebras,
+        checker_kwargs=kwargs,
+    )
+    assert want.failed
+    assert (got.outcome, got.witness) == (want.outcome, want.witness)
+    assert got.notes == want.notes + (f"found at product arity {arity}",)
 
 
 # --- cross-checker consistency (easy directions) ---------------------------------------------

@@ -2,6 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+
+from conftest import random_algebras
 
 from filtra import builtins as bi
 from filtra import classes
@@ -231,6 +234,19 @@ def test_relative_set_always_contains_the_total_congruence(wk3, k3, box5, alpha1
     for algebra, spec in cases:
         assert Congruence.total(algebra.size) in k_congruences(algebra, spec)
         theta_k(algebra, spec)  # never raises for these kinds
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_algebras(), random_algebras())
+def test_the_total_congruence_is_always_relative(algebra_and_perm, generator_and_perm):
+    # the one-element quotient lies in every class, so theta_k and cg_k meet
+    # over a non-empty set whatever the class
+    algebra, generator = algebra_and_perm[0], generator_and_perm[0]
+    collapse = Axiomatic(equations=(parse_equation("x", "y", algebra.signature),))
+    total = Congruence.total(algebra.size)
+    for spec in (Axiomatic(), collapse, GeneratedQuasivariety((generator,))):
+        assert total in k_congruences(algebra, spec)
+    assert theta_k(algebra, collapse) == total
 
 
 def test_cg_k_with_collapsing_pairs(k3):

@@ -108,6 +108,18 @@ def test_candidate_meet_form(k3):
     assert format_term(eq.rhs) == "y"
 
 
+def test_candidate_unknown_order_form_is_rejected(k3):
+    doc = {
+        "name": "bogus-form",
+        "variant": "global",
+        "n_max": 0,
+        "families": {"0": [[["<=", "1", "y"]]]},
+        "template": {"leq": "bogus"},
+    }
+    with pytest.raises(InvalidSpec, match="leq form"):
+        candidate_from_json(doc, k3.signature)
+
+
 def test_candidate_missing_family(k3):
     doc = {"name": "gap", "variant": "local", "n_max": 1, "families": {"0": []}}
     with pytest.raises(InvalidSpec):
