@@ -44,7 +44,6 @@ from .logics import (
     certification_detail,
     fg,
     fg_certified,
-    fg_relative,
 )
 
 PASS = "pass"
@@ -213,13 +212,13 @@ def _labels(algebra: FiniteAlgebra, elems: Iterable[int]) -> list[str]:
     return [algebra.label(e) for e in elems]
 
 
-def _uncertified(logic: LogicSpec, algebras: Iterable[FiniteAlgebra]) -> dict[str, str]:
+def _uncertified(logic: LogicSpec, algebras: Iterable[FiniteAlgebra], budget: Budget) -> dict[str, str]:
     """Algebras whose filter computations are not certified exact, by name,
     each with what the certification search found there."""
     out = {}
     for a in algebras:
-        if not fg_certified(a, logic):
-            d = certification_detail(a, logic)
+        if not fg_certified(a, logic, budget):
+            d = certification_detail(a, logic, budget)
             clone = "complete" if d["clone_complete"] else "incomplete"
             out[a.name] = (
                 f"v={d['nvars_tried']} tried, clone {clone}; "
@@ -315,7 +314,7 @@ def check_edcf(
     (theta_k), the algebras need not lie in the class."""
     budget = as_budget(budget)
     top = _top(candidate, variant, n_max)
-    uncertified = _uncertified(logic, testbed)
+    uncertified = _uncertified(logic, testbed, budget)
     for algebra in testbed:
         theta = None if class_spec is None else theta_k(algebra, class_spec, budget)
         witness = _first_mismatch(logic, algebra, candidate, top, budget, theta)
@@ -399,7 +398,7 @@ def _proper_subalgebras(
         if len(sub) == big.size:
             continue
         small, inclusion = induced_subalgebra(big, sub)
-        uncertified.update(_uncertified(logic, [small]))
+        uncertified.update(_uncertified(logic, [small], budget))
         yield sub, small, inclusion
 
 
@@ -420,7 +419,7 @@ def absolute_fep_check(
     _require(arity_cap, 0, "arity_cap")
     uncertified: dict[str, str] = {}
     for big in testbed:
-        uncertified.update(_uncertified(logic, [big]))
+        uncertified.update(_uncertified(logic, [big], budget))
         for sub, small, inclusion in _proper_subalgebras(big, logic, uncertified, budget):
             pair_certified = fg_certified(big, logic) and fg_certified(small, logic)
             for n in range(arity_cap + 1):
@@ -462,7 +461,7 @@ def fep_check(
     budget = as_budget(budget)
     uncertified: dict[str, str] = {}
     for big in testbed:
-        uncertified.update(_uncertified(logic, [big]))
+        uncertified.update(_uncertified(logic, [big], budget))
         big_filters = [f.members for f in all_filters(big, logic, budget)]
         for sub, small, inclusion in _proper_subalgebras(big, logic, uncertified, budget):
             small_filters = [f.members for f in all_filters(small, logic, budget)]
@@ -524,7 +523,7 @@ def factor_determined_check(
     for factors in factor_lists:
         prod = direct_product(list(factors), budget=budget)
         algebra = prod.algebra
-        uncertified.update(_uncertified(logic, (algebra,) + tuple(factors)))
+        uncertified.update(_uncertified(logic, (algebra,) + tuple(factors), budget))
         if pinned_generators is not None:
             gens_sweep = [tuple(g) for g in pinned_generators]
         else:
@@ -589,7 +588,7 @@ def test_algebra_check(
     in generated filters across the testbed."""
     budget = as_budget(budget)
     n = len(p_elements)
-    uncertified = _uncertified(logic, (test_algebra,) + tuple(testbed))
+    uncertified = _uncertified(logic, (test_algebra,) + tuple(testbed), budget)
     if q_element not in fg(test_algebra, frozenset(p_elements), logic, budget).members:
         witness = {
             "algebra": test_algebra.name,
@@ -636,13 +635,13 @@ def smallest_relcong_check(
             for xs in itertools.product(range(algebra.size), repeat=n)
             for b in range(algebra.size)
         ]
-    quotients = [quotient(algebra, theta.partition)[0] for theta in relative]
-    uncertified = dict(sorted(_uncertified(logic, quotients).items()))
+    quotients = [quotient(algebra, theta.partition) for theta in relative]
+    uncertified = dict(sorted(_uncertified(logic, [q for q, _ in quotients], budget).items()))
     for xs, b in cells:
         hits = []
-        for theta in relative:
+        for theta, (q, proj) in zip(relative, quotients):
             budget.spend()
-            if b in fg_relative(algebra, theta, xs, logic, budget).members:
+            if proj[b] in fg(q, {proj[x] for x in xs}, logic, budget).members:
                 hits.append(theta)
         if not hits:
             continue
@@ -670,7 +669,7 @@ def dually_brouwerian_check(
     """On a finite algebra every filter is compact: for each pair (F, G) the
     filters H with G inside the join of F and H must have a least member."""
     budget = as_budget(budget)
-    uncertified = _uncertified(logic, [algebra])
+    uncertified = _uncertified(logic, [algebra], budget)
     families = [f.members for f in all_filters(algebra, logic, budget)]
     for fm in families:
         for gm in families:
@@ -704,7 +703,7 @@ def leibniz_probe(
     budget = as_budget(budget)
     if mode not in ("monotone", "injective"):
         raise InvalidSpec(f"unknown probe mode {mode!r}")
-    uncertified = _uncertified(logic, testbed)
+    uncertified = _uncertified(logic, testbed, budget)
     for algebra in testbed:
         families = [f.members for f in all_filters(algebra, logic, budget)]
         omegas = {fm: leibniz_congruence(algebra, fm, budget) for fm in families}
@@ -783,4 +782,5 @@ def search_counterexample(
                 FAIL, f"search/{property_name}", verdict.witness,
                 verdict.notes + (f"found at product arity {arity}",),
             )
-    return Verdict(INCONCLUSIVE, f"search/{property_name}", notes=("budget exhausted without a counterexample",))
+    note = f"no counterexample up to product arity {max_product_arity}"
+    return Verdict(INCONCLUSIVE, f"search/{property_name}", notes=(note,))

@@ -164,7 +164,7 @@ CHECKS = {
         [resolve_algebra(tok) for tok in args.generators.split(",")] if args.generators else [],
         max_product_arity=args.arity, budget=budget, checker_kwargs={
             "candidate": resolve_candidate(args.candidate, args.algebra), "variant": args.variant,
-        } if args.property == "edcf" else {}),
+        } if args.property == "edcf" else {"mode": args.mode} if args.property == "leibniz" else {}),
 }
 
 

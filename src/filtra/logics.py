@@ -2,13 +2,17 @@
 
 A logic is given either by finitely many rules or by finitely many finite
 matrices.  Each (algebra, logic) pair has one context for the life of the
-process.  It holds subsets of the carrier as bitmasks (element e is bit e),
-memoizes fg by generator mask, and computes each of its parts on first need
-from that call's budget; a computation that raises leaves nothing behind.
+process, built from the budget of the call that first needs it; a build that
+raises leaves nothing behind.  It holds subsets of the carrier as bitmasks
+(element e is bit e) and one consequence step: the elements a subset's
+members yield outside it.  Only the step depends on how the logic is given.
+fg iterates it to its fixpoint (fg_trace lists the stages), is_filter asks
+whether it adds nothing, and Ganter's NextClosure enumerates its closed sets
+with at most |A| closures per closed set.  Once that family is known, fg and
+is_filter read it instead.  fg is memoized by generator mask.
 
-Rule-presented filters are exact: fg iterates the one-step consequence of the
-rule instances to its fixpoint, and the family is enumerated by Ganter's
-NextClosure, which computes at most |A| closures per filter.
+Rule-presented filters are exact: a step adds the conclusion of each
+valuation instance of a rule whose premises lie in the subset.
 
 Matrix-determined filters quantify over every rule valid in the matrices; that
 is reduced to a finite check through the clone of term functions in v
@@ -24,14 +28,12 @@ variables, evaluated jointly on the target algebra and on the matrix algebras:
   whenever that lower family coincides with the unrefuted upper family the
   enumeration is provably exact.
 
-Refutation is one consequence step of a closure operator, read off rows built
-once per context: one per valuation of the clone variables in the target,
-each holding the meet of the designation masks landing on every element and
-the maximal masks landing on it.  The unrefuted subsets are its closed sets,
-so NextClosure serves matrix logics as it serves rule logics; certification
-stops at the first closed set outside the lower family.  The rows spend one
-step of the caller's budget per clone element and valuation, NextClosure one
-per closure.
+The matrix step is refutation, read off rows built once per context: one per
+valuation of the clone variables in the target, each holding the meet of the
+designation masks landing on every element and the maximal masks landing on
+it.  The unrefuted subsets are its closed sets; certification stops at the
+first closed set outside the lower family.  The rows spend one step of the
+caller's budget per clone element and valuation, NextClosure one per closure.
 
 The variable count ascends from 1 and stops at the first v that certifies;
 refuting power only grows with v, so a larger v could not certify more.
@@ -54,7 +56,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .algebras import (
     Budget,
@@ -136,75 +138,109 @@ def make_filter(algebra: FiniteAlgebra, members: Iterable[int], logic: LogicSpec
 def rule_valid_in_matrix(rule: Rule, matrix: Matrix, budget: Budget | int | None = None) -> bool:
     """Whether the designated set is closed under every valuation instance of
     the rule, that is, a filter of the one-rule logic."""
-    one_rule = _RuleContext(matrix.algebra, RulePresented((rule,)))
-    return one_rule.is_filter(_mask(matrix.designated), as_budget(budget))
+    one_rule = _rule_context(matrix.algebra, RulePresented((rule,)), as_budget(budget))
+    return one_rule.is_filter(_mask(matrix.designated))
+
+
+# ---------------------------------------------------------------------------
+# the filter context of one (algebra, logic) pair
+
+
+@dataclass
+class _Context:
+    """A logic on one algebra, with what has been computed of it so far.
+
+    step(mask) is the set of elements one consequence step adds outside the
+    subset; only it depends on how the logic is given.  The closed sets of the
+    operator it iterates to are the filters of a rule logic and the unrefuted
+    family of a matrix logic.  Once the family is known, closures and
+    filterhood are read off it.
+    """
+
+    algebra: FiniteAlgebra
+    step: Callable[[int], int]
+    has_theorem: bool | None
+    # whether the closed sets are the filter family: always for rules; for a
+    # matrix logic True from the start when the clone is complete at v = |A|,
+    # else known once certified() ran
+    exact: bool | None = True
+    lower: tuple[int, ...] = ()  # genuine filters, for a matrix logic
+    clone: _Clone | None = None
+    # the highest variable count built, and whether that clone completed
+    tried: tuple[int, bool] = (0, False)
+    memo: dict[int, frozenset[int]] = field(default_factory=dict)
+    family: tuple[int, ...] | None = None
+
+    def stages(self, mask: int) -> list[int]:
+        """Stages of the one-step consequence, first stage included."""
+        stages = [mask]
+        while added := self.step(stages[-1]):
+            stages.append(stages[-1] | added)
+        return stages
+
+    def close(self, mask: int) -> int:
+        """The last stage, or with the family known its first member above the
+        mask: the least, as the family is sorted by size and closed under meets."""
+        if self.family is None:
+            return self.stages(mask)[-1]
+        return next(ms for ms in self.family if mask & ms == mask)
+
+    def is_filter(self, mask: int) -> bool:
+        return mask in self.family if self.family is not None else not self.step(mask)
+
+    def is_filter_certain(self, mask: int) -> bool:
+        return bool(self.exact) or mask in self.lower or bool(self.step(mask))
+
+    def filters(self, budget: Budget) -> tuple[int, ...]:
+        """The closed sets; the lower family once that matched them."""
+        if self.family is None:
+            closed = next_closure(self.algebra.size, self.close, budget)
+            self.family = tuple(sorted(closed, key=_by_size))
+        return self.family
+
+    def certified(self, budget: Budget) -> bool:
+        """Exact from the start, or NextClosure meets no closed set outside
+        the lower family (it stops at the first it meets)."""
+        if self.exact is None:
+            lower = set(self.lower)
+            closed = next_closure(self.algebra.size, self.close, budget)
+            self.exact = all(ms in lower for ms in closed)
+            if self.exact:
+                self.family = self.lower
+        return self.exact
 
 
 # ---------------------------------------------------------------------------
 # rule-presented logics
 
 
-class _RuleContext:
-    """A rule logic on one algebra, with what has been computed of it so far."""
+def _rule_context(algebra: FiniteAlgebra, logic: RulePresented, budget: Budget) -> _Context:
+    """The context whose step reads every valuation instance of every rule,
+    compiled as a (premise mask, conclusion bit) pair: one budget step per
+    valuation, though equal instances are kept once."""
+    found: set[tuple[int, int]] = set()
+    for rule in logic.rules:
+        variables = _free_variables(rule_variables(rule), algebra)
+        tables = [
+            compile_term(t, algebra, variables, budget)
+            for t in rule.premises + (rule.conclusion,)
+        ]
+        budget.spend(len(tables[-1]))
+        for *premises, concl in set(zip(*tables)):
+            prem = _mask(premises)
+            if not prem >> concl & 1:
+                found.add((prem, 1 << concl))
+    instances = tuple(found)
 
-    def __init__(self, algebra: FiniteAlgebra, logic: RulePresented):
-        self.algebra = algebra
-        self.rules = logic.rules
-        self._instances: tuple[tuple[int, int], ...] | None = None
-        self.memo: dict[int, frozenset[int]] = {}
-        self.family: tuple[int, ...] | None = None
+    def step(mask: int) -> int:
+        """The conclusions of the instances whose premises lie in the subset."""
+        added = 0
+        for prem, concl in instances:
+            if prem & mask == prem:
+                added |= concl
+        return added & ~mask
 
-    def instances(self, budget: Budget) -> tuple[tuple[int, int], ...]:
-        """Every valuation instance of every rule, as (premise mask, conclusion
-        bit); one step per valuation, though equal instances are masked once."""
-        if self._instances is None:
-            found: set[tuple[int, int]] = set()
-            for rule in self.rules:
-                variables = _free_variables(rule_variables(rule), self.algebra)
-                tables = [
-                    compile_term(t, self.algebra, variables, budget)
-                    for t in rule.premises + (rule.conclusion,)
-                ]
-                budget.spend(len(tables[-1]))
-                for *premises, concl in set(zip(*tables)):
-                    prem = _mask(premises)
-                    if not prem >> concl & 1:
-                        found.add((prem, 1 << concl))
-            self._instances = tuple(found)
-        return self._instances
-
-    def stages(self, mask: int, budget: Budget) -> list[int]:
-        """Stages of the one-step consequence operator, first stage included."""
-        instances = self.instances(budget)
-        stages = [mask]
-        while True:
-            current = stages[-1]
-            step = current
-            for prem, concl in instances:
-                if prem & current == prem:
-                    step |= concl
-            if step == current:
-                return stages
-            stages.append(step)
-
-    def is_filter(self, mask: int, budget: Budget) -> bool:
-        return all(concl & mask for prem, concl in self.instances(budget) if prem & mask == prem)
-
-    def is_filter_certain(self, mask: int) -> bool:
-        return True
-
-    def certified(self, budget: Budget) -> bool:
-        return True
-
-    @property
-    def has_theorem(self) -> bool:
-        return self.stages(0, Budget())[-1] != 0
-
-    def filters(self, budget: Budget) -> tuple[int, ...]:
-        if self.family is None:
-            closed = next_closure(self.algebra.size, lambda m: self.stages(m, budget)[-1], budget)
-            self.family = tuple(sorted(closed, key=_by_size))
-        return self.family
+    return _Context(algebra, step, bool(step(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +424,14 @@ def _homomorphic_lower(
     return homs, lower
 
 
-@dataclass
-class _MatrixContext:
-    """A matrix logic on one algebra through the clone at one variable count.
+def _clone_context(
+    algebra: FiniteAlgebra,
+    logic: MatrixDetermined,
+    clone: _Clone,
+    hom_lower: set[int],
+    budget: Budget,
+) -> _Context:
+    """The context whose step reads rows built from the clone.
 
     Each row stands for valuations of the clone variables in the algebra and
     holds, over the matrix points, meets[a]: the meet of the designation
@@ -399,83 +440,8 @@ class _MatrixContext:
     premises are designated at the meet of its members' masks; one step adds
     every b with a kept mask containing it (a valid-rule instance leading out
     of the subset).  The subsets one step leaves alone are the unrefuted
-    family, the closed sets of this closure operator.
+    family.
     """
-
-    algebra: FiniteAlgebra
-    clone: _Clone
-    rows: tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]
-    full_mask: int
-    lower: tuple[int, ...]
-    has_theorem: bool | None
-    # whether the unrefuted family is the filter family: True from the start
-    # when the clone is complete at v = |A|, else known once certified() ran
-    exact: bool | None
-    # the highest variable count built, and whether that clone completed
-    tried: tuple[int, bool] = (0, False)
-    memo: dict[int, frozenset[int]] = field(default_factory=dict)
-    family: tuple[int, ...] | None = None
-
-    def step(self, mask: int) -> int:
-        """The elements outside the subset that some row adds."""
-        members = _elements(mask)
-        added = 0
-        for meets, kept in self.rows:
-            premises = self.full_mask
-            for a in members:
-                premises &= meets[a]
-            for designated, bit in kept:
-                if designated & premises == premises:
-                    added |= bit
-        return added & ~mask
-
-    def close(self, mask: int) -> int:
-        while added := self.step(mask):
-            mask |= added
-        return mask
-
-    def is_filter(self, mask: int, budget: Budget) -> bool:
-        if self.family is not None:
-            return mask in self.family
-        return not self.step(mask)
-
-    def is_filter_certain(self, mask: int) -> bool:
-        return bool(self.exact) or mask in self.lower or bool(self.step(mask))
-
-    def filters(self, budget: Budget) -> tuple[int, ...]:
-        """The unrefuted family; set to the lower family once that matched."""
-        if self.family is None:
-            closed = next_closure(self.algebra.size, self.close, budget)
-            self.family = tuple(sorted(closed, key=_by_size))
-        return self.family
-
-    def certified(self, budget: Budget) -> bool:
-        """Exact at the variable bound, or NextClosure meets no unrefuted set
-        outside the lower family (it stops at the first it meets)."""
-        if self.exact is None:
-            lower = set(self.lower)
-            closed = next_closure(self.algebra.size, self.close, budget)
-            self.exact = all(ms in lower for ms in closed)
-            if self.exact:
-                self.family = self.lower
-        return self.exact
-
-    def stages(self, mask: int, budget: Budget) -> list[int]:
-        # the least unrefuted superset, as the meet of the family above it
-        closed = (1 << self.algebra.size) - 1
-        for ms in self.filters(budget):
-            if mask & ms == mask:
-                closed &= ms
-        return [mask, closed]
-
-
-def _clone_context(
-    algebra: FiniteAlgebra,
-    logic: MatrixDetermined,
-    clone: _Clone,
-    hom_lower: set[int],
-    budget: Budget,
-) -> _MatrixContext:
     # designation bitmask per clone element over all (matrix, valuation) points
     desig = []
     for tabs in clone.tables:
@@ -521,18 +487,29 @@ def _clone_context(
         kept = tuple((bits, 1 << a) for a, top in enumerate(tops) for bits in top)
         rows[tuple(meets), kept] = None  # equal rows are kept once
 
+    def step(mask: int) -> int:
+        """The elements outside the subset that some row adds."""
+        members = _elements(mask)
+        added = 0
+        for meets, kept in rows:
+            premises = full_mask
+            for a in members:
+                premises &= meets[a]
+            for designated, bit in kept:
+                if designated & premises == premises:
+                    added |= bit
+        return added & ~mask
+
     # adding the empty set keeps the family closed under intersection
     lower = hom_lower | {0} if has_theorem is False else hom_lower
-    return _MatrixContext(
-        algebra, clone, tuple(rows), full_mask,
-        tuple(sorted(lower, key=_by_size)), has_theorem,
+    return _Context(
+        algebra, step, has_theorem,
         True if clone.complete and clone.nvars == algebra.size else None,
+        tuple(sorted(lower, key=_by_size)), clone,
     )
 
 
-def _matrix_context(
-    algebra: FiniteAlgebra, logic: MatrixDetermined, budget: Budget
-) -> _MatrixContext:
+def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined, budget: Budget) -> _Context:
     """Context of the first variable count that certifies the filter family.
 
     v ascends from 1 to the bound.  It stops when the tables would outgrow
@@ -580,25 +557,17 @@ def _matrix_context(
 # one context per (algebra, logic), and the public operations on it
 
 
-_CONTEXTS: dict[tuple[FiniteAlgebra, LogicSpec], _RuleContext | _MatrixContext] = {}
+_CONTEXTS: dict[tuple[FiniteAlgebra, LogicSpec], _Context] = {}
 
 
-def _context(
-    algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | None = None
-) -> _RuleContext | _MatrixContext:
-    """The pair's context, keyed by value: equal algebras built apart share it.
-
-    A matrix context is built from the budget of the call that first needs it
-    and stored only once built.
-    """
+def _context(algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | None = None) -> _Context:
+    """The pair's context, keyed by value: equal algebras built apart share it;
+    built from the budget of the call that first needs it, stored once built."""
     key = (algebra, logic)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
-        if isinstance(logic, RulePresented):
-            ctx = _RuleContext(algebra, logic)
-        else:
-            ctx = _matrix_context(algebra, logic, budget or Budget())
-        _CONTEXTS[key] = ctx
+        build = _rule_context if isinstance(logic, RulePresented) else _matrix_context
+        ctx = _CONTEXTS[key] = build(algebra, logic, budget or Budget())
     return ctx
 
 
@@ -613,8 +582,7 @@ def is_filter(
     Exact for rule-presented logics.  For matrix-determined logics a False is
     always definitive; a True is definitive when is_filter_certain agrees.
     """
-    budget = as_budget(budget)
-    return _context(algebra, logic, budget).is_filter(_mask(members), budget)
+    return _context(algebra, logic, as_budget(budget)).is_filter(_mask(members))
 
 
 def is_filter_certain(algebra: FiniteAlgebra, members: Iterable[int], logic: LogicSpec) -> bool:
@@ -669,8 +637,7 @@ def fg_trace(
     budget: Budget | int | None = None,
 ) -> list[frozenset[int]]:
     """Stages of filter generation; the last stage is the filter."""
-    budget = as_budget(budget)
-    stages = _context(algebra, logic, budget).stages(_mask(generators), budget)
+    stages = _context(algebra, logic, as_budget(budget)).stages(_mask(generators))
     return [frozenset(_elements(stage)) for stage in stages]
 
 
@@ -682,16 +649,14 @@ def fg(
 ) -> Filter:
     """Least filter containing the generators.
 
-    Rule-presented: iterate the one-step consequence to fixpoint.
-    Matrix-determined: least member of the filter enumeration; exact whenever
-    filters_certified holds for the algebra and logic.
+    The one-step consequence iterated to its fixpoint, or the least member of
+    the family once that is known; exact whenever filters_certified holds.
     """
-    budget = as_budget(budget)
-    ctx = _context(algebra, logic, budget)
+    ctx = _context(algebra, logic, as_budget(budget))
     mask = _mask(generators)
     members = ctx.memo.get(mask)
     if members is None:
-        members = ctx.memo[mask] = frozenset(_elements(ctx.stages(mask, budget)[-1]))
+        members = ctx.memo[mask] = frozenset(_elements(ctx.close(mask)))
     return Filter(algebra, members)
 
 

@@ -14,7 +14,7 @@ from conftest import (
 )
 
 from filtra import builtins as bi
-from filtra import checks
+from filtra import checks, logics
 from filtra.algebras import (
     Budget, FiniteAlgebra, direct_product, enumerate_homomorphisms, eval_term, quotient, trivial_algebra,
 )
@@ -255,6 +255,20 @@ def test_check_edcf_spends_the_budget(kl, k3):
         check_edcf(theoremless, Testbed((k3,)), empty, budget=Budget(3))
     v = check_edcf(theoremless, Testbed((k3,)), empty, budget=Budget(4))
     assert v.failed and (v.witness["n"], v.witness["element"]) == (1, 0)
+
+
+def test_check_edcf_spends_the_callers_budget_on_its_contexts(cold_contexts, kl):
+    bed, candidate = bi.testbed("k3-isp"), bi.candidate("kl-global")
+    cold = Budget()
+    check_edcf(kl, bed, candidate, "global", budget=cold)
+    logics._CONTEXTS.clear()
+    built = Budget()
+    for algebra in bed:
+        logics._context(algebra, kl, built)
+    warm = Budget()
+    check_edcf(kl, bed, candidate, "global", budget=warm)
+    assert built.spent > 0
+    assert cold.spent == built.spent + warm.spent
 
 
 # --- candidate comparison ---------------------------------------------------------
@@ -599,6 +613,13 @@ def test_search_empty_generators(pwk):
     assert search_counterexample(pwk, "fdc", []).outcome == "inconclusive"
 
 
+def test_search_without_a_fail_names_the_arity_it_reached(pwk, wk3):
+    v = search_counterexample(pwk, "leibniz", [wk3], max_product_arity=2, include_subalgebras=False,
+                              checker_kwargs={"mode": "injective"})
+    assert v.outcome == "inconclusive"
+    assert v.notes == ("no counterexample up to product arity 2",)
+
+
 @pytest.mark.parametrize(
     "prop, inputs, arity, subalgebras, kwargs, direct",
     [
@@ -612,13 +633,15 @@ def test_search_empty_generators(pwk):
          lambda logic, bed, arity, kw: fep_check(logic, bed)),
         ("leibniz", lambda: (bi.logic("PWK"), [bi.algebra("WK3")]), 2, False, {"mode": "monotone"},
          lambda logic, bed, arity, kw: leibniz_probe(logic, bed, **kw)),
+        ("leibniz", lambda: (bi.logic("ORD"), [bi.algebra("K3")]), 1, False, {"mode": "injective"},
+         lambda logic, bed, arity, kw: leibniz_probe(logic, bed, **kw)),
         ("brouwer", lambda: (bi.logic("ORD"), [bi.algebra("BOOL4"), bi.algebra("M3")]), 1, False, {},
          lambda logic, bed, arity, kw: next(
              v for v in map(lambda a: dually_brouwerian_check(logic, a), bed) if v.failed)),
         ("fdc", lambda: (bi.logic("PWK"), [bi.algebra("WK3")]), 2, False, {"generator_cap": 1},
          lambda logic, bed, arity, kw: factor_determined_check(logic, bed, max_product_arity=arity, **kw)),
     ],
-    ids=["edcf", "absfep", "fep", "leibniz", "brouwer", "fdc"],
+    ids=["edcf", "absfep", "fep", "leibniz", "leibniz-injective", "brouwer", "fdc"],
 )
 def test_search_reports_its_checkers_first_fail(prop, inputs, arity, subalgebras, kwargs, direct):
     logic, generators = inputs()

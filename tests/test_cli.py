@@ -81,6 +81,18 @@ def test_check_brouwer(capsys):
     assert code == EXIT_PASS
 
 
+@pytest.mark.parametrize("argv, code, shown", [
+    (("--logic", "PWK", "--generators", "WK3", "--arity", "2"), EXIT_INCONCLUSIVE,
+     "note: no counterexample up to product arity 2"),
+    (("--logic", "ORD", "--generators", "K3", "--arity", "1"), EXIT_FAIL, '"omega_blocks"'),
+], ids=["pwk-passes", "ord-fails"])
+def test_check_search_leibniz_honours_the_mode(capsys, argv, code, shown):
+    got, out, _ = run(capsys, "check", "search", "--property", "leibniz", "--mode", "injective", *argv)
+    assert got == code
+    assert shown in out and "omega_f" not in out
+    assert "--mode injective" in out
+
+
 def test_check_search_inconclusive_on_empty(capsys):
     code, _, _ = run(capsys, "check", "search", "--logic", "PWK", "--property", "fdc", "--generators", "")
     assert code == EXIT_INCONCLUSIVE
