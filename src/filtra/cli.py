@@ -217,29 +217,29 @@ def _expect(results: list, label: str, verdict: Verdict, expected: str) -> None:
     _row(results, label, expected, verdict.outcome, verdict.outcome == expected, verdict=verdict.to_json())
 
 
-def _reproduce_kleene_edcf(results):
-    v = check_edcf(bi.logic("KL"), bi.testbed("k3-isp"), bi.candidate("kl-global"), "global")
+def _reproduce_kleene_edcf(results, budget):
+    v = check_edcf(bi.logic("KL"), bi.testbed("k3-isp"), bi.candidate("kl-global"), "global", budget=budget)
     _expect(results, "kl-global passes on K3, K3^2 and subalgebras", v, PASS)
 
 
-def _reproduce_lp_edcf(results):
-    v = check_edcf(bi.logic("LP"), bi.testbed("k3-isp"), bi.candidate("lp-global"), "global")
+def _reproduce_lp_edcf(results, budget):
+    v = check_edcf(bi.logic("LP"), bi.testbed("k3-isp"), bi.candidate("lp-global"), "global", budget=budget)
     _expect(results, "lp-global passes on K3, K3^2 and subalgebras", v, PASS)
 
 
-def _reproduce_pwk_local_edcf(results):
+def _reproduce_pwk_local_edcf(results, budget):
     bed = bi.testbed("wk3-isp")
-    v = check_edcf(bi.logic("PWK"), bed, bi.candidate("pwk-local"), "local")
+    v = check_edcf(bi.logic("PWK"), bed, bi.candidate("pwk-local"), "local", budget=budget)
     _expect(results, "pwk-local passes on WK3, WK3^2 and subalgebras", v, PASS)
-    v = absolute_fep_check(bi.logic("PWK"), bed)
+    v = absolute_fep_check(bi.logic("PWK"), bed, budget=budget)
     _expect(results, "filter extension from subalgebras holds on the same testbed", v, PASS)
 
 
-def _reproduce_pwk_no_pedcf(results):
+def _reproduce_pwk_no_pedcf(results, budget):
     wk3 = bi.algebra("WK3")
     v = factor_determined_check(
         bi.logic("PWK"), bi.testbed("wk3-isp"), absolute=True,
-        pinned_factors=(wk3, wk3), pinned_generators=[(6,)],
+        pinned_factors=(wk3, wk3), pinned_generators=[(6,)], budget=budget,
     )
     _expect(results, "factor-determined filters fail on WK3 x WK3 at generator (half,0)", v, "fail")
     label = (v.witness or {}).get("element_label")
@@ -248,7 +248,7 @@ def _reproduce_pwk_no_pedcf(results):
     published = tuple(
         2 if 2 in prod.to_tuple(e) else prod.to_tuple(e)[1] for e in range(9)
     )
-    found = published in enumerate_homomorphisms(prod.algebra, wk3)
+    found = published in enumerate_homomorphisms(prod.algebra, wk3, budget)
     _row(
         results, "the collapsing homomorphism WK3^2 -> WK3 is enumerated", "present",
         "present" if found else "absent", found,
@@ -256,10 +256,10 @@ def _reproduce_pwk_no_pedcf(results):
     )
 
 
-def _reproduce_box5_no_min(results):
+def _reproduce_box5_no_min(results, budget):
     v = smallest_relcong_check(
         bi.logic("ONE"), bi.algebra("box5"), bi.class_spec("alpha12"),
-        pinned_cells=[((2, 3), 4)],
+        pinned_cells=[((2, 3), 4)], budget=budget,
     )
     _expect(results, "no least relative congruence witnesses b in Fg(a1,a2)", v, "fail")
     t1 = [[0, 1], [2, 4], [3]]
@@ -273,43 +273,48 @@ def _reproduce_box5_no_min(results):
     _row(results, "their meet collapses only {0,1}", expected, meet, meet == expected)
 
 
-def _reproduce_m3_not_brouwerian(results):
-    v = dually_brouwerian_check(bi.logic("ORD"), bi.algebra("M3"))
+def _reproduce_m3_not_brouwerian(results, budget):
+    v = dually_brouwerian_check(bi.logic("ORD"), bi.algebra("M3"), budget)
     _expect(results, "no least complement filter on the modular lattice M3", v, "fail")
-    v = dually_brouwerian_check(bi.logic("ORD"), bi.algebra("BOOL4"))
+    v = dually_brouwerian_check(bi.logic("ORD"), bi.algebra("BOOL4"), budget)
     _expect(results, "least complement filters exist on the Boolean 4-lattice", v, PASS)
 
 
-def _reproduce_modal_local_only(results):
-    v = check_edcf(bi.logic("KG"), bi.testbed("modal-chains"), bi.candidate("modal-local"), "local")
+def _reproduce_modal_local_only(results, budget):
+    v = check_edcf(
+        bi.logic("KG"), bi.testbed("modal-chains"), bi.candidate("modal-local"), "local", budget=budget
+    )
     _expect(results, "necessitation-bounded local family passes on chains of length <= 4", v, PASS)
     for k in range(4):
         fixture = bi.algebra(f"mchain{k + 2}")
         v = check_edcf(
-            bi.logic("KG"), Testbed((fixture,)), bi.candidate(f"modal-global-k{k}"), "global"
+            bi.logic("KG"), Testbed((fixture,)), bi.candidate(f"modal-global-k{k}"), "global", budget=budget
         )
         _expect(results, f"fixed necessitation depth {k} fails on the {k + 2}-world chain", v, "fail")
 
 
-def _reproduce_luk_local_only(results):
-    v = check_edcf(bi.logic("LUK"), bi.testbed("mv-chains"), bi.candidate("luk-local-and"), "local")
+def _reproduce_luk_local_only(results, budget):
+    v = check_edcf(
+        bi.logic("LUK"), bi.testbed("mv-chains"), bi.candidate("luk-local-and"), "local", budget=budget
+    )
     _expect(results, "bounded-power local family passes on L3, L4, L5", v, PASS)
     v = compare_candidates(
-        bi.candidate("luk-local-and"), bi.candidate("luk-local-odot"), bi.testbed("mv-chains")
+        bi.candidate("luk-local-and"), bi.candidate("luk-local-odot"), bi.testbed("mv-chains"), budget=budget
     )
     _expect(results, "lattice-meet fold and strong-conjunction fold are equivalent", v, PASS)
     for k in (1, 2, 3):
         fixture = bi.algebra(f"L{k + 2}")
         v = check_edcf(
-            bi.logic("LUK"), Testbed((fixture,)), bi.candidate(f"luk-global-k{k}"), "global", n_max=1
+            bi.logic("LUK"), Testbed((fixture,)), bi.candidate(f"luk-global-k{k}"), "global", n_max=1,
+            budget=budget,
         )
         _expect(results, f"fixed power {k} fails on the {k + 2}-element chain", v, "fail")
 
 
-def _reproduce_kl_only_filter(results):
+def _reproduce_kl_only_filter(results, budget):
     k3 = bi.algebra("K3")
-    families = [sorted(f.members) for f in all_filters(k3, bi.logic("KL"))]
-    expected, certified = [[2], [0, 1, 2]], filters_certified(k3, bi.logic("KL"))
+    families = [sorted(f.members) for f in all_filters(k3, bi.logic("KL"), budget)]
+    expected, certified = [[2], [0, 1, 2]], filters_certified(k3, bi.logic("KL"), budget)
     _row(
         results, "KL filters on K3 are exactly {1} and the carrier", expected, families,
         families == expected and certified, certified=certified,
@@ -336,12 +341,13 @@ def cmd_reproduce(args) -> int:
             raise UnknownExample(
                 f"unknown example {ex!r}; catalog: {', '.join(sorted(CATALOG))}"
             )
+    budget = Budget(args.budget)
     all_ok = True
     payload = []
     lines = []
     for ex in ids:
         results: list[dict] = []
-        CATALOG[ex](results)
+        CATALOG[ex](results, budget)
         ok = all(r["ok"] for r in results)
         all_ok = all_ok and ok
         payload.append({"example": ex, "ok": ok, "results": results})

@@ -3,7 +3,9 @@ congruence of a designated subset.
 
 A congruence is stored canonically as a block-id array whose ids appear in
 first-occurrence order, so equality of partitions is equality of tuples and
-blocks listed by id are automatically sorted by least member.
+blocks listed by id are automatically sorted by least member.  Generation
+and joins work on least-member arrays instead, whose entry e is the least
+element of e's block: canonical too, and a union-find forest of depth one.
 """
 
 from __future__ import annotations
@@ -90,11 +92,7 @@ class Congruence:
     def join(self, other: "Congruence") -> "Congruence":
         """Join as equivalence relations (the transitive closure of the
         union); the join of two congruences of an algebra is again one."""
-        uf = _UnionFind(self.num_blocks)  # over the blocks of self
-        first: dict[int, int] = {}
-        for mine, theirs in zip(self.partition, other.partition):
-            uf.union(first.setdefault(theirs, mine), mine)
-        return Congruence(tuple(uf.find(b) for b in self.partition))
+        return Congruence(_merged(range(self.size), self.pairs() + other.pairs()))
 
     def refines(self, other: "Congruence") -> bool:
         """True if every block of self sits inside a block of other."""
@@ -138,24 +136,30 @@ def is_congruence(algebra: FiniteAlgebra, theta: Congruence) -> bool:
     return True
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _union(forest: list[int], a: int, b: int) -> bool:
+    """Merge the blocks of a and b in a forest whose parents precede their
+    children; the smaller root wins, so every root is its block's least."""
+    while forest[a] != a:
+        a = forest[a]
+    while forest[b] != b:
+        b = forest[b]
+    if a == b:
+        return False
+    if b < a:
+        a, b = b, a
+    forest[b] = a
+    return True
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
+def _merged(least: Sequence[int], pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The least-member array of the join of a partition with the pairs:
+    unite along them, then flatten the forest in one ascending pass."""
+    forest = list(least)
+    for a, b in pairs:
+        _union(forest, a, b)
+    for e, parent in enumerate(forest):
+        forest[e] = forest[parent]
+    return tuple(forest)
 
 
 def _translations(algebra: FiniteAlgebra, budget: Budget) -> list[tuple[int, ...]]:
@@ -186,16 +190,17 @@ def _translations(algebra: FiniteAlgebra, budget: Budget) -> list[tuple[int, ...
 
 def _generated(
     translations: list[tuple[int, ...]], n: int, pairs: Iterable[tuple[int, int]], budget: Budget
-) -> Congruence:
-    uf = _UnionFind(n)
-    worklist = [p for p in pairs if uf.union(*p)]
+) -> tuple[int, ...]:
+    """The least-member array of the congruence generated by the pairs."""
+    forest = list(range(n))
+    worklist = [p for p in pairs if _union(forest, *p)]
     while worklist:
         a, b = worklist.pop()
         budget.spend(len(translations))
         for t in translations:
-            if uf.union(t[a], t[b]):
+            if _union(forest, t[a], t[b]):
                 worklist.append((t[a], t[b]))
-    return Congruence(tuple(uf.find(e) for e in range(n)))
+    return _merged(forest, ())
 
 
 def cg_generated(
@@ -210,7 +215,7 @@ def cg_generated(
     fixpoint.  The translations are tabulated once per call.
     """
     budget = as_budget(budget)
-    return _generated(_translations(algebra, budget), algebra.size, pairs, budget)
+    return Congruence(_generated(_translations(algebra, budget), algebra.size, pairs, budget))
 
 
 def all_congruences(algebra: FiniteAlgebra, budget: Budget | int | None = None) -> tuple[Congruence, ...]:
@@ -219,33 +224,38 @@ def all_congruences(algebra: FiniteAlgebra, budget: Budget | int | None = None) 
     Every congruence is the join of the principal congruences below it, so
     closing {identity} and the principal congruences under joins with a
     single principal congruence reaches all of them: O(L * P) joins for L
-    congruences and P principal ones.  The principal congruences share one
-    table of basic translations; a join needs no operation at all, since the
-    join of two congruences as equivalence relations is already a congruence.
-    Only the budget bounds the enumeration.  Finer congruences come first.
+    congruences and P principal ones (Freese 2008).  A join needs no
+    operation, since the join of two congruences as equivalence relations is
+    one: theta v Cg(a, b) unites theta's least-member array along the pairs
+    (e, least(e)) of Cg(a, b) alone.  The principal congruences share one
+    table of basic translations.  Only the budget bounds the enumeration.
+    Finer congruences come first.
     """
     budget = as_budget(budget)
     n = algebra.size
     translations = _translations(algebra, budget)
-    # each principal congruence with one pair generating it
-    principals: dict[Congruence, tuple[int, int]] = {}
+    # each principal congruence with one pair generating it, then with the
+    # pairs (e, least(e)) of the elements e that are not their block's least
+    principals: dict[tuple[int, ...], tuple[int, int]] = {}
     for a in range(n):
         for b in range(a + 1, n):
             principals.setdefault(_generated(translations, n, [(a, b)], budget), (a, b))
-    found = set(principals) | {Congruence.identity(n)}
+    joins = [(a, b, [p for p in enumerate(least) if p[0] != p[1]]) for least, (a, b) in principals.items()]
+    found = set(principals) | {tuple(range(n))}
     frontier = list(found)
     while frontier:
         theta = frontier.pop()
-        for principal, (a, b) in principals.items():
-            if theta.same(a, b):  # Cg(a, b) is already below theta
+        for a, b, pairs in joins:
+            if theta[a] == theta[b]:  # Cg(a, b) is already below theta
                 continue
             budget.spend(n)
-            joined = theta.join(principal)
+            joined = _merged(theta, pairs)
             if joined not in found:
                 found.add(joined)
                 frontier.append(joined)
     # deterministic order: finer first, then lexicographic on the block array
-    return tuple(sorted(found, key=lambda t: (-t.num_blocks, t.partition)))
+    lattice = [Congruence(least) for least in found]
+    return tuple(sorted(lattice, key=lambda t: (-t.num_blocks, t.partition)))
 
 
 def is_compatible(theta: Congruence, subset: Iterable[int]) -> bool:

@@ -12,7 +12,7 @@ import time
 from conftest import oracle_congruences, oracle_largest_compatible
 
 from filtra import builtins as bi
-from filtra.algebras import direct_product, enumerate_homomorphisms, quotient
+from filtra.algebras import Budget, direct_product, enumerate_homomorphisms, quotient
 from filtra.terms import App
 from filtra.checks import Testbed, check_edcf
 from filtra.cli import CATALOG
@@ -111,7 +111,7 @@ def test_criterion_02_leibniz_oracle():
 
 def _run_catalog(example):
     results = []
-    CATALOG[example](results)
+    CATALOG[example](results, Budget())
     bad = [r for r in results if not r["ok"]]
     assert not bad, bad
     return results

@@ -4,13 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_algebras
+from conftest import random_algebras, relabel
 
 from filtra import builtins as bi
 from filtra import classes
 from filtra.algebras import (
     Budget,
-    FiniteAlgebra,
     direct_product,
     enumerate_homomorphisms,
     eval_term,
@@ -42,17 +41,6 @@ def alpha12():
 @pytest.fixture(scope="module")
 def pwk_quasi():
     return bi.class_spec("pwk-quasi")
-
-
-def relabeled(algebra: FiniteAlgebra, perm) -> FiniteAlgebra:
-    inv = {perm[i]: i for i in range(algebra.size)}
-    tables = {}
-    for sym, arity in algebra.signature.symbols:
-        entries = []
-        for args in itertools.product(range(algebra.size), repeat=arity):
-            entries.append(perm[algebra.op(sym, *(inv[a] for a in args))])
-        tables[sym] = entries
-    return FiniteAlgebra.make(algebra.name + "-relabeled", algebra.size, algebra.signature, tables)
 
 
 # --- membership ------------------------------------------------------------
@@ -132,7 +120,7 @@ def test_member_invariant_under_relabeling(wk3, k3, box5, alpha12):
         for _ in range(4):
             perm = list(range(algebra.size))
             rng.shuffle(perm)
-            assert member(relabeled(algebra, perm), spec) == member(algebra, spec)
+            assert member(relabel(algebra, perm), spec) == member(algebra, spec)
 
 
 def test_generated_quasivariety_closure_properties(wk3, k3):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from filtra.cli import (
+    CATALOG,
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -148,6 +149,8 @@ def test_budget_exit_in_candidate_sweep(capsys):
 @pytest.mark.parametrize("argv", [
     ["fg", "--algebra", "mchain4", "--logic", "KG", "--gen", "1"],
     ["check", "brouwer", "--logic", "ORD", "--algebra", "M3"],
+    ["reproduce", "kleene-edcf"],
+    ["reproduce", "kl-only-filter"],
 ])
 def test_a_cold_context_is_built_within_the_budget(capsys, cold_contexts, argv):
     code, _, err = run(capsys, "--budget", "10", *argv)
@@ -215,3 +218,11 @@ def test_reproduce_single_examples(capsys, example):
     code, out, _ = run(capsys, "reproduce", example)
     assert code == EXIT_PASS
     assert "MISMATCH" not in out
+
+
+def test_reproduce_all_spends_one_budget_without_changing_a_row(capsys, cold_contexts):
+    # the whole catalog fits in a quarter of the default budget, and sharing
+    # one budget across the rows leaves each row as it reads on its own
+    code, out, _ = run(capsys, "--budget", "2500000", "reproduce", "all")
+    assert code == EXIT_PASS
+    assert out == "".join(run(capsys, "reproduce", example)[1] for example in CATALOG)

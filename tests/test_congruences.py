@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    all_partitions,
     oracle_compatible,
     oracle_congruences,
     oracle_is_congruence,
@@ -16,7 +18,7 @@ from conftest import (
 )
 
 from filtra import builtins as bi
-from filtra.algebras import Budget, FiniteAlgebra, trivial_algebra
+from filtra.algebras import Budget, FiniteAlgebra, direct_product, trivial_algebra
 from filtra.congruences import (
     Congruence,
     all_congruences,
@@ -124,6 +126,20 @@ def test_join_is_least_upper_bound(box5):
         for other in lattice:
             if t1.refines(other) and t2.refines(other):
                 assert j.refines(other)
+
+
+def test_lattice_spends_one_step_per_element_per_join(wk3_sq, k3_sq, box5):
+    # the closure makes the same joins and prices each at the carrier size
+    for algebra, steps in ((wk3_sq.algebra, 3876), (box5, 705), (k3_sq.algebra, 3880)):
+        budget = Budget()
+        all_congruences(algebra, budget)
+        assert budget.spent == steps, algebra.name
+
+
+def test_wk3_cube_lattice_fits_the_default_budget(wk3):
+    budget = Budget()
+    assert len(all_congruences(direct_product([wk3, wk3, wk3]).algebra, budget)) == 2921
+    assert budget.spent == 4_426_799
 
 
 # --- compatibility ---------------------------------------------------------
@@ -264,3 +280,25 @@ def test_random_algebras_match_oracles(algebra_and_perm):
             assert got == oracle_largest_compatible(lattice, subset)
             moved = leibniz_congruence(copy, [perm[x] for x in subset])
             assert moved == _relabel_congruence(got, perm)
+
+
+@st.composite
+def partition_pairs(draw):
+    """Two partitions of one carrier of at most 6 elements, and a permutation."""
+    n = draw(st.integers(0, 6))
+    partitions = st.sampled_from(list(all_partitions(n)))
+    return draw(partitions), draw(partitions), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(partition_pairs())
+def test_join_is_the_transitive_closure_of_the_union(case):
+    p, q, perm = case
+    n = len(p)
+    related = {(a, b) for a in range(n) for b in range(n) if p[a] == p[b] or q[a] == q[b]}
+    for k in range(n):  # Warshall
+        related |= {(a, b) for a in range(n) for b in range(n) if (a, k) in related and (k, b) in related}
+    joined = Congruence(p).join(Congruence(q))
+    assert {(a, b) for a in range(n) for b in range(n) if joined.same(a, b)} == related
+    moved = _relabel_congruence(Congruence(p), perm).join(_relabel_congruence(Congruence(q), perm))
+    assert moved == _relabel_congruence(joined, perm)
