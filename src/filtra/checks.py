@@ -421,7 +421,7 @@ def absolute_fep_check(
     for big in testbed:
         uncertified.update(_uncertified(logic, [big], budget))
         for sub, small, inclusion in _proper_subalgebras(big, logic, uncertified, budget):
-            pair_certified = fg_certified(big, logic) and fg_certified(small, logic)
+            pair_certified = fg_certified(big, logic, budget) and fg_certified(small, logic, budget)
             for n in range(arity_cap + 1):
                 for xs in itertools.combinations(range(small.size), n):
                     budget.spend()

@@ -123,7 +123,8 @@ def cmd_fg(args) -> int:
     for i, stage in enumerate(stages[:-1]):
         lines.append(f"C_{i} = {algebra.describe(stage)}")
     lines.append(f"Fg = {algebra.describe(result)}")
-    if not filters_certified(algebra, logic):
+    certified = filters_certified(algebra, logic, budget)
+    if not certified:
         lines.append("note: filter computation not certified exact at the current bound")
     payload = {
         "algebra": algebra.name,
@@ -131,7 +132,7 @@ def cmd_fg(args) -> int:
         "filter": sorted(result),
         "filter_labels": [algebra.label(e) for e in sorted(result)],
         "trace": [sorted(s) for s in stages],
-        "certified": filters_certified(algebra, logic),
+        "certified": certified,
     }
     _emit(payload, args.format, lines)
     return EXIT_PASS

@@ -43,8 +43,10 @@ the target lies in ISP of the matrix algebras and satisfies every identity
 they do; its tables are then read off the term DAG of the clone on the matrix
 algebras alone, which is built once per (matrix algebras, v) and shared by
 every such target.  Any other target is closed jointly with the matrices.
-The clone and the homomorphism search have allowances of their own, whose
-exhaustion leaves the family uncertified rather than raising.
+The clone, its evaluation on the target and the homomorphism search spend
+the caller's budget like every other layer, pricing the clone per lane of 256
+positions; only the element cap and MAX_CLONE_TABLE leave a family
+uncertified, while running out of budget raises.
 
 All built-in matrix logics certify on the shipped testbeds; uncertified
 results are flagged so report-level verdicts can degrade to "inconclusive"
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable
 
 from .algebras import (
@@ -76,11 +77,10 @@ from .algebras import (
     quotient,
 )
 from .congruences import Congruence
-from .errors import InvalidSpec, SizeBudgetExceeded
+from .errors import InvalidSpec
 from .terms import Rule, _hash_fields_once, rule_variables
 
 DEFAULT_CLONE_ELEMENT_CAP = 3000
-CLONE_STEP_ALLOWANCE = 2_000_000
 MAX_CLONE_TABLE = 250_000
 
 
@@ -263,7 +263,7 @@ class _Clone:
     tables: list[tuple[Table, ...]]
 
 
-def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int) -> _Clone:
+def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int, budget: Budget) -> _Clone:
     """Close the joint projections under all operations, within caps.
 
     An element is one flat key over every (algebra, valuation) position, a
@@ -272,8 +272,9 @@ def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int) -> _Clone:
     lexicographic order, skipping those that use no element of the previous
     round's frontier.  The tuples sharing all but the last argument form a
     block: each position reads the table row its prefix selects and maps it
-    over the last argument's column.  A block spends one step per position and
-    tuple, and is cut at the count the allowance affords.
+    over the last argument's column.  A block spends, before it is built, one
+    step per tuple and lane of 256 positions.  The clone is left incomplete
+    only when it outgrows the element cap.
     """
     if max(alg.size for alg in algebras) <= 256:
         join = b"".join
@@ -294,9 +295,9 @@ def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int) -> _Clone:
 
     widths = [alg.size**nvars for alg in algebras]
     step = sum(widths)
+    lanes = -(-step // 256)
     owner = [ci for ci, width in enumerate(widths) for _ in range(width)]
     sizes = [algebras[ci].size for ci in owner]
-    spent = 0
     seen: set = set()
     nodes: list[tuple] = []
     keys: list = []
@@ -313,8 +314,8 @@ def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int) -> _Clone:
     for i in range(nvars):
         add((None, i), leaf((None, i)))
 
-    complete = True
-    try:
+    def closes() -> bool:
+        """Run the rounds; False once the element cap is passed."""
         frontier_start = 0
         while True:
             prev_count = len(keys)
@@ -323,9 +324,7 @@ def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int) -> _Clone:
             fresh = [column[frontier_start:] for column in columns]
             for sym, arity in algebras[0].signature.symbols:
                 if arity == 0:
-                    spent += step
-                    if spent > CLONE_STEP_ALLOWANCE:
-                        raise SizeBudgetExceeded("clone step allowance")
+                    budget.spend(lanes)
                     add((sym, ()), leaf((sym, ())))
                     continue
                 rows_of = []
@@ -335,92 +334,81 @@ def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int) -> _Clone:
                 rows = [rows_of[ci] for ci in owner]
                 for prefix in itertools.product(range(prev_count), repeat=arity - 1):
                     lo = 0 if prefix and max(prefix) >= frontier_start else frontier_start
+                    count = prev_count - lo
+                    budget.spend(count * lanes)
                     index = [0] * step
                     for a in prefix:
                         index = [i * n + v for i, n, v in zip(index, sizes, keys[a])]
-                    count = min(prev_count - lo, (CLONE_STEP_ALLOWANCE - spent) // step)
-                    spent += count * step
                     selected = map(list.__getitem__, rows, index)
                     source = fresh if lo else columns
-                    joined = join([gather(row, col[:count]) for row, col in zip(selected, source)])
+                    joined = join([gather(row, col) for row, col in zip(selected, source)])
                     block = [joined[j::count] for j in range(count)]
                     if not seen.issuperset(block):
                         for last, key in enumerate(block, lo):
                             add((sym, prefix + (last,)), key)
                             if len(keys) > DEFAULT_CLONE_ELEMENT_CAP:
-                                raise SizeBudgetExceeded("clone element cap")
-                    elif block and len(keys) > DEFAULT_CLONE_ELEMENT_CAP:
-                        raise SizeBudgetExceeded("clone element cap")  # a constant went over
-                    if count < prev_count - lo:
-                        raise SizeBudgetExceeded("clone step allowance")
+                                return False
+                    elif len(keys) > DEFAULT_CLONE_ELEMENT_CAP:
+                        return False  # a constant went over
             if len(keys) == prev_count:
-                break
+                return True
             frontier_start = prev_count
-    except SizeBudgetExceeded:
-        complete = False
+
+    complete = closes()
     bounds = list(itertools.accumulate(widths, initial=0))
     tables = [tuple(key[i:j] for i, j in zip(bounds, bounds[1:])) for key in keys]
     return _Clone(nvars, complete, nodes, tables)
 
 
-@lru_cache(maxsize=None)
-def _shared_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int) -> _Clone:
+_CLONES: dict[tuple[tuple[FiniteAlgebra, ...], int], _Clone] = {}
+
+
+def _shared_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int, budget: Budget) -> _Clone:
     """_build_clone, built once: the matrix side serves every target in ISP of
-    the matrices, a joint build every logic over the same matrix algebras."""
-    return _build_clone(algebras, nvars)
+    the matrices, a joint build every logic over the same matrix algebras.
+    Stored only once built, from the budget of the call that first needs it."""
+    if (algebras, nvars) not in _CLONES:
+        _CLONES[algebras, nvars] = _build_clone(algebras, nvars, budget)
+    return _CLONES[algebras, nvars]
 
 
-def _evaluate_clone(target: FiniteAlgebra, shared: _Clone) -> _Clone:
+def _evaluate_clone(target: FiniteAlgebra, shared: _Clone, budget: Budget) -> _Clone:
     """The joint clone on the target and the shared algebras, read off the DAG.
 
     Valid when the target satisfies every identity of the shared algebras: two
     terms that agree there agree on the target, so the shared closure already
     lists each joint term function once, in the order a joint build finds it.
+    Each node spends one step per lane of 256 valuations.
     """
     nvars = shared.nvars
-    allowance = Budget(CLONE_STEP_ALLOWANCE)
-    width = target.size**nvars
+    lanes = -(-(target.size**nvars) // 256)
     mine: list[Table] = []
-    complete = shared.complete
-    try:
-        for sym, args in shared.nodes:
-            allowance.spend(width)
-            if sym is None or not args:
-                mine.append(_leaf_table(target, nvars, (sym, args)))
-            else:
-                mine.append(_apply_pointwise(target, sym, [mine[a] for a in args]))
-    except SizeBudgetExceeded:
-        complete = False
+    for sym, args in shared.nodes:
+        budget.spend(lanes)
+        if sym is None or not args:
+            mine.append(_leaf_table(target, nvars, (sym, args)))
+        else:
+            mine.append(_apply_pointwise(target, sym, [mine[a] for a in args]))
     tables = [(t,) + tabs for t, tabs in zip(mine, shared.tables)]
-    return _Clone(nvars, complete, shared.nodes[: len(tables)], tables)
+    return _Clone(nvars, shared.complete, shared.nodes, tables)
 
 
 def _homomorphic_lower(
-    algebra: FiniteAlgebra, logic: MatrixDetermined
+    algebra: FiniteAlgebra, logic: MatrixDetermined, budget: Budget
 ) -> tuple[list[tuple[int, ...]], set[int]]:
     """Homomorphisms into the matrix algebras, with the lower family they give.
 
     The preimages of designated sets, the carrier and their intersections are
-    genuine filters.  Should a search exceed its budget, the matrices from that
-    one on contribute nothing.
+    genuine filters.
     """
     homs: list[tuple[int, ...]] = []
     lower: set[int] = {(1 << algebra.size) - 1}
-    try:
-        for m in logic.matrices:
-            for h in enumerate_homomorphisms(algebra, m.algebra):
-                homs.append(h)
-                lower.add(_mask(a for a in range(algebra.size) if h[a] in m.designated))
-    except SizeBudgetExceeded:
-        pass
-    grew = True
-    while grew:
-        grew = False
-        for f, g in itertools.combinations(list(lower), 2):
-            meet = f & g
-            if meet not in lower:
-                lower.add(meet)
-                grew = True
+    for m in logic.matrices:
+        for h in enumerate_homomorphisms(algebra, m.algebra, budget):
+            homs.append(h)
+            lower.add(_mask(a for a in range(algebra.size) if h[a] in m.designated))
+    while not lower.issuperset(meets := {f & g for f, g in itertools.combinations(lower, 2)}):
+        lower |= meets
     return homs, lower
 
 
@@ -520,20 +508,21 @@ def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined, budget: Bud
     constants alone.  A target whose homomorphisms into the matrix algebras
     separate its points lies in ISP of them, so its tables are read off the
     shared matrix clone (see the module docstring); any other target is
-    closed jointly.  The rows and the certification spend the caller's budget.
+    closed jointly.  Every layer, from the homomorphisms to the certification,
+    spends the caller's budget.
     """
     for m in logic.matrices:
         if m.algebra.signature != algebra.signature:
             raise InvalidSpec("matrix logic applied to an algebra of another signature")
     algebras = tuple(m.algebra for m in logic.matrices)
     bound = min(algebra.size, logic.variable_bound or algebra.size)
-    homs, hom_lower = _homomorphic_lower(algebra, logic)
+    homs, hom_lower = _homomorphic_lower(algebra, logic, budget)
     in_isp = len({tuple(h[a] for h in homs) for a in algebra.elements()}) == algebra.size
 
     def clone_at(v: int) -> _Clone:
         if in_isp:
-            return _evaluate_clone(algebra, _shared_clone(algebras, v))
-        return _shared_clone((algebra,) + algebras, v)
+            return _evaluate_clone(algebra, _shared_clone(algebras, v, budget), budget)
+        return _shared_clone((algebra,) + algebras, v, budget)
 
     best = None
     tried = None
@@ -560,14 +549,14 @@ def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined, budget: Bud
 _CONTEXTS: dict[tuple[FiniteAlgebra, LogicSpec], _Context] = {}
 
 
-def _context(algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | None = None) -> _Context:
+def _context(algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget) -> _Context:
     """The pair's context, keyed by value: equal algebras built apart share it;
     built from the budget of the call that first needs it, stored once built."""
     key = (algebra, logic)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
         build = _rule_context if isinstance(logic, RulePresented) else _matrix_context
-        ctx = _CONTEXTS[key] = build(algebra, logic, budget or Budget())
+        ctx = _CONTEXTS[key] = build(algebra, logic, budget)
     return ctx
 
 
@@ -585,9 +574,14 @@ def is_filter(
     return _context(algebra, logic, as_budget(budget)).is_filter(_mask(members))
 
 
-def is_filter_certain(algebra: FiniteAlgebra, members: Iterable[int], logic: LogicSpec) -> bool:
+def is_filter_certain(
+    algebra: FiniteAlgebra,
+    members: Iterable[int],
+    logic: LogicSpec,
+    budget: Budget | int | None = None,
+) -> bool:
     """Whether is_filter's answer on this subset is conclusive."""
-    return _context(algebra, logic).is_filter_certain(_mask(members))
+    return _context(algebra, logic, as_budget(budget)).is_filter_certain(_mask(members))
 
 
 def all_filters(
@@ -677,6 +671,8 @@ def fg_relative(
     return Filter(algebra, members)
 
 
-def has_theorem(algebra: FiniteAlgebra, logic: LogicSpec) -> bool | None:
+def has_theorem(
+    algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | int | None = None
+) -> bool | None:
     """Whether the logic proves anything outright; None when undecided."""
-    return _context(algebra, logic).has_theorem
+    return _context(algebra, logic, as_budget(budget)).has_theorem

@@ -30,7 +30,6 @@ from filtra.algebras import (
     induced_subalgebra,
     subuniverse_generated,
 )
-from filtra.errors import SizeBudgetExceeded
 from filtra.congruences import Congruence
 from filtra.logics import all_filters, fg
 from filtra.terms import App, Rule, Signature, Var
@@ -113,8 +112,10 @@ def id_logic():
 
 @pytest.fixture
 def cold_contexts(monkeypatch):
-    """No (algebra, logic) context built yet, as in a fresh process."""
+    """No (algebra, logic) context or shared clone built yet, as in a fresh
+    process."""
     monkeypatch.setattr(logics, "_CONTEXTS", {})
+    monkeypatch.setattr(logics, "_CLONES", {})
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +452,14 @@ def as_tuples(tables):
     return [tuple(map(tuple, tabs)) for tabs in tables]
 
 
-def oracle_build_clone(algebras, nvars) -> logics._Clone:
+def oracle_build_clone(algebras, nvars, budget) -> logics._Clone:
     """The clone closed one argument tuple at a time, each applied pointwise
-    to the argument tables, under the same caps and frontier rule as
-    logics._build_clone (read from the module, so monkeypatching applies).
-    Its tables are tuples."""
-    step = sum(alg.size**nvars for alg in algebras)
-    allowance = Budget(logics.CLONE_STEP_ALLOWANCE)
+    to the argument tables, under the same element cap (read from the module,
+    so monkeypatching applies), frontier rule and spending as
+    logics._build_clone: each block of tuples sharing all but the last
+    argument spends one step per tuple and lane of 256 positions before any of
+    them is applied.  Its tables are tuples."""
+    lanes = -(-sum(alg.size**nvars for alg in algebras) // 256)
     seen = set()
     nodes = []
     tables = []
@@ -471,31 +473,31 @@ def oracle_build_clone(algebras, nvars) -> logics._Clone:
     for i in range(nvars):
         add((None, i), tuple(tuple(_leaf_table(alg, nvars, (None, i))) for alg in algebras))
 
-    complete = True
-    try:
+    def closes():
         frontier_start = 0
         while True:
             prev_count = len(tables)
             for sym, arity in algebras[0].signature.symbols:
                 if arity == 0:
-                    allowance.spend(step)
+                    budget.spend(lanes)
                     add((sym, ()), tuple(tuple(_leaf_table(alg, nvars, (sym, ()))) for alg in algebras))
                     continue
-                for args in itertools.product(range(prev_count), repeat=arity):
-                    if frontier_start and max(args) < frontier_start:
-                        continue
-                    allowance.spend(step)
-                    add((sym, args), tuple(
-                        oracle_apply_pointwise(alg.table(sym), alg.size, [tables[a][ci] for a in args])
-                        for ci, alg in enumerate(algebras)
-                    ))
-                    if len(tables) > logics.DEFAULT_CLONE_ELEMENT_CAP:
-                        raise SizeBudgetExceeded("clone element cap")
+                for prefix in itertools.product(range(prev_count), repeat=arity - 1):
+                    lo = 0 if prefix and max(prefix) >= frontier_start else frontier_start
+                    budget.spend((prev_count - lo) * lanes)
+                    for last in range(lo, prev_count):
+                        args = prefix + (last,)
+                        add((sym, args), tuple(
+                            oracle_apply_pointwise(alg.table(sym), alg.size, [tables[a][ci] for a in args])
+                            for ci, alg in enumerate(algebras)
+                        ))
+                        if len(tables) > logics.DEFAULT_CLONE_ELEMENT_CAP:
+                            return False
             if len(tables) == prev_count:
-                break
+                return True
             frontier_start = prev_count
-    except SizeBudgetExceeded:
-        complete = False
+
+    complete = closes()
     return logics._Clone(nvars, complete, nodes, tables)
 
 

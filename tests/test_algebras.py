@@ -1,11 +1,14 @@
+import ast
 import itertools
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import brute_homomorphisms, random_algebras, relabel, terms_up_to_depth
 
+import filtra
 from filtra import builtins as bi
 from filtra.algebras import (
     Budget,
@@ -424,3 +427,36 @@ def test_trivial_algebra_accepts_everything(k3):
     t = trivial_algebra(k3.signature)
     assert t.size == 1
     assert enumerate_homomorphisms(k3, t) == [(0, 0, 0)]
+
+
+# --- the one budget ----------------------------------------------------------
+
+
+class _BudgetMakers(ast.NodeVisitor):
+    """The functions, as module.function, whose bodies construct a Budget."""
+
+    def __init__(self, module):
+        self.scope = [module]
+        self.found = set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        if getattr(func, "id", None) == "Budget" or getattr(func, "attr", None) == "Budget":
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_budgets_are_made_only_at_the_entry_points():
+    # every layer spends the budget it is handed: a public call without one
+    # gets the default through as_budget, and each command makes its own
+    makers = set()
+    for path in sorted(Path(filtra.__file__).parent.glob("*.py")):
+        visitor = _BudgetMakers(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        makers |= visitor.found
+    assert makers == {"algebras.as_budget", "cli.cmd_fg", "cli.cmd_check", "cli.cmd_reproduce"}

@@ -262,6 +262,7 @@ def test_check_edcf_spends_the_callers_budget_on_its_contexts(cold_contexts, kl)
     cold = Budget()
     check_edcf(kl, bed, candidate, "global", budget=cold)
     logics._CONTEXTS.clear()
+    logics._CLONES.clear()
     built = Budget()
     for algebra in bed:
         logics._context(algebra, kl, built)
@@ -534,14 +535,19 @@ def test_member_algebra_passes(kl, k3):
 
 def test_a_fail_read_off_an_uncertified_quotient_is_inconclusive(kl, k3):
     # every relative congruence's quotient is read for every cell, and the
-    # quotients of K3 x DM4 all share one name, none of them the witness's
+    # quotients of K3 x DM4 all share one name, none of them the witness's;
+    # with one variable two of them stay uncertified
+    kl1 = MatrixDetermined(kl.matrices, 1, "KL1")
     algebra = direct_product([k3, bi.algebra("DM4")]).algebra
     quotients = [quotient(algebra, t.partition)[0] for t in all_congruences(algebra)]
-    assert not all(filters_certified(q, kl) for q in quotients)
-    v = smallest_relcong_check(kl, algebra, Axiomatic(), arity_cap=1)
+    assert [filters_certified(q, kl1) for q in quotients] == [False, False, True, True]
+    v = smallest_relcong_check(kl1, algebra, Axiomatic(), arity_cap=1)
     assert v.outcome == "inconclusive"
     assert v.witness["algebra"] == algebra.name and v.witness["meet_blocks"]
     assert v.notes[-1] == "witness read an uncertified quotient"
+    # under KL every quotient certifies at two variables
+    assert all(filters_certified(q, kl) for q in quotients)
+    assert smallest_relcong_check(kl, algebra, Axiomatic(), arity_cap=1).passed
 
 
 # --- dually Brouwerian -----------------------------------------------------------------

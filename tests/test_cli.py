@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from filtra import builtins as bi
+from filtra import logics
 from filtra.cli import (
     CATALOG,
     EXIT_BUDGET,
@@ -164,6 +166,16 @@ def test_fg_on_mchain5_is_certified_without_a_subset_sweep(capsys, cold_contexts
     doc = json.loads(out)
     assert doc["certified"] is True
     assert doc["filter"] == list(range(32))
+
+
+def test_running_out_in_the_clone_exits_3_and_keeps_nothing_of_it(capsys, cold_contexts):
+    code, _, err = run(capsys, "--budget", "1000", "fg", "--algebra", "DM4^2", "--logic", "KL", "--gen", "0")
+    assert code == EXIT_BUDGET
+    assert "budget exceeded" in err
+    dm4_sq = bi.algebra("DM4^2")
+    assert (dm4_sq, bi.logic("KL")) not in logics._CONTEXTS
+    # the v = 1 clone was paid for; the v = 2 build ran out and left nothing
+    assert [nvars for algebras, nvars in logics._CLONES if dm4_sq in algebras] == [1]
 
 
 def test_replay_carries_a_non_default_budget(capsys):

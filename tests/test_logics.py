@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from conftest import (
 from filtra import builtins as bi
 from filtra import logics
 from filtra.algebras import (
+    DEFAULT_BUDGET,
     Budget,
     FiniteAlgebra,
     Matrix,
@@ -325,25 +327,42 @@ def test_kl_filters_on_the_square_are_the_projection_preimages(k3, kl):
 
 @pytest.mark.parametrize("nvars", [1, 2])
 def test_clone_read_off_the_matrix_dag_equals_the_joint_build(k3, nvars):
-    shared = _build_clone((k3,), nvars)
+    shared = _build_clone((k3,), nvars, Budget())
     for algebra in bi.testbed("k3-isp"):
-        joint = _build_clone((algebra, k3), nvars)
-        evaluated = _evaluate_clone(algebra, shared)
+        joint = _build_clone((algebra, k3), nvars, Budget())
+        evaluated = _evaluate_clone(algebra, shared, Budget())
         assert evaluated.tables == joint.tables, algebra.name
         assert evaluated.nodes == joint.nodes, algebra.name
         assert evaluated.complete == joint.complete, algebra.name
 
 
+def test_reading_a_clone_off_the_dag_spends_a_step_per_node_and_lane(k3):
+    shared = _build_clone((k3,), 2, Budget())
+    # 81 and 729 valuations of two variables: one and three lanes of 256
+    for algebra, lanes in ((bi.algebra("K3^2"), 1), (direct_product([k3, k3, k3]).algebra, 3)):
+        budget = Budget()
+        _evaluate_clone(algebra, shared, budget)
+        assert budget.spent == lanes * len(shared.nodes)
+
+
+def test_the_lower_family_spends_the_callers_budget_on_its_searches(k3, kl):
+    k3_sq = bi.algebra("K3^2")
+    searched, budget = Budget(), Budget()
+    enumerate_homomorphisms(k3_sq, k3, searched)
+    _homomorphic_lower(k3_sq, kl, budget)
+    assert budget.spent == searched.spent > 0
+
+
 def test_dm4_is_outside_isp_of_k3_and_built_jointly(k3, kl, lp):
     dm4 = bi.algebra("DM4")
-    homs, _ = _homomorphic_lower(dm4, kl)
+    homs, _ = _homomorphic_lower(dm4, kl, Budget())
     assert homs == []  # nothing separates points, so the joint path is taken
     for logic in (kl, lp):
-        ctx = _context(dm4, logic)
-        joint = _build_clone((dm4, k3), ctx.clone.nvars)
+        ctx = _context(dm4, logic, Budget())
+        joint = _build_clone((dm4, k3), ctx.clone.nvars, Budget())
         assert ctx.clone.tables == joint.tables
     # DM4 breaks identities of K3, so K3's DAG would merge distinct terms
-    assert _evaluate_clone(dm4, _build_clone((k3,), 2)).tables != joint.tables
+    assert _evaluate_clone(dm4, _build_clone((k3,), 2, Budget()), Budget()).tables != joint.tables
 
 
 # filter families on k3-isp and DM4 before the clone's variable count was
@@ -407,7 +426,7 @@ def test_rule_instances_spend_table_widths_and_points_and_fg_nothing_more(cold_c
 
 
 def test_equal_algebras_built_apart_share_one_context(kl):
-    assert _context(bi.algebra("K3^2"), kl) is _context(bi.algebra("K3^2"), kl)
+    assert _context(bi.algebra("K3^2"), kl, Budget()) is _context(bi.algebra("K3^2"), kl, Budget())
 
 
 def test_rule_logic_filters_on_mchain5_without_a_subset_sweep(cold_contexts, kg):
@@ -438,7 +457,7 @@ def _answer_before_and_after_the_family(algebra, logic, closed):
     path)."""
     _answer_every_subset(algebra, logic, closed)
     assert [f.members for f in all_filters(algebra, logic)] == closed
-    _context(algebra, logic).memo.clear()
+    _context(algebra, logic, Budget()).memo.clear()
     _answer_every_subset(algebra, logic, closed)
 
 
@@ -465,23 +484,42 @@ def _same_clone(got, want):
     assert got.complete == want.complete
 
 
+def _built_or_raised(build, algebras, nvars, limit):
+    """The clone `build` returns under Budget(limit), or None when it runs
+    out, with the steps it spent."""
+    budget = Budget(limit)
+    try:
+        return build(algebras, nvars, budget), budget.spent
+    except SizeBudgetExceeded:
+        return None, budget.spent
+
+
+def _same_build(algebras, nvars, limit):
+    """Both clone builds raise, or return equal clones; either way they spend
+    alike."""
+    got, spent = _built_or_raised(_build_clone, algebras, nvars, limit)
+    want, oracle_spent = _built_or_raised(oracle_build_clone, algebras, nvars, limit)
+    assert spent == oracle_spent
+    assert (got is None) == (want is None)
+    if got is not None:
+        _same_clone(got, want)
+    return got
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     random_clone_algebras(),
     st.sampled_from([3, 7, 20, 3000]),
-    st.sampled_from([5, 40, 300, 1000]),
+    st.sampled_from([5, 40, 300, 1000, 3000]),
     st.integers(0, 31),
 )
-def test_clone_by_columns_and_subuniverses_match_the_oracles(algebras, cap, tuples, extra):
-    # the oracle needs seconds for the default allowance on four elements, so
-    # it affords a few argument tuples here (cut mid-tuple by `extra`); the
-    # built-in clones below are checked at the defaults
+def test_clone_by_columns_and_subuniverses_match_the_oracles(algebras, cap, limit, extra):
+    # the budget may run out mid-block (by `extra`), in the same block the
+    # element cap is reached, or not at all
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(logics, "DEFAULT_CLONE_ELEMENT_CAP", cap)
         for nvars in (1, 2):
-            step = sum(a.size**nvars for a in algebras)
-            mp.setattr(logics, "CLONE_STEP_ALLOWANCE", tuples * step + extra)
-            _same_clone(_build_clone(algebras, nvars), oracle_build_clone(algebras, nvars))
+            _same_build(algebras, nvars, limit + extra)
     for algebra in algebras:
         assert enumerate_subuniverses(algebra) == oracle_subuniverses(algebra)
 
@@ -492,7 +530,7 @@ def test_builtin_clones_at_the_default_caps_match_the_oracle(names):
     named = {"K3": k3, "DM4": dm4, "K3xDM4": direct_product([k3, dm4]).algebra}
     algebras = tuple(named[n] for n in names)
     for nvars in (1, 2):
-        _same_clone(_build_clone(algebras, nvars), oracle_build_clone(algebras, nvars))
+        assert _same_build(algebras, nvars, DEFAULT_BUDGET).complete
 
 
 def test_clone_of_an_algebra_wider_than_a_byte_matches_the_oracle():
@@ -504,9 +542,11 @@ def test_clone_of_an_algebra_wider_than_a_byte_matches_the_oracle():
     }
     wide = FiniteAlgebra.make("wide", n, signature, tables)
     small = FiniteAlgebra.make("small", 2, signature, {"f": [1, 0], "g": [0, 0, 0, 1]})
-    clone = _build_clone((wide, small), 1)
-    assert not clone.complete  # the allowance ran out
-    _same_clone(clone, oracle_build_clone((wide, small), 1))
+    # 302 positions are two lanes a tuple
+    assert _same_build((wide, small), 1, 2000) is None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logics, "DEFAULT_CLONE_ELEMENT_CAP", 40)
+        assert not _same_build((wide, small), 1, 20_000).complete  # the cap ended it
 
 
 MATRIX_LOGICS = [
@@ -526,8 +566,8 @@ def _matrix_targets():
 @pytest.mark.parametrize("logic", MATRIX_LOGICS, ids=lambda logic: logic.name)
 @pytest.mark.parametrize("algebra", _matrix_targets(), ids=lambda algebra: algebra.name)
 def test_matrix_family_equals_the_unrefuted_sweep(cold_contexts, algebra, logic):
-    unrefuted = oracle_unrefuted(algebra, logic, _context(algebra, logic).clone)
-    ctx = _context(algebra, logic)
+    ctx = _context(algebra, logic, Budget())
+    unrefuted = oracle_unrefuted(algebra, logic, ctx.clone)
     assert [sum(1 << a for a in f.members) for f in all_filters(algebra, logic)] == unrefuted
     exact_by_bound = ctx.clone.complete and ctx.clone.nvars == algebra.size
     assert filters_certified(algebra, logic) == (exact_by_bound or set(unrefuted) == set(ctx.lower))
@@ -544,6 +584,25 @@ def test_kl_filters_on_k3_cubed_are_certified(cold_contexts, k3, kl):
     assert filters_certified(k3_cubed, kl)
 
 
+@pytest.mark.parametrize("logic_name", ["KL", "LP"])
+@pytest.mark.parametrize("names, filters", [(("DM4", "DM4"), 1), (("K3", "DM4"), 2)], ids=["DM4xDM4", "K3xDM4"])
+def test_products_with_dm4_certify_at_two_variables(cold_contexts, names, filters, logic_name):
+    # outside ISP of K3, so their v = 2 clone of 168 elements is built jointly
+    algebra = direct_product([bi.algebra(n) for n in names]).algebra
+    logic = bi.logic(logic_name)
+    assert filters_certified(algebra, logic)
+    detail = certification_detail(algebra, logic)
+    assert (detail["nvars_tried"], detail["clone_complete"]) == (2, True)
+    assert len(_context(algebra, logic, Budget()).clone.nodes) == 168
+    family = [f.members for f in all_filters(algebra, logic)]
+    assert len(family) == filters
+    perm = list(range(algebra.size))
+    random.Random(5).shuffle(perm)
+    moved = relabel(algebra, perm)
+    assert filters_certified(moved, logic)
+    assert {f.members for f in all_filters(moved, logic)} == {frozenset(perm[x] for x in s) for s in family}
+
+
 def test_a_cold_matrix_context_spends_the_callers_budget(cold_contexts, kl):
     k3_sq = bi.algebra("K3^2")
     with pytest.raises(SizeBudgetExceeded):
@@ -551,6 +610,10 @@ def test_a_cold_matrix_context_spends_the_callers_budget(cold_contexts, kl):
     assert (k3_sq, kl) not in logics._CONTEXTS
     with pytest.raises(SizeBudgetExceeded):
         filters_certified(k3_sq, kl, Budget(0))
+    with pytest.raises(SizeBudgetExceeded):
+        is_filter_certain(k3_sq, {8}, kl, Budget(0))
+    with pytest.raises(SizeBudgetExceeded):
+        has_theorem(k3_sq, kl, Budget(0))
     budget = Budget()
     assert is_filter(k3_sq, {8}, kl, budget)
     assert budget.spent > 0 and (k3_sq, kl) in logics._CONTEXTS
@@ -565,8 +628,8 @@ def test_random_matrix_logics_match_the_unrefuted_sweep(algebras, data):
     logic = MatrixDetermined((Matrix(matrix_algebra, designated),), bound)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(logics, "_CONTEXTS", {})
-        unrefuted = oracle_unrefuted(target, logic, _context(target, logic).clone)
-        ctx = _context(target, logic)
+        ctx = _context(target, logic, Budget())
+        unrefuted = oracle_unrefuted(target, logic, ctx.clone)
         closed = [frozenset(a for a in range(target.size) if u >> a & 1) for u in unrefuted]
         # a family certified by the lower one is known from the build on
         _answer_before_and_after_the_family(target, logic, closed)
@@ -581,6 +644,6 @@ def test_a_row_keeps_every_maximal_mask_landing_on_an_element(cold_contexts):
     negation = FiniteAlgebra.make("N2", 2, signature, {"f": [1, 0], "h": [1, 0]})
     logic = MatrixDetermined((Matrix(negation, frozenset({0})),), 1)
     target = FiniteAlgebra.make("T3", 3, signature, {"f": [2, 0, 2], "h": [2, 2, 0]})
-    unrefuted = oracle_unrefuted(target, logic, _context(target, logic).clone)
+    unrefuted = oracle_unrefuted(target, logic, _context(target, logic, Budget()).clone)
     assert unrefuted == [0, 0b111]
     assert [f.members for f in all_filters(target, logic)] == [frozenset(), frozenset({0, 1, 2})]
