@@ -2,9 +2,11 @@
 
 Every verdict is scoped to its inputs: "pass" means no violation was found on
 this testbed, never a universal claim, while "fail" carries a witness that can
-be replayed with the filter and equation primitives.  Checks whose filter
-computations are not certified exact (see logics.filters_certified) degrade to
-"inconclusive" rather than overclaim.
+be replayed with the filter and equation primitives.  Verdicts resting on
+filter computations that are not certified exact (see
+logics.filters_certified) degrade to "inconclusive" rather than overclaim: a
+pass when any algebra the checker read is uncertified, a fail when one whose
+filters its witness reports is.  One function, _resolve, decides both.
 
 Sweeps are deterministic: testbed order, then generator count ascending, then
 tuples lexicographically, then elements ascending.  The first witness found in
@@ -212,38 +214,39 @@ def _labels(algebra: FiniteAlgebra, elems: Iterable[int]) -> list[str]:
     return [algebra.label(e) for e in elems]
 
 
-def _uncertified(logic: LogicSpec, algebras: Iterable[FiniteAlgebra], budget: Budget) -> dict[str, str]:
-    """Algebras whose filter computations are not certified exact, by name,
-    each with what the certification search found there."""
+def _uncertified(
+    logic: LogicSpec, algebras: Iterable[FiniteAlgebra], budget: Budget
+) -> dict[FiniteAlgebra, str]:
+    """Algebras whose filter computations are not certified exact, keyed by
+    value, each with its name and what the certification search found there."""
     out = {}
     for a in algebras:
         if not fg_certified(a, logic, budget):
             d = certification_detail(a, logic, budget)
             clone = "complete" if d["clone_complete"] else "incomplete"
-            out[a.name] = (
-                f"v={d['nvars_tried']} tried, clone {clone}; "
-                f"lower family {d['lower']}, unrefuted {d['unrefuted']}"
+            out[a] = (
+                f"{a.name} (v={d['nvars_tried']} tried, clone {clone}; "
+                f"lower family {d['lower']}, unrefuted {d['unrefuted']})"
             )
     return out
 
 
-def _note_uncertified(uncertified: Mapping[str, str]) -> tuple[str, ...]:
-    if not uncertified:
-        return ()
-    listed = ", ".join(f"{name} ({why})" for name, why in uncertified.items())
-    return (f"filter computations not certified exact on: {listed}",)
-
-
-def _resolve(outcome_fail: bool, witness, checker: str, uncertified: Mapping[str, str]) -> Verdict:
-    """Fold certification into the final verdict."""
-    notes = _note_uncertified(uncertified)
-    if outcome_fail:
-        if uncertified and witness and witness.get("algebra") in uncertified:
-            return Verdict(INCONCLUSIVE, checker, witness, notes + ("witness found on an uncertified algebra",))
-        return Verdict(FAIL, checker, witness, notes)
-    if uncertified:
-        return Verdict(INCONCLUSIVE, checker, None, notes)
-    return Verdict(PASS, checker)
+def _resolve(
+    checker: str,
+    uncertified: Mapping[FiniteAlgebra, str],
+    witness: Mapping | None = None,
+    read: Iterable[FiniteAlgebra] = (),
+) -> Verdict:
+    """Fold certification into the verdict: with no witness a pass, with one
+    a fail, each inconclusive when it rests on uncertified filters; read are
+    the algebras whose filters the witness reports."""
+    listed = ", ".join(uncertified.values())
+    notes = (f"filter computations not certified exact on: {listed}",) if uncertified else ()
+    if witness is None:
+        return Verdict(INCONCLUSIVE, checker, None, notes) if uncertified else Verdict(PASS, checker)
+    if any(a in uncertified for a in read):
+        return Verdict(INCONCLUSIVE, checker, witness, notes + ("witness read an uncertified algebra",))
+    return Verdict(FAIL, checker, witness, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +326,8 @@ def check_edcf(
                 witness["theta_blocks"] = theta.to_blocks_json()
             witness["satisfies_candidate"] = not witness["in_fg"]
             witness["candidate"] = candidate.name
-            return _resolve(True, witness, "edcf", uncertified)
-    return _resolve(False, None, "edcf", uncertified)
+            return _resolve("edcf", uncertified, witness, [algebra])
+    return _resolve("edcf", uncertified)
 
 
 def compare_candidates(
@@ -390,16 +393,13 @@ def compare_candidates(
 
 
 def _proper_subalgebras(
-    big: FiniteAlgebra, logic: LogicSpec, uncertified: dict[str, str], budget: Budget
+    big: FiniteAlgebra, budget: Budget
 ) -> Iterator[tuple[frozenset[int], FiniteAlgebra, tuple[int, ...]]]:
-    """Each proper subuniverse of big with its subalgebra and inclusion map,
-    the subalgebra noted in `uncertified` when its filters are not exact."""
+    """Each proper subuniverse of big with its subalgebra and inclusion map."""
     for sub in enumerate_subuniverses(big, budget):
         if len(sub) == big.size:
             continue
-        small, inclusion = induced_subalgebra(big, sub)
-        uncertified.update(_uncertified(logic, [small], budget))
-        yield sub, small, inclusion
+        yield sub, *induced_subalgebra(big, sub)
 
 
 def absolute_fep_check(
@@ -417,11 +417,11 @@ def absolute_fep_check(
     """
     budget = as_budget(budget)
     _require(arity_cap, 0, "arity_cap")
-    uncertified: dict[str, str] = {}
+    uncertified: dict[FiniteAlgebra, str] = {}
     for big in testbed:
-        uncertified.update(_uncertified(logic, [big], budget))
-        for sub, small, inclusion in _proper_subalgebras(big, logic, uncertified, budget):
-            pair_certified = fg_certified(big, logic, budget) and fg_certified(small, logic, budget)
+        uncertified |= _uncertified(logic, [big], budget)
+        for sub, small, inclusion in _proper_subalgebras(big, budget):
+            uncertified |= _uncertified(logic, [small], budget)
             for n in range(arity_cap + 1):
                 for xs in itertools.combinations(range(small.size), n):
                     budget.spend()
@@ -442,13 +442,8 @@ def absolute_fep_check(
                             "fg_in_subalgebra": sorted(inclusion[i] for i in inner),
                             "trace_from_extension": sorted(inclusion[i] for i in trace),
                         }
-                        if pair_certified:
-                            return Verdict(FAIL, "absolute-fep", witness)
-                        return Verdict(
-                            INCONCLUSIVE, "absolute-fep", witness,
-                            ("witness involves an uncertified filter computation",),
-                        )
-    return _resolve(False, None, "absolute-fep", uncertified)
+                        return _resolve("absolute-fep", uncertified, witness, [big, small])
+    return _resolve("absolute-fep", uncertified)
 
 
 def fep_check(
@@ -459,11 +454,12 @@ def fep_check(
     """Filter extension over submatrices: every filter of the subalgebra above
     the trace of a base filter extends to a filter above the base filter."""
     budget = as_budget(budget)
-    uncertified: dict[str, str] = {}
+    uncertified: dict[FiniteAlgebra, str] = {}
     for big in testbed:
-        uncertified.update(_uncertified(logic, [big], budget))
+        uncertified |= _uncertified(logic, [big], budget)
         big_filters = [f.members for f in all_filters(big, logic, budget)]
-        for sub, small, inclusion in _proper_subalgebras(big, logic, uncertified, budget):
+        for sub, small, inclusion in _proper_subalgebras(big, budget):
+            uncertified |= _uncertified(logic, [small], budget)
             small_filters = [f.members for f in all_filters(small, logic, budget)]
             for base in big_filters:
                 trace = frozenset(i for i in range(small.size) if inclusion[i] in base)
@@ -485,8 +481,8 @@ def fep_check(
                             "base_filter": sorted(base),
                             "filter_without_extension": sorted(inclusion[i] for i in ff),
                         }
-                        return _resolve(True, witness, "fep", uncertified)
-    return _resolve(False, None, "fep", uncertified)
+                        return _resolve("fep", uncertified, witness, [big, small])
+    return _resolve("fep", uncertified)
 
 
 def factor_determined_check(
@@ -519,11 +515,11 @@ def factor_determined_check(
             for r in range(2, max_product_arity + 1)
             for combo in itertools.combinations_with_replacement(tuple(testbed), r)
         ]
-    uncertified: dict[str, str] = {}
+    uncertified: dict[FiniteAlgebra, str] = {}
     for factors in factor_lists:
         prod = direct_product(list(factors), budget=budget)
         algebra = prod.algebra
-        uncertified.update(_uncertified(logic, (algebra,) + tuple(factors), budget))
+        uncertified |= _uncertified(logic, (algebra,) + tuple(factors), budget)
         if pinned_generators is not None:
             gens_sweep = [tuple(g) for g in pinned_generators]
         else:
@@ -572,8 +568,8 @@ def factor_determined_check(
                     )
                     if bases is not None:
                         witness["base_filters"] = [sorted(b) for b in bases]
-                    return _resolve(True, witness, "factor-determined", uncertified)
-    return _resolve(False, None, "factor-determined", uncertified)
+                    return _resolve("factor-determined", uncertified, witness, [algebra, *factors])
+    return _resolve("factor-determined", uncertified)
 
 
 def test_algebra_check(
@@ -596,7 +592,7 @@ def test_algebra_check(
             "p": list(p_elements),
             "q": q_element,
         }
-        return _resolve(True, witness, "test-algebra", uncertified)
+        return _resolve("test-algebra", uncertified, witness, [test_algebra])
     for algebra in testbed:
         homs = enumerate_homomorphisms(test_algebra, algebra, budget)
         for xs in itertools.product(range(algebra.size), repeat=n):
@@ -610,8 +606,8 @@ def test_algebra_check(
                 if not matched:
                     witness = _cell(algebra, xs, b)
                     witness["reason"] = "no homomorphism maps the test elements onto this cell"
-                    return _resolve(True, witness, "test-algebra", uncertified)
-    return _resolve(False, None, "test-algebra", uncertified)
+                    return _resolve("test-algebra", uncertified, witness, [algebra])
+    return _resolve("test-algebra", uncertified)
 
 
 def smallest_relcong_check(
@@ -636,7 +632,7 @@ def smallest_relcong_check(
             for b in range(algebra.size)
         ]
     quotients = [quotient(algebra, theta.partition) for theta in relative]
-    uncertified = dict(sorted(_uncertified(logic, [q for q, _ in quotients], budget).items()))
+    uncertified = _uncertified(logic, [q for q, _ in quotients], budget)
     for xs, b in cells:
         hits = []
         for theta, (q, proj) in zip(relative, quotients):
@@ -654,11 +650,9 @@ def smallest_relcong_check(
                 "minimal_congruences": [t.to_blocks_json() for t in minimal],
                 "meet_blocks": meet.to_blocks_json(),
             }
-            if uncertified:  # every cell reads the filters of every quotient
-                notes = _note_uncertified(uncertified) + ("witness read an uncertified quotient",)
-                return Verdict(INCONCLUSIVE, "smallest-relative-congruence", witness, notes)
-            return Verdict(FAIL, "smallest-relative-congruence", witness)
-    return _resolve(False, None, "smallest-relative-congruence", uncertified)
+            # every cell reads the filters of every quotient
+            return _resolve("smallest-relative-congruence", uncertified, witness, [q for q, _ in quotients])
+    return _resolve("smallest-relative-congruence", uncertified)
 
 
 def dually_brouwerian_check(
@@ -688,8 +682,8 @@ def dually_brouwerian_check(
                     "filter_g": sorted(gm),
                     "minimal_h": [sorted(h) for h in minimal],
                 }
-                return _resolve(True, witness, "dually-brouwerian", uncertified)
-    return _resolve(False, None, "dually-brouwerian", uncertified)
+                return _resolve("dually-brouwerian", uncertified, witness, [algebra])
+    return _resolve("dually-brouwerian", uncertified)
 
 
 def leibniz_probe(
@@ -719,7 +713,7 @@ def leibniz_probe(
                             "omega_f": omegas[fm].to_blocks_json(),
                             "omega_g": omegas[gm].to_blocks_json(),
                         }
-                        return _resolve(True, witness, "leibniz-monotone", uncertified)
+                        return _resolve("leibniz-monotone", uncertified, witness, [algebra])
                 else:
                     if fm < gm and omegas[fm] == omegas[gm]:
                         witness = {
@@ -728,8 +722,8 @@ def leibniz_probe(
                             "filter_g": sorted(gm),
                             "omega_blocks": omegas[fm].to_blocks_json(),
                         }
-                        return _resolve(True, witness, "leibniz-injective", uncertified)
-    return _resolve(False, None, f"leibniz-{mode}", uncertified)
+                        return _resolve("leibniz-injective", uncertified, witness, [algebra])
+    return _resolve(f"leibniz-{mode}", uncertified)
 
 
 def _dually_brouwerian_each(logic: LogicSpec, testbed: Testbed, budget: Budget, **kwargs) -> Verdict:
@@ -768,6 +762,7 @@ def search_counterexample(
     if property_name not in _SEARCHES:
         raise InvalidSpec(f"no searchable property {property_name!r}")
     kwargs = dict(checker_kwargs or {})
+    verdict = Verdict(PASS, property_name)  # when no arity is swept
     fdc = property_name == "fdc"  # products are formed inside the checker; grow its arity instead
     for arity in range(2 if fdc else 1, max_product_arity + 1):
         bed = generate_testbed(
@@ -782,5 +777,6 @@ def search_counterexample(
                 FAIL, f"search/{property_name}", verdict.witness,
                 verdict.notes + (f"found at product arity {arity}",),
             )
+    # the highest arity's witness and notes say why its verdict was no fail
     note = f"no counterexample up to product arity {max_product_arity}"
-    return Verdict(INCONCLUSIVE, f"search/{property_name}", notes=(note,))
+    return Verdict(INCONCLUSIVE, f"search/{property_name}", verdict.witness, verdict.notes + (note,))

@@ -164,8 +164,10 @@ CHECKS = {
         resolve_logic(args.logic), args.property,
         [resolve_algebra(tok) for tok in args.generators.split(",")] if args.generators else [],
         max_product_arity=args.arity, budget=budget, checker_kwargs={
-            "candidate": resolve_candidate(args.candidate, args.algebra), "variant": args.variant,
-        } if args.property == "edcf" else {"mode": args.mode} if args.property == "leibniz" else {}),
+            "edcf": lambda: {"candidate": resolve_candidate(args.candidate, args.algebra),
+                             "variant": args.variant, "n_max": args.nmax},
+            "leibniz": lambda: {"mode": args.mode}, "fdc": lambda: {"absolute": not args.relative},
+        }.get(args.property, dict)()),
 }
 
 

@@ -184,17 +184,3 @@ def rule_variables(r: Rule) -> tuple[str, ...]:
             if v not in out:
                 out.append(v)
     return tuple(out)
-
-
-def check_term(t: Term, sig: Signature) -> None:
-    """Raise if some application does not match the signature."""
-    if isinstance(t, Var):
-        return
-    if t.symbol not in sig:
-        raise TermSyntaxError(f"unknown operation symbol {t.symbol!r}")
-    if sig.arity(t.symbol) != len(t.args):
-        raise ArityMismatch(
-            f"{t.symbol} expects {sig.arity(t.symbol)} arguments, got {len(t.args)}"
-        )
-    for a in t.args:
-        check_term(a, sig)

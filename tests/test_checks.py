@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -544,10 +546,22 @@ def test_a_fail_read_off_an_uncertified_quotient_is_inconclusive(kl, k3):
     v = smallest_relcong_check(kl1, algebra, Axiomatic(), arity_cap=1)
     assert v.outcome == "inconclusive"
     assert v.witness["algebra"] == algebra.name and v.witness["meet_blocks"]
-    assert v.notes[-1] == "witness read an uncertified quotient"
+    assert v.notes[-1] == "witness read an uncertified algebra"
     # under KL every quotient certifies at two variables
     assert all(filters_certified(q, kl) for q in quotients)
     assert smallest_relcong_check(kl, algebra, Axiomatic(), arity_cap=1).passed
+
+
+def test_uncertified_quotients_sharing_a_name_are_each_listed(kl, k3):
+    # two different quotients of K3 x DM4 are both named K3xDM4/~ and both
+    # stay uncertified with one variable; each keeps its own detail
+    kl1 = MatrixDetermined(kl.matrices, 1, "KL1")
+    algebra = direct_product([k3, bi.algebra("DM4")]).algebra
+    v = smallest_relcong_check(kl1, algebra, Axiomatic(), arity_cap=1)
+    assert v.outcome == "inconclusive"
+    listed = v.notes[0]
+    assert listed.count(f"{algebra.name}/~ (") == 2
+    assert "lower family 2, unrefuted 25)" in listed and "lower family 1, unrefuted 2)" in listed
 
 
 # --- dually Brouwerian -----------------------------------------------------------------
@@ -626,6 +640,18 @@ def test_search_without_a_fail_names_the_arity_it_reached(pwk, wk3):
     assert v.notes == ("no counterexample up to product arity 2",)
 
 
+def test_an_inconclusive_search_keeps_the_verdict_of_its_highest_arity(kl, k3):
+    # with one variable K3 x K3 and two of its subalgebras stay uncertified,
+    # so the witness the checker finds there is inconclusive, not a fail
+    kl1 = MatrixDetermined(kl.matrices, 1, "KL1")
+    kwargs = {"candidate": bi.candidate("kl-global"), "variant": "global"}
+    want = check_edcf(kl1, generate_testbed([k3], 2, True), **kwargs)
+    got = search_counterexample(kl1, "edcf", [k3], 2, checker_kwargs=kwargs)
+    assert want.outcome == got.outcome == "inconclusive" and want.witness["algebra"] == "K3xK3"
+    assert got.witness == want.witness
+    assert got.notes == want.notes + ("no counterexample up to product arity 2",)
+
+
 @pytest.mark.parametrize(
     "prop, inputs, arity, subalgebras, kwargs, direct",
     [
@@ -677,3 +703,19 @@ def test_global_edcf_implies_factor_determined(kl, lp, k3):
     for logic, cand in [(kl, "kl-global"), (lp, "lp-global")]:
         if check_edcf(logic, bi.testbed("k3-isp"), bi.candidate(cand), "global").passed:
             assert factor_determined_check(logic, bed, generator_cap=1).passed
+
+
+# --- one certification fold -----------------------------------------------------------------
+
+
+def test_verdicts_on_filters_are_decided_only_in_resolve():
+    # every checker that reads filters folds certification through _resolve;
+    # compare_candidates reads no filters, and the search rewraps a verdict
+    makers = set()
+    for top in ast.parse(Path(checks.__file__).read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "Verdict" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                makers.add(getattr(top, "name", "<module>"))
+    assert makers == {"_resolve", "compare_candidates", "search_counterexample"}

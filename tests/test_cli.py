@@ -96,6 +96,28 @@ def test_check_search_leibniz_honours_the_mode(capsys, argv, code, shown):
     assert "--mode injective" in out
 
 
+def test_check_search_passes_nmax_to_edcf(capsys):
+    # luk-global-k1 first fails on L3 at n = 1, beyond the recorded --nmax 0
+    argv = ("--logic", "LUK", "--candidate", "luk-global-k1", "--variant", "global", "--nmax", "0")
+    code, _, _ = run(capsys, "check", "edcf", "--testbed", "mv-chains", *argv)
+    assert code == EXIT_PASS
+    code, out, _ = run(capsys, "check", "search", "--property", "edcf", "--generators", "L3", "--arity", "1", *argv)
+    assert code == EXIT_INCONCLUSIVE
+    assert "witness" not in out and "--nmax 0" in out
+
+
+def test_check_search_passes_relative_to_fdc(capsys):
+    argv = ("--format", "json", "check")
+    flags = ("--logic", "PWK", "--relative", "--generators", "WK3", "--arity", "2")
+    code, out, _ = run(capsys, *argv, "fdc", *flags)
+    assert code == EXIT_FAIL
+    want = json.loads(out)["witness"]
+    assert want["base_filters"] == [[1, 2], [1, 2]]
+    code, out, _ = run(capsys, *argv, "search", "--property", "fdc", *flags)
+    assert code == EXIT_FAIL
+    assert json.loads(out)["witness"] == want
+
+
 def test_check_search_inconclusive_on_empty(capsys):
     code, _, _ = run(capsys, "check", "search", "--logic", "PWK", "--property", "fdc", "--generators", "")
     assert code == EXIT_INCONCLUSIVE
