@@ -761,9 +761,9 @@ def search_counterexample(
         return Verdict(INCONCLUSIVE, "search", notes=("empty generator set",))
     if property_name not in _SEARCHES:
         raise InvalidSpec(f"no searchable property {property_name!r}")
-    kwargs = dict(checker_kwargs or {})
-    verdict = Verdict(PASS, property_name)  # when no arity is swept
     fdc = property_name == "fdc"  # products are formed inside the checker; grow its arity instead
+    _require(max_product_arity, 2 if fdc else 1, "max_product_arity")
+    kwargs = dict(checker_kwargs or {})
     for arity in range(2 if fdc else 1, max_product_arity + 1):
         bed = generate_testbed(
             generators, 1 if fdc else arity, include_subalgebras, budget=budget,

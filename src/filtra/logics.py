@@ -3,13 +3,15 @@
 A logic is given either by finitely many rules or by finitely many finite
 matrices.  Each (algebra, logic) pair has one context for the life of the
 process, built from the budget of the call that first needs it; a build that
-raises leaves nothing behind.  It holds subsets of the carrier as bitmasks
-(element e is bit e) and one consequence step: the elements a subset's
-members yield outside it.  Only the step depends on how the logic is given.
-fg iterates it to its fixpoint (fg_trace lists the stages), is_filter asks
-whether it adds nothing, and Ganter's NextClosure enumerates its closed sets
-with at most |A| closures per closed set.  Once that family is known, fg and
-is_filter read it instead.  fg is memoized by generator mask.
+raises leaves nothing behind.  A context is found by the identity of the pair
+that built it, else by value, so equal algebras built apart share it.  It
+holds subsets of the carrier as bitmasks (element e is bit e) and one
+consequence step: the elements a subset's members yield outside it.  Only the
+step depends on how the logic is given.  fg iterates it to its fixpoint
+(fg_trace lists the stages), is_filter asks whether it adds nothing, and
+Ganter's NextClosure enumerates its closed sets with at most |A| closures per
+closed set.  Once that family is known, fg and is_filter read it instead.  fg
+memoizes its Filter by generator mask.
 
 Rule-presented filters are exact: a step adds the conclusion of each
 valuation instance of a rule whose premises lie in the subset.
@@ -168,7 +170,7 @@ class _Context:
     clone: _Clone | None = None
     # the highest variable count built, and whether that clone completed
     tried: tuple[int, bool] = (0, False)
-    memo: dict[int, frozenset[int]] = field(default_factory=dict)
+    memo: dict[int, Filter] = field(default_factory=dict)  # fg by generator mask
     family: tuple[int, ...] | None = None
 
     def stages(self, mask: int) -> list[int]:
@@ -546,17 +548,24 @@ def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined, budget: Bud
 # one context per (algebra, logic), and the public operations on it
 
 
-_CONTEXTS: dict[tuple[FiniteAlgebra, LogicSpec], _Context] = {}
+# keyed by value, and by (id(algebra), id(logic)) for the pair that built each
+# context: its value key holds both objects alive, so their ids stay theirs
+_CONTEXTS: dict[tuple, _Context] = {}
 
 
-def _context(algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget) -> _Context:
-    """The pair's context, keyed by value: equal algebras built apart share it;
-    built from the budget of the call that first needs it, stored once built."""
-    key = (algebra, logic)
-    ctx = _CONTEXTS.get(key)
+def _context(algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | int | None) -> _Context:
+    """The pair's context, found by identity without hashing either object,
+    else by value: equal algebras built apart share it.  Built from the budget
+    of the call that first needs it, stored once built; only a build reads the
+    budget."""
+    ctx = _CONTEXTS.get((id(algebra), id(logic)))
     if ctx is None:
-        build = _rule_context if isinstance(logic, RulePresented) else _matrix_context
-        ctx = _CONTEXTS[key] = build(algebra, logic, budget)
+        key = (algebra, logic)
+        ctx = _CONTEXTS.get(key)
+        if ctx is None:
+            build = _rule_context if isinstance(logic, RulePresented) else _matrix_context
+            ctx = _CONTEXTS[key] = build(algebra, logic, as_budget(budget))
+            _CONTEXTS[id(algebra), id(logic)] = ctx
     return ctx
 
 
@@ -571,7 +580,7 @@ def is_filter(
     Exact for rule-presented logics.  For matrix-determined logics a False is
     always definitive; a True is definitive when is_filter_certain agrees.
     """
-    return _context(algebra, logic, as_budget(budget)).is_filter(_mask(members))
+    return _context(algebra, logic, budget).is_filter(_mask(members))
 
 
 def is_filter_certain(
@@ -581,7 +590,7 @@ def is_filter_certain(
     budget: Budget | int | None = None,
 ) -> bool:
     """Whether is_filter's answer on this subset is conclusive."""
-    return _context(algebra, logic, as_budget(budget)).is_filter_certain(_mask(members))
+    return _context(algebra, logic, budget).is_filter_certain(_mask(members))
 
 
 def all_filters(
@@ -631,7 +640,7 @@ def fg_trace(
     budget: Budget | int | None = None,
 ) -> list[frozenset[int]]:
     """Stages of filter generation; the last stage is the filter."""
-    stages = _context(algebra, logic, as_budget(budget)).stages(_mask(generators))
+    stages = _context(algebra, logic, budget).stages(_mask(generators))
     return [frozenset(_elements(stage)) for stage in stages]
 
 
@@ -645,13 +654,14 @@ def fg(
 
     The one-step consequence iterated to its fixpoint, or the least member of
     the family once that is known; exact whenever filters_certified holds.
+    The memoized Filter is returned as is to the algebra that built the context.
     """
-    ctx = _context(algebra, logic, as_budget(budget))
+    ctx = _context(algebra, logic, budget)
     mask = _mask(generators)
-    members = ctx.memo.get(mask)
-    if members is None:
-        members = ctx.memo[mask] = frozenset(_elements(ctx.close(mask)))
-    return Filter(algebra, members)
+    f = ctx.memo.get(mask)
+    if f is None:
+        f = ctx.memo[mask] = Filter(ctx.algebra, frozenset(_elements(ctx.close(mask))))
+    return f if f.algebra is algebra else Filter(algebra, f.members)
 
 
 def fg_relative(
@@ -675,4 +685,4 @@ def has_theorem(
     algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | int | None = None
 ) -> bool | None:
     """Whether the logic proves anything outright; None when undecided."""
-    return _context(algebra, logic, as_budget(budget)).has_theorem
+    return _context(algebra, logic, budget).has_theorem

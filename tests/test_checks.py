@@ -633,6 +633,13 @@ def test_search_empty_generators(pwk):
     assert search_counterexample(pwk, "fdc", []).outcome == "inconclusive"
 
 
+@pytest.mark.parametrize("prop, arity", [("fdc", 1), ("leibniz", 0), ("edcf", 0)])
+def test_search_refuses_an_arity_range_that_runs_no_checker(pwk, wk3, prop, arity):
+    # fdc forms its products itself, so its range starts at 2
+    with pytest.raises(InvalidSpec, match="max_product_arity must be at least"):
+        search_counterexample(pwk, prop, [wk3], max_product_arity=arity)
+
+
 def test_search_without_a_fail_names_the_arity_it_reached(pwk, wk3):
     v = search_counterexample(pwk, "leibniz", [wk3], max_product_arity=2, include_subalgebras=False,
                               checker_kwargs={"mode": "injective"})

@@ -123,6 +123,18 @@ def test_check_search_inconclusive_on_empty(capsys):
     assert code == EXIT_INCONCLUSIVE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("search", "--property", "fdc", "--arity", "1"), ("search", "--property", "leibniz", "--arity", "0"),
+     ("fdc", "--arity", "1")],
+    ids=["search-fdc-1", "search-leibniz-0", "fdc-1"],
+)
+def test_an_empty_product_arity_range_exits_config(capsys, argv):
+    code, _, err = run(capsys, "check", *argv, "--logic", "PWK", "--generators", "WK3")
+    assert code == EXIT_CONFIG
+    assert "the sweep would be empty" in err
+
+
 def test_unknown_names_exit_config(capsys):
     code, _, err = run(capsys, "fg", "--algebra", "NOPE", "--logic", "PWK", "--gen", "")
     assert code == EXIT_CONFIG

@@ -25,6 +25,7 @@ from filtra.algebras import (
     Budget,
     FiniteAlgebra,
     Matrix,
+    _elements,
     direct_product,
     enumerate_homomorphisms,
     enumerate_subuniverses,
@@ -647,3 +648,113 @@ def test_a_row_keeps_every_maximal_mask_landing_on_an_element(cold_contexts):
     unrefuted = oracle_unrefuted(target, logic, _context(target, logic, Budget()).clone)
     assert unrefuted == [0, 0b111]
     assert [f.members for f in all_filters(target, logic)] == [frozenset(), frozenset({0, 1, 2})]
+
+
+# --- the warm query path ------------------------------------------------------------
+
+FG_WARM_PAIRS = (
+    ("K3^2", "KL"), ("K3^2", "LP"), ("WK3^2", "PWK"), ("mchain4", "KG"),
+    ("L5", "LUK"), ("box5", "ONE"), ("M3", "ORD"),
+)
+
+
+def _oracle_family(algebra, logic):
+    """The filters by brute force: the subsets closed under every rule
+    instance, or those the oracle clone in two variables leaves unrefuted."""
+    if isinstance(logic, RulePresented):
+        return oracle_closed_sets(algebra, logic.rules)
+    clone = oracle_build_clone((algebra,) + tuple(m.algebra for m in logic.matrices), 2, Budget())
+    return [frozenset(_elements(ms)) for ms in oracle_unrefuted(algebra, logic, clone)]
+
+
+def _rebuilt(algebra):
+    again = FiniteAlgebra.make(algebra.name, algebra.size, algebra.signature, dict(algebra.tables), algebra.labels)
+    assert again == algebra and again is not algebra
+    return again
+
+
+def _answer_cold_warm_and_rebuilt(algebra, logic, closed):
+    """fg and is_filter on every subset against the closed sets: from an empty
+    cache, again warm under budgets that allow no step, and on an equal algebra
+    built apart, which shares the context by value and gets Filters of its own.
+    Above 9 elements, the subsets of at most 3 elements and 300 drawn ones."""
+    n = algebra.size
+    subsets = [s for r in range(n + 1 if n <= 9 else 4) for s in itertools.combinations(range(n), r)]
+    if n > 9:
+        rng = random.Random(n)
+        subsets += [tuple(a for a in range(n) if rng.random() < 0.5) for _ in range(300)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logics, "_CONTEXTS", {})
+        for subset in subsets:  # the first call builds the context, every fg fills the memo
+            assert fg(algebra, subset, logic).members == oracle_least_closed(closed, subset)
+            assert is_filter(algebra, subset, logic) == (frozenset(subset) in closed)
+        entries = len(logics._CONTEXTS)
+        for i, subset in enumerate(subsets):
+            budget = (Budget(0), 0, None)[i % 3]
+            assert fg(algebra, subset, logic, budget).members == oracle_least_closed(closed, subset)
+            assert is_filter(algebra, subset, logic, budget) == (frozenset(subset) in closed)
+            assert not isinstance(budget, Budget) or budget.spent == 0
+        again = _rebuilt(algebra)
+        for subset in subsets:
+            got = fg(again, subset, logic, Budget(0))
+            assert got.algebra is again and got.members == oracle_least_closed(closed, subset)
+            assert is_filter(again, subset, logic, 0) == (frozenset(subset) in closed)
+        assert len(logics._CONTEXTS) == entries
+
+
+@pytest.mark.parametrize("names", FG_WARM_PAIRS, ids="-".join)
+def test_warm_queries_on_the_fg_warm_pairs_match_the_oracle(names):
+    algebra, logic = bi.algebra(names[0]), bi.logic(names[1])
+    closed = _oracle_family(algebra, logic)
+    _answer_cold_warm_and_rebuilt(algebra, logic, closed)
+    if isinstance(logic, MatrixDetermined):  # the oracle's two variables certify there
+        assert filters_certified(algebra, logic)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_algebras(), random_rules())
+def test_warm_queries_on_random_rule_logics_match_the_oracle(algebra_and_perm, rules):
+    algebra, _ = algebra_and_perm
+    logic = RulePresented(tuple(rules))
+    _answer_cold_warm_and_rebuilt(algebra, logic, oracle_closed_sets(algebra, logic.rules))
+
+
+def test_fg_relative_adds_no_context_after_its_first_call(cold_contexts, box5, one_logic):
+    theta = Congruence.from_blocks([[0, 1], [2, 4], [3]], 5)
+    first = fg_relative(box5, theta, [2, 3], one_logic)
+    entries = len(logics._CONTEXTS)
+    for _ in range(49):  # a fresh quotient every call, equal to the first
+        assert fg_relative(box5, theta, [2, 3], one_logic) == first
+        assert len(logics._CONTEXTS) == entries
+
+
+def test_cold_contexts_forces_a_build_of_a_warm_pair(request, wk3, pwk):
+    fg(wk3, (), pwk)
+    request.getfixturevalue("cold_contexts")
+    budget = Budget()
+    fg(wk3, (), pwk, budget)
+    assert budget.spent > 0
+
+
+@pytest.mark.parametrize("names", [("WK3^2", "PWK"), ("K3^2", "KL")], ids="-".join)
+def test_a_warm_query_hashes_nothing_and_makes_no_budget(cold_contexts, monkeypatch, names):
+    algebra, logic = bi.algebra(names[0]), bi.logic(names[1])
+    warmed = fg(algebra, (1, 2), logic)
+    calls = []
+
+    def counted(name, original):
+        def counting(*args):
+            calls.append(name)
+            return original(*args)
+        return counting
+
+    for cls in (FiniteAlgebra, RulePresented, MatrixDetermined):
+        monkeypatch.setattr(cls, "__hash__", counted(cls.__name__, cls.__hash__))
+    for module in ("filtra.algebras", "filtra.logics"):
+        monkeypatch.setattr(f"{module}.as_budget", counted("as_budget", logics.as_budget))
+    for budget in (None, 0, Budget(0)):
+        got = fg(algebra, (1, 2), logic, budget)
+        is_filter(algebra, (1, 2), logic, budget)
+        assert calls == [] and got is warmed
+    fg(_rebuilt(algebra), (1, 2), logic)  # found by value: the counters see it
+    assert "FiniteAlgebra" in calls
