@@ -16,7 +16,6 @@ integer arithmetic; above 256 elements it is a tuple.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -28,7 +27,7 @@ from .errors import (
     UnboundVariable,
     UnknownName,
 )
-from .terms import Equation, Signature, Term, Var, _hash_fields_once, equation_variables
+from .terms import Equation, Signature, Term, Var, _hash_fields_once, _Record, equation_variables
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -106,15 +105,24 @@ def next_closure(size: int, close: Callable[[int], int], budget: Budget) -> Iter
         yield closed
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
+class FiniteAlgebra(_Record):
     """A total algebra on {0, ..., size-1} with one table per symbol."""
 
-    name: str
-    size: int
-    signature: Signature
-    tables: tuple[tuple[str, tuple[int, ...]], ...]
-    labels: tuple[str, ...] | None = None
+    _fields = ("name", "size", "signature", "tables", "labels")
+
+    def __init__(
+        self,
+        name: str,
+        size: int,
+        signature: Signature,
+        tables: tuple[tuple[str, tuple[int, ...]], ...],
+        labels: tuple[str, ...] | None = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "labels", labels)
 
     __hash__ = _hash_fields_once
 
@@ -199,16 +207,16 @@ class FiniteAlgebra:
         return "{" + ", ".join(self.label(e) for e in sorted(elements)) + "}"
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(_Record):
     """An algebra together with a set of designated elements."""
 
-    algebra: FiniteAlgebra
-    designated: frozenset[int]
+    __slots__ = _fields = ("algebra", "designated")
 
-    def __post_init__(self):
-        if any(not (0 <= d < self.algebra.size) for d in self.designated):
+    def __init__(self, algebra: FiniteAlgebra, designated: frozenset[int]):
+        if any(not (0 <= d < algebra.size) for d in designated):
             raise InvalidSpec("designated elements outside the carrier")
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "designated", designated)
 
 
 Valuation = Mapping[str, int]
@@ -340,12 +348,14 @@ def holds_universally(eq: Equation, algebra: FiniteAlgebra, budget: Budget | int
     )
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(_Record):
     """A direct product together with its index codec and projections."""
 
-    algebra: FiniteAlgebra
-    factor_sizes: tuple[int, ...]
+    __slots__ = _fields = ("algebra", "factor_sizes")
+
+    def __init__(self, algebra: FiniteAlgebra, factor_sizes: tuple[int, ...]):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "factor_sizes", factor_sizes)
 
     def to_tuple(self, element: int) -> tuple[int, ...]:
         out = []

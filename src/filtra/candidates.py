@@ -17,25 +17,26 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidSpec
-from .terms import App, Equation, Term, Var, equation_variables
+from .terms import App, Equation, Term, Var, _Record, equation_variables
 
 ThetaSet = tuple[Equation, ...]
 
 VARIANTS = ("global", "local", "parametrized", "parametrized_local")
 
 
-@dataclass(frozen=True)
-class EDCFCandidate:
-    name: str
-    n_max: int
-    families: tuple[tuple[ThetaSet, ...], ...]
-    param_count: int = 0
+class EDCFCandidate(_Record):
+    __slots__ = _fields = ("name", "n_max", "families", "param_count")
 
-    def __post_init__(self):
+    def __init__(
+        self, name: str, n_max: int, families: tuple[tuple[ThetaSet, ...], ...], param_count: int = 0
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "families", families)
+        object.__setattr__(self, "param_count", param_count)
         if len(self.families) != self.n_max + 1:
             raise InvalidSpec(
                 f"candidate {self.name!r}: {len(self.families)} families for n_max {self.n_max}"

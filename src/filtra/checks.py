@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebras import (
@@ -47,18 +46,23 @@ from .logics import (
     fg,
     fg_certified,
 )
+from .terms import _Record
 
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str
-    checker: str
-    witness: Mapping | None = None
-    notes: tuple[str, ...] = ()
+class Verdict(_Record):
+    __slots__ = _fields = ("outcome", "checker", "witness", "notes")
+
+    def __init__(
+        self, outcome: str, checker: str, witness: Mapping | None = None, notes: tuple[str, ...] = ()
+    ):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "checker", checker)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "notes", notes)
 
     def to_json(self) -> dict:
         out = {"outcome": self.outcome, "checker": self.checker}
@@ -77,17 +81,18 @@ class Verdict:
         return self.outcome == FAIL
 
 
-@dataclass(frozen=True)
-class Testbed:
+class Testbed(_Record):
     __test__ = False  # keep pytest from collecting this as a suite
+    __slots__ = _fields = ("algebras", "provenance", "name")
 
-    algebras: tuple[FiniteAlgebra, ...]
-    provenance: tuple[str, ...] = ()
-    name: str = ""
-
-    def __post_init__(self):
-        if self.provenance and len(self.provenance) != len(self.algebras):
+    def __init__(
+        self, algebras: tuple[FiniteAlgebra, ...], provenance: tuple[str, ...] = (), name: str = ""
+    ):
+        if provenance and len(provenance) != len(algebras):
             raise InvalidSpec("provenance must be parallel to the algebra list")
+        object.__setattr__(self, "algebras", algebras)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "name", name)
 
     def __iter__(self):
         return iter(self.algebras)

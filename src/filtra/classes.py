@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 
 from .algebras import (
     Budget,
@@ -26,13 +25,15 @@ from .algebras import (
 )
 from .congruences import Congruence, all_congruences
 from .errors import InvalidSpec
-from .terms import Equation, equation_variables
+from .terms import Equation, _Record, equation_variables
 
 
-@dataclass(frozen=True)
-class Quasiequation:
-    antecedents: tuple[Equation, ...]
-    consequent: Equation
+class Quasiequation(_Record):
+    __slots__ = _fields = ("antecedents", "consequent")
+
+    def __init__(self, antecedents: tuple[Equation, ...], consequent: Equation):
+        object.__setattr__(self, "antecedents", antecedents)
+        object.__setattr__(self, "consequent", consequent)
 
     def variables(self) -> tuple[str, ...]:
         out: list[str] = []
@@ -43,28 +44,35 @@ class Quasiequation:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Axiomatic:
+class Axiomatic(_Record):
     """The class of all algebras satisfying the listed (quasi)equations."""
 
-    equations: tuple[Equation, ...] = ()
-    quasiequations: tuple[Quasiequation, ...] = ()
-    name: str = ""
+    __slots__ = _fields = ("equations", "quasiequations", "name")
+
+    def __init__(
+        self,
+        equations: tuple[Equation, ...] = (),
+        quasiequations: tuple[Quasiequation, ...] = (),
+        name: str = "",
+    ):
+        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "quasiequations", quasiequations)
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class GeneratedQuasivariety:
+class GeneratedQuasivariety(_Record):
     """The quasivariety generated by finitely many finite algebras."""
 
-    generators: tuple[FiniteAlgebra, ...]
-    name: str = ""
+    __slots__ = _fields = ("generators", "name")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, generators: tuple[FiniteAlgebra, ...], name: str = ""):
+        if not generators:
             raise InvalidSpec("a generated quasivariety needs at least one generator")
-        sig = self.generators[0].signature
-        if any(g.signature != sig for g in self.generators):
+        sig = generators[0].signature
+        if any(g.signature != sig for g in generators):
             raise InvalidSpec("generators must share a signature")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "name", name)
 
 
 ClassSpec = Axiomatic | GeneratedQuasivariety

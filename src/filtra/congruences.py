@@ -11,11 +11,11 @@ element of e's block: canonical too, and a union-find forest of depth one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebras import Budget, FiniteAlgebra, as_budget
 from .errors import NotACongruence
+from .terms import _Record
 
 
 def _canonical(partition: Sequence[int]) -> tuple[int, ...]:
@@ -28,12 +28,11 @@ def _canonical(partition: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Congruence:
-    partition: tuple[int, ...]
+class Congruence(_Record):
+    __slots__ = _fields = ("partition",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "partition", _canonical(self.partition))
+    def __init__(self, partition: tuple[int, ...]):
+        object.__setattr__(self, "partition", _canonical(partition))
 
     @classmethod
     def identity(cls, size: int) -> "Congruence":

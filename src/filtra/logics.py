@@ -58,7 +58,6 @@ instead of overclaiming.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .algebras import (
@@ -80,51 +79,57 @@ from .algebras import (
 )
 from .congruences import Congruence
 from .errors import InvalidSpec
-from .terms import Rule, _hash_fields_once, rule_variables
+from .terms import Rule, _hash_fields_once, _Record, rule_variables
 
 DEFAULT_CLONE_ELEMENT_CAP = 3000
 MAX_CLONE_TABLE = 250_000
 
 
-@dataclass(frozen=True)
-class RulePresented:
-    rules: tuple[Rule, ...]
-    name: str = ""
+class RulePresented(_Record):
+    _fields = ("rules", "name")
+
+    def __init__(self, rules: tuple[Rule, ...], name: str = ""):
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "name", name)
 
     __hash__ = _hash_fields_once
 
 
-@dataclass(frozen=True)
-class MatrixDetermined:
-    matrices: tuple[Matrix, ...]
-    variable_bound: int | None = None
-    name: str = ""
+class MatrixDetermined(_Record):
+    _fields = ("matrices", "variable_bound", "name")
 
-    __hash__ = _hash_fields_once
-
-    def __post_init__(self):
-        if not self.matrices:
+    def __init__(
+        self, matrices: tuple[Matrix, ...], variable_bound: int | None = None, name: str = ""
+    ):
+        if not matrices:
             raise InvalidSpec("a matrix-determined logic needs at least one matrix")
-        sig = self.matrices[0].algebra.signature
-        if any(m.algebra.signature != sig for m in self.matrices):
+        sig = matrices[0].algebra.signature
+        if any(m.algebra.signature != sig for m in matrices):
             raise InvalidSpec("matrices must share a signature")
-        if self.variable_bound is not None and self.variable_bound <= 0:
+        if variable_bound is not None and variable_bound <= 0:
             raise InvalidSpec("variable_bound must be positive")
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "variable_bound", variable_bound)
+        object.__setattr__(self, "name", name)
+
+    __hash__ = _hash_fields_once
 
 
 LogicSpec = RulePresented | MatrixDetermined
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(_Record):
     """A subset of a carrier known to be closed under the logic.
 
     Build through make_filter to have filterhood checked; the enumeration and
     generation routines construct instances for sets they have just verified.
     """
 
-    algebra: FiniteAlgebra
-    members: frozenset[int]
+    __slots__ = _fields = ("algebra", "members")
+
+    def __init__(self, algebra: FiniteAlgebra, members: frozenset[int]):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "members", members)
 
     def __contains__(self, element: int) -> bool:
         return element in self.members
@@ -148,7 +153,6 @@ def rule_valid_in_matrix(rule: Rule, matrix: Matrix, budget: Budget | int | None
 # the filter context of one (algebra, logic) pair
 
 
-@dataclass
 class _Context:
     """A logic on one algebra, with what has been computed of it so far.
 
@@ -159,19 +163,32 @@ class _Context:
     filterhood are read off it.
     """
 
-    algebra: FiniteAlgebra
-    step: Callable[[int], int]
-    has_theorem: bool | None
-    # whether the closed sets are the filter family: always for rules; for a
-    # matrix logic True from the start when the clone is complete at v = |A|,
-    # else known once certified() ran
-    exact: bool | None = True
-    lower: tuple[int, ...] = ()  # genuine filters, for a matrix logic
-    clone: _Clone | None = None
-    # the highest variable count built, and whether that clone completed
-    tried: tuple[int, bool] = (0, False)
-    memo: dict[int, Filter] = field(default_factory=dict)  # fg by generator mask
-    family: tuple[int, ...] | None = None
+    def __init__(
+        self,
+        algebra: FiniteAlgebra,
+        step: Callable[[int], int],
+        has_theorem: bool | None,
+        exact: bool | None = True,
+        lower: tuple[int, ...] = (),
+        clone: _Clone | None = None,
+    ):
+        self.algebra = algebra
+        self.step = step
+        self.has_theorem = has_theorem
+        # whether the closed sets are the filter family: always for rules; for
+        # a matrix logic True from the start when the clone is complete at
+        # v = |A|, else known once certified() ran
+        self.exact = exact
+        # genuine filters, for a matrix logic: sorted by size, and as a set
+        self.lower = lower
+        self.lower_set = frozenset(lower)
+        self.clone = clone
+        # the highest variable count built, and whether that clone completed
+        self.tried = (0, False)
+        self.memo: dict[int, Filter] = {}  # fg by generator mask
+        # the closed sets once known: sorted by size for close, as a set for is_filter
+        self.family: tuple[int, ...] | None = None
+        self.family_set: frozenset[int] = frozenset()
 
     def stages(self, mask: int) -> list[int]:
         """Stages of the one-step consequence, first stage included."""
@@ -188,27 +205,27 @@ class _Context:
         return next(ms for ms in self.family if mask & ms == mask)
 
     def is_filter(self, mask: int) -> bool:
-        return mask in self.family if self.family is not None else not self.step(mask)
+        return mask in self.family_set if self.family is not None else not self.step(mask)
 
     def is_filter_certain(self, mask: int) -> bool:
-        return bool(self.exact) or mask in self.lower or bool(self.step(mask))
+        return bool(self.exact) or mask in self.lower_set or bool(self.step(mask))
 
     def filters(self, budget: Budget) -> tuple[int, ...]:
         """The closed sets; the lower family once that matched them."""
         if self.family is None:
             closed = next_closure(self.algebra.size, self.close, budget)
             self.family = tuple(sorted(closed, key=_by_size))
+            self.family_set = frozenset(self.family)
         return self.family
 
     def certified(self, budget: Budget) -> bool:
         """Exact from the start, or NextClosure meets no closed set outside
         the lower family (it stops at the first it meets)."""
         if self.exact is None:
-            lower = set(self.lower)
             closed = next_closure(self.algebra.size, self.close, budget)
-            self.exact = all(ms in lower for ms in closed)
+            self.exact = all(ms in self.lower_set for ms in closed)
             if self.exact:
-                self.family = self.lower
+                self.family, self.family_set = self.lower, self.lower_set
         return self.exact
 
 
@@ -249,7 +266,6 @@ def _rule_context(algebra: FiniteAlgebra, logic: RulePresented, budget: Budget) 
 # matrix-determined logics: clone of term functions, jointly evaluated
 
 
-@dataclass
 class _Clone:
     """Term functions in `nvars` variables, closed jointly on some algebras.
 
@@ -259,10 +275,13 @@ class _Clone:
     no algebra of the build exceeds 256 elements, tuples otherwise.
     """
 
-    nvars: int
-    complete: bool
-    nodes: list[tuple]
-    tables: list[tuple[Table, ...]]
+    def __init__(
+        self, nvars: int, complete: bool, nodes: list[tuple], tables: list[tuple[Table, ...]]
+    ):
+        self.nvars = nvars
+        self.complete = complete
+        self.nodes = nodes
+        self.tables = tables
 
 
 def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int, budget: Budget) -> _Clone:

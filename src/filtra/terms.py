@@ -8,34 +8,67 @@ concrete algebra is decided at evaluation time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import ArityMismatch, TermSyntaxError, UnknownName
 
 
+class _Record:
+    """A value whose fields are named in the class's `_fields`: equal to a
+    record of the same class with equal fields, hashed and shown by them, and
+    frozen once __init__ has set them through object.__setattr__."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # the field tuple, as a dataclass compares and hashes it; attrgetter
+        # returns a lone field bare
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _hash_fields_once(self) -> int:
-    """__hash__ of a frozen dataclass that serves as a cache key: its fields,
-    operation tables or subterms among them, are hashed on the first call only."""
+    """__hash__ of a record that serves as a cache key: its fields, operation
+    tables or subterms among them, are hashed on the first call only."""
     h = self.__dict__.get("_hash")
     if h is None:
-        h = self.__dict__["_hash"] = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        h = self.__dict__["_hash"] = hash(self._values(self))
     return h
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(_Record):
     """A finite list of operation symbols with fixed arities."""
 
-    symbols: tuple[tuple[str, int], ...]
+    _fields = ("symbols",)
 
-    def __post_init__(self):
-        names = [name for name, _ in self.symbols]
+    def __init__(self, symbols: tuple[tuple[str, int], ...]):
+        names = [name for name, _ in symbols]
         if len(names) != len(set(names)):
             raise TermSyntaxError("duplicate symbol names in signature")
-        for name, arity in self.symbols:
+        for name, arity in symbols:
             if arity < 0:
                 raise TermSyntaxError(f"negative arity for {name}")
+        object.__setattr__(self, "symbols", symbols)
 
     @cached_property
     def _arities(self) -> dict[str, int]:
@@ -59,15 +92,19 @@ class Signature:
         return all(name in self and self.arity(name) == k for name, k in other.symbols)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class App:
-    symbol: str
-    args: tuple = ()
+class App(_Record):
+    _fields = ("symbol", "args")
+
+    def __init__(self, symbol: str, args: tuple = ()):
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "args", args)
 
     __hash__ = _hash_fields_once  # memo keys at every node: hash each subterm once
 
@@ -75,19 +112,23 @@ class App:
 Term = Var | App
 
 
-@dataclass(frozen=True)
-class Equation:
-    lhs: Term
-    rhs: Term
+class Equation(_Record):
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def __str__(self):
         return f"{format_term(self.lhs)} = {format_term(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class Rule:
-    premises: tuple[Term, ...]
-    conclusion: Term
+class Rule(_Record):
+    __slots__ = _fields = ("premises", "conclusion")
+
+    def __init__(self, premises: tuple[Term, ...], conclusion: Term):
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "conclusion", conclusion)
 
     def __str__(self):
         prem = ", ".join(format_term(p) for p in self.premises)

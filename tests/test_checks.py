@@ -1,5 +1,6 @@
 import ast
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -710,6 +711,57 @@ def test_global_edcf_implies_factor_determined(kl, lp, k3):
     for logic, cand in [(kl, "kl-global"), (lp, "lp-global")]:
         if check_edcf(logic, bi.testbed("k3-isp"), bi.candidate(cand), "global").passed:
             assert factor_determined_check(logic, bed, generator_cap=1).passed
+
+
+# --- testbed monotonicity -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "logic, bed, check, outcomes",
+    [
+        ("LP", "k3-isp", lambda logic, bed: check_edcf(logic, bed, bi.candidate("pwk-local")), {"pass", "fail"}),
+        ("PWK", "wk3-isp", lambda logic, bed: check_edcf(logic, bed, bi.candidate("pwk-local")), {"pass"}),
+        ("KL", "k3-isp", lambda logic, bed: absolute_fep_check(logic, bed, arity_cap=2), {"pass"}),
+        ("PWK", "wk3-isp", lambda logic, bed: absolute_fep_check(logic, bed, arity_cap=2), {"pass"}),
+        ("KL", "k3-isp", fep_check, {"pass", "fail"}),
+        ("PWK", "wk3-isp", fep_check, {"pass"}),
+        ("ORD", "k3-isp", leibniz_probe, {"pass", "fail"}),
+        ("PWK", "wk3-isp", leibniz_probe, {"pass", "fail"}),
+    ],
+    ids=["edcf-LP", "edcf-PWK", "absfep-KL", "absfep-PWK", "fep-KL", "fep-PWK", "leibniz-ORD", "leibniz-PWK"],
+)
+def test_per_algebra_verdicts_are_monotone_in_the_testbed(logic, bed, check, outcomes):
+    # From seeded subsets of the testbed, some drawn among the algebras that
+    # pass alone: a fail stays a fail with any one algebra added, a pass stays
+    # a pass with any one algebra removed.  An inconclusive outcome on either
+    # side is skipped, as certification decides it and not the property.
+    # Neither testbed makes absfep fail, nor edcf or fep under PWK, so those
+    # cases test the pass side only.
+    logic, algebras = bi.logic(logic), bi.testbed(bed).algebras
+    n = len(algebras)
+    rng = random.Random(n)
+
+    def outcome(kept):
+        return check(logic, Testbed(tuple(algebras[i] for i in sorted(kept)))).outcome
+
+    passing = [i for i in range(n) if outcome({i}) == "pass"]
+    starts = [rng.sample(range(n), rng.randint(2, n - 1)) for _ in range(4)]
+    starts += [rng.sample(passing, rng.randint(2, len(passing))) for _ in range(4)]
+    compared = set()
+    for kept in map(set, starts):
+        first = outcome(kept)
+        if first == "fail":
+            neighbours = [kept | {i} for i in range(n) if i not in kept]
+        elif first == "pass":
+            neighbours = [kept - {i} for i in kept]
+        else:
+            continue
+        for other in neighbours:
+            second = outcome(other)
+            if second != "inconclusive":
+                assert second == first, (sorted(kept), sorted(other))
+                compared.add(first)
+    assert compared == outcomes
 
 
 # --- one certification fold -----------------------------------------------------------------
