@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from importlib import resources
+from pathlib import Path
 
 from . import candidates as cand
 from .algebras import FiniteAlgebra, direct_product
@@ -17,7 +17,7 @@ from .serialization import algebra_from_json, class_from_json, logic_from_json
 
 
 def _load_json(filename: str):
-    with resources.files("filtra.data").joinpath(filename).open() as fh:
+    with open(Path(__file__).parent / "data" / filename) as fh:
         return json.load(fh)
 
 

@@ -6,24 +6,34 @@ many finite algebras.  For the latter, a finite algebra belongs iff every pair
 of distinct elements is separated by a homomorphism into some generator, which
 characterizes embeddability into a product of generators; at finite scale
 ultraproducts contribute nothing further.
+
+Relative congruences (those whose quotient lies in the class) are read off
+the algebra itself; no quotient is built and no membership test run.  For a
+generated class they are the meets of kernels of the homomorphisms into the
+generators, searched once per generator, with the total congruence as the
+empty meet.  For an axiomatic class each (quasi)equation is compiled once
+into tables on the algebra, and a congruence is relative iff those tables
+agree modulo it wherever the antecedents do; the least one above a set of
+pairs is a fixpoint of Cg (Gorbunov, Algebraic Theory of Quasivarieties,
+1998).  Each meet spends one step per element, and each reading of a table
+modulo a congruence one step per point.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 
 from .algebras import (
     Budget,
     FiniteAlgebra,
+    Table,
     _free_variables,
     as_budget,
     compile_term,
     enumerate_homomorphisms,
     holds_universally,
-    quotient,
 )
-from .congruences import Congruence, all_congruences
+from .congruences import Congruence, _canonical, all_congruences, cg_generated
 from .errors import InvalidSpec
 from .terms import Equation, _Record, equation_variables
 
@@ -95,6 +105,11 @@ def _holds_quasiequation(
     return True
 
 
+def _same_signature(algebra: FiniteAlgebra, spec: GeneratedQuasivariety) -> None:
+    if any(g.signature != algebra.signature for g in spec.generators):
+        raise InvalidSpec("membership test across different signatures")
+
+
 def member(
     algebra: FiniteAlgebra, spec: ClassSpec, budget: Budget | int | None = None
 ) -> bool:
@@ -107,9 +122,7 @@ def member(
             if not _holds_quasiequation(q, algebra, budget):
                 return False
         return True
-    for g in spec.generators:
-        if g.signature != algebra.signature:
-            raise InvalidSpec("membership test across different signatures")
+    _same_signature(algebra, spec)
     # separating-homomorphism criterion; homs are enumerated once per generator
     hom_sets = [enumerate_homomorphisms(algebra, g, budget) for g in spec.generators]
     for a in range(algebra.size):
@@ -120,20 +133,130 @@ def member(
     return True
 
 
+def _kernels(
+    algebra: FiniteAlgebra, spec: GeneratedQuasivariety, budget: Budget
+) -> list[tuple[int, ...]]:
+    """The distinct kernels of the homomorphisms from the algebra into the
+    generators, as canonical block arrays; one search per generator."""
+    _same_signature(algebra, spec)
+    kernels: dict[tuple[int, ...], None] = {}
+    for g in spec.generators:
+        for h in enumerate_homomorphisms(algebra, g, budget):
+            kernels.setdefault(_canonical(h))
+    return list(kernels)
+
+
+def _meet(a: tuple[int, ...], b: tuple[int, ...], budget: Budget) -> tuple[int, ...]:
+    budget.spend(len(a))
+    return _canonical(zip(a, b))
+
+
+_Axiom = tuple[list[tuple[Table, Table]], Table, Table]
+
+
+def _axioms(algebra: FiniteAlgebra, spec: Axiomatic, budget: Budget) -> list[_Axiom]:
+    """Each (quasi)equation as the tables of its antecedents and of the two
+    sides of its consequent, compiled once on the algebra.
+
+    Every name is a variable, as on a quotient, whose labels are bracketed
+    block lists: an axiom holds on A/theta iff its consequent agrees modulo
+    theta at every point where its antecedents do.
+    """
+    def tables(eq: Equation, variables: tuple[str, ...]) -> tuple[Table, Table]:
+        return (
+            compile_term(eq.lhs, algebra, variables, budget),
+            compile_term(eq.rhs, algebra, variables, budget),
+        )
+
+    axioms: list[_Axiom] = []
+    for eq in spec.equations:
+        axioms.append(([], *tables(eq, equation_variables(eq))))
+    for q in spec.quasiequations:
+        variables = q.variables()
+        axioms.append(([tables(eq, variables) for eq in q.antecedents], *tables(q.consequent, variables)))
+    return axioms
+
+
+def _modulo(table: Table, partition: tuple[int, ...]) -> Table:
+    """The table with every value replaced by its block id."""
+    if isinstance(table, bytes):
+        return table.translate(bytes(partition).ljust(256, b"\0"))
+    return tuple(map(partition.__getitem__, table))
+
+
+def _differences(a: Table, b: Table) -> int:
+    """A mask whose bit 8i + 7 is set iff the tables differ at point i.
+
+    The tables are read as big integers, one byte per point: a byte of their
+    xor is non-zero iff adding 0x7f to its low seven bits, or the byte
+    itself, sets its high bit, and no byte carries into the next.
+    """
+    if not isinstance(a, bytes):  # tuples, on carriers above 256 elements
+        a, b = bytes(x != y for x, y in zip(a, b)), bytes(len(a))
+    low = int.from_bytes(b"\x7f" * len(a), "little")
+    xor = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+    return (((xor & low) + low) | xor) & ~low
+
+
+def _violations(axiom: _Axiom, partition: tuple[int, ...], budget: Budget) -> int:
+    """The mask (as in _differences) of the points where the axiom fails
+    modulo the partition: its antecedents agree there, its consequent does
+    not.  One step per point."""
+    antecedents, lhs, rhs = axiom
+    budget.spend(len(lhs))
+    failing = _differences(_modulo(lhs, partition), _modulo(rhs, partition))
+    for a, b in antecedents:
+        if not failing:
+            break
+        failing &= ~_differences(_modulo(a, partition), _modulo(b, partition))
+    return failing
+
+
+def _consequent_pairs(axiom: _Axiom, failing: int) -> set[tuple[int, int]]:
+    """The values of the consequent's two sides at the points of the mask."""
+    _, lhs, rhs = axiom
+    pairs = set()
+    while failing:
+        bit = failing & -failing
+        point = bit.bit_length() // 8 - 1
+        pairs.add((lhs[point], rhs[point]))
+        failing ^= bit
+    return pairs
+
+
 def k_congruences(
     algebra: FiniteAlgebra, spec: ClassSpec, budget: Budget | int | None = None
 ) -> tuple[Congruence, ...]:
     """Congruences whose quotient lies in the class, finer first.
 
+    For a generated class these are the meets of kernels of homomorphisms into
+    the generators, with the total congruence as the empty meet: the closure
+    of {total} under meeting with each kernel, at one step per element per
+    meet.  For an axiomatic class, the lattice filtered by the axioms' tables.
     The total congruence is always among them: its quotient has one element,
     which satisfies every (quasi)equation and has no pair to separate.
     """
     budget = as_budget(budget)
-    return tuple(
-        theta
-        for theta in all_congruences(algebra, budget)
-        if member(quotient(algebra, theta.partition)[0], spec, budget)
-    )
+    if isinstance(spec, Axiomatic):
+        axioms = _axioms(algebra, spec, budget)
+        return tuple(
+            theta
+            for theta in all_congruences(algebra, budget)
+            if not any(_violations(axiom, theta.partition, budget) for axiom in axioms)
+        )
+    kernels = _kernels(algebra, spec, budget)
+    total = (0,) * algebra.size
+    found = {total}
+    frontier = [total]
+    while frontier:
+        theta = frontier.pop()
+        for kernel in kernels:
+            meet = _meet(theta, kernel, budget)
+            if meet not in found:
+                found.add(meet)
+                frontier.append(meet)
+    lattice = [Congruence(partition) for partition in found]
+    return tuple(sorted(lattice, key=lambda t: (-t.num_blocks, t.partition)))
 
 
 def theta_k(
@@ -149,11 +272,30 @@ def cg_k(
     pairs,
     budget: Budget | int | None = None,
 ) -> Congruence:
-    """Least relative congruence containing the pairs; the total congruence
-    contains every pair, so the meet is never over nothing."""
-    above = [
-        theta
-        for theta in k_congruences(algebra, spec, budget)
-        if all(theta.same(a, b) for a, b in pairs)
-    ]
-    return functools.reduce(Congruence.meet, above)
+    """Least relative congruence containing the pairs.
+
+    For a generated class, the meet of the kernels that identify every pair,
+    or the total congruence when none does.  For an axiomatic class, the
+    fixpoint of psi -> Cg(psi and the consequent pairs whose antecedents hold
+    modulo psi), from Cg(pairs): every relative congruence above the pairs
+    contains each stage, and the fixpoint satisfies every axiom (Gorbunov,
+    Algebraic Theory of Quasivarieties, 1998).
+    """
+    budget = as_budget(budget)
+    pairs = list(pairs)
+    if isinstance(spec, Axiomatic):
+        axioms = _axioms(algebra, spec, budget)
+        psi = Congruence.identity(algebra.size)
+        while True:
+            if pairs:
+                psi = cg_generated(algebra, psi.pairs() + pairs, budget)
+            pairs = [
+                p for axiom in axioms for p in _consequent_pairs(axiom, _violations(axiom, psi.partition, budget))
+            ]
+            if not pairs:
+                return psi
+    theta = (0,) * algebra.size
+    for kernel in _kernels(algebra, spec, budget):
+        if all(kernel[a] == kernel[b] for a, b in pairs):
+            theta = _meet(theta, kernel, budget)
+    return Congruence(theta)

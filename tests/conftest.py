@@ -8,10 +8,12 @@ lattice or from the profiles of the whole unary polynomial clone, candidate
 satisfaction one valuation at a time through eval_term, the filters of a
 rule logic as the subsets closed under rule instances evaluated by eval_term,
 the clone of term functions one argument tuple at a time, subuniverses by
-closing every subset, and a matrix logic's unrefuted subsets by testing each
-subset against every clone element at every valuation.
+closing every subset, a matrix logic's unrefuted subsets by testing each
+subset against every clone element at every valuation, and the relative
+congruences as the congruences whose quotient passes the membership test.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -28,9 +30,11 @@ from filtra.algebras import (
     enumerate_subuniverses,
     eval_term,
     induced_subalgebra,
+    quotient,
     subuniverse_generated,
 )
-from filtra.congruences import Congruence
+from filtra.classes import member
+from filtra.congruences import Congruence, all_congruences
 from filtra.logics import all_filters, fg
 from filtra.terms import App, Rule, Signature, Var
 
@@ -278,6 +282,16 @@ def oracle_least_containing(congruences, pairs) -> Congruence:
             if top.same(a, b)
         ), "no least member"
     return top
+
+
+def oracle_k_congruences(algebra: FiniteAlgebra, spec) -> tuple[Congruence, ...]:
+    """The congruences whose quotient is a member of the class, finer first."""
+    return tuple(t for t in all_congruences(algebra) if member(quotient(algebra, t.partition)[0], spec))
+
+
+def oracle_cg_k(relative, pairs) -> Congruence:
+    """The meet of the relative congruences relating every pair."""
+    return functools.reduce(Congruence.meet, [t for t in relative if all(t.same(a, b) for a, b in pairs)])
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,15 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_algebras, relabel
+from conftest import oracle_cg_k, oracle_k_congruences, random_algebras, relabel
 
 from filtra import builtins as bi
 from filtra import classes
 from filtra.algebras import (
     Budget,
+    FiniteAlgebra,
     direct_product,
     enumerate_homomorphisms,
     eval_term,
@@ -26,8 +28,8 @@ from filtra.classes import (
     theta_k,
 )
 from filtra.congruences import Congruence, all_congruences
-from filtra.errors import SizeBudgetExceeded
-from filtra.terms import parse_equation
+from filtra.errors import InvalidSpec, SizeBudgetExceeded
+from filtra.terms import Signature, parse_equation
 
 THETA1 = Congruence.from_blocks([[0, 1], [2, 4], [3]], 5)
 THETA2 = Congruence.from_blocks([[0, 1], [3, 4], [2]], 5)
@@ -254,16 +256,102 @@ def test_member_spends_the_callers_budget_on_its_homomorphism_search(wk3):
 def test_k_congruences_spend_their_homomorphism_searches(monkeypatch, wk3):
     square = direct_product([wk3, wk3]).algebra
     qwk3 = bi.class_spec("qwk3")
-    searches = Budget()
-    for theta in all_congruences(square):
-        enumerate_homomorphisms(quotient(square, theta.partition)[0], wk3, searches)
+    search = Budget()
+    enumerate_homomorphisms(square, wk3, search)
     uncharged = Budget()
     with monkeypatch.context() as m:
         m.setattr(classes, "enumerate_homomorphisms", lambda dom, cod, budget=None: enumerate_homomorphisms(dom, cod))
         k_congruences(square, qwk3, uncharged)
     charged = Budget()
     k_congruences(square, qwk3, charged)
-    assert charged.spent == uncharged.spent + searches.spent
-    # a budget that suffices once the searches go uncharged no longer does
+    # one search from the algebra itself into the generator
+    assert charged.spent == uncharged.spent + search.spent
+    # a budget that suffices once the search goes uncharged no longer does
     with pytest.raises(SizeBudgetExceeded):
         k_congruences(square, qwk3, Budget(uncharged.spent))
+
+
+@pytest.mark.parametrize(
+    ("spec_name", "k_steps", "theta_steps"),
+    [("qwk3", 136_368, 1_935), ("pwk-quasi", 6_562_040, 6_561)],
+)
+def test_relative_congruences_of_the_wk3_cube_spend_exact_budgets(wk3, spec_name, k_steps, theta_steps):
+    # generated: one homomorphism search, then 27 steps per meet with a
+    # kernel; axiomatic: the lattice, the tables, then one step per point
+    cube = direct_product([wk3, wk3, wk3]).algebra
+    spec = bi.class_spec(spec_name)
+    for relative, steps in ((k_congruences, k_steps), (theta_k, theta_steps)):
+        exact = Budget(steps)
+        relative(cube, spec, exact)
+        assert exact.spent == steps, relative.__name__
+        with pytest.raises(SizeBudgetExceeded):
+            relative(cube, spec, Budget(steps - 1))
+
+
+def test_relative_congruences_build_no_quotient_and_test_no_membership(monkeypatch, wk3, box5, alpha12, pwk_quasi):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+
+    square = direct_product([wk3, wk3]).algebra
+    # a quotient, like every algebra, is built by FiniteAlgebra.make
+    monkeypatch.setattr(FiniteAlgebra, "make", forbidden)
+    monkeypatch.setattr(classes, "member", forbidden)
+    for algebra, spec in ((square, bi.class_spec("qwk3")), (square, pwk_quasi), (box5, alpha12)):
+        assert k_congruences(algebra, spec)
+        theta_k(algebra, spec)
+        cg_k(algebra, spec, [(0, 1)])
+
+
+def test_relative_congruences_across_signatures_raise(box5, wk3):
+    qwk3 = GeneratedQuasivariety((wk3,))
+    for relative in (k_congruences, theta_k):
+        with pytest.raises(InvalidSpec):
+            relative(box5, qwk3)
+    with pytest.raises(InvalidSpec):
+        cg_k(box5, qwk3, [(0, 1)])
+
+
+def test_axiom_tables_read_every_difference_of_block_ids():
+    # ids 128 apart differ only in a byte's high bit; above 256 elements the
+    # tables are tuples, not byte lanes
+    sig = Signature((("f", 1),))
+    fixed = Axiomatic(equations=(parse_equation("(f x)", "x", sig),))
+    injective = Axiomatic(quasiequations=(Quasiequation((parse_equation("(f x)", "(f y)", sig),), parse_equation("x", "y", sig)),))
+    for n, bit in ((6, 1), (256, 128), (300, 1)):
+        swap = FiniteAlgebra.make("swap", n, sig, {"f": [x ^ bit for x in range(n)]})
+        assert theta_k(swap, fixed) == Congruence(tuple(min(x, x ^ bit) for x in range(n)))
+        merged = {2: 0, 2 ^ bit: bit}
+        assert cg_k(swap, injective, [(0, 2)]) == Congruence(tuple(merged.get(x, x) for x in range(n)))
+        assert theta_k(swap, injective) == Congruence.identity(n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_algebras(), random_algebras(), st.data())
+def test_relative_congruences_match_the_quotient_oracle(algebra_and_perm, generator_and_perm, data):
+    algebra, perm = algebra_and_perm
+    sig = algebra.signature
+    classes_ = (
+        Axiomatic(),
+        Axiomatic(equations=(parse_equation("x", "y", sig),)),
+        Axiomatic(
+            equations=(parse_equation("(g x x)", "x", sig),),
+            quasiequations=(Quasiequation((parse_equation("(f x)", "(f y)", sig),), parse_equation("x", "y", sig)),),
+        ),
+        GeneratedQuasivariety((generator_and_perm[0],)),
+    )
+    element = st.integers(0, algebra.size - 1)
+    pair = data.draw(st.tuples(element, element))
+    moved = relabel(algebra, perm)
+    inverse = [perm.index(y) for y in range(algebra.size)]
+
+    def across(theta):
+        return Congruence(tuple(theta.partition[x] for x in inverse))
+
+    for spec in classes_:
+        relative = oracle_k_congruences(algebra, spec)
+        assert k_congruences(algebra, spec) == relative
+        assert theta_k(algebra, spec) == oracle_cg_k(relative, [])
+        assert cg_k(algebra, spec, [pair]) == oracle_cg_k(relative, [pair])
+        assert set(k_congruences(moved, spec)) == {across(t) for t in relative}
+        assert theta_k(moved, spec) == across(theta_k(algebra, spec))
+        assert cg_k(moved, spec, [(perm[pair[0]], perm[pair[1]])]) == across(cg_k(algebra, spec, [pair]))
