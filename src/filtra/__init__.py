@@ -10,10 +10,7 @@ from .algebras import (
     enumerate_homomorphisms,
     enumerate_subuniverses,
     eval_term,
-    holds_equation,
-    holds_universally,
     induced_subalgebra,
-    is_homomorphism,
     quotient,
     subuniverse_generated,
     trivial_algebra,
@@ -48,8 +45,6 @@ from .congruences import (
     Congruence,
     all_congruences,
     cg_generated,
-    is_compatible,
-    is_congruence,
     leibniz_congruence,
 )
 from .errors import (

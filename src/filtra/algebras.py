@@ -16,6 +16,7 @@ integer arithmetic; above 256 elements it is a tuple.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -27,7 +28,7 @@ from .errors import (
     UnboundVariable,
     UnknownName,
 )
-from .terms import Equation, Signature, Term, Var, _hash_fields_once, _Record, equation_variables
+from .terms import Signature, Term, Var, _hash_fields_once, _Record
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -238,10 +239,6 @@ def eval_term(t: Term, algebra: FiniteAlgebra, valuation: Valuation) -> int:
     return algebra.op(t.symbol, *args)
 
 
-def holds_equation(eq: Equation, algebra: FiniteAlgebra, valuation: Valuation) -> bool:
-    return eval_term(eq.lhs, algebra, valuation) == eval_term(eq.rhs, algebra, valuation)
-
-
 def _free_variables(names: Iterable[str], algebra: FiniteAlgebra) -> tuple[str, ...]:
     labels = set(algebra.labels or ())
     return tuple(v for v in names if v not in labels)
@@ -275,6 +272,33 @@ def _apply_pointwise(algebra: FiniteAlgebra, symbol: str, args: Sequence[Table])
     for arg in args[1:]:
         index = [i * algebra.size + a for i, a in zip(index, arg)]
     return _table_type(algebra.size)(map(algebra.table(symbol).__getitem__, index))
+
+
+# translates byte 0 to 1 and every other byte to 0
+_IS_ZERO = b"\1" + bytes(255)
+
+
+def _lanes(table: bytes) -> int:
+    """A byte table as a big integer, byte i in bits 8i to 8i+7."""
+    return int.from_bytes(table, "little")
+
+
+def _agreement(lhs: Table, rhs: Table, partition: Sequence[int] | None = None) -> int:
+    """Lanes holding 1 where the two tables agree, or with a partition (a
+    block-id array) where their values share a block, and 0 elsewhere.
+
+    Byte lanes agree where their XOR, read back as bytes, is zero; block ids
+    are below 256 there, so a translate turns each table into its block ids.
+    """
+    if isinstance(lhs, tuple):  # a carrier above 256 elements
+        if partition is not None:
+            lhs, rhs = map(partition.__getitem__, lhs), map(partition.__getitem__, rhs)
+        return _lanes(bytes(map(operator.eq, lhs, rhs)))
+    if partition is not None:
+        block = bytes(partition).ljust(256, b"\0")
+        lhs, rhs = lhs.translate(block), rhs.translate(block)
+    differ = _lanes(lhs) ^ _lanes(rhs)
+    return _lanes(differ.to_bytes(len(lhs), "little").translate(_IS_ZERO))
 
 
 def _constant_table(algebra: FiniteAlgebra, value: int, width: int) -> Table:
@@ -339,15 +363,6 @@ def _tabulate(
     return tables[t]
 
 
-def holds_universally(eq: Equation, algebra: FiniteAlgebra, budget: Budget | int | None = None) -> bool:
-    """True iff the equation holds under every assignment of its variables."""
-    budget = as_budget(budget)
-    variables = _free_variables(equation_variables(eq), algebra)
-    return compile_term(eq.lhs, algebra, variables, budget) == compile_term(
-        eq.rhs, algebra, variables, budget
-    )
-
-
 class Product(_Record):
     """A direct product together with its index codec and projections."""
 
@@ -363,14 +378,6 @@ class Product(_Record):
             out.append(element % size)
             element //= size
         return tuple(reversed(out))
-
-    def from_tuple(self, coords: Sequence[int]) -> int:
-        idx = 0
-        for size, c in zip(self.factor_sizes, coords):
-            if not (0 <= c < size):
-                raise UnknownName(f"coordinate {c} out of range")
-            idx = idx * size + c
-        return idx
 
     def projection(self, i: int) -> tuple[int, ...]:
         """The i-th projection as an element map."""
@@ -550,22 +557,6 @@ def quotient(
         labels = ["[" + "|".join(blocks[b]) + "]" for b in range(nblocks)]
     qname = name or f"{algebra.name}/~"
     return FiniteAlgebra.make(qname, nblocks, algebra.signature, tables, labels), proj
-
-
-def is_homomorphism(
-    mapping: Sequence[int], dom: FiniteAlgebra, cod: FiniteAlgebra
-) -> bool:
-    if dom.signature != cod.signature:
-        return False
-    if len(mapping) != dom.size:
-        return False
-    if any(not (0 <= v < cod.size) for v in mapping):
-        return False
-    return all(
-        [mapping[v] for v in dom.table(sym)]
-        == [cod.table(sym)[i] for i in _tuple_indices(cod.size, mapping, arity)]
-        for sym, arity in dom.signature.symbols
-    )
 
 
 def _homomorphisms(

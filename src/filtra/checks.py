@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebras import (
     Budget,
     FiniteAlgebra,
-    Table,
+    _agreement,
     _homomorphisms,
+    _lanes,
     as_budget,
     compile_term,
     direct_product,
@@ -128,37 +128,23 @@ def generate_testbed(
             push(direct_product(list(combo), budget=budget).algebra, "product")
     if include_subalgebras:
         for alg in list(algebras):
-            for sub in enumerate_subuniverses(alg, budget):
-                if len(sub) == alg.size:
-                    continue
-                push(induced_subalgebra(alg, sub)[0], "subalgebra")
+            for _, sub, _ in _proper_subalgebras(alg, budget):
+                push(sub, "subalgebra")
     return Testbed(tuple(algebras), tuple(provenance), name)
+
+
+def _proper_subalgebras(
+    big: FiniteAlgebra, budget: Budget
+) -> Iterator[tuple[frozenset[int], FiniteAlgebra, tuple[int, ...]]]:
+    """Each proper subuniverse of big with its subalgebra and inclusion map."""
+    for sub in enumerate_subuniverses(big, budget):
+        if len(sub) == big.size:
+            continue
+        yield sub, *induced_subalgebra(big, sub)
 
 
 # ---------------------------------------------------------------------------
 # candidate satisfaction
-
-
-# translates byte 0 to 1 and every other byte to 0
-_IS_ZERO = b"\1" + bytes(255)
-
-
-def _lanes(table: bytes) -> int:
-    """A byte table as a big integer, byte i in bits 8i to 8i+7."""
-    return int.from_bytes(table, "little")
-
-
-def _agreement(lhs: Table, rhs: Table, block: bytes | tuple[int, ...] | None) -> int:
-    """Lanes holding 1 where the two tables agree, or share a block when block
-    maps elements to block ids, and 0 elsewhere."""
-    if isinstance(lhs, tuple):  # a carrier above 256 elements
-        if block is not None:
-            lhs, rhs = map(block.__getitem__, lhs), map(block.__getitem__, rhs)
-        return _lanes(bytes(map(operator.eq, lhs, rhs)))
-    if block is not None:
-        lhs, rhs = lhs.translate(block), rhs.translate(block)
-    differ = _lanes(lhs) ^ _lanes(rhs)
-    return _lanes(differ.to_bytes(len(lhs), "little").translate(_IS_ZERO))
 
 
 def _sweep_table(
@@ -180,9 +166,7 @@ def _sweep_table(
     """
     variables = [f"x{i + 1}" for i in range(n)] + ["y"] + [f"z{j + 1}" for j in range(param_count)]
     width = algebra.size ** len(variables)
-    block = None
-    if theta is not None:
-        block = theta.partition if algebra.size > 256 else bytes(theta.partition).ljust(256, b"\0")
+    partition = None if theta is None else theta.partition
     everywhere = _lanes(b"\1" * width)
     somewhere = 0
     for member in family:
@@ -190,7 +174,7 @@ def _sweep_table(
         for eq in member:
             lhs = compile_term(eq.lhs, algebra, variables, budget)
             rhs = compile_term(eq.rhs, algebra, variables, budget)
-            holds &= _agreement(lhs, rhs, block)
+            holds &= _agreement(lhs, rhs, partition)
         somewhere |= holds
     fan = algebra.size**param_count
     lanes = somewhere.to_bytes(width, "little")
@@ -395,16 +379,6 @@ def compare_candidates(
                         "member_index": i,
                     })
     return Verdict(PASS, "compare-candidates")
-
-
-def _proper_subalgebras(
-    big: FiniteAlgebra, budget: Budget
-) -> Iterator[tuple[frozenset[int], FiniteAlgebra, tuple[int, ...]]]:
-    """Each proper subuniverse of big with its subalgebra and inclusion map."""
-    for sub in enumerate_subuniverses(big, budget):
-        if len(sub) == big.size:
-            continue
-        yield sub, *induced_subalgebra(big, sub)
 
 
 def absolute_fep_check(

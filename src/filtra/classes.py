@@ -27,11 +27,11 @@ from .algebras import (
     Budget,
     FiniteAlgebra,
     Table,
-    _free_variables,
+    _agreement,
+    _lanes,
     as_budget,
     compile_term,
     enumerate_homomorphisms,
-    holds_universally,
 )
 from .congruences import Congruence, _canonical, all_congruences, cg_generated
 from .errors import InvalidSpec
@@ -91,7 +91,7 @@ ClassSpec = Axiomatic | GeneratedQuasivariety
 def _holds_quasiequation(
     q: Quasiequation, algebra: FiniteAlgebra, budget: Budget
 ) -> bool:
-    variables = _free_variables(q.variables(), algebra)
+    variables = q.variables()
 
     def agreement(eq: Equation) -> list[bool]:
         lhs = compile_term(eq.lhs, algebra, variables, budget)
@@ -113,15 +113,12 @@ def _same_signature(algebra: FiniteAlgebra, spec: GeneratedQuasivariety) -> None
 def member(
     algebra: FiniteAlgebra, spec: ClassSpec, budget: Budget | int | None = None
 ) -> bool:
+    """Whether the algebra lies in the class.  An axiom's names are all
+    variables, element labels included, as in k_congruences."""
     budget = as_budget(budget)
     if isinstance(spec, Axiomatic):
-        for eq in spec.equations:
-            if not holds_universally(eq, algebra, budget):
-                return False
-        for q in spec.quasiequations:
-            if not _holds_quasiequation(q, algebra, budget):
-                return False
-        return True
+        quasis = [Quasiequation((), eq) for eq in spec.equations] + list(spec.quasiequations)
+        return all(_holds_quasiequation(q, algebra, budget) for q in quasis)
     _same_signature(algebra, spec)
     # separating-homomorphism criterion; homs are enumerated once per generator
     hom_sets = [enumerate_homomorphisms(algebra, g, budget) for g in spec.generators]
@@ -177,48 +174,27 @@ def _axioms(algebra: FiniteAlgebra, spec: Axiomatic, budget: Budget) -> list[_Ax
     return axioms
 
 
-def _modulo(table: Table, partition: tuple[int, ...]) -> Table:
-    """The table with every value replaced by its block id."""
-    if isinstance(table, bytes):
-        return table.translate(bytes(partition).ljust(256, b"\0"))
-    return tuple(map(partition.__getitem__, table))
-
-
-def _differences(a: Table, b: Table) -> int:
-    """A mask whose bit 8i + 7 is set iff the tables differ at point i.
-
-    The tables are read as big integers, one byte per point: a byte of their
-    xor is non-zero iff adding 0x7f to its low seven bits, or the byte
-    itself, sets its high bit, and no byte carries into the next.
-    """
-    if not isinstance(a, bytes):  # tuples, on carriers above 256 elements
-        a, b = bytes(x != y for x, y in zip(a, b)), bytes(len(a))
-    low = int.from_bytes(b"\x7f" * len(a), "little")
-    xor = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
-    return (((xor & low) + low) | xor) & ~low
-
-
 def _violations(axiom: _Axiom, partition: tuple[int, ...], budget: Budget) -> int:
-    """The mask (as in _differences) of the points where the axiom fails
+    """Lanes (as in _agreement) holding 1 at the points where the axiom fails
     modulo the partition: its antecedents agree there, its consequent does
     not.  One step per point."""
     antecedents, lhs, rhs = axiom
     budget.spend(len(lhs))
-    failing = _differences(_modulo(lhs, partition), _modulo(rhs, partition))
+    failing = _agreement(lhs, rhs, partition) ^ _lanes(b"\1" * len(lhs))
     for a, b in antecedents:
         if not failing:
             break
-        failing &= ~_differences(_modulo(a, partition), _modulo(b, partition))
+        failing &= _agreement(a, b, partition)
     return failing
 
 
 def _consequent_pairs(axiom: _Axiom, failing: int) -> set[tuple[int, int]]:
-    """The values of the consequent's two sides at the points of the mask."""
+    """The values of the consequent's two sides at the lanes set in failing."""
     _, lhs, rhs = axiom
     pairs = set()
     while failing:
         bit = failing & -failing
-        point = bit.bit_length() // 8 - 1
+        point = bit.bit_length() // 8
         pairs.add((lhs[point], rhs[point]))
         failing ^= bit
     return pairs

@@ -247,7 +247,7 @@ def _reproduce_pwk_no_pedcf(results, budget):
     _expect(results, "factor-determined filters fail on WK3 x WK3 at generator (half,0)", v, "fail")
     label = (v.witness or {}).get("element_label")
     _row(results, "witness element is (1,0)", "(1,0)", label, label == "(1,0)")
-    prod = direct_product([wk3, wk3])
+    prod = direct_product([wk3, wk3], budget=budget)
     published = tuple(
         2 if 2 in prod.to_tuple(e) else prod.to_tuple(e)[1] for e in range(9)
     )

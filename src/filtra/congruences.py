@@ -10,7 +10,6 @@ element of e's block: canonical too, and a union-find forest of depth one.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Sequence
 
 from .algebras import Budget, FiniteAlgebra, as_budget
@@ -80,13 +79,7 @@ class Congruence(_Record):
         return out
 
     def meet(self, other: "Congruence") -> "Congruence":
-        pairs = {}
-        out = []
-        for key in zip(self.partition, other.partition):
-            if key not in pairs:
-                pairs[key] = len(pairs)
-            out.append(pairs[key])
-        return Congruence(tuple(out))
+        return Congruence(tuple(zip(self.partition, other.partition)))
 
     def join(self, other: "Congruence") -> "Congruence":
         """Join as equivalence relations (the transitive closure of the
@@ -108,31 +101,8 @@ class Congruence(_Record):
     def __le__(self, other: "Congruence") -> bool:
         return self.refines(other)
 
-    def is_identity(self) -> bool:
-        return self.num_blocks == self.size
-
     def to_blocks_json(self) -> list[list[int]]:
         return self.blocks()
-
-
-def is_congruence(algebra: FiniteAlgebra, theta: Congruence) -> bool:
-    """Exhaustive check of the substitution property."""
-    if theta.size != algebra.size:
-        return False
-    part = theta.partition
-    for sym, arity in algebra.signature.symbols:
-        if arity == 0:
-            continue
-        for args in itertools.product(range(algebra.size), repeat=arity):
-            for pos in range(arity):
-                a = args[pos]
-                for b in range(a + 1, algebra.size):
-                    if part[a] != part[b]:
-                        continue
-                    other = args[:pos] + (b,) + args[pos + 1 :]
-                    if part[algebra.op(sym, *args)] != part[algebra.op(sym, *other)]:
-                        return False
-    return True
 
 
 def _union(forest: list[int], a: int, b: int) -> bool:
@@ -255,13 +225,6 @@ def all_congruences(algebra: FiniteAlgebra, budget: Budget | int | None = None) 
     # deterministic order: finer first, then lexicographic on the block array
     lattice = [Congruence(least) for least in found]
     return tuple(sorted(lattice, key=lambda t: (-t.num_blocks, t.partition)))
-
-
-def is_compatible(theta: Congruence, subset: Iterable[int]) -> bool:
-    """True iff the subset is a union of blocks."""
-    members = set(subset)
-    marked = {theta.partition[e] for e in members}
-    return all((theta.partition[e] in marked) == (e in members) for e in range(theta.size))
 
 
 def leibniz_congruence(

@@ -1,4 +1,4 @@
-"""JSON codecs for algebras, logics, classes, candidates, and congruences.
+"""JSON readers for algebra, logic, class and candidate documents.
 
 Document shapes:
 
@@ -14,12 +14,14 @@ class     {"kind": "axioms", "equations": [["lhs","rhs"]...],
 candidate {"variant", "n_max", "param_count"?, "families": {"0": [[[lhs,rhs]...]...], ...},
            "template"?: {"fold": "and", "leq": "meet"|"join",
                          "empty": "<term>", "meet_symbol"?, "join_symbol"?}}
-congruence: list of blocks sorted by least member, e.g. [[0,1],[2,4],[3]].
 
 Candidate term strings may use the atom ``@fold`` for the fold of x1..xn under
 the template's fold symbol (the template's ``empty`` term at n = 0), and
 equations may be written as ["<=", lhs, rhs] to expand through the template's
 order convention.
+
+In a class's axioms every name that is not a symbol is a variable, element
+labels included.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Callable, Mapping
 from .algebras import FiniteAlgebra, Matrix
 from .candidates import EDCFCandidate, fold_terms, leq
 from .classes import Axiomatic, ClassSpec, GeneratedQuasivariety, Quasiequation
-from .congruences import Congruence
 from .errors import InvalidSpec
 from .logics import LogicSpec, MatrixDetermined, RulePresented
 from .terms import Equation, Rule, Signature, Term, Var, format_term, parse_term
@@ -41,27 +42,11 @@ def signature_from_json(entries) -> Signature:
     return Signature(tuple((e["name"], int(e["arity"])) for e in entries))
 
 
-def signature_to_json(sig: Signature) -> list[dict]:
-    return [{"name": name, "arity": arity} for name, arity in sig.symbols]
-
-
 def algebra_from_json(doc: Mapping) -> FiniteAlgebra:
     sig = signature_from_json(doc["signature"])
     return FiniteAlgebra.make(
         doc["name"], int(doc["size"]), sig, doc["operations"], doc.get("element_labels")
     )
-
-
-def algebra_to_json(algebra: FiniteAlgebra) -> dict:
-    doc = {
-        "name": algebra.name,
-        "size": algebra.size,
-        "signature": signature_to_json(algebra.signature),
-        "operations": {sym: list(table) for sym, table in algebra.tables},
-    }
-    if algebra.labels is not None:
-        doc["element_labels"] = list(algebra.labels)
-    return doc
 
 
 def logic_from_json(doc: Mapping, resolve: Resolver) -> LogicSpec:
@@ -89,32 +74,6 @@ def logic_from_json(doc: Mapping, resolve: Resolver) -> LogicSpec:
         )
         return MatrixDetermined(matrices, doc.get("variable_bound"), name=name)
     raise InvalidSpec(f"logic {name!r}: kind must be 'rules' or 'matrices'")
-
-
-def logic_to_json(logic: LogicSpec) -> dict:
-    if isinstance(logic, RulePresented):
-        return {
-            "name": logic.name,
-            "kind": "rules",
-            "rules": [
-                {
-                    "premises": [format_term(p) for p in r.premises],
-                    "conclusion": format_term(r.conclusion),
-                }
-                for r in logic.rules
-            ],
-        }
-    doc = {
-        "name": logic.name,
-        "kind": "matrices",
-        "matrices": [
-            {"algebra": m.algebra.name, "designated": sorted(m.designated)}
-            for m in logic.matrices
-        ],
-    }
-    if logic.variable_bound is not None:
-        doc["variable_bound"] = logic.variable_bound
-    return doc
 
 
 def class_from_json(doc: Mapping, resolve: Resolver) -> ClassSpec:
@@ -190,26 +149,3 @@ def candidate_from_json(doc: Mapping, sig: Signature, name: str | None = None) -
         families.append(tuple(family))
     return EDCFCandidate(name or doc.get("name", "candidate"), n_max, tuple(families), param_count)
 
-
-def candidate_to_json(candidate: EDCFCandidate, variant: str = "local") -> dict:
-    return {
-        "name": candidate.name,
-        "variant": variant,
-        "n_max": candidate.n_max,
-        "param_count": candidate.param_count,
-        "families": {
-            str(n): [
-                [[format_term(eq.lhs), format_term(eq.rhs)] for eq in theta]
-                for theta in candidate.family(n)
-            ]
-            for n in range(candidate.n_max + 1)
-        },
-    }
-
-
-def congruence_to_json(theta: Congruence) -> list[list[int]]:
-    return theta.to_blocks_json()
-
-
-def congruence_from_json(blocks, size: int) -> Congruence:
-    return Congruence.from_blocks(blocks, size)

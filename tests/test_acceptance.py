@@ -9,14 +9,14 @@ or pinned to published finite facts exercised through the reproduce catalog.
 import itertools
 import time
 
-from conftest import oracle_congruences, oracle_largest_compatible
+from conftest import oracle_compatible, oracle_congruences, oracle_largest_compatible
 
 from filtra import builtins as bi
 from filtra.algebras import Budget, direct_product, enumerate_homomorphisms, quotient
 from filtra.terms import App
 from filtra.checks import Testbed, check_edcf
 from filtra.cli import CATALOG
-from filtra.congruences import all_congruences, is_compatible, leibniz_congruence
+from filtra.congruences import all_congruences, leibniz_congruence
 from filtra.logics import (
     MatrixDetermined,
     RulePresented,
@@ -103,7 +103,7 @@ def test_criterion_02_leibniz_oracle():
             for subset in itertools.combinations(range(algebra.size), r):
                 got = leibniz_congruence(algebra, subset)
                 assert got == oracle_largest_compatible(lattice, subset)
-                assert is_compatible(got, set(subset))
+                assert oracle_compatible(got.partition, set(subset))
                 checked += 1
     elapsed = _report(2, f"Leibniz congruence equals the largest compatible one on {checked} subsets", started)
     assert elapsed < 60

@@ -39,7 +39,7 @@ from filtra.checks import (
 )
 from filtra.checks import test_algebra_check as run_test_algebra_check
 from filtra.classes import Axiomatic, GeneratedQuasivariety
-from filtra.congruences import all_congruences
+from filtra.congruences import Congruence, all_congruences
 from filtra.errors import InvalidSpec, SizeBudgetExceeded
 from filtra.logics import MatrixDetermined, RulePresented, fg, filters_certified, is_filter
 from filtra.terms import Equation, Rule, Signature, Var, parse_term
@@ -242,6 +242,21 @@ def test_theta_sweep_matches_pointwise_oracle(k3_sq):
         for c in (bi.candidate("kl-global"), parametrized_candidate(algebra.signature)):
             for n in range(3):
                 assert_sweep_matches_oracle(algebra, c.family(n), n, c.param_count, theta)
+
+
+@pytest.mark.parametrize("size", [256, 300])
+def test_theta_sweep_reads_block_ids_128_apart(size):
+    # f swaps x and x + 128 below 256, and modulo either partition the block
+    # ids of 0 and 128 are 128 apart: on 256 elements they differ only in a
+    # byte lane's high bit, and on 300 the tables are tuples
+    sig = Signature((("f", 1),))
+    swap = FiniteAlgebra.make("swap", size, sig, {"f": [x ^ 128 if x ^ 128 < size else x for x in range(size)]})
+    family = [(Equation(parse_term("(f y)", sig), Var("y")),)]
+    merged = Congruence(tuple(2 if x == 130 else x for x in range(size)))
+    for theta in (Congruence.identity(size), merged):
+        assert_sweep_matches_oracle(swap, family, 0, 0, theta)
+    held = _sweep_table(swap, family, 0, 0, Budget(), merged)
+    assert [b for b in range(256) if held[b]] == [2, 130]
 
 
 # --- step budget -------------------------------------------------------------------

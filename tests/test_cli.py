@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -245,10 +246,8 @@ def test_json_report_round_trips(capsys):
 
 
 def test_user_algebra_file(tmp_path, capsys):
-    from filtra import builtins as bi
-    from filtra.serialization import algebra_to_json
-
-    doc = algebra_to_json(bi.algebra("WK3"))
+    corpus = json.loads((Path(bi.__file__).parent / "data" / "algebras.json").read_text())
+    doc = next(d for d in corpus if d["name"] == "WK3")
     doc["name"] = "WK3-copy"
     path = tmp_path / "wk3copy.json"
     path.write_text(json.dumps(doc))

@@ -8,6 +8,7 @@ from conftest import (
     MATRIX_SIGNATURES,
     as_tuples,
     oracle_build_clone,
+    oracle_compatible,
     oracle_closed_sets,
     oracle_least_closed,
     oracle_subuniverses,
@@ -31,7 +32,7 @@ from filtra.algebras import (
     enumerate_subuniverses,
     induced_subalgebra,
 )
-from filtra.congruences import Congruence, all_congruences, is_compatible
+from filtra.congruences import Congruence, all_congruences
 from filtra.errors import InvalidSpec, SizeBudgetExceeded
 from filtra.logics import (
     MatrixDetermined,
@@ -277,7 +278,7 @@ def test_fg_relative_is_least_compatible_filter(box5, one_logic, wk3, pwk):
                     compatible = [
                         fam
                         for fam in families
-                        if frozenset(xs) <= fam and is_compatible(theta, fam)
+                        if frozenset(xs) <= fam and oracle_compatible(theta.partition, fam)
                     ]
                     least = frozenset(range(algebra.size))
                     for fam in compatible:

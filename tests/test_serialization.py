@@ -10,46 +10,59 @@ from filtra.errors import InvalidSpec
 from filtra.logics import MatrixDetermined, RulePresented
 from filtra.serialization import (
     algebra_from_json,
-    algebra_to_json,
     candidate_from_json,
-    candidate_to_json,
-    class_from_json,
-    congruence_from_json,
-    congruence_to_json,
     logic_from_json,
-    logic_to_json,
 )
-from filtra.terms import format_term
+from filtra.terms import format_term, parse_term
+
+K3_DOC = {
+    "name": "K3", "size": 3, "element_labels": ["0", "half", "1"],
+    "signature": [{"name": "and", "arity": 2}, {"name": "or", "arity": 2}, {"name": "neg", "arity": 1},
+                  {"name": "0", "arity": 0}, {"name": "1", "arity": 0}],
+    "operations": {"and": [0, 0, 0, 0, 1, 1, 0, 1, 2], "or": [0, 1, 2, 1, 1, 2, 2, 2, 2],
+                   "neg": [2, 1, 0], "0": [0], "1": [2]},
+}
 
 
-def test_algebra_roundtrip(wk3, k3, box5):
-    for algebra in (wk3, k3, box5, bi.algebra("mchain3")):
-        doc = algebra_to_json(algebra)
-        json.dumps(doc)  # serializable
-        back = algebra_from_json(doc)
-        assert back == algebra
+def test_algebra_roundtrip(k3):
+    # a literal document reads as the built-in algebra, labels included
+    assert algebra_from_json(json.loads(json.dumps(K3_DOC))) == k3
+    bare = algebra_from_json({"name": "two", "size": 2, "signature": [{"name": "f", "arity": 1}],
+                              "operations": {"f": [1, 0]}})
+    assert bare.labels is None and bare.label(1) == "1"
+    assert bare.table("f") == (1, 0)
 
 
-def test_algebra_document_validation(k3):
-    doc = algebra_to_json(k3)
+def test_algebra_document_validation():
+    doc = json.loads(json.dumps(K3_DOC))
     doc["operations"]["and"] = doc["operations"]["and"][:-1]
     with pytest.raises(InvalidSpec):
         algebra_from_json(doc)
 
 
-def test_logic_roundtrip_rules(pwk):
-    doc = logic_to_json(pwk)
-    doc["signature"] = "WK3"
+def test_logic_roundtrip_rules(pwk, wk3):
+    doc = {
+        "name": "PWK", "kind": "rules", "signature": "WK3",
+        "rules": [
+            {"premises": [], "conclusion": "(or x (neg x))"},
+            {"premises": ["x"], "conclusion": "(or x y)"},
+            {"premises": ["x", "y"], "conclusion": "(neg (or (neg x) (neg y)))"},
+        ],
+    }
     back = logic_from_json(doc, bi.algebra)
     assert isinstance(back, RulePresented)
     assert back.rules == pwk.rules
+    assert back.rules[2].premises == (parse_term("x", wk3.signature), parse_term("y", wk3.signature))
 
 
 def test_logic_roundtrip_matrices(kl):
-    doc = logic_to_json(kl)
+    doc = {"name": "KL", "kind": "matrices", "matrices": [{"algebra": "K3", "designated": [2]}]}
     back = logic_from_json(doc, bi.algebra)
     assert isinstance(back, MatrixDetermined)
     assert back.matrices == kl.matrices
+    assert back.variable_bound is None
+    bounded = logic_from_json(doc | {"variable_bound": 2}, bi.algebra)
+    assert bounded.matrices == kl.matrices and bounded.variable_bound == 2
 
 
 def test_class_documents():
@@ -61,17 +74,28 @@ def test_class_documents():
 
 def test_congruence_blocks_roundtrip():
     theta = Congruence.from_blocks([[0, 1], [2, 4], [3]], 5)
-    blocks = congruence_to_json(theta)
+    blocks = theta.to_blocks_json()
     assert blocks == [[0, 1], [2, 4], [3]]
-    assert congruence_from_json(blocks, 5) == theta
+    assert Congruence.from_blocks(blocks, 5) == theta
 
 
 def test_candidate_roundtrip(k3):
-    c = kl_global(2)
-    doc = candidate_to_json(c, "global")
+    doc = {
+        "name": "kl-global", "variant": "global", "n_max": 1,
+        "families": {
+            "0": [[["(or 1 y)", "y"]]],
+            "1": [[["(or x1 (or (neg x1) y))", "(or (neg x1) y)"]]],
+        },
+    }
     back = candidate_from_json(doc, k3.signature)
-    assert back.n_max == c.n_max
-    assert back.families == c.families
+    assert back.n_max == 1 and back.param_count == 0
+    assert back.families == kl_global(1).families
+    doc = {"name": "param", "n_max": 0, "param_count": 1, "families": {"0": [[["y", "(neg z1)"]]]}}
+    back = candidate_from_json(doc, k3.signature)
+    assert back.param_count == 1 and back.matches_variant("parametrized_local")
+    doc["families"]["0"][0][0][1] = "(neg z2)"
+    with pytest.raises(InvalidSpec):
+        candidate_from_json(doc, k3.signature)
 
 
 def test_candidate_template_sugar(k3):
@@ -138,9 +162,9 @@ def test_verdict_round_trips_through_json(one_logic, box5):
 
     blocks = doc["witness"]["minimal_congruences"]
     for b in blocks:
-        theta = congruence_from_json(b, box5.size)
+        theta = Congruence.from_blocks(b, box5.size)
         regrown = fg_relative(box5, theta, doc["witness"]["generators"], one_logic)
         assert doc["witness"]["element"] in regrown.members
-    meet = congruence_from_json(doc["witness"]["meet_blocks"], box5.size)
+    meet = Congruence.from_blocks(doc["witness"]["meet_blocks"], box5.size)
     regrown = fg_relative(box5, meet, doc["witness"]["generators"], one_logic)
     assert doc["witness"]["element"] not in regrown.members
