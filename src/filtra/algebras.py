@@ -364,7 +364,7 @@ def _tabulate(
 
 
 class Product(_Record):
-    """A direct product together with its index codec and projections."""
+    """A direct product together with its index codec."""
 
     __slots__ = _fields = ("algebra", "factor_sizes")
 
@@ -378,10 +378,6 @@ class Product(_Record):
             out.append(element % size)
             element //= size
         return tuple(reversed(out))
-
-    def projection(self, i: int) -> tuple[int, ...]:
-        """The i-th projection as an element map."""
-        return tuple(self.to_tuple(e)[i] for e in range(self.algebra.size))
 
 
 def trivial_algebra(signature: Signature, name: str = "1") -> FiniteAlgebra:

@@ -109,17 +109,17 @@ def candidate_names() -> list[str]:
 @lru_cache(maxsize=None)
 def testbed(name: str) -> Testbed:
     if name == "k3-isp":
-        return generate_testbed([algebra("K3")], 2, include_subalgebras=True, name=name)
+        return generate_testbed([algebra("K3")], 2, include_subalgebras=True)
     if name == "wk3-isp":
-        return generate_testbed([algebra("WK3")], 2, include_subalgebras=True, name=name)
+        return generate_testbed([algebra("WK3")], 2, include_subalgebras=True)
     if name == "mv-chains":
-        return Testbed(tuple(algebra(n) for n in ("L3", "L4", "L5")), name=name)
+        return tuple(algebra(n) for n in ("L3", "L4", "L5"))
     if name == "modal-chains":
-        return Testbed(tuple(algebra(n) for n in ("mchain2", "mchain3", "mchain4")), name=name)
+        return tuple(algebra(n) for n in ("mchain2", "mchain3", "mchain4"))
     if name == "lattices":
-        return Testbed((algebra("BOOL4"), algebra("M3")), name=name)
+        return algebra("BOOL4"), algebra("M3")
     if name == "box5":
-        return Testbed((algebra("box5"),), name=name)
+        return (algebra("box5"),)
     raise UnknownName(f"no built-in testbed {name!r}")
 
 

@@ -81,21 +81,7 @@ class Verdict(_Record):
         return self.outcome == FAIL
 
 
-class Testbed(_Record):
-    __test__ = False  # keep pytest from collecting this as a suite
-    __slots__ = _fields = ("algebras", "provenance", "name")
-
-    def __init__(
-        self, algebras: tuple[FiniteAlgebra, ...], provenance: tuple[str, ...] = (), name: str = ""
-    ):
-        if provenance and len(provenance) != len(algebras):
-            raise InvalidSpec("provenance must be parallel to the algebra list")
-        object.__setattr__(self, "algebras", algebras)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "name", name)
-
-    def __iter__(self):
-        return iter(self.algebras)
+Testbed = tuple[FiniteAlgebra, ...]  # the algebras a checker sweeps, in order
 
 
 def generate_testbed(
@@ -103,34 +89,31 @@ def generate_testbed(
     max_product_arity: int = 1,
     include_subalgebras: bool = False,
     budget: Budget | int | None = None,
-    name: str = "",
 ) -> Testbed:
     """Generators, their products up to the arity bound, optionally all
     subalgebras, deduplicated up to isomorphism among algebras of at most 8
     elements."""
     budget = as_budget(budget)
     algebras: list[FiniteAlgebra] = []
-    provenance: list[str] = []
 
-    def push(alg: FiniteAlgebra, source: str) -> None:
+    def push(alg: FiniteAlgebra) -> None:
         for seen in algebras:
             # above 8 elements the isomorphism searches cost more than the duplicates they drop
             if seen.size == alg.size <= 8 and seen.signature == alg.signature:
                 if next(_homomorphisms(seen, alg, budget, injective=True), None) is not None:
                     return
         algebras.append(alg)
-        provenance.append(source)
 
     for g in generators:
-        push(g, "generator")
+        push(g)
     for r in range(2, max_product_arity + 1):
         for combo in itertools.combinations_with_replacement(generators, r):
-            push(direct_product(list(combo), budget=budget).algebra, "product")
+            push(direct_product(list(combo), budget=budget).algebra)
     if include_subalgebras:
         for alg in list(algebras):
             for _, sub, _ in _proper_subalgebras(alg, budget):
-                push(sub, "subalgebra")
-    return Testbed(tuple(algebras), tuple(provenance), name)
+                push(sub)
+    return tuple(algebras)
 
 
 def _proper_subalgebras(
@@ -344,14 +327,14 @@ def compare_candidates(
         if key not in tables:
             cand = (c1, c2)[side]
             tables[key] = _sweep_table(
-                testbed.algebras[a], [cand.family(n)[i]], n, cand.param_count, budget
+                testbed[a], [cand.family(n)[i]], n, cand.param_count, budget
             )
         return tables[key]
 
     def first_break(side: int, i: int, j: int, n: int) -> dict | None:
         """The first cell where member i holds and member j of the other does
         not, spending one step per cell up to it."""
-        for a, algebra in enumerate(testbed.algebras):
+        for a, algebra in enumerate(testbed):
             mine, theirs = sat(side, n, i, a), sat(1 - side, n, j, a)
             broken = _lanes(mine) & ~_lanes(theirs)
             if broken:
@@ -736,18 +719,15 @@ def search_counterexample(
 ) -> Verdict:
     """Grow a testbed until the chosen checker fails, or give up."""
     budget = as_budget(budget)
-    if not generators:
-        return Verdict(INCONCLUSIVE, "search", notes=("empty generator set",))
     if property_name not in _SEARCHES:
         raise InvalidSpec(f"no searchable property {property_name!r}")
     fdc = property_name == "fdc"  # products are formed inside the checker; grow its arity instead
     _require(max_product_arity, 2 if fdc else 1, "max_product_arity")
+    if not generators:
+        return Verdict(INCONCLUSIVE, "search", notes=("empty generator set",))
     kwargs = dict(checker_kwargs or {})
     for arity in range(2 if fdc else 1, max_product_arity + 1):
-        bed = generate_testbed(
-            generators, 1 if fdc else arity, include_subalgebras, budget=budget,
-            name=f"search-arity-{arity}",
-        )
+        bed = generate_testbed(generators, 1 if fdc else arity, include_subalgebras, budget=budget)
         if fdc:
             kwargs["max_product_arity"] = arity
         verdict = _SEARCHES[property_name](logic, bed, budget=budget, **kwargs)

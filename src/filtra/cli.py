@@ -44,37 +44,43 @@ EXIT_BUDGET = 3
 EXIT_INCONCLUSIVE = 4
 
 
-def _maybe_file(token: str):
-    p = Path(token)
+def _given(token: str | None, flag: str) -> str:
+    if token is None:
+        raise UnknownName(f"this command needs {flag}")
+    return token
+
+
+def _maybe_file(token: str | None, flag: str):
+    p = Path(_given(token, flag))
     if token.endswith(".json") and p.exists():
         with p.open() as fh:
             return json.load(fh)
     return None
 
 
-def resolve_algebra(token: str) -> FiniteAlgebra:
-    doc = _maybe_file(token)
+def resolve_algebra(token: str | None) -> FiniteAlgebra:
+    doc = _maybe_file(token, "--algebra")
     if doc is not None:
         return algebra_from_json(doc)
     return bi.algebra(token)
 
 
-def resolve_logic(token: str):
-    doc = _maybe_file(token)
+def resolve_logic(token: str | None):
+    doc = _maybe_file(token, "--logic")
     if doc is not None:
         return logic_from_json(doc, resolve_algebra)
     return bi.logic(token)
 
 
-def resolve_class(token: str):
-    doc = _maybe_file(token)
+def resolve_class(token: str | None):
+    doc = _maybe_file(token, "--class")
     if doc is not None:
         return class_from_json(doc, resolve_algebra)
     return bi.class_spec(token)
 
 
-def resolve_candidate(token: str, algebra_for_signature: str | None = None):
-    doc = _maybe_file(token)
+def resolve_candidate(token: str | None, algebra_for_signature: str | None = None):
+    doc = _maybe_file(token, "--candidate")
     if doc is not None:
         if algebra_for_signature is None:
             raise UnknownName("candidate files need --algebra to supply the signature")
@@ -83,8 +89,12 @@ def resolve_candidate(token: str, algebra_for_signature: str | None = None):
     return bi.candidate(token)
 
 
-def resolve_testbed(token: str) -> Testbed:
-    return bi.testbed(token)
+def resolve_testbed(token: str | None) -> Testbed:
+    return bi.testbed(_given(token, "--testbed"))
+
+
+def resolve_generators(text: str | None) -> Testbed:
+    return tuple(resolve_algebra(tok) for tok in _given(text, "--generators").split(","))
 
 
 def parse_generators(algebra: FiniteAlgebra, text: str) -> list[int]:
@@ -142,9 +152,10 @@ def cmd_fg(args) -> int:
 CHECKS = {
     "edcf": lambda args, budget: check_edcf(
         resolve_logic(args.logic), resolve_testbed(args.testbed),
-        resolve_candidate(args.candidate, args.algebra), args.variant, n_max=args.nmax, budget=budget),
+        resolve_candidate(args.candidate, args.algebra), args.variant, n_max=args.nmax,
+        class_spec=resolve_class(args.klass) if args.klass else None, budget=budget),
     "fdc": lambda args, budget: factor_determined_check(
-        resolve_logic(args.logic), Testbed(tuple(resolve_algebra(tok) for tok in args.generators.split(","))),
+        resolve_logic(args.logic), resolve_generators(args.generators),
         absolute=not args.relative, max_product_arity=args.arity, budget=budget),
     "absfep": lambda args, budget: absolute_fep_check(
         resolve_logic(args.logic), resolve_testbed(args.testbed), arity_cap=args.arity, budget=budget),
@@ -158,14 +169,16 @@ CHECKS = {
     "leibniz": lambda args, budget: leibniz_probe(
         resolve_logic(args.logic), resolve_testbed(args.testbed), mode=args.mode, budget=budget),
     "compare": lambda args, budget: compare_candidates(
-        resolve_candidate(args.candidate, args.algebra), resolve_candidate(args.candidate2, args.algebra),
+        resolve_candidate(args.candidate, args.algebra),
+        resolve_candidate(_given(args.candidate2, "--candidate2"), args.algebra),
         resolve_testbed(args.testbed), budget=budget),
     "search": lambda args, budget: search_counterexample(
-        resolve_logic(args.logic), args.property,
-        [resolve_algebra(tok) for tok in args.generators.split(",")] if args.generators else [],
+        resolve_logic(args.logic), _given(args.property, "--property"),
+        resolve_generators(args.generators) if args.generators else (),
         max_product_arity=args.arity, budget=budget, checker_kwargs={
             "edcf": lambda: {"candidate": resolve_candidate(args.candidate, args.algebra),
-                             "variant": args.variant, "n_max": args.nmax},
+                             "variant": args.variant, "n_max": args.nmax,
+                             "class_spec": resolve_class(args.klass) if args.klass else None},
             "leibniz": lambda: {"mode": args.mode}, "fdc": lambda: {"absolute": not args.relative},
         }.get(args.property, dict)()),
 }
@@ -291,7 +304,7 @@ def _reproduce_modal_local_only(results, budget):
     for k in range(4):
         fixture = bi.algebra(f"mchain{k + 2}")
         v = check_edcf(
-            bi.logic("KG"), Testbed((fixture,)), bi.candidate(f"modal-global-k{k}"), "global", budget=budget
+            bi.logic("KG"), (fixture,), bi.candidate(f"modal-global-k{k}"), "global", budget=budget
         )
         _expect(results, f"fixed necessitation depth {k} fails on the {k + 2}-world chain", v, "fail")
 
@@ -308,7 +321,7 @@ def _reproduce_luk_local_only(results, budget):
     for k in (1, 2, 3):
         fixture = bi.algebra(f"L{k + 2}")
         v = check_edcf(
-            bi.logic("LUK"), Testbed((fixture,)), bi.candidate(f"luk-global-k{k}"), "global", n_max=1,
+            bi.logic("LUK"), (fixture,), bi.candidate(f"luk-global-k{k}"), "global", n_max=1,
             budget=budget,
         )
         _expect(results, f"fixed power {k} fails on the {k + 2}-element chain", v, "fail")

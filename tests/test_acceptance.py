@@ -14,7 +14,7 @@ from conftest import oracle_compatible, oracle_congruences, oracle_largest_compa
 from filtra import builtins as bi
 from filtra.algebras import Budget, direct_product, enumerate_homomorphisms, quotient
 from filtra.terms import App
-from filtra.checks import Testbed, check_edcf
+from filtra.checks import check_edcf
 from filtra.cli import CATALOG
 from filtra.congruences import all_congruences, leibniz_congruence
 from filtra.logics import (

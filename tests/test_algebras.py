@@ -405,7 +405,7 @@ def test_homomorphism_search_matches_brute_force(drawn, other):
         injective = [h for h in homs if len(set(h)) == algebra.size]
         assert next(_homomorphisms(algebra, cod, Budget(), injective=True), None) == next(iter(injective), None)
         assert injective or cod is not twin
-    assert len(generate_testbed([algebra, twin]).algebras) == 1
+    assert len(generate_testbed([algebra, twin])) == 1
 
 
 def test_enumeration_is_lexicographic(wk3):
@@ -483,8 +483,7 @@ class _ReadNames(ast.NodeVisitor):
 
 
 def test_every_public_function_has_a_caller():
-    # a caller is another module of the package (the re-exports in
-    # __init__.py do not count), the benchmark, or the README
+    # a caller is another module of the package, the benchmark, or the README
     root = Path(__file__).resolve().parent.parent
     defined, called = {}, set()
     for path in sorted(Path(filtra.__file__).parent.glob("*.py")):
@@ -492,10 +491,9 @@ def test_every_public_function_has_a_caller():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 defined[node.name] = path.stem
-        if path.name != "__init__.py":
-            visitor = _ReadNames()
-            visitor.visit(tree)
-            called |= visitor.found
+        visitor = _ReadNames()
+        visitor.visit(tree)
+        called |= visitor.found
     texts = [path.read_text() for path in sorted((root / "bench").glob("*.py"))]
     called |= set(re.findall(r"\w+", "\n".join(texts + [(root / "README.md").read_text()])))
     uncalled = {f"{module}.{name}" for name, module in defined.items() if name not in called}

@@ -23,7 +23,6 @@ from filtra.algebras import (
 )
 from filtra.candidates import EDCFCandidate, fold_terms, kl_global, lp_global, pwk_local, xvars
 from filtra.checks import (
-    Testbed,
     _first_mismatch,
     _sweep_table,
     absolute_fep_check,
@@ -50,27 +49,27 @@ from filtra.terms import Equation, Rule, Signature, Var, parse_term
 
 def test_generate_testbed_products_and_subalgebras(wk3):
     bed = generate_testbed([wk3], 2, include_subalgebras=True)
-    sizes = sorted(a.size for a in bed.algebras)
-    assert 9 in sizes  # the square
-    assert bed.provenance[0] == "generator"
-    assert "product" in bed.provenance
-    assert "subalgebra" in bed.provenance
+    # the generator, its square, then the proper subalgebras of each in turn
+    assert bed[0] is wk3
+    assert bed[1] == direct_product([wk3, wk3]).algebra
+    assert [a.size for a in bed[2:]] == [1, 2, 4, 4, 5, 5, 5, 6, 7, 7]
+    assert [a.name.split("|")[0] for a in bed[2:]] == ["WK3"] * 2 + ["WK3xWK3"] * 8
 
 
 def test_generate_testbed_trivial(wk3):
     bed = generate_testbed([wk3], 1, include_subalgebras=False)
-    assert [a.name for a in bed.algebras] == ["WK3"]
+    assert [a.name for a in bed] == ["WK3"]
 
 
 def test_generate_testbed_dedups_isomorphic_copies(k3):
     twin = FiniteAlgebra.make("K3-twin", 3, k3.signature, dict(k3.tables))
     bed = generate_testbed([k3, twin], 1)
-    assert len(bed.algebras) == 1
+    assert len(bed) == 1
 
 
 def test_generate_testbed_k3_square(k3):
     bed = generate_testbed([k3], 2, include_subalgebras=False)
-    assert sorted(a.size for a in bed.algebras) == [3, 9]
+    assert sorted(a.size for a in bed) == [3, 9]
 
 
 # --- check_edcf ----------------------------------------------------------------
@@ -116,7 +115,7 @@ def test_wrong_candidate_fails_with_replayable_witness(kl, k3):
     always = EDCFCandidate(
         "always", 1, (((Equation(Var("y"), Var("y")),),), ((Equation(Var("y"), Var("y")),),))
     )
-    v = check_edcf(kl, Testbed((k3,)), always, "global")
+    v = check_edcf(kl, (k3,), always, "global")
     assert v.failed
     w = v.witness
     algebra = k3
@@ -143,8 +142,8 @@ def test_global_pass_implies_local_pass_on_singleton_family(kl, lp):
 def test_theta_form_agrees_on_members(kl, k3):
     # on a member of the class the least relative congruence is the identity
     spec = GeneratedQuasivariety((k3,))
-    plain = check_edcf(kl, Testbed((k3,)), bi.candidate("kl-global"), "global")
-    relative = check_edcf(kl, Testbed((k3,)), bi.candidate("kl-global"), "global", class_spec=spec)
+    plain = check_edcf(kl, (k3,), bi.candidate("kl-global"), "global")
+    relative = check_edcf(kl, (k3,), bi.candidate("kl-global"), "global", class_spec=spec)
     assert plain.outcome == relative.outcome == "pass"
 
 
@@ -156,7 +155,7 @@ def test_theta_form_box5_candidate_misses_the_constant(box5, one_logic):
             ((Equation(Var("x1"), Var("y")),),),
         ),
     )
-    v = check_edcf(one_logic, Testbed((box5,)), cand, "global", class_spec=bi.class_spec("alpha12"))
+    v = check_edcf(one_logic, (box5,), cand, "global", class_spec=bi.class_spec("alpha12"))
     assert v.failed
     # first witness in deterministic order: the constant itself is generated
     assert v.witness["n"] == 1
@@ -168,10 +167,10 @@ def test_theta_form_on_trivial_algebra(one_logic, box5):
     # algebra exactly when the logic proves something outright
     t = trivial_algebra(box5.signature, "t")
     cand = EDCFCandidate("point", 0, (((Equation(Var("y"), parse_term("one", box5.signature)),),),))
-    v = check_edcf(one_logic, Testbed((t,)), cand, "global", class_spec=Axiomatic())
+    v = check_edcf(one_logic, (t,), cand, "global", class_spec=Axiomatic())
     assert v.passed
     theoremless = RulePresented((), name="none")
-    v = check_edcf(theoremless, Testbed((t,)), cand, "global", class_spec=Axiomatic())
+    v = check_edcf(theoremless, (t,), cand, "global", class_spec=Axiomatic())
     assert v.failed  # the single point satisfies every equation but generates nothing
 
 
@@ -270,8 +269,8 @@ def test_check_edcf_spends_the_budget(kl, k3):
     theoremless = RulePresented((), name="none")
     empty = EDCFCandidate("empty", 1, ((), ()))
     with pytest.raises(SizeBudgetExceeded):
-        check_edcf(theoremless, Testbed((k3,)), empty, budget=Budget(3))
-    v = check_edcf(theoremless, Testbed((k3,)), empty, budget=Budget(4))
+        check_edcf(theoremless, (k3,), empty, budget=Budget(3))
+    v = check_edcf(theoremless, (k3,), empty, budget=Budget(4))
     assert v.failed and (v.witness["n"], v.witness["element"]) == (1, 0)
 
 
@@ -311,7 +310,7 @@ def test_compare_distinguishes_fixpoint_from_constant(wk3):
         "own-excluded-middle", 0,
         (((Equation(parse_term("(or y (neg y))", wk3.signature), Var("y")),),),),
     )
-    v = compare_candidates(fixpoint, only_one, Testbed((wk3,)))
+    v = compare_candidates(fixpoint, only_one, (wk3,))
     assert v.failed
     assert v.witness["direction"] == "own-excluded-middle -> just-one"
     assert v.witness["member_index"] == 0
@@ -349,7 +348,7 @@ def synthetic_extension_failure():
 
 def test_absolute_fep_synthetic_failure():
     big, logic = synthetic_extension_failure()
-    v = absolute_fep_check(logic, Testbed((big,)), arity_cap=1)
+    v = absolute_fep_check(logic, (big,), arity_cap=1)
     assert v.failed
     assert v.witness["subalgebra"] == [1, 2]
     # inside the subalgebra only u-values of its own elements are theorems
@@ -380,7 +379,7 @@ def test_fep_ord_logic_on_lattices(ord_logic):
 
 def test_pwk_not_factor_determined(pwk, wk3):
     v = factor_determined_check(
-        pwk, Testbed((wk3,)), absolute=True,
+        pwk, (wk3,), absolute=True,
         pinned_factors=(wk3, wk3), pinned_generators=[(6,)],
     )
     assert v.failed
@@ -390,27 +389,27 @@ def test_pwk_not_factor_determined(pwk, wk3):
 
 
 def test_pwk_sweep_also_finds_a_failure(pwk, wk3):
-    v = factor_determined_check(pwk, Testbed((wk3,)), absolute=True, generator_cap=1)
+    v = factor_determined_check(pwk, (wk3,), absolute=True, generator_cap=1)
     assert v.failed
 
 
 def test_axiom_logic_not_factor_determined(one_logic, box5):
     # generated filters only adjoin the constant, so the product of factor
     # filters strictly exceeds generation on the product: witness (0,1)
-    v = factor_determined_check(one_logic, Testbed((box5,)), generator_cap=1)
+    v = factor_determined_check(one_logic, (box5,), generator_cap=1)
     assert v.failed
     assert v.witness["side"] == "product_of_factor_filters_minus_fg"
 
 
 def test_kleene_factor_determined(kl, k3):
-    assert factor_determined_check(kl, Testbed((k3,)), generator_cap=1).passed
+    assert factor_determined_check(kl, (k3,), generator_cap=1).passed
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(random_algebras(), random_rules())
 def test_set_sweeps_report_the_first_witness_of_the_tuple_sweeps(algebra_and_perm, rules):
     algebra, _ = algebra_and_perm
-    logic, bed = RulePresented(tuple(rules)), Testbed((algebra,))
+    logic, bed = RulePresented(tuple(rules)), (algebra,)
     for cap in (2, 3):
         assert absolute_fep_check(logic, bed, arity_cap=cap).to_json() == oracle_absolute_fep_check(
             logic, bed, cap
@@ -429,7 +428,7 @@ def test_absolute_fep_first_fails_at_a_pair_of_generators():
     # both 2 and 3 are in; random rule logics rarely fail absfep at all
     sig = Signature((("g", 2),))
     table = [3, 3, 2, 0, 0, 0, 0, 3, 2, 3, 2, 2, 3, 2, 3, 3, 0, 3, 2, 1, 3, 1, 0, 1, 2]
-    bed = Testbed((FiniteAlgebra.make("A", 5, sig, {"g": table}),))
+    bed = (FiniteAlgebra.make("A", 5, sig, {"g": table}),)
     premises = tuple(parse_term(p, sig) for p in ("x", "y", "(g x y)"))
     logic = RulePresented((Rule(premises, parse_term("(g u u)", sig)),))
     for cap in (2, 3):
@@ -442,12 +441,12 @@ def test_absolute_fep_first_fails_at_a_pair_of_generators():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda pwk, wk3, cand: check_edcf(pwk, Testbed((wk3,)), cand, n_max=-1),
-        lambda pwk, wk3, cand: check_edcf(pwk, Testbed((wk3,)), cand, n_max=-1, class_spec=Axiomatic()),
-        lambda pwk, wk3, cand: compare_candidates(cand, cand, Testbed((wk3,)), n_max=-1),
-        lambda pwk, wk3, cand: absolute_fep_check(pwk, Testbed((wk3,)), arity_cap=-1),
-        lambda pwk, wk3, cand: factor_determined_check(pwk, Testbed((wk3,)), generator_cap=-1),
-        lambda pwk, wk3, cand: factor_determined_check(pwk, Testbed((wk3,)), max_product_arity=1),
+        lambda pwk, wk3, cand: check_edcf(pwk, (wk3,), cand, n_max=-1),
+        lambda pwk, wk3, cand: check_edcf(pwk, (wk3,), cand, n_max=-1, class_spec=Axiomatic()),
+        lambda pwk, wk3, cand: compare_candidates(cand, cand, (wk3,), n_max=-1),
+        lambda pwk, wk3, cand: absolute_fep_check(pwk, (wk3,), arity_cap=-1),
+        lambda pwk, wk3, cand: factor_determined_check(pwk, (wk3,), generator_cap=-1),
+        lambda pwk, wk3, cand: factor_determined_check(pwk, (wk3,), max_product_arity=1),
     ],
     ids=["edcf", "edcf-theta", "compare", "absfep", "fdc-generators", "fdc-arity"],
 )
@@ -458,20 +457,20 @@ def test_a_cap_leaving_the_sweep_empty_is_a_configuration_error(pwk, wk3, call):
 
 def test_caps_at_their_least_values_still_sweep(pwk, wk3):
     cand = bi.candidate("pwk-local")
-    assert check_edcf(pwk, Testbed((wk3,)), cand, n_max=0).passed
-    assert compare_candidates(cand, cand, Testbed((wk3,)), n_max=0).passed
+    assert check_edcf(pwk, (wk3,), cand, n_max=0).passed
+    assert compare_candidates(cand, cand, (wk3,), n_max=0).passed
     # a cap of 0 sweeps the empty generator set
-    assert absolute_fep_check(pwk, Testbed((wk3,)), arity_cap=0).passed
-    assert factor_determined_check(pwk, Testbed((wk3,)), generator_cap=0).passed
+    assert absolute_fep_check(pwk, (wk3,), arity_cap=0).passed
+    assert factor_determined_check(pwk, (wk3,), generator_cap=0).passed
     # pinned factors need no product arity
     v = factor_determined_check(
-        pwk, Testbed((wk3,)), max_product_arity=1, pinned_factors=(wk3, wk3), pinned_generators=[(6,)]
+        pwk, (wk3,), max_product_arity=1, pinned_factors=(wk3, wk3), pinned_generators=[(6,)]
     )
     assert v.failed
 
 
 def test_relative_factor_determination_runs(pwk, wk3):
-    v = factor_determined_check(pwk, Testbed((wk3,)), absolute=False, generator_cap=0)
+    v = factor_determined_check(pwk, (wk3,), absolute=False, generator_cap=0)
     assert v.passed
 
 
@@ -480,19 +479,19 @@ def test_relative_factor_determination_runs(pwk, wk3):
 
 def test_trivial_test_algebra(one_logic, box5):
     t = trivial_algebra(box5.signature, "t")
-    v = run_test_algebra_check(one_logic, Testbed((t,)), t, (), 0)
+    v = run_test_algebra_check(one_logic, (t,), t, (), 0)
     assert v.passed
 
 
 def test_pwk_candidate_test_algebra_fails(pwk, wk3):
-    v = run_test_algebra_check(pwk, Testbed((wk3,)), wk3, (2,), 1)
+    v = run_test_algebra_check(pwk, (wk3,), wk3, (2,), 1)
     assert v.failed
     assert v.witness["reason"] == "no homomorphism maps the test elements onto this cell"
 
 
 def test_test_algebra_check_spends_its_homomorphism_search(monkeypatch, pwk, wk3_sq):
     square = wk3_sq.algebra
-    bed = Testbed((square,))
+    bed = (square,)
     run_test_algebra_check(pwk, bed, square, (0,), 4)  # build the filter contexts
     search = Budget()
     enumerate_homomorphisms(square, square, search)
@@ -514,7 +513,7 @@ def test_square_test_algebra_for_pwk(pwk, wk3, wk3_sq):
     outcomes = set()
     for p in (0, 6):
         q = 4  # (1,1)
-        v = run_test_algebra_check(pwk, Testbed((wk3, square)), square, (p,), q)
+        v = run_test_algebra_check(pwk, (wk3, square), square, (p,), q)
         outcomes.add(v.outcome)
     assert outcomes == {"fail"}
 
@@ -600,11 +599,11 @@ def test_m3_fails_bool4_passes(ord_logic, m3, bool4):
 
 def test_probe_trivial_algebra(one_logic, box5):
     t = trivial_algebra(box5.signature, "t")
-    assert leibniz_probe(one_logic, Testbed((t,)), "monotone").passed
+    assert leibniz_probe(one_logic, (t,), "monotone").passed
 
 
 def test_pwk_monotonicity_violation_on_the_square(pwk, wk3, wk3_sq):
-    v = leibniz_probe(pwk, Testbed((wk3, wk3_sq.algebra)), "monotone")
+    v = leibniz_probe(pwk, (wk3, wk3_sq.algebra), "monotone")
     assert v.failed
     w = v.witness
     # replay the witness: F inside G yet the congruences are not ordered
@@ -618,11 +617,11 @@ def test_pwk_monotonicity_violation_on_the_square(pwk, wk3, wk3_sq):
 
 
 def test_pwk_monotone_on_wk3_alone(pwk, wk3):
-    assert leibniz_probe(pwk, Testbed((wk3,)), "monotone").passed
+    assert leibniz_probe(pwk, (wk3,), "monotone").passed
 
 
 def test_injective_probe_runs(kl, k3):
-    assert leibniz_probe(kl, Testbed((k3,)), "injective").outcome in ("pass", "fail")
+    assert leibniz_probe(kl, (k3,), "injective").outcome in ("pass", "fail")
 
 
 # --- counterexample search ----------------------------------------------------------------
@@ -647,6 +646,13 @@ def test_search_modal_global_candidates(kg):
 
 def test_search_empty_generators(pwk):
     assert search_counterexample(pwk, "fdc", []).outcome == "inconclusive"
+
+
+def test_search_checks_its_property_and_arity_before_the_generators(pwk):
+    with pytest.raises(InvalidSpec, match="no searchable property 'nope'"):
+        search_counterexample(pwk, "nope", [])
+    with pytest.raises(InvalidSpec, match="max_product_arity must be at least 2"):
+        search_counterexample(pwk, "fdc", [], max_product_arity=1)
 
 
 @pytest.mark.parametrize("prop, arity", [("fdc", 1), ("leibniz", 0), ("edcf", 0)])
@@ -722,7 +728,7 @@ def test_local_edcf_implies_absolute_fep(pwk):
 
 
 def test_global_edcf_implies_factor_determined(kl, lp, k3):
-    bed = Testbed((k3,))
+    bed = (k3,)
     for logic, cand in [(kl, "kl-global"), (lp, "lp-global")]:
         if check_edcf(logic, bi.testbed("k3-isp"), bi.candidate(cand), "global").passed:
             assert factor_determined_check(logic, bed, generator_cap=1).passed
@@ -752,12 +758,12 @@ def test_per_algebra_verdicts_are_monotone_in_the_testbed(logic, bed, check, out
     # side is skipped, as certification decides it and not the property.
     # Neither testbed makes absfep fail, nor edcf or fep under PWK, so those
     # cases test the pass side only.
-    logic, algebras = bi.logic(logic), bi.testbed(bed).algebras
+    logic, algebras = bi.logic(logic), bi.testbed(bed)
     n = len(algebras)
     rng = random.Random(n)
 
     def outcome(kept):
-        return check(logic, Testbed(tuple(algebras[i] for i in sorted(kept)))).outcome
+        return check(logic, tuple(algebras[i] for i in sorted(kept))).outcome
 
     passing = [i for i in range(n) if outcome({i}) == "pass"]
     starts = [rng.sample(range(n), rng.randint(2, n - 1)) for _ in range(4)]

@@ -5,6 +5,7 @@ import pytest
 
 from filtra import builtins as bi
 from filtra import logics
+from filtra.checks import check_edcf
 from filtra.cli import (
     CATALOG,
     EXIT_BUDGET,
@@ -134,6 +135,52 @@ def test_an_empty_product_arity_range_exits_config(capsys, argv):
     code, _, err = run(capsys, "check", *argv, "--logic", "PWK", "--generators", "WK3")
     assert code == EXIT_CONFIG
     assert "the sweep would be empty" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("edcf", "--logic", "KL", "--testbed", "k3-isp"), "--candidate"),
+        (("fep", "--testbed", "k3-isp"), "--logic"),
+        (("brouwer", "--logic", "ORD"), "--algebra"),
+        (("compare", "--candidate", "kl-global", "--testbed", "k3-isp"), "--candidate2"),
+        (("search", "--logic", "PWK", "--property", "edcf", "--generators", "WK3"), "--candidate"),
+        (("search", "--logic", "PWK"), "--property"),
+        (("fdc", "--logic", "PWK"), "--generators"),
+    ],
+    ids=["edcf", "fep", "brouwer", "compare", "search-edcf", "search", "fdc"],
+)
+def test_a_missing_flag_exits_config_and_names_it(capsys, argv, flag):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"configuration error: this command needs {flag}\n"
+
+
+def test_check_search_refuses_an_unknown_property_without_generators(capsys):
+    code, out, err = run(capsys, "check", "search", "--logic", "PWK", "--property", "nope")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "no searchable property 'nope'" in err
+
+
+def test_check_edcf_honours_the_class(capsys):
+    flags = ("--logic", "KL", "--candidate", "kl-global", "--variant", "global")
+    argv = ("check", "edcf", "--testbed", "k3-isp", *flags)
+    # alpha12's axioms name box1, which K3 lacks
+    for command in (argv, ("check", "search", "--property", "edcf", "--generators", "K3", *flags)):
+        code, _, err = run(capsys, *command, "--class", "alpha12")
+        assert code == EXIT_CONFIG and "box1" in err
+    code, out, _ = run(capsys, "--format", "json", *argv, "--class", "pwk-quasi")
+    want = check_edcf(
+        bi.logic("KL"), bi.testbed("k3-isp"), bi.candidate("kl-global"), "global",
+        class_spec=bi.class_spec("pwk-quasi"),
+    ).to_json()
+    doc = json.loads(out)
+    assert code == EXIT_PASS
+    assert doc.pop("replay").endswith("--class pwk-quasi --candidate kl-global --testbed k3-isp "
+                                      "--variant global --mode monotone --arity 2")
+    assert doc == want
 
 
 def test_unknown_names_exit_config(capsys):

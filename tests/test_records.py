@@ -14,7 +14,7 @@ import filtra
 from filtra import builtins as bi
 from filtra.algebras import FiniteAlgebra, Matrix, Product
 from filtra.candidates import EDCFCandidate
-from filtra.checks import Testbed, Verdict
+from filtra.checks import Verdict
 from filtra.classes import Axiomatic, GeneratedQuasivariety, Quasiequation
 from filtra.congruences import Congruence
 from filtra.errors import InvalidSpec, TermSyntaxError
@@ -22,15 +22,27 @@ from filtra.logics import Filter, MatrixDetermined, RulePresented
 from filtra.terms import App, Equation, Rule, Signature, Var, parse_equation
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # -S keeps site customisations from importing either module first
-    code = "import sys, filtra.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def _fresh(code: str) -> list[str]:
+    """The lines a fresh interpreter prints; -S keeps site customisations
+    from importing anything first."""
     env = dict(os.environ, PYTHONPATH=str(Path(filtra.__file__).resolve().parents[1]))
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.splitlines()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    assert _fresh("import sys, filtra.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))") == ["[]"]
+
+
+def test_a_module_loads_only_what_it_imports():
+    # the package root re-exports nothing, so it loads no module of its own
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('filtra.')))"
+    assert _fresh(f"import sys, filtra; {loaded}; import filtra.algebras; {loaded}") == [
+        "[]", "['filtra.algebras', 'filtra.errors', 'filtra.terms']",
+    ]
 
 
 def _samples():
@@ -69,8 +81,6 @@ def _samples():
         (GeneratedQuasivariety, ("generators", "name"), {"name": ""}, ((wk3,), "q"), ((k3,), "")),
         (Verdict, ("outcome", "checker", "witness", "notes"), {"witness": None, "notes": ()},
          ("pass", "edcf", None, ("a note",)), ("fail", "fep", {"algebra": "WK3"}, ())),
-        (Testbed, ("algebras", "provenance", "name"), {"provenance": (), "name": ""},
-         ((wk3, k3), ("generator", "generator"), "bed"), ((wk3,), (), "")),
         (EDCFCandidate, ("name", "n_max", "families", "param_count"), {"param_count": 0},
          ("c", 0, ((),), 0), ("d", 1, ((), theta), 2)),
     ]
@@ -134,7 +144,6 @@ def test_congruence_keeps_its_partition_canonical():
          InvalidSpec, "share a signature"),
         (lambda k3, wk3: MatrixDetermined((Matrix(k3, frozenset({2})),), variable_bound=0),
          InvalidSpec, "variable_bound must be positive"),
-        (lambda k3, wk3: Testbed((wk3,), provenance=("a", "b")), InvalidSpec, "provenance must be parallel"),
         (lambda k3, wk3: GeneratedQuasivariety(()), InvalidSpec, "at least one generator"),
         (lambda k3, wk3: GeneratedQuasivariety((k3, wk3)), InvalidSpec, "generators must share a signature"),
         (lambda k3, wk3: EDCFCandidate("c", 1, ((),)), InvalidSpec, "1 families for n_max 1"),
