@@ -515,6 +515,16 @@ def induced_subalgebra(
     return FiniteAlgebra.make(sub_name, len(members), algebra.signature, tables, labels), members
 
 
+def _canonical(partition: Sequence[int]) -> tuple[int, ...]:
+    relabel: dict[int, int] = {}
+    out = []
+    for b in partition:
+        if b not in relabel:
+            relabel[b] = len(relabel)
+        out.append(relabel[b])
+    return tuple(out)
+
+
 def quotient(
     algebra: FiniteAlgebra, partition: Sequence[int], name: str | None = None
 ) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -526,13 +536,8 @@ def quotient(
     n = algebra.size
     if len(partition) != n:
         raise NotACongruence("partition length differs from carrier size")
-    block_order: list[int] = []
-    for e in range(n):
-        if partition[e] not in block_order:
-            block_order.append(partition[e])
-    relabel = {b: i for i, b in enumerate(block_order)}
-    proj = tuple(relabel[partition[e]] for e in range(n))
-    nblocks = len(block_order)
+    proj = _canonical(partition)
+    nblocks = max(proj) + 1
     reps = [proj.index(b) for b in range(nblocks)]
 
     tables = {}

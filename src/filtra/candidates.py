@@ -20,7 +20,7 @@ import itertools
 from typing import Sequence
 
 from .errors import InvalidSpec
-from .terms import App, Equation, Term, Var, _Record, equation_variables
+from .terms import App, Equation, Term, Var, _Record, variables
 
 ThetaSet = tuple[Equation, ...]
 
@@ -46,7 +46,7 @@ class EDCFCandidate(_Record):
         for n, family in enumerate(self.families):
             for theta in family:
                 for eq in theta:
-                    for v in equation_variables(eq):
+                    for v in variables(eq.lhs, eq.rhs):
                         if v == "y":
                             continue
                         kind, index = v[0], v[1:]

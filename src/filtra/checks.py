@@ -467,11 +467,11 @@ def factor_determined_check(
     """
     budget = as_budget(budget)
     _require(generator_cap, 0, "generator_cap")
-    if pinned_factors is None:
-        _require(max_product_arity, 2, "max_product_arity")
     if pinned_factors is not None:
+        _require(len(pinned_factors), 1, "the number of pinned factors")
         factor_lists = [tuple(pinned_factors)]
     else:
+        _require(max_product_arity, 2, "max_product_arity")
         factor_lists = [
             combo
             for r in range(2, max_product_arity + 1)
@@ -490,35 +490,30 @@ def factor_determined_check(
                 for n in range(generator_cap + 1)
                 for xs in itertools.combinations(range(algebra.size), n)
             ]
-        base_choices = [None]
+        coords = [prod.to_tuple(e) for e in range(algebra.size)]
+
+        def box(sets: Sequence[frozenset[int]]) -> frozenset[int]:
+            """The product elements whose every coordinate lies in its factor's set."""
+            return frozenset(
+                e for e, c in enumerate(coords) if all(ci in s for ci, s in zip(c, sets))
+            )
+
+        base_choices = [(frozenset(),) * len(factors)]
         if not absolute:
             per_factor = [
                 [f.members for f in all_filters(fac, logic, budget)] for fac in factors
             ]
             base_choices = list(itertools.product(*per_factor))
         for bases in base_choices:
+            seeded = box(bases)
             for xs in gens_sweep:
                 budget.spend()
-                coords = [prod.to_tuple(x) for x in xs]
-                factor_fgs = []
-                for i, fac in enumerate(factors):
-                    seed = {c[i] for c in coords}
-                    if bases is not None:
-                        seed |= bases[i]
-                    factor_fgs.append(fg(fac, frozenset(seed), logic, budget).members)
-                seed_product = frozenset(xs)
-                if bases is not None:
-                    seed_product = seed_product | frozenset(
-                        e
-                        for e in range(algebra.size)
-                        if all(prod.to_tuple(e)[i] in bases[i] for i in range(len(factors)))
-                    )
-                on_product = fg(algebra, seed_product, logic, budget).members
-                boxed = frozenset(
-                    e
-                    for e in range(algebra.size)
-                    if all(prod.to_tuple(e)[i] in factor_fgs[i] for i in range(len(factors)))
-                )
+                factor_fgs = [
+                    fg(fac, frozenset(coords[x][i] for x in xs) | bases[i], logic, budget).members
+                    for i, fac in enumerate(factors)
+                ]
+                on_product = fg(algebra, frozenset(xs) | seeded, logic, budget).members
+                boxed = box(factor_fgs)
                 if on_product != boxed:
                     missing = sorted(boxed - on_product) or sorted(on_product - boxed)
                     witness = {"algebra": algebra.name, "factors": [f.name for f in factors]}
@@ -528,7 +523,7 @@ def factor_determined_check(
                         if boxed - on_product
                         else "fg_minus_product_of_factor_filters"
                     )
-                    if bases is not None:
+                    if not absolute:
                         witness["base_filters"] = [sorted(b) for b in bases]
                     return _resolve("factor-determined", uncertified, witness, [algebra, *factors])
     return _resolve("factor-determined", uncertified)
@@ -619,32 +614,34 @@ def smallest_relcong_check(
 
 def dually_brouwerian_check(
     logic: LogicSpec,
-    algebra: FiniteAlgebra,
+    testbed: Testbed,
     budget: Budget | int | None = None,
 ) -> Verdict:
     """On a finite algebra every filter is compact: for each pair (F, G) the
-    filters H with G inside the join of F and H must have a least member."""
+    filters H with G inside the join of F and H must have a least member, on
+    each testbed algebra."""
     budget = as_budget(budget)
-    uncertified = _uncertified(logic, [algebra], budget)
-    families = [f.members for f in all_filters(algebra, logic, budget)]
-    for fm in families:
-        for gm in families:
-            budget.spend()
-            candidates = [
-                hm for hm in families if gm <= fg(algebra, fm | hm, logic, budget).members
-            ]
-            least = [h for h in candidates if all(h <= o for o in candidates)]
-            if candidates and not least:
-                minimal = [
-                    h for h in candidates if not any(o < h for o in candidates)
+    uncertified = _uncertified(logic, testbed, budget)
+    for algebra in testbed:
+        families = [f.members for f in all_filters(algebra, logic, budget)]
+        for fm in families:
+            for gm in families:
+                budget.spend()
+                candidates = [
+                    hm for hm in families if gm <= fg(algebra, fm | hm, logic, budget).members
                 ]
-                witness = {
-                    "algebra": algebra.name,
-                    "filter_f": sorted(fm),
-                    "filter_g": sorted(gm),
-                    "minimal_h": [sorted(h) for h in minimal],
-                }
-                return _resolve("dually-brouwerian", uncertified, witness, [algebra])
+                least = [h for h in candidates if all(h <= o for o in candidates)]
+                if candidates and not least:
+                    minimal = [
+                        h for h in candidates if not any(o < h for o in candidates)
+                    ]
+                    witness = {
+                        "algebra": algebra.name,
+                        "filter_f": sorted(fm),
+                        "filter_g": sorted(gm),
+                        "minimal_h": [sorted(h) for h in minimal],
+                    }
+                    return _resolve("dually-brouwerian", uncertified, witness, [algebra])
     return _resolve("dually-brouwerian", uncertified)
 
 
@@ -688,22 +685,13 @@ def leibniz_probe(
     return _resolve(f"leibniz-{mode}", uncertified)
 
 
-def _dually_brouwerian_each(logic: LogicSpec, testbed: Testbed, budget: Budget, **kwargs) -> Verdict:
-    """dually_brouwerian_check on each algebra of the testbed up to the first fail."""
-    for algebra in testbed:
-        verdict = dually_brouwerian_check(logic, algebra, budget=budget, **kwargs)
-        if verdict.failed:
-            break
-    return verdict
-
-
 # each searchable property's checker(logic, testbed, budget=..., **checker_kwargs)
 _SEARCHES = {
     "edcf": check_edcf,
     "absfep": absolute_fep_check,
     "fep": fep_check,
     "leibniz": leibniz_probe,
-    "brouwer": _dually_brouwerian_each,
+    "brouwer": dually_brouwerian_check,
     "fdc": factor_determined_check,
 }
 

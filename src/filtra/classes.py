@@ -28,14 +28,15 @@ from .algebras import (
     FiniteAlgebra,
     Table,
     _agreement,
+    _canonical,
     _lanes,
     as_budget,
     compile_term,
     enumerate_homomorphisms,
 )
-from .congruences import Congruence, _canonical, all_congruences, cg_generated
+from .congruences import Congruence, all_congruences, cg_generated
 from .errors import InvalidSpec
-from .terms import Equation, _Record, equation_variables
+from .terms import Equation, _Record, variables
 
 
 class Quasiequation(_Record):
@@ -46,12 +47,8 @@ class Quasiequation(_Record):
         object.__setattr__(self, "consequent", consequent)
 
     def variables(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for eq in self.antecedents + (self.consequent,):
-            for v in equation_variables(eq):
-                if v not in out:
-                    out.append(v)
-        return tuple(out)
+        equations = self.antecedents + (self.consequent,)
+        return variables(*(side for eq in equations for side in (eq.lhs, eq.rhs)))
 
 
 class Axiomatic(_Record):
@@ -91,11 +88,11 @@ ClassSpec = Axiomatic | GeneratedQuasivariety
 def _holds_quasiequation(
     q: Quasiequation, algebra: FiniteAlgebra, budget: Budget
 ) -> bool:
-    variables = q.variables()
+    names = q.variables()
 
     def agreement(eq: Equation) -> list[bool]:
-        lhs = compile_term(eq.lhs, algebra, variables, budget)
-        return list(map(operator.eq, lhs, compile_term(eq.rhs, algebra, variables, budget)))
+        lhs = compile_term(eq.lhs, algebra, names, budget)
+        return list(map(operator.eq, lhs, compile_term(eq.rhs, algebra, names, budget)))
 
     antecedents = [agreement(eq) for eq in q.antecedents]
     for point, holds in enumerate(agreement(q.consequent)):
@@ -159,18 +156,18 @@ def _axioms(algebra: FiniteAlgebra, spec: Axiomatic, budget: Budget) -> list[_Ax
     block lists: an axiom holds on A/theta iff its consequent agrees modulo
     theta at every point where its antecedents do.
     """
-    def tables(eq: Equation, variables: tuple[str, ...]) -> tuple[Table, Table]:
+    def tables(eq: Equation, names: tuple[str, ...]) -> tuple[Table, Table]:
         return (
-            compile_term(eq.lhs, algebra, variables, budget),
-            compile_term(eq.rhs, algebra, variables, budget),
+            compile_term(eq.lhs, algebra, names, budget),
+            compile_term(eq.rhs, algebra, names, budget),
         )
 
     axioms: list[_Axiom] = []
     for eq in spec.equations:
-        axioms.append(([], *tables(eq, equation_variables(eq))))
+        axioms.append(([], *tables(eq, variables(eq.lhs, eq.rhs))))
     for q in spec.quasiequations:
-        variables = q.variables()
-        axioms.append(([tables(eq, variables) for eq in q.antecedents], *tables(q.consequent, variables)))
+        names = q.variables()
+        axioms.append(([tables(eq, names) for eq in q.antecedents], *tables(q.consequent, names)))
     return axioms
 
 

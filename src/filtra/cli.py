@@ -148,31 +148,48 @@ def cmd_fg(args) -> int:
     return EXIT_PASS
 
 
-# the parser's choices; each entry reads its inputs off the parsed arguments
+# every flag a checker can read, in replay order, with its attribute on the
+# parsed arguments; --variant, --mode and --arity have defaults, so every
+# checker accepts them and every replay line carries them
+FLAGS = (
+    ("--logic", "logic"), ("--algebra", "algebra"), ("--class", "klass"),
+    ("--candidate", "candidate"), ("--candidate2", "candidate2"),
+    ("--testbed", "testbed"), ("--generators", "generators"), ("--property", "property"),
+    ("--variant", "variant"), ("--mode", "mode"), ("--arity", "arity"),
+    ("--nmax", "nmax"), ("--relative", "relative"),
+)
+READ_BY_ALL = ("--variant", "--mode", "--arity")
+
+# the parser's choices; each entry names the other flags its checker reads,
+# then reads its inputs off the parsed arguments
 CHECKS = {
-    "edcf": lambda args, budget: check_edcf(
+    "edcf": (("--logic", "--testbed", "--candidate", "--algebra", "--nmax", "--class"),
+             lambda args, budget: check_edcf(
         resolve_logic(args.logic), resolve_testbed(args.testbed),
         resolve_candidate(args.candidate, args.algebra), args.variant, n_max=args.nmax,
-        class_spec=resolve_class(args.klass) if args.klass else None, budget=budget),
-    "fdc": lambda args, budget: factor_determined_check(
+        class_spec=resolve_class(args.klass) if args.klass else None, budget=budget)),
+    "fdc": (("--logic", "--generators", "--relative"), lambda args, budget: factor_determined_check(
         resolve_logic(args.logic), resolve_generators(args.generators),
-        absolute=not args.relative, max_product_arity=args.arity, budget=budget),
-    "absfep": lambda args, budget: absolute_fep_check(
-        resolve_logic(args.logic), resolve_testbed(args.testbed), arity_cap=args.arity, budget=budget),
-    "fep": lambda args, budget: fep_check(
-        resolve_logic(args.logic), resolve_testbed(args.testbed), budget=budget),
-    "brouwer": lambda args, budget: dually_brouwerian_check(
-        resolve_logic(args.logic), resolve_algebra(args.algebra), budget=budget),
-    "minrelcong": lambda args, budget: smallest_relcong_check(
+        absolute=not args.relative, max_product_arity=args.arity, budget=budget)),
+    "absfep": (("--logic", "--testbed"), lambda args, budget: absolute_fep_check(
+        resolve_logic(args.logic), resolve_testbed(args.testbed), arity_cap=args.arity, budget=budget)),
+    "fep": (("--logic", "--testbed"), lambda args, budget: fep_check(
+        resolve_logic(args.logic), resolve_testbed(args.testbed), budget=budget)),
+    "brouwer": (("--logic", "--algebra"), lambda args, budget: dually_brouwerian_check(
+        resolve_logic(args.logic), (resolve_algebra(args.algebra),), budget=budget)),
+    "minrelcong": (("--logic", "--algebra", "--class"), lambda args, budget: smallest_relcong_check(
         resolve_logic(args.logic), resolve_algebra(args.algebra),
-        resolve_class(args.klass), arity_cap=args.arity, budget=budget),
-    "leibniz": lambda args, budget: leibniz_probe(
-        resolve_logic(args.logic), resolve_testbed(args.testbed), mode=args.mode, budget=budget),
-    "compare": lambda args, budget: compare_candidates(
+        resolve_class(args.klass), arity_cap=args.arity, budget=budget)),
+    "leibniz": (("--logic", "--testbed"), lambda args, budget: leibniz_probe(
+        resolve_logic(args.logic), resolve_testbed(args.testbed), mode=args.mode, budget=budget)),
+    "compare": (("--candidate", "--candidate2", "--algebra", "--testbed"),
+                lambda args, budget: compare_candidates(
         resolve_candidate(args.candidate, args.algebra),
         resolve_candidate(_given(args.candidate2, "--candidate2"), args.algebra),
-        resolve_testbed(args.testbed), budget=budget),
-    "search": lambda args, budget: search_counterexample(
+        resolve_testbed(args.testbed), budget=budget)),
+    # every flag that a searchable checker reads
+    "search": (("--logic", "--property", "--generators", "--candidate", "--algebra", "--nmax",
+                "--class", "--relative"), lambda args, budget: search_counterexample(
         resolve_logic(args.logic), _given(args.property, "--property"),
         resolve_generators(args.generators) if args.generators else (),
         max_product_arity=args.arity, budget=budget, checker_kwargs={
@@ -180,12 +197,22 @@ CHECKS = {
                              "variant": args.variant, "n_max": args.nmax,
                              "class_spec": resolve_class(args.klass) if args.klass else None},
             "leibniz": lambda: {"mode": args.mode}, "fdc": lambda: {"absolute": not args.relative},
-        }.get(args.property, dict)()),
+        }.get(args.property, dict)())),
 }
 
 
+def _given_flags(args) -> list[tuple[str, object]]:
+    """The flags of FLAGS that hold a value, with it, in replay order."""
+    values = ((flag, getattr(args, attr)) for flag, attr in FLAGS)
+    return [(flag, value) for flag, value in values if value not in (None, "")]
+
+
 def cmd_check(args) -> int:
-    v = CHECKS[args.checker](args, Budget(args.budget))
+    reads, run = CHECKS[args.checker]
+    for flag, _ in _given_flags(args):
+        if flag not in reads + READ_BY_ALL:
+            raise UnknownName(f"check {args.checker} does not read {flag}")
+    v = run(args, Budget(args.budget))
     lines = [f"checker: {v.checker}", f"outcome: {v.outcome}"]
     if v.witness:
         lines.append("witness: " + json.dumps(dict(v.witness)))
@@ -204,20 +231,8 @@ def _replay_command(args) -> str:
     if args.budget != DEFAULT_BUDGET:
         parts.extend(["--budget", str(args.budget)])
     parts.extend(["check", args.checker])
-    for flag, attr in [
-        ("--logic", "logic"), ("--algebra", "algebra"), ("--class", "klass"),
-        ("--candidate", "candidate"), ("--candidate2", "candidate2"),
-        ("--testbed", "testbed"), ("--generators", "generators"),
-        ("--property", "property"),
-    ]:
-        value = getattr(args, attr, None)
-        if value:
-            parts.extend([flag, str(value)])
-    parts.extend(["--variant", args.variant, "--mode", args.mode, "--arity", str(args.arity)])
-    if args.nmax is not None:
-        parts.extend(["--nmax", str(args.nmax)])
-    if args.relative:
-        parts.append("--relative")
+    for flag, value in _given_flags(args):
+        parts.extend([flag] if value is True else [flag, str(value)])
     return " ".join(parts)
 
 
@@ -290,9 +305,9 @@ def _reproduce_box5_no_min(results, budget):
 
 
 def _reproduce_m3_not_brouwerian(results, budget):
-    v = dually_brouwerian_check(bi.logic("ORD"), bi.algebra("M3"), budget)
+    v = dually_brouwerian_check(bi.logic("ORD"), (bi.algebra("M3"),), budget)
     _expect(results, "no least complement filter on the modular lattice M3", v, "fail")
-    v = dually_brouwerian_check(bi.logic("ORD"), bi.algebra("BOOL4"), budget)
+    v = dually_brouwerian_check(bi.logic("ORD"), (bi.algebra("BOOL4"),), budget)
     _expect(results, "least complement filters exist on the Boolean 4-lattice", v, PASS)
 
 
@@ -429,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--mode", default="monotone", choices=("monotone", "injective"))
     p_check.add_argument("--arity", type=int, default=2)
     p_check.add_argument("--nmax", type=int, default=None)
-    p_check.add_argument("--relative", action="store_true", help="factor check with base filters")
+    p_check.add_argument("--relative", action="store_true", default=None, help="factor check with base filters")
     p_check.set_defaults(func=cmd_check)
 
     p_rep = sub.add_parser("reproduce", help="replay a cataloged finite example")

@@ -12,19 +12,9 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .algebras import Budget, FiniteAlgebra, as_budget
+from .algebras import Budget, FiniteAlgebra, _canonical, as_budget
 from .errors import NotACongruence
 from .terms import _Record
-
-
-def _canonical(partition: Sequence[int]) -> tuple[int, ...]:
-    relabel: dict[int, int] = {}
-    out = []
-    for b in partition:
-        if b not in relabel:
-            relabel[b] = len(relabel)
-        out.append(relabel[b])
-    return tuple(out)
 
 
 class Congruence(_Record):

@@ -79,7 +79,7 @@ from .algebras import (
 )
 from .congruences import Congruence
 from .errors import InvalidSpec
-from .terms import Rule, _hash_fields_once, _Record, rule_variables
+from .terms import Rule, _hash_fields_once, _Record, variables
 
 DEFAULT_CLONE_ELEMENT_CAP = 3000
 MAX_CLONE_TABLE = 250_000
@@ -121,8 +121,8 @@ LogicSpec = RulePresented | MatrixDetermined
 class Filter(_Record):
     """A subset of a carrier known to be closed under the logic.
 
-    Build through make_filter to have filterhood checked; the enumeration and
-    generation routines construct instances for sets they have just verified.
+    The enumeration and generation routines construct instances only for
+    sets they have just verified.
     """
 
     __slots__ = _fields = ("algebra", "members")
@@ -133,13 +133,6 @@ class Filter(_Record):
 
     def __contains__(self, element: int) -> bool:
         return element in self.members
-
-
-def make_filter(algebra: FiniteAlgebra, members: Iterable[int], logic: LogicSpec) -> Filter:
-    ms = frozenset(members)
-    if not is_filter(algebra, ms, logic):
-        raise InvalidSpec(f"{algebra.describe(ms)} is not a filter on {algebra.name!r}")
-    return Filter(algebra, ms)
 
 
 def rule_valid_in_matrix(rule: Rule, matrix: Matrix, budget: Budget | int | None = None) -> bool:
@@ -167,14 +160,12 @@ class _Context:
         self,
         algebra: FiniteAlgebra,
         step: Callable[[int], int],
-        has_theorem: bool | None,
         exact: bool | None = True,
         lower: tuple[int, ...] = (),
         clone: _Clone | None = None,
     ):
         self.algebra = algebra
         self.step = step
-        self.has_theorem = has_theorem
         # whether the closed sets are the filter family: always for rules; for
         # a matrix logic True from the start when the clone is complete at
         # v = |A|, else known once certified() ran
@@ -239,9 +230,9 @@ def _rule_context(algebra: FiniteAlgebra, logic: RulePresented, budget: Budget) 
     valuation, though equal instances are kept once."""
     found: set[tuple[int, int]] = set()
     for rule in logic.rules:
-        variables = _free_variables(rule_variables(rule), algebra)
+        names = _free_variables(variables(*rule.premises, rule.conclusion), algebra)
         tables = [
-            compile_term(t, algebra, variables, budget)
+            compile_term(t, algebra, names, budget)
             for t in rule.premises + (rule.conclusion,)
         ]
         budget.spend(len(tables[-1]))
@@ -259,7 +250,7 @@ def _rule_context(algebra: FiniteAlgebra, logic: RulePresented, budget: Budget) 
                 added |= concl
         return added & ~mask
 
-    return _Context(algebra, step, bool(step(0)))
+    return _Context(algebra, step)
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +456,9 @@ def _clone_context(
     npoints = sum(m.algebra.size**clone.nvars for m in logic.matrices)
     full_mask = (1 << npoints) - 1
 
-    everywhere = any(bits == full_mask for bits in desig)
-    if everywhere:
-        has_theorem = True
-    elif clone.complete and clone.nvars >= 1:
-        # a theorem in many variables yields one in a single variable, and the
-        # completed clone contains every single-variable term function
-        has_theorem = False
-    else:
-        has_theorem = None
+    # a theorem in many variables yields one in a single variable, and the
+    # completed clone contains every single-variable term function
+    no_theorem = clone.complete and clone.nvars >= 1 and full_mask not in desig
 
     # one row per valuation of the clone variables in the algebra, each
     # spending one step per clone element; a mask inside another landing on
@@ -510,9 +495,9 @@ def _clone_context(
         return added & ~mask
 
     # adding the empty set keeps the family closed under intersection
-    lower = hom_lower | {0} if has_theorem is False else hom_lower
+    lower = hom_lower | {0} if no_theorem else hom_lower
     return _Context(
-        algebra, step, has_theorem,
+        algebra, step,
         True if clone.complete and clone.nvars == algebra.size else None,
         tuple(sorted(lower, key=_by_size)), clone,
     )
@@ -698,10 +683,3 @@ def fg_relative(
     image = fg(q, {proj[g] for g in generators}, logic, budget)
     members = frozenset(a for a in range(algebra.size) if proj[a] in image.members)
     return Filter(algebra, members)
-
-
-def has_theorem(
-    algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | int | None = None
-) -> bool | None:
-    """Whether the logic proves anything outright; None when undecided."""
-    return _context(algebra, logic, budget).has_theorem

@@ -33,7 +33,7 @@ from .candidates import EDCFCandidate, fold_terms, leq
 from .classes import Axiomatic, ClassSpec, GeneratedQuasivariety, Quasiequation
 from .errors import InvalidSpec
 from .logics import LogicSpec, MatrixDetermined, RulePresented
-from .terms import Equation, Rule, Signature, Term, Var, format_term, parse_term
+from .terms import Equation, Rule, Signature, Term, Var, format_term, parse_equation, parse_term
 
 Resolver = Callable[[str], FiniteAlgebra]
 
@@ -88,13 +88,11 @@ def class_from_json(doc: Mapping, resolve: Resolver) -> ClassSpec:
                 raise InvalidSpec(f"class {name!r}: axioms need a signature reference")
             return Axiomatic(name=name)
         sig = resolve(sig_ref).signature
-        equations = tuple(
-            Equation(parse_term(l, sig), parse_term(r, sig)) for l, r in doc.get("equations", [])
-        )
+        equations = tuple(parse_equation(l, r, sig) for l, r in doc.get("equations", []))
         quasis = tuple(
             Quasiequation(
-                tuple(Equation(parse_term(l, sig), parse_term(r, sig)) for l, r in q["if"]),
-                Equation(parse_term(q["then"][0], sig), parse_term(q["then"][1], sig)),
+                tuple(parse_equation(l, r, sig) for l, r in q["if"]),
+                parse_equation(q["then"][0], q["then"][1], sig),
             )
             for q in doc.get("quasi", [])
         )

@@ -194,7 +194,7 @@ def format_term(t: Term) -> str:
     return "(" + " ".join([t.symbol] + [format_term(a) for a in t.args]) + ")"
 
 
-def term_variables(t: Term) -> tuple[str, ...]:
+def variables(*terms: Term) -> tuple[str, ...]:
     """Variable names in first-occurrence order."""
     out: list[str] = []
 
@@ -206,22 +206,6 @@ def term_variables(t: Term) -> tuple[str, ...]:
             for a in u.args:
                 walk(a)
 
-    walk(t)
-    return tuple(out)
-
-
-def equation_variables(eq: Equation) -> tuple[str, ...]:
-    out = list(term_variables(eq.lhs))
-    for v in term_variables(eq.rhs):
-        if v not in out:
-            out.append(v)
-    return tuple(out)
-
-
-def rule_variables(r: Rule) -> tuple[str, ...]:
-    out: list[str] = []
-    for t in r.premises + (r.conclusion,):
-        for v in term_variables(t):
-            if v not in out:
-                out.append(v)
+    for t in terms:
+        walk(t)
     return tuple(out)

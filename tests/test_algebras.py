@@ -452,13 +452,6 @@ def test_budgets_are_made_only_at_the_entry_points():
     assert makers == {"algebras.as_budget", "cli.cmd_fg", "cli.cmd_check", "cli.cmd_reproduce"}
 
 
-# public functions that no command, benchmark job, README passage or other
-# library function calls, each with the reason it stays
-KEPT_WITHOUT_CALLERS = {
-    "terms.parse_equation": "Python callers use it to write the equations of an Axiomatic class",
-}
-
-
 class _ReadNames(ast.NodeVisitor):
     """The names and attributes a module reads, outside the bodies of the
     functions they name."""
@@ -497,4 +490,4 @@ def test_every_public_function_has_a_caller():
     texts = [path.read_text() for path in sorted((root / "bench").glob("*.py"))]
     called |= set(re.findall(r"\w+", "\n".join(texts + [(root / "README.md").read_text()])))
     uncalled = {f"{module}.{name}" for name, module in defined.items() if name not in called}
-    assert uncalled == set(KEPT_WITHOUT_CALLERS)
+    assert uncalled == set()

@@ -100,6 +100,16 @@ def test_edcf_inconclusive_below_the_needed_variable_count(kl):
     assert certified.passed and certified.notes == ()
 
 
+def test_a_clone_past_the_table_cap_stops_the_search_uncertified(monkeypatch, cold_contexts, kl):
+    # at v = 2 the tables of K3^2 and K3 would hold 81 + 9 entries, over the cap
+    monkeypatch.setattr(logics, "MAX_CLONE_TABLE", 20)
+    k3_sq = bi.algebra("K3^2")
+    assert not filters_certified(k3_sq, kl)
+    v = check_edcf(kl, (k3_sq,), bi.candidate("kl-global"), "global")
+    assert v.outcome == "inconclusive"
+    assert f"{k3_sq.name} (v=1 tried, clone complete;" in v.notes[0]
+
+
 def test_lp_global_edcf_passes(lp):
     v = check_edcf(lp, bi.testbed("k3-isp"), bi.candidate("lp-global"), "global")
     assert v.passed
@@ -474,6 +484,11 @@ def test_relative_factor_determination_runs(pwk, wk3):
     assert v.passed
 
 
+def test_factor_determination_needs_a_pinned_factor(pwk, wk3):
+    with pytest.raises(InvalidSpec, match="the number of pinned factors must be at least 1"):
+        factor_determined_check(pwk, (wk3,), pinned_factors=(), pinned_generators=[()])
+
+
 # --- test algebras ---------------------------------------------------------------------
 
 
@@ -481,6 +496,16 @@ def test_trivial_test_algebra(one_logic, box5):
     t = trivial_algebra(box5.signature, "t")
     v = run_test_algebra_check(one_logic, (t,), t, (), 0)
     assert v.passed
+
+
+def test_a_test_algebra_fails_when_q_lies_outside_the_generated_filter(pwk, wk3):
+    # Fg(empty set) on WK3 is {1, half}
+    v = run_test_algebra_check(pwk, (wk3,), wk3, (), 0)
+    assert v.failed
+    assert v.witness == {
+        "algebra": "WK3", "reason": "q outside the filter generated by the test elements",
+        "p": [], "q": 0,
+    }
 
 
 def test_pwk_candidate_test_algebra_fails(pwk, wk3):
@@ -584,14 +609,14 @@ def test_uncertified_quotients_sharing_a_name_are_each_listed(kl, k3):
 
 def test_trivial_algebra_brouwerian(one_logic, box5):
     t = trivial_algebra(box5.signature, "t")
-    assert dually_brouwerian_check(one_logic, t).passed
+    assert dually_brouwerian_check(one_logic, (t,)).passed
 
 
 def test_m3_fails_bool4_passes(ord_logic, m3, bool4):
-    v = dually_brouwerian_check(ord_logic, m3)
+    v = dually_brouwerian_check(ord_logic, (m3,))
     assert v.failed
     assert len(v.witness["minimal_h"]) >= 2
-    assert dually_brouwerian_check(ord_logic, bool4).passed
+    assert dually_brouwerian_check(ord_logic, (bool4,)).passed
 
 
 # --- Leibniz probes ---------------------------------------------------------------------
@@ -681,6 +706,19 @@ def test_an_inconclusive_search_keeps_the_verdict_of_its_highest_arity(kl, k3):
     assert got.notes == want.notes + ("no counterexample up to product arity 2",)
 
 
+@pytest.mark.parametrize("prop", ["leibniz", "brouwer"])
+def test_a_search_reports_every_uncertified_algebra_of_its_testbed(kl, k3, prop):
+    # each checker sweeps the whole testbed: all three uncertified algebras are
+    # listed, and the K3 x K3 witness is inconclusive rather than dropped
+    kl1 = MatrixDetermined(kl.matrices, 1, "KL1")
+    v = search_counterexample(kl1, prop, [k3], 2)
+    assert v.outcome == "inconclusive" and v.witness["algebra"] == "K3xK3"
+    listed, *rest = v.notes
+    names = ["K3xK3 (", "K3xK3|{0,1,2,6,7,8} (", "K3xK3|{0,1,3,4,5,7,8} ("]
+    assert [listed.count(name) for name in names] == [1, 1, 1]
+    assert rest == ["witness read an uncertified algebra", "no counterexample up to product arity 2"]
+
+
 @pytest.mark.parametrize(
     "prop, inputs, arity, subalgebras, kwargs, direct",
     [
@@ -697,8 +735,7 @@ def test_an_inconclusive_search_keeps_the_verdict_of_its_highest_arity(kl, k3):
         ("leibniz", lambda: (bi.logic("ORD"), [bi.algebra("K3")]), 1, False, {"mode": "injective"},
          lambda logic, bed, arity, kw: leibniz_probe(logic, bed, **kw)),
         ("brouwer", lambda: (bi.logic("ORD"), [bi.algebra("BOOL4"), bi.algebra("M3")]), 1, False, {},
-         lambda logic, bed, arity, kw: next(
-             v for v in map(lambda a: dually_brouwerian_check(logic, a), bed) if v.failed)),
+         lambda logic, bed, arity, kw: dually_brouwerian_check(logic, bed)),
         ("fdc", lambda: (bi.logic("PWK"), [bi.algebra("WK3")]), 2, False, {"generator_cap": 1},
          lambda logic, bed, arity, kw: factor_determined_check(logic, bed, max_product_arity=arity, **kw)),
     ],

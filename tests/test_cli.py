@@ -5,7 +5,7 @@ import pytest
 
 from filtra import builtins as bi
 from filtra import logics
-from filtra.checks import check_edcf
+from filtra.checks import check_edcf, compare_candidates, leibniz_probe
 from filtra.cli import (
     CATALOG,
     EXIT_BUDGET,
@@ -15,6 +15,7 @@ from filtra.cli import (
     EXIT_PASS,
     main,
 )
+from filtra.terms import format_term
 
 
 def run(capsys, *argv):
@@ -155,6 +156,88 @@ def test_a_missing_flag_exits_config_and_names_it(capsys, argv, flag):
     assert code == EXIT_CONFIG
     assert out == ""
     assert err == f"configuration error: this command needs {flag}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("fep", "--logic", "PWK", "--testbed", "wk3-isp", "--class", "alpha12", "--candidate", "nope"),
+         "--class"),
+        (("absfep", "--logic", "PWK", "--testbed", "wk3-isp", "--nmax", "5", "--relative"), "--nmax"),
+    ],
+    ids=["fep", "absfep"],
+)
+def test_a_flag_the_checker_does_not_read_exits_config(capsys, argv, flag):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"configuration error: check {argv[0]} does not read {flag}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("leibniz", "--logic", "KG", "--testbed", "modal-chains", "--mode", "injective"),
+         lambda: leibniz_probe(bi.logic("KG"), bi.testbed("modal-chains"), "injective")),
+        (("compare", "--candidate", "luk-local-and", "--candidate2", "luk-local-odot",
+          "--testbed", "mv-chains"),
+         lambda: compare_candidates(
+             bi.candidate("luk-local-and"), bi.candidate("luk-local-odot"), bi.testbed("mv-chains"))),
+    ],
+    ids=["leibniz", "compare"],
+)
+def test_check_runs_its_checker(capsys, argv, want):
+    code, out, _ = run(capsys, "--format", "json", "check", *argv)
+    doc = json.loads(out)
+    assert doc.pop("replay").startswith(f"filtra check {argv[0]} ")
+    assert doc == want().to_json()
+    assert code == EXIT_PASS
+
+
+def _corpus_entry(tmp_path, kind, name):
+    doc = next(d for d in json.loads((Path(bi.__file__).parent / "data" / f"{kind}.json").read_text())
+               if d["name"] == name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _kl_global_document(tmp_path, n_max):
+    """kl-global up to n_max, written out as a candidate document."""
+    candidate = bi.candidate("kl-global")
+    families = {
+        str(n): [[[format_term(eq.lhs), format_term(eq.rhs)] for eq in theta] for theta in family]
+        for n, family in enumerate(candidate.families[: n_max + 1])
+    }
+    path = tmp_path / "kl-global.json"
+    path.write_text(json.dumps({"name": "kl-global", "n_max": n_max, "families": families}))
+    return str(path)
+
+
+def test_json_files_read_as_their_built_in_names(tmp_path, capsys):
+    commands = [
+        (("fep", "--testbed", "wk3-isp", "--logic"), "PWK", _corpus_entry(tmp_path, "logics", "PWK")),
+        (("minrelcong", "--logic", "ONE", "--algebra", "box5", "--class"), "alpha12",
+         _corpus_entry(tmp_path, "classes", "alpha12")),
+        (("edcf", "--logic", "KL", "--testbed", "k3-isp", "--variant", "global", "--nmax", "1",
+          "--algebra", "K3", "--candidate"), "kl-global", _kl_global_document(tmp_path, 1)),
+    ]
+    for argv, name, path in commands:
+        outputs = []
+        for token in (name, path):
+            code, out, _ = run(capsys, "--format", "json", "check", *argv, token)
+            doc = json.loads(out)
+            assert token in doc.pop("replay").split()
+            outputs.append((code, doc))
+        assert outputs[0] == outputs[1], argv[0]
+
+
+def test_a_candidate_file_needs_the_algebra(tmp_path, capsys):
+    path = _kl_global_document(tmp_path, 1)
+    code, out, err = run(capsys, "check", "edcf", "--logic", "KL", "--testbed", "k3-isp", "--candidate", path)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "configuration error: candidate files need --algebra to supply the signature\n"
 
 
 def test_check_search_refuses_an_unknown_property_without_generators(capsys):

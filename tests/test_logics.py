@@ -33,7 +33,7 @@ from filtra.algebras import (
     induced_subalgebra,
 )
 from filtra.congruences import Congruence, all_congruences
-from filtra.errors import InvalidSpec, SizeBudgetExceeded
+from filtra.errors import SizeBudgetExceeded
 from filtra.logics import (
     MatrixDetermined,
     _build_clone,
@@ -47,10 +47,8 @@ from filtra.logics import (
     fg_relative,
     fg_trace,
     filters_certified,
-    has_theorem,
     is_filter,
     is_filter_certain,
-    make_filter,
     rule_valid_in_matrix,
 )
 from filtra.terms import Rule, Signature, parse_term
@@ -129,12 +127,6 @@ def test_axiom_logic_filters_contain_the_constant(box5, one_logic):
     assert len(families) == 2 ** (box5.size - 1)
 
 
-def test_make_filter_checks(wk3, pwk):
-    make_filter(wk3, {1, 2}, pwk)
-    with pytest.raises(InvalidSpec):
-        make_filter(wk3, {1}, pwk)
-
-
 # --- generation ---------------------------------------------------------------
 
 
@@ -209,12 +201,6 @@ def test_rule_and_matrix_presentations_agree(box5, one_logic):
 
 def test_theoremless_logic_generates_empty(wk3, id_logic):
     assert fg(wk3, (), id_logic).members == frozenset()
-    assert has_theorem(wk3, id_logic) is False
-
-
-def test_matrix_logic_theorem_detection(k3, kl, lp):
-    assert has_theorem(k3, kl) is True
-    assert has_theorem(k3, lp) is True
 
 
 # --- homomorphic preimages and products --------------------------------------
@@ -403,7 +389,6 @@ def test_kl_lp_filters_pinned_on_k3_isp_and_dm4(kl, lp):
             families = [sorted(f.members) for f in all_filters(algebra, logic)]
             assert families == PINNED_FAMILIES[name][algebra.name], (name, algebra.name)
             assert filters_certified(algebra, logic), (name, algebra.name)
-            assert has_theorem(algebra, logic) is True, (name, algebra.name)
 
 
 # --- contexts, budgets and NextClosure -----------------------------------------
@@ -472,7 +457,6 @@ def test_random_rule_logics_match_the_closure_oracle(algebra_and_perm, rules):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(logics, "_CONTEXTS", {})
         _answer_before_and_after_the_family(algebra, logic, closed)
-    assert has_theorem(algebra, logic) == bool(oracle_least_closed(closed, ()))
     moved = {f.members for f in all_filters(relabel(algebra, perm), logic)}
     assert moved == {frozenset(perm[x] for x in s) for s in closed}
 
@@ -614,8 +598,6 @@ def test_a_cold_matrix_context_spends_the_callers_budget(cold_contexts, kl):
         filters_certified(k3_sq, kl, Budget(0))
     with pytest.raises(SizeBudgetExceeded):
         is_filter_certain(k3_sq, {8}, kl, Budget(0))
-    with pytest.raises(SizeBudgetExceeded):
-        has_theorem(k3_sq, kl, Budget(0))
     budget = Budget()
     assert is_filter(k3_sq, {8}, kl, budget)
     assert budget.spent > 0 and (k3_sq, kl) in logics._CONTEXTS

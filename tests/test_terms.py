@@ -7,11 +7,9 @@ from filtra.terms import (
     Rule,
     Signature,
     Var,
-    equation_variables,
     format_term,
     parse_term,
-    rule_variables,
-    term_variables,
+    variables,
 )
 
 
@@ -63,11 +61,11 @@ def test_signature_validation():
 
 def test_variable_collection(sig):
     t = parse_term("(or x2 (or x1 x2))", sig)
-    assert term_variables(t) == ("x2", "x1")
+    assert variables(t) == ("x2", "x1")
     eq = Equation(parse_term("x1", sig), parse_term("(neg y)", sig))
-    assert equation_variables(eq) == ("x1", "y")
+    assert variables(eq.lhs, eq.rhs) == ("x1", "y")
     r = Rule((parse_term("x", sig),), parse_term("(or x z)", sig))
-    assert rule_variables(r) == ("x", "z")
+    assert variables(*r.premises, r.conclusion) == ("x", "z")
 
 
 def test_signature_extends():
