@@ -168,6 +168,36 @@ class FiniteAlgebra(_Record):
         256-byte translation table."""
         return {sym: bytes(table).ljust(256, b"\0") for sym, table in self.tables if len(table) <= 256}
 
+    @cached_property
+    def _basic_translations(self) -> tuple[Table, ...]:
+        """The basic translations x -> f(c.., x, ..c), without repeats, as
+        byte lanes or tuples over the carrier (_table_type), in the order
+        first met.
+
+        Constant maps and the identity are left out: they send a pair to one
+        element or to itself, so they neither merge nor split blocks.  Priced
+        per call by congruences._translations, which reads them.
+        """
+        n = self.size
+        lane = _table_type(n)
+        found: dict[Table, None] = {}
+        for sym, arity in self.signature.symbols:
+            table = self._tmap[sym]
+            for pos in range(arity):
+                stride = n ** (arity - 1 - pos)
+                for base in range(len(table)):
+                    if (base // stride) % n == 0:
+                        found[lane(table[base : base + n * stride : stride])] = None
+        found.pop(lane(range(n)), None)
+        return tuple(t for t in found if t.count(t[0]) < n)
+
+    @cached_property
+    def _quotients(self) -> dict[tuple[int, ...], tuple["FiniteAlgebra", tuple[int, ...]]]:
+        """Quotient algebras and projections by canonical block-id array, kept
+        by logics.fg_relative so that a warm call finds its quotient's context
+        by identity."""
+        return {}
+
     def table(self, symbol: str) -> tuple[int, ...]:
         try:
             return self._tmap[symbol]

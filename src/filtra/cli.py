@@ -159,6 +159,7 @@ FLAGS = (
     ("--nmax", "nmax"), ("--relative", "relative"),
 )
 READ_BY_ALL = ("--variant", "--mode", "--arity")
+SEARCH_READS = ("--logic", "--property", "--generators")  # whatever the property
 
 # the parser's choices; each entry names the other flags its checker reads,
 # then reads its inputs off the parsed arguments
@@ -187,9 +188,9 @@ CHECKS = {
         resolve_candidate(args.candidate, args.algebra),
         resolve_candidate(_given(args.candidate2, "--candidate2"), args.algebra),
         resolve_testbed(args.testbed), budget=budget)),
-    # every flag that a searchable checker reads
-    "search": (("--logic", "--property", "--generators", "--candidate", "--algebra", "--nmax",
-                "--class", "--relative"), lambda args, budget: search_counterexample(
+    # by property: the flags its checker reads besides the search's own
+    "search": ({"edcf": ("--candidate", "--algebra", "--nmax", "--class"), "fdc": ("--relative",)},
+               lambda args, budget: search_counterexample(
         resolve_logic(args.logic), _given(args.property, "--property"),
         resolve_generators(args.generators) if args.generators else (),
         max_product_arity=args.arity, budget=budget, checker_kwargs={
@@ -209,9 +210,13 @@ def _given_flags(args) -> list[tuple[str, object]]:
 
 def cmd_check(args) -> int:
     reads, run = CHECKS[args.checker]
+    checker = args.checker
+    if isinstance(reads, dict):  # search: its own flags and its property's
+        reads = SEARCH_READS + reads.get(_given(args.property, "--property"), ())
+        checker = f"search --property {args.property}"
     for flag, _ in _given_flags(args):
         if flag not in reads + READ_BY_ALL:
-            raise UnknownName(f"check {args.checker} does not read {flag}")
+            raise UnknownName(f"check {checker} does not read {flag}")
     v = run(args, Budget(args.budget))
     lines = [f"checker: {v.checker}", f"outcome: {v.outcome}"]
     if v.witness:

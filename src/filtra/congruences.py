@@ -6,13 +6,19 @@ first-occurrence order, so equality of partitions is equality of tuples and
 blocks listed by id are automatically sorted by least member.  Generation
 and joins work on least-member arrays instead, whose entry e is the least
 element of e's block: canonical too, and a union-find forest of depth one.
+
+Generation, the lattice and the Leibniz refinement read the algebra's basic
+translations.  They are tabulated once per algebra and kept on it as byte
+lanes (tuples above 256 elements), but priced on every call at the steps of
+tabulating them, so a call spends the same steps on a fresh algebra as on a
+warm one.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .algebras import Budget, FiniteAlgebra, _canonical, as_budget
+from .algebras import Budget, FiniteAlgebra, Table, _canonical, _table_type, as_budget
 from .errors import NotACongruence
 from .terms import _Record
 
@@ -121,34 +127,21 @@ def _merged(least: Sequence[int], pairs: Iterable[tuple[int, int]]) -> tuple[int
     return tuple(forest)
 
 
-def _translations(algebra: FiniteAlgebra, budget: Budget) -> list[tuple[int, ...]]:
-    """The basic translations x -> f(c.., x, ..c) of the algebra, as tuples
-    over the carrier, without repeats.
+def _translations(algebra: FiniteAlgebra, budget: Budget) -> tuple[Table, ...]:
+    """The algebra's basic translations (FiniteAlgebra._basic_translations),
+    priced on every call at the arity * n^(arity-1) steps of tabulating them.
 
-    Constant maps and the identity are left out: they send a pair to one
-    element or to itself, so they neither merge nor split blocks.  An
-    equivalence relation is a congruence iff every basic translation
+    An equivalence relation is a congruence iff every basic translation
     preserves it (Mal'cev), so this table is all that generating congruences
     and refining to the Leibniz congruence need.
     """
     n = algebra.size
-    found: set[tuple[int, ...]] = set()
-    for sym, arity in algebra.signature.symbols:
-        if arity == 0:
-            continue
-        table = algebra.table(sym)
-        for pos in range(arity):
-            stride = n ** (arity - 1 - pos)
-            for base in range(len(table)):
-                if (base // stride) % n == 0:
-                    budget.spend()
-                    found.add(table[base : base + n * stride : stride])
-    found.discard(tuple(range(n)))
-    return [t for t in found if t.count(t[0]) < n]
+    budget.spend(sum(arity * n ** (arity - 1) for _, arity in algebra.signature.symbols if arity))
+    return algebra._basic_translations
 
 
 def _generated(
-    translations: list[tuple[int, ...]], n: int, pairs: Iterable[tuple[int, int]], budget: Budget
+    translations: Sequence[Table], n: int, pairs: Iterable[tuple[int, int]], budget: Budget
 ) -> tuple[int, ...]:
     """The least-member array of the congruence generated by the pairs."""
     forest = list(range(n))
@@ -171,7 +164,8 @@ def cg_generated(
 
     Union-find seeded with the pairs; whenever two elements a, b merge, the
     images t(a), t(b) under every basic translation t are merged as well, to
-    fixpoint.  The translations are tabulated once per call.
+    fixpoint.  The translations are tabulated once per algebra and priced
+    per call.
     """
     budget = as_budget(budget)
     return Congruence(_generated(_translations(algebra, budget), algebra.size, pairs, budget))
@@ -229,15 +223,25 @@ def leibniz_congruence(
     translation, hence a congruence (Mal'cev), and it is compatible with F.
     Every congruence compatible with F refines each round's partition, so the
     result is the largest one.
+
+    On byte lanes a round is one translate: the identity and the translations
+    joined end to end, mapped through the block array, hold the blocks that
+    element e goes to at e, e + n, e + 2n, ..., so the slice [e::n] is its key.
     """
     budget = as_budget(budget)
+    n = algebra.size
     members = frozenset(subset)
     translations = _translations(algebra, budget)
-    blocks = _canonical([e in members for e in range(algebra.size)])
+    lanes = bytes(range(n)) + b"".join(translations) if _table_type(n) is bytes else None
+    blocks = _canonical([e in members for e in range(n)])
     while True:
-        budget.spend(algebra.size * (len(translations) + 1))
-        columns = [blocks] + [[blocks[x] for x in t] for t in translations]
-        refined = _canonical(list(zip(*columns)))
+        budget.spend(n * (len(translations) + 1))
+        if lanes is None:
+            columns = [blocks] + [[blocks[x] for x in t] for t in translations]
+            refined = _canonical(list(zip(*columns)))
+        else:
+            joined = lanes.translate(bytes(blocks).ljust(256, b"\0"))
+            refined = _canonical([joined[e::n] for e in range(n)])
         if max(refined) == max(blocks):
             return Congruence(blocks)
         blocks = refined

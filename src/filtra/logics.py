@@ -677,9 +677,14 @@ def fg_relative(
 ) -> Filter:
     """Least filter containing the generators among those compatible with theta.
 
-    Computed on the quotient and pulled back along the projection.
+    Computed on the quotient and pulled back along the projection.  The
+    quotient is kept on the algebra, so a warm call finds its context by
+    identity.
     """
-    q, proj = quotient(algebra, theta.partition)
+    quotients = algebra._quotients
+    if theta.partition not in quotients:
+        quotients[theta.partition] = quotient(algebra, theta.partition)
+    q, proj = quotients[theta.partition]
     image = fg(q, {proj[g] for g in generators}, logic, budget)
     members = frozenset(a for a in range(algebra.size) if proj[a] in image.members)
     return Filter(algebra, members)

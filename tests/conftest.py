@@ -210,6 +210,11 @@ def relabel(algebra, perm):
 # oracles
 
 
+def fresh_copy(algebra: FiniteAlgebra) -> FiniteAlgebra:
+    """An equal algebra with nothing cached on it."""
+    return FiniteAlgebra(*(getattr(algebra, f) for f in algebra._fields))
+
+
 def all_partitions(n):
     """Every partition of {0..n-1} as a canonical block array (restricted
     growth strings)."""
@@ -344,6 +349,20 @@ def oracle_leibniz_profiles(clone: UnaryPolynomialClone, subset) -> Congruence:
         for e in block:
             partition[e] = i
     return Congruence(tuple(partition))
+
+
+def oracle_cg_profiles(clone: UnaryPolynomialClone, pairs) -> Congruence:
+    """Congruence generated by the pairs by Mal'cev's lemma: the least
+    equivalence relation relating p(a) and p(b) for every unary polynomial p
+    of the clone and every pair (a, b), its classes merged one relabelling at
+    a time."""
+    polys = list(clone)
+    blocks = list(range(len(polys[0])))
+    for a, b in pairs:
+        for p in polys:
+            keep, drop = blocks[p[a]], blocks[p[b]]
+            blocks = [keep if x == drop else x for x in blocks]
+    return Congruence(tuple(blocks))
 
 
 def brute_homomorphisms(dom: FiniteAlgebra, cod: FiniteAlgebra):

@@ -6,7 +6,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_homomorphisms, random_algebras, relabel, terms_up_to_depth
+from conftest import (
+    all_partitions,
+    brute_homomorphisms,
+    oracle_is_congruence,
+    random_algebras,
+    relabel,
+    terms_up_to_depth,
+)
 
 import filtra
 from filtra import builtins as bi
@@ -366,6 +373,22 @@ def test_quotient_commutes_with_tables(wk3, box5):
             for sym, arity in algebra.signature.symbols:
                 for args in itertools.product(range(algebra.size), repeat=arity):
                     assert proj[algebra.op(sym, *args)] == q.op(sym, *(proj[a] for a in args))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_algebras())
+def test_quotient_matches_the_congruence_oracle_on_random_algebras(algebra_and_perm):
+    algebra, _ = algebra_and_perm
+    for partition in all_partitions(algebra.size):
+        if not oracle_is_congruence(algebra, partition):
+            with pytest.raises(NotACongruence):
+                quotient(algebra, partition)
+            continue
+        q, proj = quotient(algebra, partition)
+        assert proj == partition and q.size == max(partition) + 1
+        for sym, arity in algebra.signature.symbols:
+            for args in itertools.product(range(algebra.size), repeat=arity):
+                assert proj[algebra.op(sym, *args)] == q.op(sym, *(proj[a] for a in args))
 
 
 # --- homomorphisms ---------------------------------------------------------

@@ -175,6 +175,26 @@ def test_a_flag_the_checker_does_not_read_exits_config(capsys, argv, flag):
 
 
 @pytest.mark.parametrize(
+    "prop, argv, flag",
+    [
+        ("leibniz", ("--candidate", "nope", "--nmax", "3", "--relative"), "--candidate"),
+        ("leibniz", ("--relative",), "--relative"),
+        ("fdc", ("--nmax", "3"), "--nmax"),
+        ("edcf", ("--candidate", "kl-global", "--relative"), "--relative"),
+    ],
+    ids=["leibniz-candidate", "leibniz-relative", "fdc-nmax", "edcf-relative"],
+)
+def test_check_search_refuses_a_flag_its_property_does_not_read(capsys, prop, argv, flag):
+    code, out, err = run(
+        capsys, "check", "search", "--logic", "PWK", "--property", prop, "--generators", "WK3",
+        "--arity", "1", *argv,
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"configuration error: check search --property {prop} does not read {flag}\n"
+
+
+@pytest.mark.parametrize(
     "argv, want",
     [
         (("leibniz", "--logic", "KG", "--testbed", "modal-chains", "--mode", "injective"),

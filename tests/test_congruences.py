@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_partitions,
+    fresh_copy,
+    oracle_cg_profiles,
     oracle_compatible,
     oracle_congruences,
     oracle_is_congruence,
@@ -250,6 +252,52 @@ def test_budget_bounds_refinement_and_joins():
     assert len(all_congruences(bare)) == 5
     with pytest.raises(SizeBudgetExceeded):
         all_congruences(bare, Budget(0))
+
+
+# --- translations: byte lanes up to 256 elements, priced per call ----------
+
+
+def _cycle(size):
+    """x -> x + 1 mod size: every Leibniz round below splits off one more
+    block, so the refinement reaches block ids past 128 and up to size - 1."""
+    return FiniteAlgebra.make("cycle", size, Signature((("s", 1),)), {"s": [(x + 1) % size for x in range(size)]})
+
+
+@pytest.mark.parametrize("size", [256, 300])
+def test_unary_algebras_on_either_side_of_the_byte_lanes_match_the_oracles(size):
+    cycle = _cycle(size)
+    assert {type(t) for t in cycle._basic_translations} == {bytes if size <= 256 else tuple}
+    clone = unary_polynomials(cycle)
+    for subset in ({0}, range(0, size, 2), range(128, size), range(size)):
+        assert leibniz_congruence(cycle, subset) == oracle_leibniz_profiles(clone, subset)
+    for pairs in ([(0, 128)], [(1, 3)], [(0, 1)], [(7, 7)]):
+        assert cg_generated(cycle, pairs) == oracle_cg_profiles(clone, pairs)
+
+
+CALLS = {
+    "leibniz": lambda a, budget: leibniz_congruence(a, {0}, budget),
+    "cg": lambda a, budget: cg_generated(a, [(0, 2)], budget),
+    "lattice": all_congruences,
+}
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [(name, call) for name in ("box5", "mchain4") for call in CALLS]
+    + [(f"cycle-{size}", call) for size in (256, 300) for call in ("leibniz", "cg")],
+)
+def test_a_warm_algebra_spends_what_a_fresh_one_does(call, name):
+    algebra = _cycle(int(name[6:])) if name.startswith("cycle") else fresh_copy(bi.algebra(name))
+    call, cold = CALLS[call], Budget()
+    want = call(algebra, cold)
+    warm = Budget()
+    assert call(algebra, warm) == want
+    assert warm.spent == cold.spent
+    assert call(algebra, Budget(cold.spent)) == want
+    with pytest.raises(SizeBudgetExceeded):
+        call(fresh_copy(algebra), Budget(cold.spent - 1))
+    with pytest.raises(SizeBudgetExceeded):
+        call(algebra, Budget(cold.spent - 1))
 
 
 # --- random algebras against the oracles ------------------------------------
