@@ -191,13 +191,6 @@ class FiniteAlgebra(_Record):
         found.pop(lane(range(n)), None)
         return tuple(t for t in found if t.count(t[0]) < n)
 
-    @cached_property
-    def _quotients(self) -> dict[tuple[int, ...], tuple["FiniteAlgebra", tuple[int, ...]]]:
-        """Quotient algebras and projections by canonical block-id array, kept
-        by logics.fg_relative so that a warm call finds its quotient's context
-        by identity."""
-        return {}
-
     def table(self, symbol: str) -> tuple[int, ...]:
         try:
             return self._tmap[symbol]

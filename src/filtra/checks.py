@@ -686,7 +686,7 @@ def leibniz_probe(
 
 
 # each searchable property's checker(logic, testbed, budget=..., **checker_kwargs)
-_SEARCHES = {
+SEARCHES = {
     "edcf": check_edcf,
     "absfep": absolute_fep_check,
     "fep": fep_check,
@@ -707,7 +707,7 @@ def search_counterexample(
 ) -> Verdict:
     """Grow a testbed until the chosen checker fails, or give up."""
     budget = as_budget(budget)
-    if property_name not in _SEARCHES:
+    if property_name not in SEARCHES:
         raise InvalidSpec(f"no searchable property {property_name!r}")
     fdc = property_name == "fdc"  # products are formed inside the checker; grow its arity instead
     _require(max_product_arity, 2 if fdc else 1, "max_product_arity")
@@ -718,7 +718,7 @@ def search_counterexample(
         bed = generate_testbed(generators, 1 if fdc else arity, include_subalgebras, budget=budget)
         if fdc:
             kwargs["max_product_arity"] = arity
-        verdict = _SEARCHES[property_name](logic, bed, budget=budget, **kwargs)
+        verdict = SEARCHES[property_name](logic, bed, budget=budget, **kwargs)
         if verdict.failed:
             return Verdict(
                 FAIL, f"search/{property_name}", verdict.witness,

@@ -10,12 +10,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import builtins as bi
 from .algebras import DEFAULT_BUDGET, Budget, FiniteAlgebra, direct_product, enumerate_homomorphisms
 from .checks import (
     INCONCLUSIVE,
     PASS,
+    SEARCHES,
     Testbed,
     Verdict,
     absolute_fep_check,
@@ -28,7 +30,7 @@ from .checks import (
     search_counterexample,
     smallest_relcong_check,
 )
-from .errors import FiltraError, SizeBudgetExceeded, UnknownExample, UnknownName
+from .errors import FiltraError, InvalidSpec, SizeBudgetExceeded, UnknownExample, UnknownName
 from .logics import all_filters, fg_trace, filters_certified
 from .serialization import (
     algebra_from_json,
@@ -159,7 +161,25 @@ FLAGS = (
     ("--nmax", "nmax"), ("--relative", "relative"),
 )
 READ_BY_ALL = ("--variant", "--mode", "--arity")
-SEARCH_READS = ("--logic", "--property", "--generators")  # whatever the property
+
+# check search's properties whose checkers read more flags or take keywords:
+# those flags, then the keywords read off the parsed arguments
+SEARCH_PROPERTIES = {
+    "edcf": (("--candidate", "--algebra", "--nmax", "--class"), lambda args: {
+        "candidate": resolve_candidate(args.candidate, args.algebra), "variant": args.variant,
+        "n_max": args.nmax, "class_spec": resolve_class(args.klass) if args.klass else None}),
+    "leibniz": ((), lambda args: {"mode": args.mode}),
+    "fdc": (("--relative",), lambda args: {"absolute": not args.relative}),
+}
+
+
+def _search_property(args) -> tuple[tuple[str, ...], Callable]:
+    """The SEARCH_PROPERTIES entry of --property; nothing for the others."""
+    name = _given(args.property, "--property")
+    if name not in SEARCHES:
+        raise InvalidSpec(f"no searchable property {name!r}")
+    return SEARCH_PROPERTIES.get(name, ((), lambda args: {}))
+
 
 # the parser's choices; each entry names the other flags its checker reads,
 # then reads its inputs off the parsed arguments
@@ -188,17 +208,11 @@ CHECKS = {
         resolve_candidate(args.candidate, args.algebra),
         resolve_candidate(_given(args.candidate2, "--candidate2"), args.algebra),
         resolve_testbed(args.testbed), budget=budget)),
-    # by property: the flags its checker reads besides the search's own
-    "search": ({"edcf": ("--candidate", "--algebra", "--nmax", "--class"), "fdc": ("--relative",)},
-               lambda args, budget: search_counterexample(
-        resolve_logic(args.logic), _given(args.property, "--property"),
+    # and the flags of its property's checker (_search_property)
+    "search": (("--logic", "--property", "--generators"), lambda args, budget: search_counterexample(
+        resolve_logic(args.logic), args.property,
         resolve_generators(args.generators) if args.generators else (),
-        max_product_arity=args.arity, budget=budget, checker_kwargs={
-            "edcf": lambda: {"candidate": resolve_candidate(args.candidate, args.algebra),
-                             "variant": args.variant, "n_max": args.nmax,
-                             "class_spec": resolve_class(args.klass) if args.klass else None},
-            "leibniz": lambda: {"mode": args.mode}, "fdc": lambda: {"absolute": not args.relative},
-        }.get(args.property, dict)())),
+        max_product_arity=args.arity, budget=budget, checker_kwargs=_search_property(args)[1](args))),
 }
 
 
@@ -211,9 +225,9 @@ def _given_flags(args) -> list[tuple[str, object]]:
 def cmd_check(args) -> int:
     reads, run = CHECKS[args.checker]
     checker = args.checker
-    if isinstance(reads, dict):  # search: its own flags and its property's
-        reads = SEARCH_READS + reads.get(_given(args.property, "--property"), ())
-        checker = f"search --property {args.property}"
+    if checker == "search":
+        reads += _search_property(args)[0]
+        checker += f" --property {args.property}"
     for flag, _ in _given_flags(args):
         if flag not in reads + READ_BY_ALL:
             raise UnknownName(f"check {checker} does not read {flag}")

@@ -677,14 +677,9 @@ def fg_relative(
 ) -> Filter:
     """Least filter containing the generators among those compatible with theta.
 
-    Computed on the quotient and pulled back along the projection.  The
-    quotient is kept on the algebra, so a warm call finds its context by
-    identity.
+    Computed on the quotient and pulled back along the projection.
     """
-    quotients = algebra._quotients
-    if theta.partition not in quotients:
-        quotients[theta.partition] = quotient(algebra, theta.partition)
-    q, proj = quotients[theta.partition]
+    q, proj = quotient(algebra, theta.partition)
     image = fg(q, {proj[g] for g in generators}, logic, budget)
     members = frozenset(a for a in range(algebra.size) if proj[a] in image.members)
     return Filter(algebra, members)

@@ -267,6 +267,13 @@ def test_check_search_refuses_an_unknown_property_without_generators(capsys):
     assert "no searchable property 'nope'" in err
 
 
+def test_check_search_refuses_an_unknown_property_before_its_flags(capsys):
+    code, out, err = run(capsys, "check", "search", "--property", "nope", "--candidate", "x")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "error: no searchable property 'nope'\n"
+
+
 def test_check_edcf_honours_the_class(capsys):
     flags = ("--logic", "KL", "--candidate", "kl-global", "--variant", "global")
     argv = ("check", "edcf", "--testbed", "k3-isp", *flags)

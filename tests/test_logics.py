@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     MATRIX_SIGNATURES,
     as_tuples,
-    fresh_copy,
     oracle_build_clone,
     oracle_compatible,
     oracle_closed_sets,
@@ -32,7 +31,6 @@ from filtra.algebras import (
     enumerate_homomorphisms,
     enumerate_subuniverses,
     induced_subalgebra,
-    quotient,
 )
 from filtra.congruences import Congruence, all_congruences
 from filtra.errors import SizeBudgetExceeded
@@ -708,22 +706,9 @@ def test_fg_relative_adds_no_context_after_its_first_call(cold_contexts, box5, o
     theta = Congruence.from_blocks([[0, 1], [2, 4], [3]], 5)
     first = fg_relative(box5, theta, [2, 3], one_logic)
     entries = len(logics._CONTEXTS)
-    for _ in range(49):
+    for _ in range(49):  # a fresh quotient every call, equal to the first
         assert fg_relative(box5, theta, [2, 3], one_logic) == first
         assert len(logics._CONTEXTS) == entries
-
-
-def test_fg_relative_builds_its_quotient_once_per_algebra_and_partition(monkeypatch, box5, one_logic):
-    built = []
-    monkeypatch.setattr(logics, "quotient", lambda *args: built.append(args) or quotient(*args))
-    algebra = fresh_copy(box5)
-    theta = Congruence.from_blocks([[0, 1], [2, 4], [3]], 5)
-    first = fg_relative(algebra, theta, [2, 3], one_logic)
-    assert len(built) == 1
-    assert fg_relative(algebra, theta, [2, 3], one_logic) == first
-    assert len(built) == 1
-    fg_relative(algebra, Congruence.identity(5), [2, 3], one_logic)
-    assert len(built) == 2
 
 
 def test_cold_contexts_forces_a_build_of_a_warm_pair(request, wk3, pwk):
