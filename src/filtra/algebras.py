@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import (
     ArityMismatch,
     InvalidSpec,
-    NotACongruence,
     SizeBudgetExceeded,
     UnboundVariable,
     UnknownName,
@@ -546,41 +545,6 @@ def _canonical(partition: Sequence[int]) -> tuple[int, ...]:
             relabel[b] = len(relabel)
         out.append(relabel[b])
     return tuple(out)
-
-
-def quotient(
-    algebra: FiniteAlgebra, partition: Sequence[int], name: str | None = None
-) -> tuple[FiniteAlgebra, tuple[int, ...]]:
-    """Quotient by a congruence given as a block-id array.
-
-    Blocks are ordered by least member.  Raises NotACongruence when the tables
-    are not well defined on representatives.
-    """
-    n = algebra.size
-    if len(partition) != n:
-        raise NotACongruence("partition length differs from carrier size")
-    proj = _canonical(partition)
-    nblocks = max(proj) + 1
-    reps = [proj.index(b) for b in range(nblocks)]
-
-    tables = {}
-    for sym, arity in algebra.signature.symbols:
-        table = algebra.table(sym)
-        tables[sym] = [proj[table[i]] for i in _tuple_indices(n, reps, arity)]
-    # well-definedness: every tuple must agree with its representative tuple
-    rep_of = [reps[b] for b in proj]
-    for sym, arity in algebra.signature.symbols:
-        table = algebra.table(sym)
-        if [proj[v] for v in table] != [proj[table[i]] for i in _tuple_indices(n, rep_of, arity)]:
-            raise NotACongruence(f"operation {sym!r} is not well defined on the blocks")
-    labels = None
-    if algebra.labels is not None:
-        blocks: dict[int, list[str]] = {}
-        for e in range(n):
-            blocks.setdefault(proj[e], []).append(algebra.labels[e])
-        labels = ["[" + "|".join(blocks[b]) + "]" for b in range(nblocks)]
-    qname = name or f"{algebra.name}/~"
-    return FiniteAlgebra.make(qname, nblocks, algebra.signature, tables, labels), proj
 
 
 def _homomorphisms(

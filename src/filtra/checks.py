@@ -33,7 +33,6 @@ from .algebras import (
     enumerate_homomorphisms,
     enumerate_subuniverses,
     induced_subalgebra,
-    quotient,
 )
 from .candidates import EDCFCandidate
 from .classes import ClassSpec, k_congruences, theta_k
@@ -45,6 +44,7 @@ from .logics import (
     certification_detail,
     fg,
     fg_certified,
+    fg_relative,
 )
 from .terms import _Record
 
@@ -588,27 +588,34 @@ def smallest_relcong_check(
             for xs in itertools.product(range(algebra.size), repeat=n)
             for b in range(algebra.size)
         ]
-    quotients = [quotient(algebra, theta.partition) for theta in relative]
-    uncertified = _uncertified(logic, [q for q, _ in quotients], budget)
+    # the relative filters are computed on the algebra, so its certification
+    # is the one read; cells generated by equal sets share them
+    uncertified = _uncertified(logic, [algebra], budget)
+    hits_by_set: dict[frozenset[int], list[int]] = {}  # element -> mask of relative indices
+    least: set[int] = set()  # hit masks whose congruences have a least member
     for xs, b in cells:
-        hits = []
-        for theta, (q, proj) in zip(relative, quotients):
-            budget.spend()
-            if proj[b] in fg(q, {proj[x] for x in xs}, logic, budget).members:
-                hits.append(theta)
-        if not hits:
+        budget.spend(len(relative))
+        gens = frozenset(xs)
+        hits_of = hits_by_set.get(gens)
+        if hits_of is None:
+            hits_of = hits_by_set[gens] = [0] * algebra.size
+            for i, theta in enumerate(relative):
+                for e in fg_relative(algebra, theta, gens, logic, budget).members:
+                    hits_of[e] |= 1 << i
+        hit = hits_of[b]
+        if not hit or hit in least:
             continue
+        hits = [t for i, t in enumerate(relative) if hit >> i & 1]
         meet = functools.reduce(Congruence.meet, hits)
-        if meet not in hits:
-            minimal = [
-                t for t in hits if not any(o != t and o.refines(t) for o in hits)
-            ]
-            witness = _cell(algebra, xs, b) | {
-                "minimal_congruences": [t.to_blocks_json() for t in minimal],
-                "meet_blocks": meet.to_blocks_json(),
-            }
-            # every cell reads the filters of every quotient
-            return _resolve("smallest-relative-congruence", uncertified, witness, [q for q, _ in quotients])
+        if meet in hits:
+            least.add(hit)
+            continue
+        minimal = [t for t in hits if not any(o != t and o.refines(t) for o in hits)]
+        witness = _cell(algebra, xs, b) | {
+            "minimal_congruences": [t.to_blocks_json() for t in minimal],
+            "meet_blocks": meet.to_blocks_json(),
+        }
+        return _resolve("smallest-relative-congruence", uncertified, witness, [algebra])
     return _resolve("smallest-relative-congruence", uncertified)
 
 

@@ -11,7 +11,8 @@ step depends on how the logic is given.  fg iterates it to its fixpoint
 (fg_trace lists the stages), is_filter asks whether it adds nothing, and
 Ganter's NextClosure enumerates its closed sets with at most |A| closures per
 closed set.  Once that family is known, fg and is_filter read it instead.  fg
-memoizes its Filter by generator mask.
+memoizes its Filter by generator mask.  fg_relative alternates fg with
+saturation by a congruence's blocks, in the same context.
 
 Rule-presented filters are exact: a step adds the conclusion of each
 valuation instance of a rule whose premises lie in the subset.
@@ -75,7 +76,6 @@ from .algebras import (
     compile_term,
     enumerate_homomorphisms,
     next_closure,
-    quotient,
 )
 from .congruences import Congruence
 from .errors import InvalidSpec
@@ -675,11 +675,24 @@ def fg_relative(
     logic: LogicSpec,
     budget: Budget | int | None = None,
 ) -> Filter:
-    """Least filter containing the generators among those compatible with theta.
+    """Least filter containing the generators among those compatible with
+    theta, the filters that are unions of its blocks.
 
-    Computed on the quotient and pulled back along the projection.
+    These are the pull-backs of the filters of the quotient by theta.  fg and
+    saturation by theta's blocks are both closure operators, so alternating
+    them from the generators reaches the least set closed under both, in the
+    algebra's own context and through fg's memo: no quotient is built.  Exact
+    whenever filters_certified holds.
     """
-    q, proj = quotient(algebra, theta.partition)
-    image = fg(q, {proj[g] for g in generators}, logic, budget)
-    members = frozenset(a for a in range(algebra.size) if proj[a] in image.members)
-    return Filter(algebra, members)
+    blocks = [_mask(block) for block in theta.blocks()]
+    block_of = [blocks[b] for b in theta.partition]
+    saturated = 0
+    for g in generators:
+        saturated |= block_of[g]
+    while True:
+        f = fg(algebra, _elements(saturated), logic, budget)
+        saturated = 0
+        for e in f.members:
+            saturated |= block_of[e]
+        if saturated.bit_count() == len(f.members):  # the saturation holds the filter
+            return f

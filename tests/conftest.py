@@ -9,8 +9,11 @@ satisfaction one valuation at a time through eval_term, the filters of a
 rule logic as the subsets closed under rule instances evaluated by eval_term,
 the clone of term functions one argument tuple at a time, subuniverses by
 closing every subset, a matrix logic's unrefuted subsets by testing each
-subset against every clone element at every valuation, and the relative
-congruences as the congruences whose quotient passes the membership test.
+subset against every clone element at every valuation, the relative
+congruences as the congruences whose quotient passes the membership test, and
+relative filters, with the minrelcong verdict, as filters of the quotient
+pulled back along the projection.  The quotient itself is built here, from
+block representatives.
 """
 
 import functools
@@ -25,16 +28,18 @@ from filtra import logics
 from filtra.algebras import (
     Budget,
     FiniteAlgebra,
+    _canonical,
     _leaf_table,
+    _tuple_indices,
     direct_product,
     enumerate_subuniverses,
     eval_term,
     induced_subalgebra,
-    quotient,
     subuniverse_generated,
 )
 from filtra.classes import member
 from filtra.congruences import Congruence, all_congruences
+from filtra.errors import NotACongruence
 from filtra.logics import all_filters, fg
 from filtra.terms import App, Rule, Signature, Var
 
@@ -232,6 +237,45 @@ def all_partitions(n):
             yield from rec(i + 1, max(maxval, v))
 
     yield from rec(1, 0)
+
+
+def quotient(algebra: FiniteAlgebra, partition, name=None) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+    """The quotient by a congruence given as a block-id array, with the
+    projection; blocks are ordered by least member.  Raises NotACongruence
+    when the tables are not well defined on representatives."""
+    n = algebra.size
+    if len(partition) != n:
+        raise NotACongruence("partition length differs from carrier size")
+    proj = _canonical(partition)
+    nblocks = max(proj) + 1
+    reps = [proj.index(b) for b in range(nblocks)]
+
+    tables = {}
+    for sym, arity in algebra.signature.symbols:
+        table = algebra.table(sym)
+        tables[sym] = [proj[table[i]] for i in _tuple_indices(n, reps, arity)]
+    # well-definedness: every tuple must agree with its representative tuple
+    rep_of = [reps[b] for b in proj]
+    for sym, arity in algebra.signature.symbols:
+        table = algebra.table(sym)
+        if [proj[v] for v in table] != [proj[table[i]] for i in _tuple_indices(n, rep_of, arity)]:
+            raise NotACongruence(f"operation {sym!r} is not well defined on the blocks")
+    labels = None
+    if algebra.labels is not None:
+        blocks: dict[int, list[str]] = {}
+        for e in range(n):
+            blocks.setdefault(proj[e], []).append(algebra.labels[e])
+        labels = ["[" + "|".join(blocks[b]) + "]" for b in range(nblocks)]
+    qname = name or f"{algebra.name}/~"
+    return FiniteAlgebra.make(qname, nblocks, algebra.signature, tables, labels), proj
+
+
+def oracle_fg_relative(algebra: FiniteAlgebra, theta: Congruence, generators, logic) -> frozenset[int]:
+    """The filter the quotient by theta generates from the generators' blocks,
+    pulled back along the projection."""
+    q, proj = quotient(algebra, theta.partition)
+    image = fg(q, {proj[g] for g in generators}, logic).members
+    return frozenset(a for a in range(algebra.size) if proj[a] in image)
 
 
 def oracle_is_congruence(algebra: FiniteAlgebra, partition) -> bool:
@@ -661,3 +705,33 @@ def oracle_factor_determined_check(logic, testbed, absolute, generator_cap) -> d
                             witness["base_filters"] = [sorted(b) for b in bases]
                         return {"outcome": "fail", "checker": "factor-determined", "witness": witness}
     return {"outcome": "pass", "checker": "factor-determined"}
+
+
+def oracle_smallest_relcong_check(logic, algebra, spec, arity_cap) -> dict:
+    """smallest_relcong_check's verdict as JSON where the algebra and every
+    quotient by a relative congruence certify, reading each cell's filters on
+    the quotients and the relative congruences off the membership test."""
+    relative = oracle_k_congruences(algebra, spec)
+    quotients = [quotient(algebra, t.partition) for t in relative]
+    for n in range(arity_cap + 1):
+        for xs in itertools.product(range(algebra.size), repeat=n):
+            for b in range(algebra.size):
+                hits = [
+                    t for t, (q, proj) in zip(relative, quotients)
+                    if proj[b] in fg(q, {proj[x] for x in xs}, logic).members
+                ]
+                if not hits:
+                    continue
+                meet = functools.reduce(Congruence.meet, hits)
+                if meet not in hits:
+                    minimal = [t for t in hits if not any(o != t and o.refines(t) for o in hits)]
+                    return {"outcome": "fail", "checker": "smallest-relative-congruence", "witness": {
+                        "algebra": algebra.name,
+                        "generators": list(xs),
+                        "generator_labels": [algebra.label(x) for x in xs],
+                        "element": b,
+                        "element_label": algebra.label(b),
+                        "minimal_congruences": [t.blocks() for t in minimal],
+                        "meet_blocks": meet.blocks(),
+                    }}
+    return {"outcome": "pass", "checker": "smallest-relative-congruence"}

@@ -9,10 +9,10 @@ or pinned to published finite facts exercised through the reproduce catalog.
 import itertools
 import time
 
-from conftest import oracle_compatible, oracle_congruences, oracle_largest_compatible
+from conftest import oracle_compatible, oracle_congruences, oracle_largest_compatible, quotient
 
 from filtra import builtins as bi
-from filtra.algebras import Budget, direct_product, enumerate_homomorphisms, quotient
+from filtra.algebras import Budget, direct_product, enumerate_homomorphisms
 from filtra.terms import App
 from filtra.checks import check_edcf
 from filtra.cli import CATALOG

@@ -10,6 +10,7 @@ from conftest import (
     all_partitions,
     brute_homomorphisms,
     oracle_is_congruence,
+    quotient,
     random_algebras,
     relabel,
     terms_up_to_depth,
@@ -27,7 +28,6 @@ from filtra.algebras import (
     enumerate_subuniverses,
     eval_term,
     induced_subalgebra,
-    quotient,
     subuniverse_generated,
     trivial_algebra,
 )

@@ -12,6 +12,10 @@ from conftest import (
     oracle_factor_determined_check,
     oracle_first_mismatch,
     oracle_satisfies_family,
+    oracle_smallest_relcong_check,
+    quotient,
+    random_algebras,
+    random_rules,
     random_algebras,
     random_rules,
 )
@@ -19,7 +23,7 @@ from conftest import (
 from filtra import builtins as bi
 from filtra import checks, logics
 from filtra.algebras import (
-    Budget, FiniteAlgebra, direct_product, enumerate_homomorphisms, eval_term, quotient, trivial_algebra,
+    Budget, FiniteAlgebra, direct_product, enumerate_homomorphisms, eval_term, trivial_algebra,
 )
 from filtra.candidates import EDCFCandidate, fold_terms, kl_global, lp_global, pwk_local, xvars
 from filtra.checks import (
@@ -594,14 +598,64 @@ def test_a_fail_read_off_an_uncertified_quotient_is_inconclusive(kl, k3):
 
 def test_uncertified_quotients_sharing_a_name_are_each_listed(kl, k3):
     # two different quotients of K3 x DM4 are both named K3xDM4/~ and both
-    # stay uncertified with one variable; each keeps its own detail
+    # stay uncertified with one variable; keyed by value, each keeps its own detail
     kl1 = MatrixDetermined(kl.matrices, 1, "KL1")
     algebra = direct_product([k3, bi.algebra("DM4")]).algebra
+    quotients = [quotient(algebra, t.partition)[0] for t in all_congruences(algebra)]
+    listed = checks._uncertified(kl1, quotients, Budget())
+    assert len(listed) == 2 and {q.name for q in listed} == {f"{algebra.name}/~"}
+    assert sorted(listed.values()) == [
+        f"{algebra.name}/~ (v=1 tried, clone complete; lower family 1, unrefuted 2)",
+        f"{algebra.name}/~ (v=1 tried, clone complete; lower family 2, unrefuted 25)",
+    ]
+    # the minrelcong sweep reads the algebra's own certification, listed once
     v = smallest_relcong_check(kl1, algebra, Axiomatic(), arity_cap=1)
     assert v.outcome == "inconclusive"
-    listed = v.notes[0]
-    assert listed.count(f"{algebra.name}/~ (") == 2
-    assert "lower family 2, unrefuted 25)" in listed and "lower family 1, unrefuted 2)" in listed
+    assert v.notes[0] == (
+        "filter computations not certified exact on: "
+        f"{algebra.name} (v=1 tried, clone complete; lower family 2, unrefuted 25)"
+    )
+
+
+@pytest.mark.parametrize(
+    "names, cap",
+    [
+        (("box5", "alpha12", "ONE"), 3), (("box5", "", "ONE"), 2), (("WK3^2", "qwk3", "PWK"), 2),
+        (("WK3^2", "pwk-quasi", "PWK"), 2), (("K3^2", "", "KL"), 2), (("M3", "", "ORD"), 2),
+    ],
+    ids=lambda p: "/".join(n or "all" for n in p) if isinstance(p, tuple) else f"cap{p}",
+)
+def test_smallest_relcong_matches_the_quotient_route_where_all_certify(names, cap):
+    algebra, logic = bi.algebra(names[0]), bi.logic(names[2])
+    spec = bi.class_spec(names[1]) if names[1] else Axiomatic()
+    assert filters_certified(algebra, logic)
+    assert all(filters_certified(quotient(algebra, t.partition)[0], logic) for t in all_congruences(algebra))
+    got = smallest_relcong_check(logic, algebra, spec, arity_cap=cap).to_json()
+    assert got == oracle_smallest_relcong_check(logic, algebra, spec, cap)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_algebras(), random_rules())
+def test_smallest_relcong_matches_the_quotient_route_on_random_rule_logics(algebra_and_perm, rules):
+    algebra, _ = algebra_and_perm
+    logic = RulePresented(tuple(rules))
+    got = smallest_relcong_check(logic, algebra, Axiomatic(), arity_cap=2).to_json()
+    assert got == oracle_smallest_relcong_check(logic, algebra, Axiomatic(), 2)
+
+
+def test_the_relative_sweep_spends_an_exact_budget(cold_contexts, one_logic, box5):
+    alpha12 = bi.class_spec("alpha12")
+
+    def cold(budget):
+        logics._CONTEXTS.clear()
+        logics._CLONES.clear()
+        return smallest_relcong_check(one_logic, box5, alpha12, budget=budget)
+
+    spent = Budget()
+    want = cold(spent).to_json()
+    assert cold(Budget(spent.spent)).to_json() == want
+    with pytest.raises(SizeBudgetExceeded):
+        cold(Budget(spent.spent - 1))
 
 
 # --- dually Brouwerian -----------------------------------------------------------------

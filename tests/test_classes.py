@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_cg_k, oracle_k_congruences, random_algebras, relabel
+from conftest import oracle_cg_k, oracle_k_congruences, quotient, random_algebras, relabel
 
 from filtra import builtins as bi
 from filtra import classes
@@ -16,7 +16,6 @@ from filtra.algebras import (
     enumerate_homomorphisms,
     eval_term,
     induced_subalgebra,
-    quotient,
 )
 from filtra.classes import (
     Axiomatic,

@@ -10,11 +10,13 @@ from conftest import (
     oracle_build_clone,
     oracle_compatible,
     oracle_closed_sets,
+    oracle_fg_relative,
     oracle_least_closed,
     oracle_subuniverses,
     oracle_unrefuted,
     random_algebras,
     random_clone_algebras,
+    quotient,
     random_rules,
     relabel,
 )
@@ -286,6 +288,51 @@ def test_fg_relative_monotone_in_theta(box5, one_logic):
                 fg_relative(box5, small, xs, one_logic).members
                 <= fg_relative(box5, big, xs, one_logic).members
             )
+
+
+# rule and matrix logics, each on an algebra that certifies
+RELATIVE_PAIRS = (
+    ("box5", "ONE"), ("WK3^2", "PWK"), ("K3^2", "KL"), ("K3^2", "LP"),
+    ("DM4", "KL"), ("mchain3", "KG"), ("L4", "LUK"), ("M3", "ORD"),
+)
+
+
+def _assert_fg_relative_is_the_pull_back(algebra, logic, thetas):
+    for theta in thetas:
+        for r in range(3):
+            for xs in itertools.combinations(range(algebra.size), r):
+                want = oracle_fg_relative(algebra, theta, xs, logic)
+                assert fg_relative(algebra, theta, xs, logic).members == want, (theta, xs)
+
+
+@pytest.mark.parametrize("names", RELATIVE_PAIRS, ids="/".join)
+def test_fg_relative_is_the_pull_back_of_the_quotient_filter(names):
+    algebra, logic = bi.algebra(names[0]), bi.logic(names[1])
+    assert filters_certified(algebra, logic)
+    _assert_fg_relative_is_the_pull_back(algebra, logic, all_congruences(algebra))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_algebras(), random_rules())
+def test_fg_relative_is_the_pull_back_on_random_rule_logics(algebra_and_perm, rules):
+    algebra, _ = algebra_and_perm
+    logic = RulePresented(tuple(rules))
+    _assert_fg_relative_is_the_pull_back(algebra, logic, all_congruences(algebra))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_clone_algebras(MATRIX_SIGNATURES, (2, 2)), st.data())
+def test_fg_relative_is_the_pull_back_on_random_matrix_logics(algebras, data):
+    # exact on both sides once the algebra and the quotient certify
+    matrix_algebra, target = algebras
+    designated = data.draw(st.frozensets(st.integers(0, matrix_algebra.size - 1)))
+    logic = MatrixDetermined((Matrix(matrix_algebra, designated),), 2)
+    if filters_certified(target, logic):
+        thetas = [
+            t for t in all_congruences(target)
+            if filters_certified(quotient(target, t.partition)[0], logic)
+        ]
+        _assert_fg_relative_is_the_pull_back(target, logic, thetas)
 
 
 # --- certification on the shipped testbeds ------------------------------------
@@ -706,9 +753,26 @@ def test_fg_relative_adds_no_context_after_its_first_call(cold_contexts, box5, o
     theta = Congruence.from_blocks([[0, 1], [2, 4], [3]], 5)
     first = fg_relative(box5, theta, [2, 3], one_logic)
     entries = len(logics._CONTEXTS)
-    for _ in range(49):  # a fresh quotient every call, equal to the first
+    for _ in range(49):  # equal to the first, read off the pair's own context
         assert fg_relative(box5, theta, [2, 3], one_logic) == first
         assert len(logics._CONTEXTS) == entries
+
+
+@pytest.mark.parametrize("names", [("box5", "ONE"), ("K3^2", "KL")], ids="/".join)
+def test_a_cold_fg_relative_spends_an_exact_budget(cold_contexts, names):
+    algebra, logic = bi.algebra(names[0]), bi.logic(names[1])
+    theta = all_congruences(algebra)[1]
+
+    def cold(budget):
+        logics._CONTEXTS.clear()
+        logics._CLONES.clear()
+        return fg_relative(algebra, theta, [algebra.size - 1], logic, budget)
+
+    spent = Budget()
+    want = cold(spent)
+    assert spent.spent > 0 and cold(Budget(spent.spent)) == want
+    with pytest.raises(SizeBudgetExceeded):
+        cold(Budget(spent.spent - 1))
 
 
 def test_cold_contexts_forces_a_build_of_a_warm_pair(request, wk3, pwk):
