@@ -591,7 +591,8 @@ def smallest_relcong_check(
     # the relative filters are computed on the algebra, so its certification
     # is the one read; cells generated by equal sets share them
     uncertified = _uncertified(logic, [algebra], budget)
-    hits_by_set: dict[frozenset[int], list[int]] = {}  # element -> mask of relative indices
+    # per generator set, each element's hits: bit i when relative[i] puts it in the filter
+    hits_by_set: dict[frozenset[int], list[int]] = {}
     least: set[int] = set()  # hit masks whose congruences have a least member
     for xs, b in cells:
         budget.spend(len(relative))
