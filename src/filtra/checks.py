@@ -578,6 +578,7 @@ def smallest_relcong_check(
     """For each cell, the relative congruences putting the element into the
     relatively generated filter must have a least member."""
     budget = as_budget(budget)
+    _require(arity_cap, 0, "arity_cap")
     relative = k_congruences(algebra, class_spec, budget)
     if pinned_cells is not None:
         cells = [(tuple(xs), b) for xs, b in pinned_cells]

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import builtins as bi
 from .algebras import DEFAULT_BUDGET, Budget, FiniteAlgebra, direct_product, enumerate_homomorphisms
@@ -150,88 +150,89 @@ def cmd_fg(args) -> int:
     return EXIT_PASS
 
 
-# every flag a checker can read, in replay order, with its attribute on the
-# parsed arguments; --variant, --mode and --arity have defaults, so every
-# checker accepts them and every replay line carries them
-FLAGS = (
-    ("--logic", "logic"), ("--algebra", "algebra"), ("--class", "klass"),
-    ("--candidate", "candidate"), ("--candidate2", "candidate2"),
-    ("--testbed", "testbed"), ("--generators", "generators"), ("--property", "property"),
-    ("--variant", "variant"), ("--mode", "mode"), ("--arity", "arity"),
-    ("--nmax", "nmax"), ("--relative", "relative"),
-)
+# every flag of check, in replay order, with its attribute on the parsed
+# arguments and its parser settings; --variant, --mode and --arity have
+# defaults, so every checker reads them and every replay line carries them
+FLAGS = {
+    "--logic": ("logic", {}), "--algebra": ("algebra", {}), "--class": ("klass", {}),
+    "--candidate": ("candidate", {}), "--candidate2": ("candidate2", {}), "--testbed": ("testbed", {}),
+    "--generators": ("generators", {"help": "comma-separated algebra names"}),
+    "--property": ("property", {"help": "property name for search"}),
+    "--variant": ("variant", {"default": "local",
+                              "choices": ("global", "local", "parametrized", "parametrized_local")}),
+    "--mode": ("mode", {"default": "monotone", "choices": ("monotone", "injective")}),
+    "--arity": ("arity", {"type": int, "default": 2}),
+    "--nmax": ("nmax", {"type": int}),
+    "--relative": ("relative", {"action": "store_true", "default": None,
+                                "help": "factor check with base filters"}),
+}
 READ_BY_ALL = ("--variant", "--mode", "--arity")
 
-# check search's properties whose checkers read more flags or take keywords:
-# those flags, then the keywords read off the parsed arguments
-SEARCH_PROPERTIES = {
-    "edcf": (("--candidate", "--algebra", "--nmax", "--class"), lambda args: {
-        "candidate": resolve_candidate(args.candidate, args.algebra), "variant": args.variant,
-        "n_max": args.nmax, "class_spec": resolve_class(args.klass) if args.klass else None}),
-    "leibniz": ((), lambda args: {"mode": args.mode}),
-    "fdc": (("--relative",), lambda args: {"absolute": not args.relative}),
-}
+
+class Check(NamedTuple):
+    """A checker's flags and call. `call(args, kw, budget)` resolves the flags
+    of `reads`, then passes on `kw(args)`. `kw` is the entry's own `keywords`,
+    which read `keyword_flags`; under `check search --property P` it is P's."""
+
+    reads: tuple[str, ...]
+    call: Callable[..., Verdict]
+    keyword_flags: tuple[str, ...] = ()
+    keywords: Callable[..., dict] = lambda args: {}
 
 
-def _search_property(args) -> tuple[tuple[str, ...], Callable]:
-    """The SEARCH_PROPERTIES entry of --property; nothing for the others."""
-    name = _given(args.property, "--property")
-    if name not in SEARCHES:
-        raise InvalidSpec(f"no searchable property {name!r}")
-    return SEARCH_PROPERTIES.get(name, ((), lambda args: {}))
-
-
-# the parser's choices; each entry names the other flags its checker reads,
-# then reads its inputs off the parsed arguments
+# the parser's choices
 CHECKS = {
-    "edcf": (("--logic", "--testbed", "--candidate", "--algebra", "--nmax", "--class"),
-             lambda args, budget: check_edcf(
-        resolve_logic(args.logic), resolve_testbed(args.testbed),
-        resolve_candidate(args.candidate, args.algebra), args.variant, n_max=args.nmax,
-        class_spec=resolve_class(args.klass) if args.klass else None, budget=budget)),
-    "fdc": (("--logic", "--generators", "--relative"), lambda args, budget: factor_determined_check(
-        resolve_logic(args.logic), resolve_generators(args.generators),
-        absolute=not args.relative, max_product_arity=args.arity, budget=budget)),
-    "absfep": (("--logic", "--testbed"), lambda args, budget: absolute_fep_check(
+    "edcf": Check(("--logic", "--testbed"), lambda args, kw, budget: check_edcf(
+        resolve_logic(args.logic), resolve_testbed(args.testbed), **kw(args), budget=budget),
+        ("--candidate", "--algebra", "--nmax", "--class"), lambda args: {
+            "candidate": resolve_candidate(args.candidate, args.algebra), "variant": args.variant,
+            "n_max": args.nmax, "class_spec": resolve_class(args.klass) if args.klass else None}),
+    "fdc": Check(("--logic", "--generators"), lambda args, kw, budget: factor_determined_check(
+        resolve_logic(args.logic), resolve_generators(args.generators), **kw(args),
+        max_product_arity=args.arity, budget=budget),
+        ("--relative",), lambda args: {"absolute": not args.relative}),
+    "absfep": Check(("--logic", "--testbed"), lambda args, kw, budget: absolute_fep_check(
         resolve_logic(args.logic), resolve_testbed(args.testbed), arity_cap=args.arity, budget=budget)),
-    "fep": (("--logic", "--testbed"), lambda args, budget: fep_check(
+    "fep": Check(("--logic", "--testbed"), lambda args, kw, budget: fep_check(
         resolve_logic(args.logic), resolve_testbed(args.testbed), budget=budget)),
-    "brouwer": (("--logic", "--algebra"), lambda args, budget: dually_brouwerian_check(
+    "brouwer": Check(("--logic", "--algebra"), lambda args, kw, budget: dually_brouwerian_check(
         resolve_logic(args.logic), (resolve_algebra(args.algebra),), budget=budget)),
-    "minrelcong": (("--logic", "--algebra", "--class"), lambda args, budget: smallest_relcong_check(
+    "minrelcong": Check(("--logic", "--algebra", "--class"), lambda args, kw, budget: smallest_relcong_check(
         resolve_logic(args.logic), resolve_algebra(args.algebra),
         resolve_class(args.klass), arity_cap=args.arity, budget=budget)),
-    "leibniz": (("--logic", "--testbed"), lambda args, budget: leibniz_probe(
-        resolve_logic(args.logic), resolve_testbed(args.testbed), mode=args.mode, budget=budget)),
-    "compare": (("--candidate", "--candidate2", "--algebra", "--testbed"),
-                lambda args, budget: compare_candidates(
+    "leibniz": Check(("--logic", "--testbed"), lambda args, kw, budget: leibniz_probe(
+        resolve_logic(args.logic), resolve_testbed(args.testbed), **kw(args), budget=budget),
+        (), lambda args: {"mode": args.mode}),
+    "compare": Check(("--candidate", "--candidate2", "--algebra", "--testbed", "--nmax"),
+                     lambda args, kw, budget: compare_candidates(
         resolve_candidate(args.candidate, args.algebra),
         resolve_candidate(_given(args.candidate2, "--candidate2"), args.algebra),
-        resolve_testbed(args.testbed), budget=budget)),
-    # and the flags of its property's checker (_search_property)
-    "search": (("--logic", "--property", "--generators"), lambda args, budget: search_counterexample(
+        resolve_testbed(args.testbed), n_max=args.nmax, budget=budget)),
+    "search": Check(("--logic", "--property", "--generators"), lambda args, kw, budget: search_counterexample(
         resolve_logic(args.logic), args.property,
         resolve_generators(args.generators) if args.generators else (),
-        max_product_arity=args.arity, budget=budget, checker_kwargs=_search_property(args)[1](args))),
+        max_product_arity=args.arity, checker_kwargs=kw(args), budget=budget)),
 }
 
 
 def _given_flags(args) -> list[tuple[str, object]]:
     """The flags of FLAGS that hold a value, with it, in replay order."""
-    values = ((flag, getattr(args, attr)) for flag, attr in FLAGS)
+    values = ((flag, getattr(args, attr)) for flag, (attr, _) in FLAGS.items())
     return [(flag, value) for flag, value in values if value not in (None, "")]
 
 
 def cmd_check(args) -> int:
-    reads, run = CHECKS[args.checker]
-    checker = args.checker
+    checker, entry = args.checker, CHECKS[args.checker]
+    keyed = entry  # the entry whose keywords the call passes on
     if checker == "search":
-        reads += _search_property(args)[0]
-        checker += f" --property {args.property}"
+        name = _given(args.property, "--property")
+        if name not in SEARCHES:
+            raise InvalidSpec(f"no searchable property {name!r}")
+        keyed, checker = CHECKS[name], f"search --property {name}"
     for flag, _ in _given_flags(args):
-        if flag not in reads + READ_BY_ALL:
+        if flag not in entry.reads + keyed.keyword_flags + READ_BY_ALL:
             raise UnknownName(f"check {checker} does not read {flag}")
-    v = run(args, Budget(args.budget))
+    v = entry.call(args, keyed.keywords, Budget(args.budget))
     lines = [f"checker: {v.checker}", f"outcome: {v.outcome}"]
     if v.witness:
         lines.append("witness: " + json.dumps(dict(v.witness)))
@@ -451,19 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a property checker")
     p_check.add_argument("checker", choices=tuple(CHECKS))
-    p_check.add_argument("--logic")
-    p_check.add_argument("--algebra")
-    p_check.add_argument("--class", dest="klass")
-    p_check.add_argument("--candidate")
-    p_check.add_argument("--candidate2")
-    p_check.add_argument("--testbed")
-    p_check.add_argument("--generators", help="comma-separated algebra names")
-    p_check.add_argument("--variant", default="local", choices=("global", "local", "parametrized", "parametrized_local"))
-    p_check.add_argument("--property", help="property name for search")
-    p_check.add_argument("--mode", default="monotone", choices=("monotone", "injective"))
-    p_check.add_argument("--arity", type=int, default=2)
-    p_check.add_argument("--nmax", type=int, default=None)
-    p_check.add_argument("--relative", action="store_true", default=None, help="factor check with base filters")
+    for flag, (attr, settings) in FLAGS.items():
+        p_check.add_argument(flag, dest=attr, **settings)
     p_check.set_defaults(func=cmd_check)
 
     p_rep = sub.add_parser("reproduce", help="replay a cataloged finite example")

@@ -180,14 +180,14 @@ MATRIX_SIGNATURES = (
 
 
 @st.composite
-def random_clone_algebras(draw, signatures=CLONE_SIGNATURES, count=(1, 2)):
-    """`count` bounds how many algebras on at most 4 elements are drawn, all
-    sharing one of the signatures (by default unary, binary and ternary
+def random_clone_algebras(draw, signatures=CLONE_SIGNATURES, count=(1, 2), sizes=(1, 4)):
+    """`count` bounds how many algebras are drawn and `sizes` their carriers,
+    all sharing one of the signatures (by default unary, binary and ternary
     tables, with or without a constant)."""
     signature = draw(st.sampled_from(signatures))
     algebras = []
     for name in ("A", "B")[: draw(st.integers(*count))]:
-        n = draw(st.integers(1, 4))
+        n = draw(st.integers(*sizes))
         tables = {
             sym: draw(st.lists(st.integers(0, n - 1), min_size=n**arity, max_size=n**arity))
             for sym, arity in signature.symbols

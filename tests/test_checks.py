@@ -459,8 +459,9 @@ def test_absolute_fep_first_fails_at_a_pair_of_generators():
         lambda pwk, wk3, cand: absolute_fep_check(pwk, (wk3,), arity_cap=-1),
         lambda pwk, wk3, cand: factor_determined_check(pwk, (wk3,), generator_cap=-1),
         lambda pwk, wk3, cand: factor_determined_check(pwk, (wk3,), max_product_arity=1),
+        lambda pwk, wk3, cand: smallest_relcong_check(pwk, wk3, Axiomatic(), arity_cap=-1),
     ],
-    ids=["edcf", "edcf-theta", "compare", "absfep", "fdc-generators", "fdc-arity"],
+    ids=["edcf", "edcf-theta", "compare", "absfep", "fdc-generators", "fdc-arity", "minrelcong"],
 )
 def test_a_cap_leaving_the_sweep_empty_is_a_configuration_error(pwk, wk3, call):
     with pytest.raises(InvalidSpec, match="the sweep would be empty"):
@@ -578,9 +579,9 @@ def test_member_algebra_passes(kl, k3):
 
 
 def test_a_fail_read_off_an_uncertified_quotient_is_inconclusive(kl, k3):
-    # every relative congruence's quotient is read for every cell, and the
-    # quotients of K3 x DM4 all share one name, none of them the witness's;
-    # with one variable two of them stay uncertified
+    # the relative filters are computed on K3 x DM4 itself, and only its
+    # certification is read: with one variable it stays uncertified, although
+    # two of its quotients certify
     kl1 = MatrixDetermined(kl.matrices, 1, "KL1")
     algebra = direct_product([k3, bi.algebra("DM4")]).algebra
     quotients = [quotient(algebra, t.partition)[0] for t in all_congruences(algebra)]

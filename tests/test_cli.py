@@ -5,14 +5,16 @@ import pytest
 
 from filtra import builtins as bi
 from filtra import logics
-from filtra.checks import check_edcf, compare_candidates, leibniz_probe
+from filtra.checks import SEARCHES, check_edcf, compare_candidates, leibniz_probe
 from filtra.cli import (
     CATALOG,
+    CHECKS,
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
+    FLAGS,
     main,
 )
 from filtra.terms import format_term
@@ -194,6 +196,49 @@ def test_check_search_refuses_a_flag_its_property_does_not_read(capsys, prop, ar
     assert err == f"configuration error: check search --property {prop} does not read {flag}\n"
 
 
+# the flags each checker reads besides --variant, --mode and --arity, written
+# out apart from the CLI's own table; check search --property P reads its own
+# flags and those that P's checker turns into keywords
+READS = {
+    "edcf": {"--logic", "--testbed", "--candidate", "--algebra", "--nmax", "--class"},
+    "fdc": {"--logic", "--generators", "--relative"},
+    "absfep": {"--logic", "--testbed"},
+    "fep": {"--logic", "--testbed"},
+    "brouwer": {"--logic", "--algebra"},
+    "minrelcong": {"--logic", "--algebra", "--class"},
+    "leibniz": {"--logic", "--testbed"},
+    "compare": {"--candidate", "--candidate2", "--algebra", "--testbed", "--nmax"},
+    "search": {"--logic", "--property", "--generators"},
+}
+SEARCH_KEYWORD_READS = {"edcf": {"--candidate", "--algebra", "--nmax", "--class"}, "fdc": {"--relative"}}
+
+
+def test_every_checker_reads_exactly_its_flags(capsys):
+    assert set(READS) == set(CHECKS)
+    assert {flag for c in CHECKS.values() for flag in c.reads + c.keyword_flags} <= set(FLAGS)
+    searchable = set()
+    for name in (*CHECKS, "nope"):
+        _, _, err = run(capsys, "check", "search", "--property", name, "--nmax", "1")
+        if "no searchable property" not in err:
+            searchable.add(name)
+    assert searchable == set(SEARCHES)
+    # search refuses a missing --property before it looks at any flag
+    commands = [((name,), READS[name]) for name in READS if name != "search"]
+    commands += [(("search", "--property", p), READS["search"] | SEARCH_KEYWORD_READS.get(p, set()))
+                 for p in SEARCHES]
+    for prefix, reads in commands:
+        checker = " ".join(prefix)
+        for flag in set(FLAGS) - {"--variant", "--mode", "--arity"} - set(prefix):
+            value = () if flag == "--relative" else ("1",) if flag == "--nmax" else ("nope",)
+            code, out, err = run(capsys, "check", *prefix, flag, *value)
+            # nothing is given that a checker could run on
+            assert code == EXIT_CONFIG and out == "", (checker, flag)
+            if flag in reads:
+                assert "does not read" not in err, (checker, flag)
+            else:
+                assert err == f"configuration error: check {checker} does not read {flag}\n"
+
+
 @pytest.mark.parametrize(
     "argv, want",
     [
@@ -203,13 +248,19 @@ def test_check_search_refuses_a_flag_its_property_does_not_read(capsys, prop, ar
           "--testbed", "mv-chains"),
          lambda: compare_candidates(
              bi.candidate("luk-local-and"), bi.candidate("luk-local-odot"), bi.testbed("mv-chains"))),
+        (("compare", "--candidate", "luk-local-and", "--candidate2", "luk-local-odot",
+          "--testbed", "mv-chains", "--nmax", "0"),
+         lambda: compare_candidates(
+             bi.candidate("luk-local-and"), bi.candidate("luk-local-odot"), bi.testbed("mv-chains"), n_max=0)),
     ],
-    ids=["leibniz", "compare"],
+    ids=["leibniz", "compare", "compare-nmax"],
 )
 def test_check_runs_its_checker(capsys, argv, want):
     code, out, _ = run(capsys, "--format", "json", "check", *argv)
     doc = json.loads(out)
-    assert doc.pop("replay").startswith(f"filtra check {argv[0]} ")
+    replay = doc.pop("replay")
+    assert replay.startswith(f"filtra check {argv[0]} ")
+    assert all(f" {flag} {value}" in replay for flag, value in zip(argv[1::2], argv[2::2]))
     assert doc == want().to_json()
     assert code == EXIT_PASS
 
@@ -307,8 +358,11 @@ def test_unknown_names_exit_config(capsys):
         ("check", "absfep", "--logic", "PWK", "--testbed", "wk3-isp", "--arity", "-1"),
         ("check", "edcf", "--logic", "PWK", "--testbed", "wk3-isp", "--candidate", "pwk-local", "--nmax", "-1"),
         ("check", "fdc", "--logic", "PWK", "--generators", "WK3", "--arity", "1"),
+        ("check", "minrelcong", "--logic", "ONE", "--algebra", "box5", "--class", "alpha12", "--arity", "-1"),
+        ("check", "compare", "--candidate", "kl-global", "--candidate2", "kl-global", "--testbed", "k3-isp",
+         "--nmax", "-1"),
     ],
-    ids=["absfep", "edcf", "fdc"],
+    ids=["absfep", "edcf", "fdc", "minrelcong", "compare"],
 )
 def test_an_empty_sweep_exits_config(capsys, argv):
     code, out, err = run(capsys, *argv)

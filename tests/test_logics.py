@@ -323,16 +323,20 @@ def test_fg_relative_is_the_pull_back_on_random_rule_logics(algebra_and_perm, ru
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(random_clone_algebras(MATRIX_SIGNATURES, (2, 2)), st.data())
 def test_fg_relative_is_the_pull_back_on_random_matrix_logics(algebras, data):
-    # exact on both sides once the algebra and the quotient certify
+    # exact on both sides once the algebra and the quotient certify; random
+    # algebras are mostly simple, so a product of two small ones is drawn too,
+    # for congruences other than the identity and the total one
     matrix_algebra, target = algebras
     designated = data.draw(st.frozensets(st.integers(0, matrix_algebra.size - 1)))
     logic = MatrixDetermined((Matrix(matrix_algebra, designated),), 2)
-    if filters_certified(target, logic):
-        thetas = [
-            t for t in all_congruences(target)
-            if filters_certified(quotient(target, t.partition)[0], logic)
-        ]
-        _assert_fg_relative_is_the_pull_back(target, logic, thetas)
+    factors = data.draw(random_clone_algebras((matrix_algebra.signature,), (2, 2), (2, 3)))
+    for algebra in (target, direct_product(factors).algebra):
+        if filters_certified(algebra, logic):
+            thetas = [
+                t for t in all_congruences(algebra)
+                if filters_certified(quotient(algebra, t.partition)[0], logic)
+            ]
+            _assert_fg_relative_is_the_pull_back(algebra, logic, thetas)
 
 
 # --- certification on the shipped testbeds ------------------------------------
