@@ -4,9 +4,9 @@ Carriers are always {0, ..., n-1}; element labels are display-only.  Operation
 tables are stored flat in row-major order (first argument varies slowest), so
 the value of f(a1, ..., ak) sits at index a1*n^(k-1) + ... + ak.
 
-Terms are evaluated one valuation at a time by eval_term, or compiled by
-compile_term into the table of their term function over every valuation at
-once.  Compiled tables live for one call and are never cached; each node's
+Terms are compiled by compile_term into the table of their term function
+over every valuation at once; a term's value at one valuation is that table's
+entry.  Compiled tables live for one call and are never cached; each node's
 table spends its width from the caller's budget.  On carriers of at most 256
 elements a compiled table is a byte lane: a bytes object holding one value per
 byte, so operations apply to whole tables through bytes.translate and big
@@ -196,16 +196,6 @@ class FiniteAlgebra(_Record):
         except KeyError:
             raise UnknownName(f"no operation {symbol!r} on algebra {self.name!r}") from None
 
-    def op(self, symbol: str, *args: int) -> int:
-        table = self.table(symbol)
-        arity = self.signature.arity(symbol)
-        if len(args) != arity:
-            raise ArityMismatch(f"{symbol} expects {arity} arguments, got {len(args)}")
-        idx = 0
-        for a in args:
-            idx = idx * self.size + a
-        return table[idx]
-
     def elements(self) -> range:
         return range(self.size)
 
@@ -240,25 +230,6 @@ class Matrix(_Record):
             raise InvalidSpec("designated elements outside the carrier")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "designated", designated)
-
-
-Valuation = Mapping[str, int]
-
-
-def eval_term(t: Term, algebra: FiniteAlgebra, valuation: Valuation) -> int:
-    """Evaluate by structural recursion on the tables.
-
-    A variable resolves through the valuation first; failing that, an element
-    label of the algebra counts as a literal.
-    """
-    if isinstance(t, Var):
-        if t.name in valuation:
-            return valuation[t.name]
-        if algebra.labels is not None and t.name in algebra.labels:
-            return algebra.labels.index(t.name)
-        raise UnboundVariable(f"variable {t.name!r} is unbound")
-    args = tuple(eval_term(a, algebra, valuation) for a in t.args)
-    return algebra.op(t.symbol, *args)
 
 
 def _free_variables(names: Iterable[str], algebra: FiniteAlgebra) -> tuple[str, ...]:
@@ -345,8 +316,8 @@ def compile_term(
 
     Entry i is the value of t at the i-th valuation in lexicographic order
     (the first variable varies slowest); the table is bytes on carriers of at
-    most 256 elements, else a tuple.  Names resolve as in eval_term: a
-    listed variable first, then an element label.  Each distinct subterm is
+    most 256 elements, else a tuple.  A name resolves to a listed variable
+    first, then to an element label, read as a literal.  Each distinct subterm is
     tabulated once and spends the table width from the budget.
     """
     budget = as_budget(budget)
@@ -402,23 +373,9 @@ class Product(_Record):
         return tuple(reversed(out))
 
 
-def trivial_algebra(signature: Signature, name: str = "1") -> FiniteAlgebra:
-    tables = {sym: [0] * (1**arity) for sym, arity in signature.symbols}
-    return FiniteAlgebra.make(name, 1, signature, tables, labels=["*"])
-
-
-def direct_product(
-    algebras: Sequence[FiniteAlgebra],
-    name: str | None = None,
-    budget: Budget | int | None = None,
-    signature: Signature | None = None,
-) -> Product:
-    """Componentwise product; the empty product is the one-element algebra."""
+def direct_product(algebras: Sequence[FiniteAlgebra], budget: Budget | int | None = None) -> Product:
+    """Componentwise product of one or more factors."""
     budget = as_budget(budget)
-    if not algebras:
-        if signature is None:
-            raise InvalidSpec("the empty product needs an explicit signature")
-        return Product(trivial_algebra(signature, name or "1"), ())
     sig = algebras[0].signature
     for a in algebras[1:]:
         if a.signature != sig:
@@ -430,7 +387,7 @@ def direct_product(
     table_cells = sum(total**arity for _, arity in sig.symbols)
     budget.check(table_cells)
 
-    prod_name = name or "x".join(a.name for a in algebras)
+    prod_name = "x".join(a.name for a in algebras)
     points = list(itertools.product(*(range(s) for s in sizes)))
     labels = None
     if all(a.labels is not None for a in algebras):
@@ -513,7 +470,7 @@ def enumerate_subuniverses(
 
 
 def induced_subalgebra(
-    algebra: FiniteAlgebra, subuniverse: Iterable[int], name: str | None = None
+    algebra: FiniteAlgebra, subuniverse: Iterable[int]
 ) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """Restrict the tables to a subuniverse.
 
@@ -533,7 +490,7 @@ def induced_subalgebra(
     labels = None
     if algebra.labels is not None:
         labels = [algebra.labels[e] for e in members]
-    sub_name = name or f"{algebra.name}|{{{','.join(str(m) for m in members)}}}"
+    sub_name = f"{algebra.name}|{{{','.join(str(m) for m in members)}}}"
     return FiniteAlgebra.make(sub_name, len(members), algebra.signature, tables, labels), members
 
 

@@ -113,11 +113,11 @@ def power(symbol: str, t: Term, k: int) -> Term:
     return out
 
 
-def boxed(t: Term, k: int, box_symbol: str = "box", and_symbol: str = "and") -> Term:
+def boxed(t: Term, k: int) -> Term:
     """Iterated necessity: step 0 is t, step i+1 is t & box(step i)."""
     out = t
     for _ in range(k):
-        out = App(and_symbol, (t, App(box_symbol, (out,))))
+        out = App("and", (t, App("box", (out,))))
     return out
 
 
@@ -125,7 +125,7 @@ def boxed(t: Term, k: int, box_symbol: str = "box", and_symbol: str = "and") -> 
 # built-in candidate shapes
 
 
-def kl_global(n_max: int = 3, name: str = "kl-global") -> EDCFCandidate:
+def kl_global(n_max: int = 3) -> EDCFCandidate:
     """Meet of the generators below the join of their negations and y."""
     families = []
     for n in range(n_max + 1):
@@ -133,16 +133,16 @@ def kl_global(n_max: int = 3, name: str = "kl-global") -> EDCFCandidate:
         lhs = fold_terms("and", xs, empty=App("1"))
         rhs = fold_terms("or", [App("neg", (x,)) for x in xs] + [Var("y")])
         families.append(((leq(lhs, rhs, "join"),),))
-    return EDCFCandidate(name, n_max, tuple(tuple(f) for f in families))
+    return EDCFCandidate("kl-global", n_max, tuple(tuple(f) for f in families))
 
 
-def lp_global(n_max: int = 3, name: str = "lp-global") -> EDCFCandidate:
+def lp_global(n_max: int = 3) -> EDCFCandidate:
     """Meet of the generators and the negation of y, below y."""
     families = []
     for n in range(n_max + 1):
         lhs = fold_terms("and", xvars(n) + [App("neg", (Var("y"),))])
         families.append(((leq(lhs, Var("y"), "join"),),))
-    return EDCFCandidate(name, n_max, tuple(tuple(f) for f in families))
+    return EDCFCandidate("lp-global", n_max, tuple(tuple(f) for f in families))
 
 
 def _wk_meet(a: Term, b: Term) -> Term:
@@ -150,7 +150,7 @@ def _wk_meet(a: Term, b: Term) -> Term:
     return App("neg", (App("or", (App("neg", (a,)), App("neg", (b,)))),))
 
 
-def pwk_local(n_max: int = 3, name: str = "pwk-local") -> EDCFCandidate:
+def pwk_local(n_max: int = 3) -> EDCFCandidate:
     """y is its own excluded middle, or some subset of generators meets below y."""
     families = []
     y = Var("y")
@@ -163,7 +163,7 @@ def pwk_local(n_max: int = 3, name: str = "pwk-local") -> EDCFCandidate:
                 meet = functools.reduce(_wk_meet, subset)
                 family.append((leq(meet, y, "join"),))
         families.append(tuple(family))
-    return EDCFCandidate(name, n_max, tuple(families))
+    return EDCFCandidate("pwk-local", n_max, tuple(families))
 
 
 def luk_local(fold_symbol: str = "and", k_max: int = 4, n_max: int = 3, name: str | None = None) -> EDCFCandidate:
@@ -179,16 +179,16 @@ def luk_local(fold_symbol: str = "and", k_max: int = 4, n_max: int = 3, name: st
     return EDCFCandidate(name, n_max, tuple(families))
 
 
-def luk_global(k: int, n_max: int = 2, name: str | None = None) -> EDCFCandidate:
-    name = name or f"luk-global-k{k}"
+def luk_global(k: int) -> EDCFCandidate:
+    n_max = 2
     families = []
     for n in range(n_max + 1):
         base = fold_terms("and", xvars(n), empty=App("1"))
         families.append(((leq(power("odot", base, k), Var("y"), "join"),),))
-    return EDCFCandidate(name, n_max, tuple(families))
+    return EDCFCandidate(f"luk-global-k{k}", n_max, tuple(families))
 
 
-def modal_local(k_max: int = 4, n_max: int = 2, name: str = "modal-local") -> EDCFCandidate:
+def modal_local(k_max: int = 4, n_max: int = 2) -> EDCFCandidate:
     """Some iterated necessity of the folded generators sits below y."""
     families = []
     for n in range(n_max + 1):
@@ -197,13 +197,12 @@ def modal_local(k_max: int = 4, n_max: int = 2, name: str = "modal-local") -> ED
             (leq(boxed(base, k), Var("y"), "join"),) for k in range(k_max + 1)
         )
         families.append(family)
-    return EDCFCandidate(name, n_max, tuple(families))
+    return EDCFCandidate("modal-local", n_max, tuple(families))
 
 
-def modal_global(k: int, n_max: int = 1, name: str | None = None) -> EDCFCandidate:
-    name = name or f"modal-global-k{k}"
+def modal_global(k: int, n_max: int = 1) -> EDCFCandidate:
     families = []
     for n in range(n_max + 1):
         base = fold_terms("and", xvars(n), empty=App("1"))
         families.append(((leq(boxed(base, k), Var("y"), "join"),),))
-    return EDCFCandidate(name, n_max, tuple(families))
+    return EDCFCandidate(f"modal-global-k{k}", n_max, tuple(families))

@@ -1,14 +1,15 @@
-"""Decidable membership in classes of algebras and relative congruences.
+"""Classes of algebras and their relative congruences.
 
 Two kinds of class description are supported: a finite axiomatic presentation
 by equations and quasiequations, and the quasivariety generated by finitely
 many finite algebras.  For the latter, a finite algebra belongs iff every pair
 of distinct elements is separated by a homomorphism into some generator, which
 characterizes embeddability into a product of generators; at finite scale
-ultraproducts contribute nothing further.
+ultraproducts contribute nothing further.  An algebra lies in the class iff
+its least relative congruence, theta_k, is the identity.
 
 Relative congruences (those whose quotient lies in the class) are read off
-the algebra itself; no quotient is built and no membership test run.  For a
+the algebra itself; no quotient is built.  For a
 generated class they are the meets of kernels of the homomorphisms into the
 generators, searched once per generator, with the total congruence as the
 empty meet.  For an axiomatic class each (quasi)equation is compiled once
@@ -20,8 +21,6 @@ modulo a congruence one step per point.
 """
 
 from __future__ import annotations
-
-import operator
 
 from .algebras import (
     Budget,
@@ -85,46 +84,9 @@ class GeneratedQuasivariety(_Record):
 ClassSpec = Axiomatic | GeneratedQuasivariety
 
 
-def _holds_quasiequation(
-    q: Quasiequation, algebra: FiniteAlgebra, budget: Budget
-) -> bool:
-    names = q.variables()
-
-    def agreement(eq: Equation) -> list[bool]:
-        lhs = compile_term(eq.lhs, algebra, names, budget)
-        return list(map(operator.eq, lhs, compile_term(eq.rhs, algebra, names, budget)))
-
-    antecedents = [agreement(eq) for eq in q.antecedents]
-    for point, holds in enumerate(agreement(q.consequent)):
-        budget.spend()
-        if not holds and all(a[point] for a in antecedents):
-            return False
-    return True
-
-
 def _same_signature(algebra: FiniteAlgebra, spec: GeneratedQuasivariety) -> None:
     if any(g.signature != algebra.signature for g in spec.generators):
         raise InvalidSpec("membership test across different signatures")
-
-
-def member(
-    algebra: FiniteAlgebra, spec: ClassSpec, budget: Budget | int | None = None
-) -> bool:
-    """Whether the algebra lies in the class.  An axiom's names are all
-    variables, element labels included, as in k_congruences."""
-    budget = as_budget(budget)
-    if isinstance(spec, Axiomatic):
-        quasis = [Quasiequation((), eq) for eq in spec.equations] + list(spec.quasiequations)
-        return all(_holds_quasiequation(q, algebra, budget) for q in quasis)
-    _same_signature(algebra, spec)
-    # separating-homomorphism criterion; homs are enumerated once per generator
-    hom_sets = [enumerate_homomorphisms(algebra, g, budget) for g in spec.generators]
-    for a in range(algebra.size):
-        for b in range(a + 1, algebra.size):
-            budget.spend()
-            if not any(h[a] != h[b] for homs in hom_sets for h in homs):
-                return False
-    return True
 
 
 def _kernels(

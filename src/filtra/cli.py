@@ -474,11 +474,8 @@ def main(argv: list[str] | None = None) -> int:
     except SizeBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (UnknownName, UnknownExample) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except FiltraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

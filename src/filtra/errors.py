@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the library.
 
-CLI exit codes: configuration problems (UnknownName, UnknownExample,
-InvalidSpec, TermSyntaxError) map to 2, SizeBudgetExceeded to 3.
+CLI exit codes: SizeBudgetExceeded maps to 3, and every other FiltraError
+to 2, as a configuration error.
 """
 
 

@@ -135,13 +135,6 @@ class Filter(_Record):
         return element in self.members
 
 
-def rule_valid_in_matrix(rule: Rule, matrix: Matrix, budget: Budget | int | None = None) -> bool:
-    """Whether the designated set is closed under every valuation instance of
-    the rule, that is, a filter of the one-rule logic."""
-    one_rule = _rule_context(matrix.algebra, RulePresented((rule,)), as_budget(budget))
-    return one_rule.is_filter(_mask(matrix.designated))
-
-
 # ---------------------------------------------------------------------------
 # the filter context of one (algebra, logic) pair
 

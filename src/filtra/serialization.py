@@ -114,7 +114,7 @@ def _expand_candidate_term(text: str, sig: Signature, n: int, template: Mapping)
     return parse_term(text, sig)
 
 
-def candidate_from_json(doc: Mapping, sig: Signature, name: str | None = None) -> EDCFCandidate:
+def candidate_from_json(doc: Mapping, sig: Signature) -> EDCFCandidate:
     template = doc.get("template") or {}
     n_max = int(doc["n_max"])
     param_count = int(doc.get("param_count", 0))
@@ -145,5 +145,5 @@ def candidate_from_json(doc: Mapping, sig: Signature, name: str | None = None) -
                     raise InvalidSpec(f"equation entry {raw_eq!r} not understood")
             family.append(tuple(eqs))
         families.append(tuple(family))
-    return EDCFCandidate(name or doc.get("name", "candidate"), n_max, tuple(families), param_count)
+    return EDCFCandidate(doc.get("name", "candidate"), n_max, tuple(families), param_count)
 

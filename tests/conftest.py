@@ -5,12 +5,14 @@ the library's own algorithms: partitions are enumerated as restricted growth
 strings, homomorphisms as raw function tables, term forests by bounded
 structural enumeration, Leibniz congruences either read off the partition
 lattice or from the profiles of the whole unary polynomial clone, candidate
-satisfaction one valuation at a time through eval_term, the filters of a
-rule logic as the subsets closed under rule instances evaluated by eval_term,
+satisfaction one valuation at a time through oracle_eval, the filters of a
+rule logic as the subsets closed under rule instances evaluated by oracle_eval,
 the clone of term functions one argument tuple at a time, subuniverses by
 closing every subset, a matrix logic's unrefuted subsets by testing each
-subset against every clone element at every valuation, the relative
-congruences as the congruences whose quotient passes the membership test, and
+subset against every clone element at every valuation, class membership by
+evaluating each axiom at every valuation and separating pairs by
+homomorphisms, the relative congruences as the congruences whose quotient
+passes that membership test, and
 relative filters, with the minrelcong verdict, as filters of the quotient
 pulled back along the projection.  The quotient itself is built here, from
 block representatives.
@@ -32,14 +34,14 @@ from filtra.algebras import (
     _leaf_table,
     _tuple_indices,
     direct_product,
+    enumerate_homomorphisms,
     enumerate_subuniverses,
-    eval_term,
     induced_subalgebra,
     subuniverse_generated,
 )
-from filtra.classes import member
+from filtra.classes import Axiomatic, Quasiequation
 from filtra.congruences import Congruence, all_congruences
-from filtra.errors import NotACongruence
+from filtra.errors import NotACongruence, UnboundVariable
 from filtra.logics import all_filters, fg
 from filtra.terms import App, Rule, Signature, Var
 
@@ -206,13 +208,70 @@ def relabel(algebra, perm):
             idx = 0
             for a in args:
                 idx = idx * n + perm[a]
-            table[idx] = perm[algebra.op(sym, *args)]
+            table[idx] = perm[oracle_op(algebra, sym, *args)]
         tables[sym] = table
     return FiniteAlgebra.make("relabelled", n, algebra.signature, tables)
 
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def trivial_algebra(signature: Signature, name: str = "1") -> FiniteAlgebra:
+    """The one-element algebra of the signature."""
+    tables = {sym: [0] for sym, _ in signature.symbols}
+    return FiniteAlgebra.make(name, 1, signature, tables, labels=["*"])
+
+
+def table_index(size: int, values) -> int:
+    """The index of a tuple of elements in a flat table over it, the first
+    coordinate varying slowest: an operation's arguments, or a valuation of a
+    compiled term's variables."""
+    index = 0
+    for v in values:
+        index = index * size + v
+    return index
+
+
+def oracle_op(algebra: FiniteAlgebra, symbol: str, *args: int) -> int:
+    """The operation's table entry at the arguments."""
+    return algebra.table(symbol)[table_index(algebra.size, args)]
+
+
+def oracle_eval(t, algebra: FiniteAlgebra, valuation) -> int:
+    """A term's value at one valuation, by structural recursion on the
+    tables: a name resolves through the valuation first, then an element
+    label counts as a literal."""
+    if isinstance(t, Var):
+        if t.name in valuation:
+            return valuation[t.name]
+        if algebra.labels is not None and t.name in algebra.labels:
+            return algebra.labels.index(t.name)
+        raise UnboundVariable(f"variable {t.name!r} is unbound")
+    return oracle_op(algebra, t.symbol, *(oracle_eval(a, algebra, valuation) for a in t.args))
+
+
+def oracle_member(algebra: FiniteAlgebra, spec) -> bool:
+    """Whether the algebra lies in the class: every axiom holds at every
+    valuation of its names, element labels included, or every pair of
+    distinct elements is separated by a homomorphism into some generator."""
+    if isinstance(spec, Axiomatic):
+
+        def holds(eq, v):
+            return oracle_eval(eq.lhs, algebra, v) == oracle_eval(eq.rhs, algebra, v)
+
+        for q in [Quasiequation((), eq) for eq in spec.equations] + list(spec.quasiequations):
+            names = []
+            for eq in q.antecedents + (q.consequent,):
+                _term_names(eq.lhs, names)
+                _term_names(eq.rhs, names)
+            for values in itertools.product(range(algebra.size), repeat=len(names)):
+                v = dict(zip(names, values))
+                if all(holds(eq, v) for eq in q.antecedents) and not holds(q.consequent, v):
+                    return False
+        return True
+    homs = [h for g in spec.generators for h in enumerate_homomorphisms(algebra, g)]
+    return all(any(h[a] != h[b] for h in homs) for a, b in itertools.combinations(range(algebra.size), 2))
 
 
 def fresh_copy(algebra: FiniteAlgebra) -> FiniteAlgebra:
@@ -284,7 +343,7 @@ def oracle_is_congruence(algebra: FiniteAlgebra, partition) -> bool:
         for args1 in itertools.product(range(algebra.size), repeat=arity):
             for args2 in itertools.product(range(algebra.size), repeat=arity):
                 if all(partition[a] == partition[b] for a, b in zip(args1, args2)):
-                    if partition[algebra.op(sym, *args1)] != partition[algebra.op(sym, *args2)]:
+                    if partition[oracle_op(algebra, sym, *args1)] != partition[oracle_op(algebra, sym, *args2)]:
                         return False
     return True
 
@@ -335,7 +394,7 @@ def oracle_least_containing(congruences, pairs) -> Congruence:
 
 def oracle_k_congruences(algebra: FiniteAlgebra, spec) -> tuple[Congruence, ...]:
     """The congruences whose quotient is a member of the class, finer first."""
-    return tuple(t for t in all_congruences(algebra) if member(quotient(algebra, t.partition)[0], spec))
+    return tuple(t for t in all_congruences(algebra) if oracle_member(quotient(algebra, t.partition)[0], spec))
 
 
 def oracle_cg_k(relative, pairs) -> Congruence:
@@ -368,7 +427,7 @@ def unary_polynomials(algebra: FiniteAlgebra) -> UnaryPolynomialClone:
             for pos in range(arity):
                 for rest in itertools.product(range(n), repeat=arity - 1):
                     q = tuple(
-                        algebra.op(sym, *(rest[:pos] + (p[x],) + rest[pos:]))
+                        oracle_op(algebra, sym, *(rest[:pos] + (p[x],) + rest[pos:]))
                         for x in range(n)
                     )
                     if q not in found:
@@ -416,7 +475,7 @@ def brute_homomorphisms(dom: FiniteAlgebra, cod: FiniteAlgebra):
         ok = True
         for sym, arity in dom.signature.symbols:
             for args in itertools.product(range(dom.size), repeat=arity):
-                if image[dom.op(sym, *args)] != cod.op(sym, *(image[a] for a in args)):
+                if image[oracle_op(dom, sym, *args)] != oracle_op(cod, sym, *(image[a] for a in args)):
                     ok = False
                     break
             if not ok:
@@ -458,7 +517,7 @@ def oracle_satisfies_family(algebra: FiniteAlgebra, family, xs, b, param_count, 
         for params in itertools.product(range(algebra.size), repeat=param_count):
             v = dict(base)
             v.update({f"z{j + 1}": c for j, c in enumerate(params)})
-            if all(same(eval_term(eq.lhs, algebra, v), eval_term(eq.rhs, algebra, v)) for eq in member):
+            if all(same(oracle_eval(eq.lhs, algebra, v), oracle_eval(eq.rhs, algebra, v)) for eq in member):
                 return True
     return False
 
@@ -475,7 +534,7 @@ def _term_names(t, out):
 
 def oracle_rule_instances(algebra: FiniteAlgebra, rules):
     """(premise values, conclusion value) of every rule at every valuation of
-    its variables, each term evaluated by eval_term (carriers without labels)."""
+    its variables, each term evaluated by oracle_eval (carriers without labels)."""
     out = []
     for rule in rules:
         names = []
@@ -483,8 +542,8 @@ def oracle_rule_instances(algebra: FiniteAlgebra, rules):
             _term_names(t, names)
         for values in itertools.product(range(algebra.size), repeat=len(names)):
             v = dict(zip(names, values))
-            prem = frozenset(eval_term(p, algebra, v) for p in rule.premises)
-            out.append((prem, eval_term(rule.conclusion, algebra, v)))
+            prem = frozenset(oracle_eval(p, algebra, v) for p in rule.premises)
+            out.append((prem, oracle_eval(rule.conclusion, algebra, v)))
     return out
 
 

@@ -16,12 +16,14 @@ from conftest import (
     quotient,
     random_algebras,
     random_rules,
+    table_index,
+    trivial_algebra,
 )
 
 from filtra import builtins as bi
 from filtra import checks, logics
 from filtra.algebras import (
-    Budget, FiniteAlgebra, direct_product, enumerate_homomorphisms, eval_term, trivial_algebra,
+    Budget, FiniteAlgebra, compile_term, direct_product, enumerate_homomorphisms,
 )
 from filtra.candidates import EDCFCandidate, fold_terms, kl_global, lp_global, pwk_local, xvars
 from filtra.checks import (
@@ -40,6 +42,7 @@ from filtra.checks import (
 )
 from filtra.checks import test_algebra_check as run_test_algebra_check
 from filtra.classes import Axiomatic, GeneratedQuasivariety
+from filtra.cli import CATALOG
 from filtra.congruences import Congruence, all_congruences
 from filtra.errors import InvalidSpec, SizeBudgetExceeded
 from filtra.logics import MatrixDetermined, RulePresented, fg, filters_certified, is_filter
@@ -134,6 +137,33 @@ def test_wrong_candidate_fails_with_replayable_witness(kl, k3):
     members = fg(algebra, frozenset(w["generators"]), kl).members
     assert (w["element"] in members) == w["in_fg"]
     assert w["satisfies_candidate"] is True and w["in_fg"] is False
+
+
+@pytest.mark.parametrize(("example", "logic", "fails"), [("modal-local-only", "KG", 4), ("luk-local-only", "LUK", 3)])
+def test_catalog_edcf_fails_replay_through_public_primitives(example, logic, fails):
+    # each fixed-depth or fixed-power row fails; its cell replays through fg
+    # and the compiled tables of the candidate's family at the cell
+    logic = bi.logic(logic)
+    results = []
+    CATALOG[example](results, Budget())
+    assert all(r["ok"] for r in results)
+    witnesses = [
+        r["verdict"]["witness"]
+        for r in results
+        if r["verdict"]["outcome"] == "fail" and r["verdict"]["checker"] == "edcf"
+    ]
+    assert len(witnesses) == fails
+    for w in witnesses:
+        algebra, candidate = bi.algebra(w["algebra"]), bi.candidate(w["candidate"])
+        assert w["in_fg"] == (w["element"] in fg(algebra, w["generators"], logic).members)
+        assert candidate.param_count == 0
+        names = [f"x{i + 1}" for i in range(w["n"])] + ["y"]
+        point = table_index(algebra.size, w["generators"] + [w["element"]])
+        holds = any(
+            all(compile_term(eq.lhs, algebra, names)[point] == compile_term(eq.rhs, algebra, names)[point] for eq in member)
+            for member in candidate.family(w["n"])
+        )
+        assert w["satisfies_candidate"] == holds
 
 
 def test_variant_shape_rejected(pwk):
@@ -326,16 +356,19 @@ def test_compare_distinguishes_fixpoint_from_constant(wk3):
     assert v.failed
     assert v.witness["direction"] == "own-excluded-middle -> just-one"
     assert v.witness["member_index"] == 0
-    # one breaking cell per member of the other family, replayed pointwise
+    # one breaking cell per member of the other family, replayed on the
+    # compiled tables at the cell's valuation
     [cell] = v.witness["breaking_cells"]
     assert cell["algebra"] == wk3.name
     assert cell["element_label"] == wk3.label(cell["element"])
-    valuation = {f"x{i + 1}": g for i, g in enumerate(cell["generators"])}
-    valuation["y"] = cell["element"]
+    names = [f"x{i + 1}" for i in range(len(cell["generators"]))] + ["y"]
+    point = table_index(wk3.size, cell["generators"] + [cell["element"]])
 
     def holds(candidate):
         [member] = candidate.family(0)
-        return all(eval_term(eq.lhs, wk3, valuation) == eval_term(eq.rhs, wk3, valuation) for eq in member)
+        return all(
+            compile_term(eq.lhs, wk3, names)[point] == compile_term(eq.rhs, wk3, names)[point] for eq in member
+        )
 
     assert holds(fixpoint) and not holds(only_one)
 

@@ -322,7 +322,7 @@ def test_check_search_refuses_an_unknown_property_before_its_flags(capsys):
     code, out, err = run(capsys, "check", "search", "--property", "nope", "--candidate", "x")
     assert code == EXIT_CONFIG
     assert out == ""
-    assert err == "error: no searchable property 'nope'\n"
+    assert err == "configuration error: no searchable property 'nope'\n"
 
 
 def test_check_edcf_honours_the_class(capsys):
@@ -353,22 +353,24 @@ def test_unknown_names_exit_config(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "refused"),
     [
-        ("check", "absfep", "--logic", "PWK", "--testbed", "wk3-isp", "--arity", "-1"),
-        ("check", "edcf", "--logic", "PWK", "--testbed", "wk3-isp", "--candidate", "pwk-local", "--nmax", "-1"),
-        ("check", "fdc", "--logic", "PWK", "--generators", "WK3", "--arity", "1"),
-        ("check", "minrelcong", "--logic", "ONE", "--algebra", "box5", "--class", "alpha12", "--arity", "-1"),
-        ("check", "compare", "--candidate", "kl-global", "--candidate2", "kl-global", "--testbed", "k3-isp",
-         "--nmax", "-1"),
+        (("check", "absfep", "--logic", "PWK", "--testbed", "wk3-isp", "--arity", "-1"), "arity_cap must be at least 0, got -1"),
+        (("check", "edcf", "--logic", "PWK", "--testbed", "wk3-isp", "--candidate", "pwk-local", "--nmax", "-1"),
+         "n_max must be at least 0, got -1"),
+        (("check", "fdc", "--logic", "PWK", "--generators", "WK3", "--arity", "1"), "max_product_arity must be at least 2, got 1"),
+        (("check", "minrelcong", "--logic", "ONE", "--algebra", "box5", "--class", "alpha12", "--arity", "-1"),
+         "arity_cap must be at least 0, got -1"),
+        (("check", "compare", "--candidate", "kl-global", "--candidate2", "kl-global", "--testbed", "k3-isp",
+          "--nmax", "-1"), "n_max must be at least 0, got -1"),
     ],
     ids=["absfep", "edcf", "fdc", "minrelcong", "compare"],
 )
-def test_an_empty_sweep_exits_config(capsys, argv):
+def test_an_empty_sweep_exits_config(capsys, argv, refused):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert out == ""
-    assert "the sweep would be empty" in err
+    assert err == f"configuration error: {refused}: the sweep would be empty\n"
 
 
 def test_a_negative_budget_is_refused_at_parse_time(capsys):

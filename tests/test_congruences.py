@@ -16,11 +16,12 @@ from conftest import (
     oracle_leibniz_profiles,
     random_algebras,
     relabel,
+    trivial_algebra,
     unary_polynomials,
 )
 
 from filtra import builtins as bi
-from filtra.algebras import Budget, FiniteAlgebra, direct_product, trivial_algebra
+from filtra.algebras import Budget, FiniteAlgebra, direct_product
 from filtra.congruences import (
     Congruence,
     all_congruences,

@@ -12,6 +12,7 @@ from conftest import (
     oracle_closed_sets,
     oracle_fg_relative,
     oracle_least_closed,
+    oracle_op,
     oracle_subuniverses,
     oracle_unrefuted,
     random_algebras,
@@ -51,7 +52,6 @@ from filtra.logics import (
     filters_certified,
     is_filter,
     is_filter_certain,
-    rule_valid_in_matrix,
 )
 from filtra.terms import Rule, Signature, parse_term
 
@@ -61,18 +61,20 @@ def rule(sig, premises, conclusion):
 
 
 # --- rule validity ----------------------------------------------------------
+# a rule is valid in a matrix iff the designated set is a filter of the
+# one-rule logic
 
 
 def test_detachment_valid_in_kleene_matrix(k3):
     m = Matrix(k3, frozenset({2}))
     r = rule(k3.signature, ["x", "(and x (or (neg x) y))"], "y")
-    assert rule_valid_in_matrix(r, m)
+    assert is_filter(m.algebra, m.designated, RulePresented((r,)))
 
 
 def test_identity_rule_always_valid(k3, wk3):
     for algebra, designated in [(k3, {2}), (wk3, {1, 2})]:
         m = Matrix(algebra, frozenset(designated))
-        assert rule_valid_in_matrix(rule(algebra.signature, ["x"], "x"), m)
+        assert is_filter(m.algebra, m.designated, RulePresented((rule(algebra.signature, ["x"], "x"),)))
 
 
 def test_negation_introduction_invalid(k3):
@@ -80,10 +82,10 @@ def test_negation_introduction_invalid(k3):
     r = rule(k3.signature, ["x"], "(neg x)")
     # oracle: sweep the valuations by hand
     broken = any(
-        e in m.designated and k3.op("neg", e) not in m.designated for e in range(3)
+        e in m.designated and oracle_op(k3, "neg", e) not in m.designated for e in range(3)
     )
     assert broken
-    assert not rule_valid_in_matrix(r, m)
+    assert not is_filter(m.algebra, m.designated, RulePresented((r,)))
 
 
 # --- filterhood --------------------------------------------------------------

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from filtra import builtins as bi
-from filtra.algebras import eval_term
 from filtra.candidates import kl_global
 from filtra.congruences import Congruence
 from filtra.errors import InvalidSpec
