@@ -53,12 +53,8 @@ class Budget:
             )
 
 
-def as_budget(budget: "Budget | int | None") -> Budget:
-    if budget is None:
-        return Budget()
-    if isinstance(budget, int):
-        return Budget(budget)
-    return budget
+def as_budget(budget: Budget | None) -> Budget:
+    return Budget() if budget is None else budget
 
 
 def _mask(elements: Iterable[int]) -> int:
@@ -196,9 +192,6 @@ class FiniteAlgebra(_Record):
         except KeyError:
             raise UnknownName(f"no operation {symbol!r} on algebra {self.name!r}") from None
 
-    def elements(self) -> range:
-        return range(self.size)
-
     def label(self, element: int) -> str:
         if self.labels is not None:
             return self.labels[element]
@@ -310,7 +303,7 @@ def _leaf_table(algebra: FiniteAlgebra, nvars: int, node: tuple) -> Table:
 
 
 def compile_term(
-    t: Term, algebra: FiniteAlgebra, variables: Sequence[str], budget: Budget | int | None = None
+    t: Term, algebra: FiniteAlgebra, variables: Sequence[str], budget: Budget | None = None
 ) -> Table:
     """The table of the term function of t over the variables.
 
@@ -373,7 +366,7 @@ class Product(_Record):
         return tuple(reversed(out))
 
 
-def direct_product(algebras: Sequence[FiniteAlgebra], budget: Budget | int | None = None) -> Product:
+def direct_product(algebras: Sequence[FiniteAlgebra], budget: Budget | None = None) -> Product:
     """Componentwise product of one or more factors."""
     budget = as_budget(budget)
     sig = algebras[0].signature
@@ -416,7 +409,7 @@ def _tuple_indices(size: int, coords: Sequence[int], arity: int) -> list[int]:
 
 
 def subuniverse_generated(
-    algebra: FiniteAlgebra, subset: Iterable[int], budget: Budget | int | None = None
+    algebra: FiniteAlgebra, subset: Iterable[int], budget: Budget | None = None
 ) -> frozenset[int]:
     """Least subset containing the seed and all constants, closed under the tables.
 
@@ -452,7 +445,7 @@ def is_subuniverse(algebra: FiniteAlgebra, subset: frozenset[int]) -> bool:
 
 
 def enumerate_subuniverses(
-    algebra: FiniteAlgebra, budget: Budget | int | None = None
+    algebra: FiniteAlgebra, budget: Budget | None = None
 ) -> list[frozenset[int]]:
     """All non-empty subuniverses containing the constants, smallest first.
 
@@ -470,13 +463,14 @@ def enumerate_subuniverses(
 
 
 def induced_subalgebra(
-    algebra: FiniteAlgebra, subuniverse: Iterable[int]
+    algebra: FiniteAlgebra, subuniverse: Iterable[int], budget: Budget | None = None
 ) -> tuple[FiniteAlgebra, tuple[int, ...]]:
-    """Restrict the tables to a subuniverse.
+    """Restrict the tables to a subuniverse, one step per table cell written.
 
     Returns the subalgebra on a re-indexed carrier together with the inclusion
     map (sub index -> parent element), sorted ascending.
     """
+    budget = as_budget(budget)
     members = tuple(sorted(set(subuniverse)))
     if not members:
         raise InvalidSpec("a subalgebra needs a non-empty carrier")
@@ -485,6 +479,7 @@ def induced_subalgebra(
     back = {e: i for i, e in enumerate(members)}
     tables = {}
     for sym, arity in algebra.signature.symbols:
+        budget.spend(len(members) ** arity)
         table = algebra.table(sym)
         tables[sym] = [back[table[i]] for i in _tuple_indices(algebra.size, members, arity)]
     labels = None
@@ -552,7 +547,7 @@ def _homomorphisms(
 
 
 def enumerate_homomorphisms(
-    dom: FiniteAlgebra, cod: FiniteAlgebra, budget: Budget | int | None = None
+    dom: FiniteAlgebra, cod: FiniteAlgebra, budget: Budget | None = None
 ) -> list[tuple[int, ...]]:
     """All homomorphisms dom -> cod in lexicographic order (see _homomorphisms)."""
     return list(_homomorphisms(dom, cod, as_budget(budget)))

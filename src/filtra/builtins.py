@@ -4,11 +4,10 @@ classes, candidates, and testbeds used throughout the examples and tests."""
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from pathlib import Path
 
 from . import candidates as cand
-from .algebras import FiniteAlgebra, direct_product
+from .algebras import Budget, FiniteAlgebra, direct_product
 from .checks import Testbed, generate_testbed
 from .classes import ClassSpec
 from .errors import UnknownName
@@ -16,112 +15,99 @@ from .logics import LogicSpec
 from .serialization import algebra_from_json, class_from_json, logic_from_json
 
 
-def _load_json(filename: str):
+def _read(filename: str, parse) -> dict:
     with open(Path(__file__).parent / "data" / filename) as fh:
-        return json.load(fh)
+        return {doc["name"]: parse(doc) for doc in json.load(fh)}
 
 
-@lru_cache(maxsize=1)
-def _algebras() -> dict[str, FiniteAlgebra]:
-    return {doc["name"]: algebra_from_json(doc) for doc in _load_json("algebras.json")}
+def _isp(generator: str):
+    """The generator, its square and their subalgebras, on the caller's budget."""
+    return lambda budget: generate_testbed([algebra(generator)], 2, include_subalgebras=True, budget=budget)
+
+
+def _listed(*names: str):
+    return lambda budget: tuple(algebra(n) for n in names)
+
+
+# each kind's table of built-in names, loaded on first lookup; a testbed's
+# entry is its builder, called on the budget of the first caller
+_LOADERS = {
+    "algebra": lambda: _read("algebras.json", algebra_from_json),
+    "logic": lambda: _read("logics.json", lambda doc: logic_from_json(doc, algebra)),
+    "class": lambda: _read("classes.json", lambda doc: class_from_json(doc, algebra)),
+    "candidate": lambda: {c.name: c for c in (
+        cand.kl_global(), cand.lp_global(), cand.pwk_local(), cand.luk_local("and"), cand.luk_local("odot"),
+        *map(cand.luk_global, (1, 2, 3)), cand.modal_local(), *map(cand.modal_global, range(4)),
+    )},
+    "testbed": lambda: {
+        "box5": _listed("box5"),
+        "k3-isp": _isp("K3"),
+        "lattices": _listed("BOOL4", "M3"),
+        "modal-chains": _listed("mchain2", "mchain3", "mchain4"),
+        "mv-chains": _listed("L3", "L4", "L5"),
+        "wk3-isp": _isp("WK3"),
+    },
+}
+_LOADED: dict[str, dict] = {}
+_TESTBEDS: dict[str, Testbed] = {}  # built testbeds; a build that raises keeps nothing
+
+
+def _table(kind: str) -> dict:
+    table = _LOADED.get(kind)
+    if table is None:
+        table = _LOADED[kind] = _LOADERS[kind]()
+    return table
+
+
+def _lookup(kind: str, name: str):
+    table = _table(kind)
+    if name not in table:
+        raise UnknownName(f"no built-in {kind} {name!r}")
+    return table[name]
 
 
 def algebra(name: str) -> FiniteAlgebra:
-    table = _algebras()
-    if name in table:
-        return table[name]
     # squares of the corpus are common enough to resolve by name
-    if name.endswith("^2"):
+    if name.endswith("^2") and name not in _table("algebra"):
         base = algebra(name[:-2])
         return direct_product([base, base]).algebra
-    raise UnknownName(f"no built-in algebra {name!r}")
-
-
-def algebra_names() -> list[str]:
-    return sorted(_algebras())
-
-
-@lru_cache(maxsize=1)
-def _logics() -> dict[str, LogicSpec]:
-    return {doc["name"]: logic_from_json(doc, algebra) for doc in _load_json("logics.json")}
+    return _lookup("algebra", name)
 
 
 def logic(name: str) -> LogicSpec:
-    table = _logics()
-    if name not in table:
-        raise UnknownName(f"no built-in logic {name!r}")
-    return table[name]
-
-
-def logic_names() -> list[str]:
-    return sorted(_logics())
-
-
-@lru_cache(maxsize=1)
-def _classes() -> dict[str, ClassSpec]:
-    return {doc["name"]: class_from_json(doc, algebra) for doc in _load_json("classes.json")}
+    return _lookup("logic", name)
 
 
 def class_spec(name: str) -> ClassSpec:
-    table = _classes()
-    if name not in table:
-        raise UnknownName(f"no built-in class {name!r}")
-    return table[name]
-
-
-def class_names() -> list[str]:
-    return sorted(_classes())
-
-
-@lru_cache(maxsize=1)
-def _candidates() -> dict[str, cand.EDCFCandidate]:
-    out = {}
-    for c in (
-        cand.kl_global(3),
-        cand.lp_global(3),
-        cand.pwk_local(3),
-        cand.luk_local("and", k_max=4, n_max=3, name="luk-local-and"),
-        cand.luk_local("odot", k_max=4, n_max=3, name="luk-local-odot"),
-        cand.luk_global(1),
-        cand.luk_global(2),
-        cand.luk_global(3),
-        cand.modal_local(k_max=4, n_max=2),
-        cand.modal_global(0),
-        cand.modal_global(1),
-        cand.modal_global(2),
-        cand.modal_global(3),
-    ):
-        out[c.name] = c
-    return out
+    return _lookup("class", name)
 
 
 def candidate(name: str) -> cand.EDCFCandidate:
-    table = _candidates()
-    if name not in table:
-        raise UnknownName(f"no built-in candidate {name!r}")
-    return table[name]
+    return _lookup("candidate", name)
+
+
+def testbed(name: str, budget: Budget | None = None) -> Testbed:
+    bed = _TESTBEDS.get(name)
+    if bed is None:
+        bed = _TESTBEDS[name] = _lookup("testbed", name)(budget)
+    return bed
+
+
+def algebra_names() -> list[str]:
+    return sorted(_table("algebra"))
+
+
+def logic_names() -> list[str]:
+    return sorted(_table("logic"))
+
+
+def class_names() -> list[str]:
+    return sorted(_table("class"))
 
 
 def candidate_names() -> list[str]:
-    return sorted(_candidates())
-
-
-@lru_cache(maxsize=None)
-def testbed(name: str) -> Testbed:
-    if name == "k3-isp":
-        return generate_testbed([algebra("K3")], 2, include_subalgebras=True)
-    if name == "wk3-isp":
-        return generate_testbed([algebra("WK3")], 2, include_subalgebras=True)
-    if name == "mv-chains":
-        return tuple(algebra(n) for n in ("L3", "L4", "L5"))
-    if name == "modal-chains":
-        return tuple(algebra(n) for n in ("mchain2", "mchain3", "mchain4"))
-    if name == "lattices":
-        return algebra("BOOL4"), algebra("M3")
-    if name == "box5":
-        return (algebra("box5"),)
-    raise UnknownName(f"no built-in testbed {name!r}")
+    return sorted(_table("candidate"))
 
 
 def testbed_names() -> list[str]:
-    return ["box5", "k3-isp", "lattices", "modal-chains", "mv-chains", "wk3-isp"]
+    return sorted(_table("testbed"))

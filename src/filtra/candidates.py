@@ -166,9 +166,8 @@ def pwk_local(n_max: int = 3) -> EDCFCandidate:
     return EDCFCandidate("pwk-local", n_max, tuple(families))
 
 
-def luk_local(fold_symbol: str = "and", k_max: int = 4, n_max: int = 3, name: str | None = None) -> EDCFCandidate:
+def luk_local(fold_symbol: str = "and", k_max: int = 4, n_max: int = 3) -> EDCFCandidate:
     """Some power of the folded generators sits below y."""
-    name = name or f"luk-local-{fold_symbol}"
     families = []
     for n in range(n_max + 1):
         base = fold_terms(fold_symbol, xvars(n), empty=App("1"))
@@ -176,7 +175,7 @@ def luk_local(fold_symbol: str = "and", k_max: int = 4, n_max: int = 3, name: st
             (leq(power("odot", base, k), Var("y"), "join"),) for k in range(1, k_max + 1)
         )
         families.append(family)
-    return EDCFCandidate(name, n_max, tuple(families))
+    return EDCFCandidate(f"luk-local-{fold_symbol}", n_max, tuple(families))
 
 
 def luk_global(k: int) -> EDCFCandidate:

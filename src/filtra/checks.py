@@ -88,7 +88,7 @@ def generate_testbed(
     generators: Sequence[FiniteAlgebra],
     max_product_arity: int = 1,
     include_subalgebras: bool = False,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> Testbed:
     """Generators, their products up to the arity bound, optionally all
     subalgebras, deduplicated up to isomorphism among algebras of at most 8
@@ -123,7 +123,7 @@ def _proper_subalgebras(
     for sub in enumerate_subuniverses(big, budget):
         if len(sub) == big.size:
             continue
-        yield sub, *induced_subalgebra(big, sub)
+        yield sub, *induced_subalgebra(big, sub, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ def check_edcf(
     variant: str = "local",
     n_max: int | None = None,
     class_spec: ClassSpec | None = None,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> Verdict:
     """Compare filter membership with candidate satisfaction on every cell;
     with a class, satisfaction modulo each algebra's least relative congruence
@@ -307,7 +307,7 @@ def compare_candidates(
     c2: EDCFCandidate,
     testbed: Testbed,
     n_max: int | None = None,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> Verdict:
     """Mutual refinement: every member of one family is implied, across the
     testbed, by some member of the other, in both directions.
@@ -368,7 +368,7 @@ def absolute_fep_check(
     logic: LogicSpec,
     testbed: Testbed,
     arity_cap: int = 3,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> Verdict:
     """Generated filters on subalgebras against their traces from above.
 
@@ -411,7 +411,7 @@ def absolute_fep_check(
 def fep_check(
     logic: LogicSpec,
     testbed: Testbed,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> Verdict:
     """Filter extension over submatrices: every filter of the subalgebra above
     the trace of a base filter extends to a filter above the base filter."""
@@ -455,7 +455,7 @@ def factor_determined_check(
     generator_cap: int = 2,
     pinned_factors: Sequence[FiniteAlgebra] | None = None,
     pinned_generators: Sequence[Sequence[int]] | None = None,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> Verdict:
     """Generated filters on finite products against products of factorwise
     generated filters; a necessary condition only, since only small index sets
@@ -535,7 +535,7 @@ def test_algebra_check(
     test_algebra: FiniteAlgebra,
     p_elements: Sequence[int],
     q_element: int,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> Verdict:
     """Whether homomorphic images of the test elements characterize membership
     in generated filters across the testbed."""
@@ -573,7 +573,7 @@ def smallest_relcong_check(
     class_spec: ClassSpec,
     arity_cap: int = 3,
     pinned_cells: Sequence[tuple[Sequence[int], int]] | None = None,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> Verdict:
     """For each cell, the relative congruences putting the element into the
     relatively generated filter must have a least member."""
@@ -624,7 +624,7 @@ def smallest_relcong_check(
 def dually_brouwerian_check(
     logic: LogicSpec,
     testbed: Testbed,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> Verdict:
     """On a finite algebra every filter is compact: for each pair (F, G) the
     filters H with G inside the join of F and H must have a least member, on
@@ -658,7 +658,7 @@ def leibniz_probe(
     logic: LogicSpec,
     testbed: Testbed,
     mode: str = "monotone",
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> Verdict:
     """Refuter for order properties of the largest compatible congruence over
     the filters of each testbed algebra; a pass is not a proof."""
@@ -712,7 +712,7 @@ def search_counterexample(
     max_product_arity: int = 2,
     include_subalgebras: bool = True,
     checker_kwargs: Mapping | None = None,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> Verdict:
     """Grow a testbed until the chosen checker fails, or give up."""
     budget = as_budget(budget)

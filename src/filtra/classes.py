@@ -160,7 +160,7 @@ def _consequent_pairs(axiom: _Axiom, failing: int) -> set[tuple[int, int]]:
 
 
 def k_congruences(
-    algebra: FiniteAlgebra, spec: ClassSpec, budget: Budget | int | None = None
+    algebra: FiniteAlgebra, spec: ClassSpec, budget: Budget | None = None
 ) -> tuple[Congruence, ...]:
     """Congruences whose quotient lies in the class, finer first.
 
@@ -195,7 +195,7 @@ def k_congruences(
 
 
 def theta_k(
-    algebra: FiniteAlgebra, spec: ClassSpec, budget: Budget | int | None = None
+    algebra: FiniteAlgebra, spec: ClassSpec, budget: Budget | None = None
 ) -> Congruence:
     """The least congruence with quotient in the class."""
     return cg_k(algebra, spec, (), budget)
@@ -205,7 +205,7 @@ def cg_k(
     algebra: FiniteAlgebra,
     spec: ClassSpec,
     pairs,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> Congruence:
     """Least relative congruence containing the pairs.
 

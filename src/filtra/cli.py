@@ -52,47 +52,38 @@ def _given(token: str | None, flag: str) -> str:
     return token
 
 
-def _maybe_file(token: str | None, flag: str):
-    p = Path(_given(token, flag))
-    if token.endswith(".json") and p.exists():
-        with p.open() as fh:
-            return json.load(fh)
-    return None
+def _resolve(token: str | None, flag: str, read: Callable, builtin: Callable):
+    """The object of a JSON file, by `read(doc)`, else of a built-in name."""
+    token = _given(token, flag)
+    if token.endswith(".json") and Path(token).exists():
+        with open(token) as fh:
+            return read(json.load(fh))
+    return builtin(token)
 
 
 def resolve_algebra(token: str | None) -> FiniteAlgebra:
-    doc = _maybe_file(token, "--algebra")
-    if doc is not None:
-        return algebra_from_json(doc)
-    return bi.algebra(token)
+    return _resolve(token, "--algebra", algebra_from_json, bi.algebra)
 
 
 def resolve_logic(token: str | None):
-    doc = _maybe_file(token, "--logic")
-    if doc is not None:
-        return logic_from_json(doc, resolve_algebra)
-    return bi.logic(token)
+    return _resolve(token, "--logic", lambda doc: logic_from_json(doc, resolve_algebra), bi.logic)
 
 
 def resolve_class(token: str | None):
-    doc = _maybe_file(token, "--class")
-    if doc is not None:
-        return class_from_json(doc, resolve_algebra)
-    return bi.class_spec(token)
+    return _resolve(token, "--class", lambda doc: class_from_json(doc, resolve_algebra), bi.class_spec)
 
 
 def resolve_candidate(token: str | None, algebra_for_signature: str | None = None):
-    doc = _maybe_file(token, "--candidate")
-    if doc is not None:
+    def read(doc):
         if algebra_for_signature is None:
             raise UnknownName("candidate files need --algebra to supply the signature")
-        sig = resolve_algebra(algebra_for_signature).signature
-        return candidate_from_json(doc, sig)
-    return bi.candidate(token)
+        return candidate_from_json(doc, resolve_algebra(algebra_for_signature).signature)
+
+    return _resolve(token, "--candidate", read, bi.candidate)
 
 
-def resolve_testbed(token: str | None) -> Testbed:
-    return bi.testbed(_given(token, "--testbed"))
+def resolve_testbed(token: str | None, budget: Budget) -> Testbed:
+    return bi.testbed(_given(token, "--testbed"), budget)
 
 
 def resolve_generators(text: str | None) -> Testbed:
@@ -183,7 +174,7 @@ class Check(NamedTuple):
 # the parser's choices
 CHECKS = {
     "edcf": Check(("--logic", "--testbed"), lambda args, kw, budget: check_edcf(
-        resolve_logic(args.logic), resolve_testbed(args.testbed), **kw(args), budget=budget),
+        resolve_logic(args.logic), resolve_testbed(args.testbed, budget), **kw(args), budget=budget),
         ("--candidate", "--algebra", "--nmax", "--class"), lambda args: {
             "candidate": resolve_candidate(args.candidate, args.algebra), "variant": args.variant,
             "n_max": args.nmax, "class_spec": resolve_class(args.klass) if args.klass else None}),
@@ -192,22 +183,22 @@ CHECKS = {
         max_product_arity=args.arity, budget=budget),
         ("--relative",), lambda args: {"absolute": not args.relative}),
     "absfep": Check(("--logic", "--testbed"), lambda args, kw, budget: absolute_fep_check(
-        resolve_logic(args.logic), resolve_testbed(args.testbed), arity_cap=args.arity, budget=budget)),
+        resolve_logic(args.logic), resolve_testbed(args.testbed, budget), arity_cap=args.arity, budget=budget)),
     "fep": Check(("--logic", "--testbed"), lambda args, kw, budget: fep_check(
-        resolve_logic(args.logic), resolve_testbed(args.testbed), budget=budget)),
+        resolve_logic(args.logic), resolve_testbed(args.testbed, budget), budget=budget)),
     "brouwer": Check(("--logic", "--algebra"), lambda args, kw, budget: dually_brouwerian_check(
         resolve_logic(args.logic), (resolve_algebra(args.algebra),), budget=budget)),
     "minrelcong": Check(("--logic", "--algebra", "--class"), lambda args, kw, budget: smallest_relcong_check(
         resolve_logic(args.logic), resolve_algebra(args.algebra),
         resolve_class(args.klass), arity_cap=args.arity, budget=budget)),
     "leibniz": Check(("--logic", "--testbed"), lambda args, kw, budget: leibniz_probe(
-        resolve_logic(args.logic), resolve_testbed(args.testbed), **kw(args), budget=budget),
+        resolve_logic(args.logic), resolve_testbed(args.testbed, budget), **kw(args), budget=budget),
         (), lambda args: {"mode": args.mode}),
     "compare": Check(("--candidate", "--candidate2", "--algebra", "--testbed", "--nmax"),
                      lambda args, kw, budget: compare_candidates(
         resolve_candidate(args.candidate, args.algebra),
         resolve_candidate(_given(args.candidate2, "--candidate2"), args.algebra),
-        resolve_testbed(args.testbed), n_max=args.nmax, budget=budget)),
+        resolve_testbed(args.testbed, budget), n_max=args.nmax, budget=budget)),
     "search": Check(("--logic", "--property", "--generators"), lambda args, kw, budget: search_counterexample(
         resolve_logic(args.logic), args.property,
         resolve_generators(args.generators) if args.generators else (),
@@ -269,17 +260,19 @@ def _expect(results: list, label: str, verdict: Verdict, expected: str) -> None:
 
 
 def _reproduce_kleene_edcf(results, budget):
-    v = check_edcf(bi.logic("KL"), bi.testbed("k3-isp"), bi.candidate("kl-global"), "global", budget=budget)
+    bed = bi.testbed("k3-isp", budget)
+    v = check_edcf(bi.logic("KL"), bed, bi.candidate("kl-global"), "global", budget=budget)
     _expect(results, "kl-global passes on K3, K3^2 and subalgebras", v, PASS)
 
 
 def _reproduce_lp_edcf(results, budget):
-    v = check_edcf(bi.logic("LP"), bi.testbed("k3-isp"), bi.candidate("lp-global"), "global", budget=budget)
+    bed = bi.testbed("k3-isp", budget)
+    v = check_edcf(bi.logic("LP"), bed, bi.candidate("lp-global"), "global", budget=budget)
     _expect(results, "lp-global passes on K3, K3^2 and subalgebras", v, PASS)
 
 
 def _reproduce_pwk_local_edcf(results, budget):
-    bed = bi.testbed("wk3-isp")
+    bed = bi.testbed("wk3-isp", budget)
     v = check_edcf(bi.logic("PWK"), bed, bi.candidate("pwk-local"), "local", budget=budget)
     _expect(results, "pwk-local passes on WK3, WK3^2 and subalgebras", v, PASS)
     v = absolute_fep_check(bi.logic("PWK"), bed, budget=budget)
@@ -289,7 +282,7 @@ def _reproduce_pwk_local_edcf(results, budget):
 def _reproduce_pwk_no_pedcf(results, budget):
     wk3 = bi.algebra("WK3")
     v = factor_determined_check(
-        bi.logic("PWK"), bi.testbed("wk3-isp"), absolute=True,
+        bi.logic("PWK"), bi.testbed("wk3-isp", budget), absolute=True,
         pinned_factors=(wk3, wk3), pinned_generators=[(6,)], budget=budget,
     )
     _expect(results, "factor-determined filters fail on WK3 x WK3 at generator (half,0)", v, "fail")
@@ -333,7 +326,7 @@ def _reproduce_m3_not_brouwerian(results, budget):
 
 def _reproduce_modal_local_only(results, budget):
     v = check_edcf(
-        bi.logic("KG"), bi.testbed("modal-chains"), bi.candidate("modal-local"), "local", budget=budget
+        bi.logic("KG"), bi.testbed("modal-chains", budget), bi.candidate("modal-local"), "local", budget=budget
     )
     _expect(results, "necessitation-bounded local family passes on chains of length <= 4", v, PASS)
     for k in range(4):
@@ -346,11 +339,12 @@ def _reproduce_modal_local_only(results, budget):
 
 def _reproduce_luk_local_only(results, budget):
     v = check_edcf(
-        bi.logic("LUK"), bi.testbed("mv-chains"), bi.candidate("luk-local-and"), "local", budget=budget
+        bi.logic("LUK"), bi.testbed("mv-chains", budget), bi.candidate("luk-local-and"), "local", budget=budget
     )
     _expect(results, "bounded-power local family passes on L3, L4, L5", v, PASS)
     v = compare_candidates(
-        bi.candidate("luk-local-and"), bi.candidate("luk-local-odot"), bi.testbed("mv-chains"), budget=budget
+        bi.candidate("luk-local-and"), bi.candidate("luk-local-odot"), bi.testbed("mv-chains", budget),
+        budget=budget,
     )
     _expect(results, "lattice-meet fold and strong-conjunction fold are equivalent", v, PASS)
     for k in (1, 2, 3):

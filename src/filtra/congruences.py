@@ -77,11 +77,6 @@ class Congruence(_Record):
     def meet(self, other: "Congruence") -> "Congruence":
         return Congruence(tuple(zip(self.partition, other.partition)))
 
-    def join(self, other: "Congruence") -> "Congruence":
-        """Join as equivalence relations (the transitive closure of the
-        union); the join of two congruences of an algebra is again one."""
-        return Congruence(_merged(range(self.size), self.pairs() + other.pairs()))
-
     def refines(self, other: "Congruence") -> bool:
         """True if every block of self sits inside a block of other."""
         seen: dict[int, int] = {}
@@ -93,9 +88,6 @@ class Congruence(_Record):
             else:
                 seen[mine] = theirs
         return True
-
-    def __le__(self, other: "Congruence") -> bool:
-        return self.refines(other)
 
     def to_blocks_json(self) -> list[list[int]]:
         return self.blocks()
@@ -158,7 +150,7 @@ def _generated(
 def cg_generated(
     algebra: FiniteAlgebra,
     pairs: Iterable[tuple[int, int]],
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> Congruence:
     """Least congruence containing the pairs.
 
@@ -171,7 +163,7 @@ def cg_generated(
     return Congruence(_generated(_translations(algebra, budget), algebra.size, pairs, budget))
 
 
-def all_congruences(algebra: FiniteAlgebra, budget: Budget | int | None = None) -> tuple[Congruence, ...]:
+def all_congruences(algebra: FiniteAlgebra, budget: Budget | None = None) -> tuple[Congruence, ...]:
     """The whole congruence lattice: principal congruences closed under joins.
 
     Every congruence is the join of the principal congruences below it, so
@@ -212,7 +204,7 @@ def all_congruences(algebra: FiniteAlgebra, budget: Budget | int | None = None) 
 
 
 def leibniz_congruence(
-    algebra: FiniteAlgebra, subset: Iterable[int], budget: Budget | int | None = None
+    algebra: FiniteAlgebra, subset: Iterable[int], budget: Budget | None = None
 ) -> Congruence:
     """Largest congruence compatible with the subset.
 

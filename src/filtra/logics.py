@@ -516,7 +516,7 @@ def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined, budget: Bud
     algebras = tuple(m.algebra for m in logic.matrices)
     bound = min(algebra.size, logic.variable_bound or algebra.size)
     homs, hom_lower = _homomorphic_lower(algebra, logic, budget)
-    in_isp = len({tuple(h[a] for h in homs) for a in algebra.elements()}) == algebra.size
+    in_isp = len({tuple(h[a] for h in homs) for a in range(algebra.size)}) == algebra.size
 
     def clone_at(v: int) -> _Clone:
         if in_isp:
@@ -550,7 +550,7 @@ def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined, budget: Bud
 _CONTEXTS: dict[tuple, _Context] = {}
 
 
-def _context(algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | int | None) -> _Context:
+def _context(algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | None) -> _Context:
     """The pair's context, found by identity without hashing either object,
     else by value: equal algebras built apart share it.  Built from the budget
     of the call that first needs it, stored once built; only a build reads the
@@ -570,7 +570,7 @@ def is_filter(
     algebra: FiniteAlgebra,
     members: Iterable[int],
     logic: LogicSpec,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> bool:
     """Closure of the subset under the logic.
 
@@ -584,14 +584,14 @@ def is_filter_certain(
     algebra: FiniteAlgebra,
     members: Iterable[int],
     logic: LogicSpec,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> bool:
     """Whether is_filter's answer on this subset is conclusive."""
     return _context(algebra, logic, budget).is_filter_certain(_mask(members))
 
 
 def all_filters(
-    algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | int | None = None
+    algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | None = None
 ) -> list[Filter]:
     """Every filter, ascending by cardinality then lexicographically."""
     budget = as_budget(budget)
@@ -600,7 +600,7 @@ def all_filters(
 
 
 def filters_certified(
-    algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | int | None = None
+    algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | None = None
 ) -> bool:
     """True when the filter enumeration (hence fg) is provably exact."""
     budget = as_budget(budget)
@@ -611,7 +611,7 @@ fg_certified = filters_certified
 
 
 def certification_detail(
-    algebra: FiniteAlgebra, logic: MatrixDetermined, budget: Budget | int | None = None
+    algebra: FiniteAlgebra, logic: MatrixDetermined, budget: Budget | None = None
 ) -> dict:
     """Why a matrix logic's filter enumeration is (un)certified.
 
@@ -634,7 +634,7 @@ def fg_trace(
     algebra: FiniteAlgebra,
     generators: Iterable[int],
     logic: LogicSpec,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> list[frozenset[int]]:
     """Stages of filter generation; the last stage is the filter."""
     stages = _context(algebra, logic, budget).stages(_mask(generators))
@@ -645,7 +645,7 @@ def fg(
     algebra: FiniteAlgebra,
     generators: Iterable[int],
     logic: LogicSpec,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> Filter:
     """Least filter containing the generators.
 
@@ -666,7 +666,7 @@ def fg_relative(
     theta: Congruence,
     generators: Iterable[int],
     logic: LogicSpec,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> Filter:
     """Least filter containing the generators among those compatible with
     theta, the filters that are unions of its blocks.

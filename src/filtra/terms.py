@@ -87,10 +87,6 @@ class Signature(_Record):
     def constants(self) -> tuple[str, ...]:
         return tuple(name for name, arity in self.symbols if arity == 0)
 
-    def extends(self, other: "Signature") -> bool:
-        """True if every symbol of `other` appears here with the same arity."""
-        return all(name in self and self.arity(name) == k for name, k in other.symbols)
-
 
 class Var(_Record):
     __slots__ = _fields = ("name",)

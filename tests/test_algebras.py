@@ -266,7 +266,7 @@ def test_product_projections_commute_with_evaluation(wk3, k3):
 def test_product_budget():
     big = bi.algebra("mchain4")
     with pytest.raises(SizeBudgetExceeded):
-        direct_product([big, big, big], budget=1000)
+        direct_product([big, big, big], budget=Budget(1000))
 
 
 # --- subuniverses ----------------------------------------------------------
@@ -329,6 +329,15 @@ def test_induced_subalgebra_requires_closure(k3):
         induced_subalgebra(k3, {1})  # misses the constants
     sub, incl = induced_subalgebra(k3, {0, 2})
     assert sub.size == 2 and incl == (0, 2)
+
+
+def test_induced_subalgebra_spends_one_step_per_table_cell(box5):
+    budget = Budget()
+    sub, incl = induced_subalgebra(box5, {0, 1, 2}, budget)
+    # box5 has one constant, one binary and one ternary operation
+    assert incl == (0, 1, 2) and budget.spent == 3**0 + 3**2 + 3**3
+    with pytest.raises(SizeBudgetExceeded):
+        induced_subalgebra(box5, {0, 1, 2}, Budget(3**0 + 3**2 + 3**3 - 1))
 
 
 # --- quotients -------------------------------------------------------------

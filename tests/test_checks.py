@@ -77,6 +77,25 @@ def test_generate_testbed_k3_square(k3):
     assert sorted(a.size for a in bed) == [3, 9]
 
 
+def test_generate_testbed_spends_an_exact_budget(wk3):
+    spent = Budget()
+    want = generate_testbed([wk3], 2, include_subalgebras=True, budget=spent)
+    assert generate_testbed([wk3], 2, include_subalgebras=True, budget=Budget(spent.spent)) == want
+    with pytest.raises(SizeBudgetExceeded):
+        generate_testbed([wk3], 2, include_subalgebras=True, budget=Budget(spent.spent - 1))
+
+
+def test_a_builtin_testbed_is_built_on_its_first_callers_budget(cold_contexts):
+    spent = Budget()
+    bed = bi.testbed("wk3-isp", spent)
+    assert spent.spent > 0 and bi.testbed("wk3-isp", Budget(0)) is bed  # kept once built
+    bi._TESTBEDS.clear()
+    with pytest.raises(SizeBudgetExceeded):
+        bi.testbed("wk3-isp", Budget(spent.spent - 1))
+    assert "wk3-isp" not in bi._TESTBEDS  # a build that runs out keeps nothing
+    assert bi.testbed("wk3-isp", Budget(spent.spent)) == bed
+
+
 # --- check_edcf ----------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from filtra import builtins as bi
 from filtra import logics
+from filtra.algebras import FiniteAlgebra
 from filtra.checks import SEARCHES, check_edcf, compare_candidates, leibniz_probe
 from filtra.cli import (
     CATALOG,
@@ -436,6 +437,34 @@ def test_replay_carries_a_non_default_budget(capsys):
     # the replay runs under the same budget and reproduces itself
     again, out, _ = run(capsys, "--format", "json", *replay.split()[1:])
     assert (again, json.loads(out)["replay"]) == (code, replay)
+
+
+LOOKUPS = {"algebras": bi.algebra, "logics": bi.logic, "classes": bi.class_spec, "candidates": bi.candidate}
+
+
+@pytest.mark.parametrize("kind", [*LOOKUPS, "testbeds"])
+def test_every_listed_name_resolves(capsys, kind):
+    code, out, _ = run(capsys, "--format", "json", "list", kind)
+    names = json.loads(out)[kind]
+    assert code == EXIT_PASS and names == sorted(names) and names
+    for name in names:
+        if kind == "testbeds":
+            bed = bi.testbed(name)
+            assert bed and all(isinstance(a, FiniteAlgebra) for a in bed)
+        else:
+            assert LOOKUPS[kind](name).name == name
+
+
+@pytest.mark.parametrize(("kind", "argv"), [
+    ("algebra", ("fg", "--algebra", "nope", "--logic", "PWK")),
+    ("algebra", ("fg", "--algebra", "nope^2", "--logic", "PWK")),
+    ("logic", ("fg", "--algebra", "WK3", "--logic", "nope")),
+    ("class", ("check", "minrelcong", "--logic", "ONE", "--algebra", "box5", "--class", "nope")),
+    ("candidate", ("check", "compare", "--candidate", "nope", "--candidate2", "kl-global", "--testbed", "k3-isp")),
+    ("testbed", ("check", "fep", "--logic", "KL", "--testbed", "nope")),
+])
+def test_an_unknown_builtin_name_exits_config(capsys, kind, argv):
+    assert run(capsys, *argv) == (EXIT_CONFIG, "", f"configuration error: no built-in {kind} 'nope'\n")
 
 
 def test_list_kinds(capsys):

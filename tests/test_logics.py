@@ -805,7 +805,7 @@ def test_a_warm_query_hashes_nothing_and_makes_no_budget(cold_contexts, monkeypa
         monkeypatch.setattr(cls, "__hash__", counted(cls.__name__, cls.__hash__))
     for module in ("filtra.algebras", "filtra.logics"):
         monkeypatch.setattr(f"{module}.as_budget", counted("as_budget", logics.as_budget))
-    for budget in (None, 0, Budget(0)):
+    for budget in (None, Budget(0)):
         got = fg(algebra, (1, 2), logic, budget)
         is_filter(algebra, (1, 2), logic, budget)
         assert calls == [] and got is warmed

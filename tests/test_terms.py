@@ -66,10 +66,3 @@ def test_variable_collection(sig):
     assert variables(eq.lhs, eq.rhs) == ("x1", "y")
     r = Rule((parse_term("x", sig),), parse_term("(or x z)", sig))
     assert variables(*r.premises, r.conclusion) == ("x", "z")
-
-
-def test_signature_extends():
-    small = Signature((("or", 2),))
-    big = Signature((("or", 2), ("neg", 1)))
-    assert big.extends(small)
-    assert not small.extends(big)
