@@ -105,20 +105,7 @@ class FiniteAlgebra(_Record):
     """A total algebra on {0, ..., size-1} with one table per symbol."""
 
     _fields = ("name", "size", "signature", "tables", "labels")
-
-    def __init__(
-        self,
-        name: str,
-        size: int,
-        signature: Signature,
-        tables: tuple[tuple[str, tuple[int, ...]], ...],
-        labels: tuple[str, ...] | None = None,
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "tables", tables)
-        object.__setattr__(self, "labels", labels)
+    _defaults = {"labels": None}
 
     __hash__ = _hash_fields_once
 
@@ -221,8 +208,7 @@ class Matrix(_Record):
     def __init__(self, algebra: FiniteAlgebra, designated: frozenset[int]):
         if any(not (0 <= d < algebra.size) for d in designated):
             raise InvalidSpec("designated elements outside the carrier")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "designated", designated)
+        self._assign(algebra, designated)
 
 
 def _free_variables(names: Iterable[str], algebra: FiniteAlgebra) -> tuple[str, ...]:
@@ -353,10 +339,6 @@ class Product(_Record):
     """A direct product together with its index codec."""
 
     __slots__ = _fields = ("algebra", "factor_sizes")
-
-    def __init__(self, algebra: FiniteAlgebra, factor_sizes: tuple[int, ...]):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "factor_sizes", factor_sizes)
 
     def to_tuple(self, element: int) -> tuple[int, ...]:
         out = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Callable
 
 from . import candidates as cand
 from .algebras import Budget, FiniteAlgebra, direct_product
@@ -22,11 +23,11 @@ def _read(filename: str, parse) -> dict:
 
 def _isp(generator: str):
     """The generator, its square and their subalgebras, on the caller's budget."""
-    return lambda budget: generate_testbed([algebra(generator)], 2, include_subalgebras=True, budget=budget)
+    return lambda budget: generate_testbed([algebra(generator, budget)], 2, include_subalgebras=True, budget=budget)
 
 
 def _listed(*names: str):
-    return lambda budget: tuple(algebra(n) for n in names)
+    return lambda budget: tuple(algebra(n, budget) for n in names)
 
 
 # each kind's table of built-in names, loaded on first lookup; a testbed's
@@ -49,7 +50,9 @@ _LOADERS = {
     },
 }
 _LOADED: dict[str, dict] = {}
-_TESTBEDS: dict[str, Testbed] = {}  # built testbeds; a build that raises keeps nothing
+# squares and testbeds once built, outside the tables of names
+_SQUARES: dict[str, FiniteAlgebra] = {}
+_TESTBEDS: dict[str, Testbed] = {}
 
 
 def _table(kind: str) -> dict:
@@ -66,11 +69,18 @@ def _lookup(kind: str, name: str):
     return table[name]
 
 
-def algebra(name: str) -> FiniteAlgebra:
+def _kept(built: dict, name: str, build: Callable):
+    """built[name], built on first use by build(), which spends the budget of
+    the first caller; a build that raises keeps nothing."""
+    if name not in built:
+        built[name] = build()
+    return built[name]
+
+
+def algebra(name: str, budget: Budget | None = None) -> FiniteAlgebra:
     # squares of the corpus are common enough to resolve by name
     if name.endswith("^2") and name not in _table("algebra"):
-        base = algebra(name[:-2])
-        return direct_product([base, base]).algebra
+        return _kept(_SQUARES, name, lambda: direct_product([algebra(name[:-2], budget)] * 2, budget).algebra)
     return _lookup("algebra", name)
 
 
@@ -87,10 +97,7 @@ def candidate(name: str) -> cand.EDCFCandidate:
 
 
 def testbed(name: str, budget: Budget | None = None) -> Testbed:
-    bed = _TESTBEDS.get(name)
-    if bed is None:
-        bed = _TESTBEDS[name] = _lookup("testbed", name)(budget)
-    return bed
+    return _kept(_TESTBEDS, name, lambda: _lookup("testbed", name)(budget))
 
 
 def algebra_names() -> list[str]:

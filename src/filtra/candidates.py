@@ -33,33 +33,19 @@ class EDCFCandidate(_Record):
     def __init__(
         self, name: str, n_max: int, families: tuple[tuple[ThetaSet, ...], ...], param_count: int = 0
     ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "families", families)
-        object.__setattr__(self, "param_count", param_count)
-        if len(self.families) != self.n_max + 1:
-            raise InvalidSpec(
-                f"candidate {self.name!r}: {len(self.families)} families for n_max {self.n_max}"
-            )
+        if len(families) != n_max + 1:
+            raise InvalidSpec(f"candidate {name!r}: {len(families)} families for n_max {n_max}")
         # variables follow the x1..xn / y / z1..zk convention; atoms outside
         # that shape are element literals resolved against labels at run time
-        for n, family in enumerate(self.families):
+        for n, family in enumerate(families):
+            bounds = {"x": n, "z": param_count}
             for theta in family:
                 for eq in theta:
                     for v in variables(eq.lhs, eq.rhs):
-                        if v == "y":
-                            continue
                         kind, index = v[0], v[1:]
-                        if kind == "x" and index.isdigit():
-                            if not (1 <= int(index) <= n):
-                                raise InvalidSpec(
-                                    f"candidate {self.name!r}: {v} outside x1..x{n}"
-                                )
-                        elif kind == "z" and index.isdigit():
-                            if not (1 <= int(index) <= self.param_count):
-                                raise InvalidSpec(
-                                    f"candidate {self.name!r}: {v} outside z1..z{self.param_count}"
-                                )
+                        if kind in bounds and index.isdigit() and not 1 <= int(index) <= bounds[kind]:
+                            raise InvalidSpec(f"candidate {name!r}: {v} outside {kind}1..{kind}{bounds[kind]}")
+        self._assign(name, n_max, families, param_count)
 
     def family(self, n: int) -> tuple[ThetaSet, ...]:
         if not (0 <= n <= self.n_max):

@@ -55,14 +55,7 @@ INCONCLUSIVE = "inconclusive"
 
 class Verdict(_Record):
     __slots__ = _fields = ("outcome", "checker", "witness", "notes")
-
-    def __init__(
-        self, outcome: str, checker: str, witness: Mapping | None = None, notes: tuple[str, ...] = ()
-    ):
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "checker", checker)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "notes", notes)
+    _defaults = {"witness": None, "notes": ()}
 
     def to_json(self) -> dict:
         out = {"outcome": self.outcome, "checker": self.checker}
@@ -580,44 +573,38 @@ def smallest_relcong_check(
     budget = as_budget(budget)
     _require(arity_cap, 0, "arity_cap")
     relative = k_congruences(algebra, class_spec, budget)
+    # the generators are read as a set, so each set is swept once, as its sorted tuple
+    carrier = range(algebra.size)
     if pinned_cells is not None:
-        cells = [(tuple(xs), b) for xs, b in pinned_cells]
+        cells = [(tuple(xs), (b,)) for xs, b in pinned_cells]
     else:
-        cells = [
-            (xs, b)
-            for n in range(arity_cap + 1)
-            for xs in itertools.product(range(algebra.size), repeat=n)
-            for b in range(algebra.size)
-        ]
+        cells = [(xs, carrier) for n in range(arity_cap + 1) for xs in itertools.combinations(carrier, n)]
     # the relative filters are computed on the algebra, so its certification
-    # is the one read; cells generated by equal sets share them
+    # is the one read
     uncertified = _uncertified(logic, [algebra], budget)
-    # per generator set, each element's hits: bit i when relative[i] puts it in the filter
-    hits_by_set: dict[frozenset[int], list[int]] = {}
     least: set[int] = set()  # hit masks whose congruences have a least member
-    for xs, b in cells:
-        budget.spend(len(relative))
-        gens = frozenset(xs)
-        hits_of = hits_by_set.get(gens)
-        if hits_of is None:
-            hits_of = hits_by_set[gens] = [0] * algebra.size
-            for i, theta in enumerate(relative):
-                for e in fg_relative(algebra, theta, gens, logic, budget).members:
-                    hits_of[e] |= 1 << i
-        hit = hits_of[b]
-        if not hit or hit in least:
-            continue
-        hits = [t for i, t in enumerate(relative) if hit >> i & 1]
-        meet = functools.reduce(Congruence.meet, hits)
-        if meet in hits:
-            least.add(hit)
-            continue
-        minimal = [t for t in hits if not any(o != t and o.refines(t) for o in hits)]
-        witness = _cell(algebra, xs, b) | {
-            "minimal_congruences": [t.to_blocks_json() for t in minimal],
-            "meet_blocks": meet.to_blocks_json(),
-        }
-        return _resolve("smallest-relative-congruence", uncertified, witness, [algebra])
+    for xs, elements in cells:
+        # each element's hits: bit i when relative[i] puts it in the filter
+        hits_of = [0] * algebra.size
+        for i, theta in enumerate(relative):
+            for e in fg_relative(algebra, theta, frozenset(xs), logic, budget).members:
+                hits_of[e] |= 1 << i
+        for b in elements:
+            budget.spend(len(relative))
+            hit = hits_of[b]
+            if not hit or hit in least:
+                continue
+            hits = [t for i, t in enumerate(relative) if hit >> i & 1]
+            meet = functools.reduce(Congruence.meet, hits)
+            if meet in hits:
+                least.add(hit)
+                continue
+            minimal = [t for t in hits if not any(o != t and o.refines(t) for o in hits)]
+            witness = _cell(algebra, xs, b) | {
+                "minimal_congruences": [t.to_blocks_json() for t in minimal],
+                "meet_blocks": meet.to_blocks_json(),
+            }
+            return _resolve("smallest-relative-congruence", uncertified, witness, [algebra])
     return _resolve("smallest-relative-congruence", uncertified)
 
 
@@ -654,6 +641,9 @@ def dually_brouwerian_check(
     return _resolve("dually-brouwerian", uncertified)
 
 
+LEIBNIZ_MODES = ("monotone", "injective")  # the properties leibniz_probe refutes
+
+
 def leibniz_probe(
     logic: LogicSpec,
     testbed: Testbed,
@@ -663,7 +653,7 @@ def leibniz_probe(
     """Refuter for order properties of the largest compatible congruence over
     the filters of each testbed algebra; a pass is not a proof."""
     budget = as_budget(budget)
-    if mode not in ("monotone", "injective"):
+    if mode not in LEIBNIZ_MODES:
         raise InvalidSpec(f"unknown probe mode {mode!r}")
     uncertified = _uncertified(logic, testbed, budget)
     for algebra in testbed:

@@ -41,10 +41,6 @@ from .terms import Equation, _Record, variables
 class Quasiequation(_Record):
     __slots__ = _fields = ("antecedents", "consequent")
 
-    def __init__(self, antecedents: tuple[Equation, ...], consequent: Equation):
-        object.__setattr__(self, "antecedents", antecedents)
-        object.__setattr__(self, "consequent", consequent)
-
     def variables(self) -> tuple[str, ...]:
         equations = self.antecedents + (self.consequent,)
         return variables(*(side for eq in equations for side in (eq.lhs, eq.rhs)))
@@ -54,16 +50,7 @@ class Axiomatic(_Record):
     """The class of all algebras satisfying the listed (quasi)equations."""
 
     __slots__ = _fields = ("equations", "quasiequations", "name")
-
-    def __init__(
-        self,
-        equations: tuple[Equation, ...] = (),
-        quasiequations: tuple[Quasiequation, ...] = (),
-        name: str = "",
-    ):
-        object.__setattr__(self, "equations", equations)
-        object.__setattr__(self, "quasiequations", quasiequations)
-        object.__setattr__(self, "name", name)
+    _defaults = {"equations": (), "quasiequations": (), "name": ""}
 
 
 class GeneratedQuasivariety(_Record):
@@ -77,8 +64,7 @@ class GeneratedQuasivariety(_Record):
         sig = generators[0].signature
         if any(g.signature != sig for g in generators):
             raise InvalidSpec("generators must share a signature")
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "name", name)
+        self._assign(generators, name)
 
 
 ClassSpec = Axiomatic | GeneratedQuasivariety

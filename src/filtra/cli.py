@@ -9,13 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import builtins as bi
 from .algebras import DEFAULT_BUDGET, Budget, FiniteAlgebra, direct_product, enumerate_homomorphisms
+from .candidates import VARIANTS
 from .checks import (
     INCONCLUSIVE,
+    LEIBNIZ_MODES,
     PASS,
     SEARCHES,
     Testbed,
@@ -61,23 +64,27 @@ def _resolve(token: str | None, flag: str, read: Callable, builtin: Callable):
     return builtin(token)
 
 
-def resolve_algebra(token: str | None) -> FiniteAlgebra:
-    return _resolve(token, "--algebra", algebra_from_json, bi.algebra)
+# each resolver builds what a name needs (a square, a testbed) on the
+# command's budget, as do the algebras a JSON file names
+def resolve_algebra(token: str | None, budget: Budget) -> FiniteAlgebra:
+    return _resolve(token, "--algebra", algebra_from_json, lambda name: bi.algebra(name, budget))
 
 
-def resolve_logic(token: str | None):
-    return _resolve(token, "--logic", lambda doc: logic_from_json(doc, resolve_algebra), bi.logic)
+def resolve_logic(token: str | None, budget: Budget):
+    by_name = partial(resolve_algebra, budget=budget)
+    return _resolve(token, "--logic", lambda doc: logic_from_json(doc, by_name), bi.logic)
 
 
-def resolve_class(token: str | None):
-    return _resolve(token, "--class", lambda doc: class_from_json(doc, resolve_algebra), bi.class_spec)
+def resolve_class(token: str | None, budget: Budget):
+    by_name = partial(resolve_algebra, budget=budget)
+    return _resolve(token, "--class", lambda doc: class_from_json(doc, by_name), bi.class_spec)
 
 
-def resolve_candidate(token: str | None, algebra_for_signature: str | None = None):
+def resolve_candidate(token: str | None, algebra_for_signature: str | None, budget: Budget):
     def read(doc):
         if algebra_for_signature is None:
             raise UnknownName("candidate files need --algebra to supply the signature")
-        return candidate_from_json(doc, resolve_algebra(algebra_for_signature).signature)
+        return candidate_from_json(doc, resolve_algebra(algebra_for_signature, budget).signature)
 
     return _resolve(token, "--candidate", read, bi.candidate)
 
@@ -86,8 +93,8 @@ def resolve_testbed(token: str | None, budget: Budget) -> Testbed:
     return bi.testbed(_given(token, "--testbed"), budget)
 
 
-def resolve_generators(text: str | None) -> Testbed:
-    return tuple(resolve_algebra(tok) for tok in _given(text, "--generators").split(","))
+def resolve_generators(text: str | None, budget: Budget) -> Testbed:
+    return tuple(resolve_algebra(tok, budget) for tok in _given(text, "--generators").split(","))
 
 
 def parse_generators(algebra: FiniteAlgebra, text: str) -> list[int]:
@@ -116,10 +123,10 @@ def _verdict_exit(v: Verdict) -> int:
 
 
 def cmd_fg(args) -> int:
-    algebra = resolve_algebra(args.algebra)
-    logic = resolve_logic(args.logic)
-    gens = parse_generators(algebra, args.gen)
     budget = Budget(args.budget)
+    algebra = resolve_algebra(args.algebra, budget)
+    logic = resolve_logic(args.logic, budget)
+    gens = parse_generators(algebra, args.gen)
     stages = fg_trace(algebra, gens, logic, budget)
     result = stages[-1]
     lines = []
@@ -149,9 +156,8 @@ FLAGS = {
     "--candidate": ("candidate", {}), "--candidate2": ("candidate2", {}), "--testbed": ("testbed", {}),
     "--generators": ("generators", {"help": "comma-separated algebra names"}),
     "--property": ("property", {"help": "property name for search"}),
-    "--variant": ("variant", {"default": "local",
-                              "choices": ("global", "local", "parametrized", "parametrized_local")}),
-    "--mode": ("mode", {"default": "monotone", "choices": ("monotone", "injective")}),
+    "--variant": ("variant", {"default": "local", "choices": VARIANTS}),
+    "--mode": ("mode", {"default": "monotone", "choices": LEIBNIZ_MODES}),
     "--arity": ("arity", {"type": int, "default": 2}),
     "--nmax": ("nmax", {"type": int}),
     "--relative": ("relative", {"action": "store_true", "default": None,
@@ -162,47 +168,51 @@ READ_BY_ALL = ("--variant", "--mode", "--arity")
 
 class Check(NamedTuple):
     """A checker's flags and call. `call(args, kw, budget)` resolves the flags
-    of `reads`, then passes on `kw(args)`. `kw` is the entry's own `keywords`,
-    which read `keyword_flags`; under `check search --property P` it is P's."""
+    of `reads`, then passes on `kw(args, budget)`. `kw` is the entry's own
+    `keywords`, which read `keyword_flags`; under `check search --property P`
+    it is P's."""
 
     reads: tuple[str, ...]
     call: Callable[..., Verdict]
     keyword_flags: tuple[str, ...] = ()
-    keywords: Callable[..., dict] = lambda args: {}
+    keywords: Callable[..., dict] = lambda args, budget: {}
 
 
 # the parser's choices
 CHECKS = {
     "edcf": Check(("--logic", "--testbed"), lambda args, kw, budget: check_edcf(
-        resolve_logic(args.logic), resolve_testbed(args.testbed, budget), **kw(args), budget=budget),
-        ("--candidate", "--algebra", "--nmax", "--class"), lambda args: {
-            "candidate": resolve_candidate(args.candidate, args.algebra), "variant": args.variant,
-            "n_max": args.nmax, "class_spec": resolve_class(args.klass) if args.klass else None}),
+        resolve_logic(args.logic, budget), resolve_testbed(args.testbed, budget), **kw(args, budget),
+        budget=budget),
+        ("--candidate", "--algebra", "--nmax", "--class"), lambda args, budget: {
+            "candidate": resolve_candidate(args.candidate, args.algebra, budget), "variant": args.variant,
+            "n_max": args.nmax, "class_spec": resolve_class(args.klass, budget) if args.klass else None}),
     "fdc": Check(("--logic", "--generators"), lambda args, kw, budget: factor_determined_check(
-        resolve_logic(args.logic), resolve_generators(args.generators), **kw(args),
+        resolve_logic(args.logic, budget), resolve_generators(args.generators, budget), **kw(args, budget),
         max_product_arity=args.arity, budget=budget),
-        ("--relative",), lambda args: {"absolute": not args.relative}),
+        ("--relative",), lambda args, budget: {"absolute": not args.relative}),
     "absfep": Check(("--logic", "--testbed"), lambda args, kw, budget: absolute_fep_check(
-        resolve_logic(args.logic), resolve_testbed(args.testbed, budget), arity_cap=args.arity, budget=budget)),
+        resolve_logic(args.logic, budget), resolve_testbed(args.testbed, budget), arity_cap=args.arity,
+        budget=budget)),
     "fep": Check(("--logic", "--testbed"), lambda args, kw, budget: fep_check(
-        resolve_logic(args.logic), resolve_testbed(args.testbed, budget), budget=budget)),
+        resolve_logic(args.logic, budget), resolve_testbed(args.testbed, budget), budget=budget)),
     "brouwer": Check(("--logic", "--algebra"), lambda args, kw, budget: dually_brouwerian_check(
-        resolve_logic(args.logic), (resolve_algebra(args.algebra),), budget=budget)),
+        resolve_logic(args.logic, budget), (resolve_algebra(args.algebra, budget),), budget=budget)),
     "minrelcong": Check(("--logic", "--algebra", "--class"), lambda args, kw, budget: smallest_relcong_check(
-        resolve_logic(args.logic), resolve_algebra(args.algebra),
-        resolve_class(args.klass), arity_cap=args.arity, budget=budget)),
+        resolve_logic(args.logic, budget), resolve_algebra(args.algebra, budget),
+        resolve_class(args.klass, budget), arity_cap=args.arity, budget=budget)),
     "leibniz": Check(("--logic", "--testbed"), lambda args, kw, budget: leibniz_probe(
-        resolve_logic(args.logic), resolve_testbed(args.testbed, budget), **kw(args), budget=budget),
-        (), lambda args: {"mode": args.mode}),
+        resolve_logic(args.logic, budget), resolve_testbed(args.testbed, budget), **kw(args, budget),
+        budget=budget),
+        (), lambda args, budget: {"mode": args.mode}),
     "compare": Check(("--candidate", "--candidate2", "--algebra", "--testbed", "--nmax"),
                      lambda args, kw, budget: compare_candidates(
-        resolve_candidate(args.candidate, args.algebra),
-        resolve_candidate(_given(args.candidate2, "--candidate2"), args.algebra),
+        resolve_candidate(args.candidate, args.algebra, budget),
+        resolve_candidate(_given(args.candidate2, "--candidate2"), args.algebra, budget),
         resolve_testbed(args.testbed, budget), n_max=args.nmax, budget=budget)),
     "search": Check(("--logic", "--property", "--generators"), lambda args, kw, budget: search_counterexample(
-        resolve_logic(args.logic), args.property,
-        resolve_generators(args.generators) if args.generators else (),
-        max_product_arity=args.arity, checker_kwargs=kw(args), budget=budget)),
+        resolve_logic(args.logic, budget), args.property,
+        resolve_generators(args.generators, budget) if args.generators else (),
+        max_product_arity=args.arity, checker_kwargs=kw(args, budget), budget=budget)),
 }
 
 

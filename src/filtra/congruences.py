@@ -27,7 +27,7 @@ class Congruence(_Record):
     __slots__ = _fields = ("partition",)
 
     def __init__(self, partition: tuple[int, ...]):
-        object.__setattr__(self, "partition", _canonical(partition))
+        self._assign(_canonical(partition))
 
     @classmethod
     def identity(cls, size: int) -> "Congruence":

@@ -79,7 +79,7 @@ from .algebras import (
 )
 from .congruences import Congruence
 from .errors import InvalidSpec
-from .terms import Rule, _hash_fields_once, _Record, variables
+from .terms import _hash_fields_once, _Record, variables
 
 DEFAULT_CLONE_ELEMENT_CAP = 3000
 MAX_CLONE_TABLE = 250_000
@@ -87,10 +87,7 @@ MAX_CLONE_TABLE = 250_000
 
 class RulePresented(_Record):
     _fields = ("rules", "name")
-
-    def __init__(self, rules: tuple[Rule, ...], name: str = ""):
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "name", name)
+    _defaults = {"name": ""}
 
     __hash__ = _hash_fields_once
 
@@ -108,9 +105,7 @@ class MatrixDetermined(_Record):
             raise InvalidSpec("matrices must share a signature")
         if variable_bound is not None and variable_bound <= 0:
             raise InvalidSpec("variable_bound must be positive")
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "variable_bound", variable_bound)
-        object.__setattr__(self, "name", name)
+        self._assign(matrices, variable_bound, name)
 
     __hash__ = _hash_fields_once
 
@@ -126,10 +121,6 @@ class Filter(_Record):
     """
 
     __slots__ = _fields = ("algebra", "members")
-
-    def __init__(self, algebra: FiniteAlgebra, members: frozenset[int]):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "members", members)
 
     def __contains__(self, element: int) -> bool:
         return element in self.members
@@ -250,7 +241,7 @@ def _rule_context(algebra: FiniteAlgebra, logic: RulePresented, budget: Budget) 
 # matrix-determined logics: clone of term functions, jointly evaluated
 
 
-class _Clone:
+class _Clone(_Record):
     """Term functions in `nvars` variables, closed jointly on some algebras.
 
     Element e is the term DAG node nodes[e], either (None, i) for the variable
@@ -259,13 +250,7 @@ class _Clone:
     no algebra of the build exceeds 256 elements, tuples otherwise.
     """
 
-    def __init__(
-        self, nvars: int, complete: bool, nodes: list[tuple], tables: list[tuple[Table, ...]]
-    ):
-        self.nvars = nvars
-        self.complete = complete
-        self.nodes = nodes
-        self.tables = tables
+    __slots__ = _fields = ("nvars", "complete", "nodes", "tables")
 
 
 def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int, budget: Budget) -> _Clone:
@@ -404,16 +389,23 @@ def _homomorphic_lower(
     """Homomorphisms into the matrix algebras, with the lower family they give.
 
     The preimages of designated sets, the carrier and their intersections are
-    genuine filters.
+    genuine filters: the closure of {carrier} under meeting with each
+    preimage, at one step per meet.
     """
     homs: list[tuple[int, ...]] = []
-    lower: set[int] = {(1 << algebra.size) - 1}
+    preimages: set[int] = set()
     for m in logic.matrices:
         for h in enumerate_homomorphisms(algebra, m.algebra, budget):
             homs.append(h)
-            lower.add(_mask(a for a in range(algebra.size) if h[a] in m.designated))
-    while not lower.issuperset(meets := {f & g for f, g in itertools.combinations(lower, 2)}):
-        lower |= meets
+            preimages.add(_mask(a for a in range(algebra.size) if h[a] in m.designated))
+    lower = {(1 << algebra.size) - 1}
+    frontier = list(lower)
+    while frontier:
+        mask = frontier.pop()
+        budget.spend(len(preimages))
+        for meet in {mask & p for p in preimages} - lower:
+            lower.add(meet)
+            frontier.append(meet)
     return homs, lower
 
 

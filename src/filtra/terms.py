@@ -17,16 +17,28 @@ from .errors import ArityMismatch, TermSyntaxError, UnknownName
 class _Record:
     """A value whose fields are named in the class's `_fields`: equal to a
     record of the same class with equal fields, hashed and shown by them, and
-    frozen once __init__ has set them through object.__setattr__."""
+    frozen once built.  `_assign`, compiled once per class from `_fields` and
+    `_defaults` as `dataclasses` compiles a frozen dataclass's __init__, sets
+    the fields.  It is the __init__ of a class that defines none; one that
+    checks or normalises its arguments ends with self._assign(...)."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls):
         # the field tuple, as a dataclass compares and hashes it; attrgetter
         # returns a lone field bare
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in cls._fields)
+        sets = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
+        namespace = {"_set": object.__setattr__, "_defaults": cls._defaults}
+        exec(f"def __init__(self, {params}):{sets}", namespace)
+        cls._assign = namespace["__init__"]
+        cls._assign.__qualname__ = f"{cls.__qualname__}.__init__"
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = cls._assign
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -68,7 +80,7 @@ class Signature(_Record):
         for name, arity in symbols:
             if arity < 0:
                 raise TermSyntaxError(f"negative arity for {name}")
-        object.__setattr__(self, "symbols", symbols)
+        self._assign(symbols)
 
     @cached_property
     def _arities(self) -> dict[str, int]:
@@ -91,16 +103,10 @@ class Signature(_Record):
 class Var(_Record):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
 
 class App(_Record):
     _fields = ("symbol", "args")
-
-    def __init__(self, symbol: str, args: tuple = ()):
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "args", args)
+    _defaults = {"args": ()}
 
     __hash__ = _hash_fields_once  # memo keys at every node: hash each subterm once
 
@@ -111,20 +117,12 @@ Term = Var | App
 class Equation(_Record):
     __slots__ = _fields = ("lhs", "rhs")
 
-    def __init__(self, lhs: Term, rhs: Term):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
     def __str__(self):
         return f"{format_term(self.lhs)} = {format_term(self.rhs)}"
 
 
 class Rule(_Record):
     __slots__ = _fields = ("premises", "conclusion")
-
-    def __init__(self, premises: tuple[Term, ...], conclusion: Term):
-        object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "conclusion", conclusion)
 
     def __str__(self):
         prem = ", ".join(format_term(p) for p in self.premises)

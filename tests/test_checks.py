@@ -96,6 +96,18 @@ def test_a_builtin_testbed_is_built_on_its_first_callers_budget(cold_contexts):
     assert bi.testbed("wk3-isp", Budget(spent.spent)) == bed
 
 
+def test_a_builtin_square_is_built_on_its_first_callers_budget(cold_contexts):
+    spent = Budget()
+    square = bi.algebra("WK3^2", spent)
+    assert spent.spent > 0 and bi.algebra("WK3^2", Budget(0)) is square  # kept once built
+    assert "WK3^2" not in bi.algebra_names()
+    bi._SQUARES.clear()
+    with pytest.raises(SizeBudgetExceeded):
+        bi.algebra("WK3^2", Budget(spent.spent - 1))
+    assert "WK3^2" not in bi._SQUARES  # a build that runs out keeps nothing
+    assert bi.algebra("WK3^2", Budget(spent.spent)) == square
+
+
 # --- check_edcf ----------------------------------------------------------------
 
 

@@ -1,11 +1,12 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
 from filtra import builtins as bi
 from filtra import logics
-from filtra.algebras import FiniteAlgebra
+from filtra.algebras import Budget, FiniteAlgebra
 from filtra.checks import SEARCHES, check_edcf, compare_candidates, leibniz_probe
 from filtra.cli import (
     CATALOG,
@@ -513,3 +514,47 @@ def test_reproduce_all_spends_one_budget_without_changing_a_row(capsys, cold_con
     code, out, _ = run(capsys, "--budget", "2500000", "reproduce", "all")
     assert code == EXIT_PASS
     assert out == "".join(run(capsys, "reproduce", example)[1] for example in CATALOG)
+
+
+# --- one budget per command -----------------------------------------------------
+
+
+def _budgets_made(call) -> int:
+    """How many Budgets `call()` constructs."""
+    made = []
+    init = Budget.__init__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Budget, "__init__", lambda self, *args, **kwargs: made.append(init(self, *args, **kwargs)))
+        call()
+    return len(made)
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each command in the README's command-line block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("filtra ")]
+
+
+@pytest.mark.parametrize("example", CATALOG)
+def test_a_cold_catalog_entry_spends_its_callers_budget_alone(cold_contexts, example):
+    budget, results = Budget(), []
+    assert _budgets_made(lambda: CATALOG[example](results, budget)) == 0
+    assert budget.spent > 0 and all(r["ok"] for r in results)
+
+
+@pytest.mark.parametrize("kind", ["algebras", "logics", "classes", "candidates", "testbeds", "examples"])
+def test_listing_names_makes_no_budget(capsys, kind):
+    assert _budgets_made(lambda: main(["list", kind])) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in _readme_commands() if argv[0] != "list"] + [
+        ["fg", "--algebra", "WK3^2", "--logic", "PWK", "--gen", "0"],
+    ],
+    ids=" ".join,
+)
+def test_every_other_cold_command_makes_one_budget(capsys, cold_contexts, argv):
+    # names it resolves, a square or a testbed among them, are built on it
+    assert _budgets_made(lambda: main(argv)) == 1

@@ -390,8 +390,14 @@ def test_the_lower_family_spends_the_callers_budget_on_its_searches(k3, kl):
     k3_sq = bi.algebra("K3^2")
     searched, budget = Budget(), Budget()
     enumerate_homomorphisms(k3_sq, k3, searched)
-    _homomorphic_lower(k3_sq, kl, budget)
-    assert budget.spent == searched.spent > 0
+    homs, lower = _homomorphic_lower(k3_sq, kl, budget)
+    preimages = {sum(1 << a for a, v in enumerate(h) if v in kl.matrices[0].designated) for h in homs}
+    # and one step per meet: each member of the family meets each preimage once
+    assert searched.spent > 0 and budget.spent == searched.spent + len(lower) * len(preimages)
+    closed = {(1 << k3_sq.size) - 1} | preimages  # the family, closed under every pairwise meet
+    while not closed >= (meets := {f & g for f in closed for g in closed}):
+        closed |= meets
+    assert lower == closed
 
 
 def test_dm4_is_outside_isp_of_k3_and_built_jointly(k3, kl, lp):

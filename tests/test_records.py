@@ -118,6 +118,13 @@ def test_records_behave_as_their_frozen_dataclass_twins(cls, fields, defaults, f
         assert cls(**dict(zip(fields, values))) == obj
         required = [v for f, v in zip(fields, values) if f not in defaults]
         assert [getattr(cls(*required), f) for f in fields] == [getattr(twin(*required), f) for f in fields]
+        # one argument too many, an unknown keyword, a field given twice, a required field left out
+        misuses = [(values + (None,), {}), (values, {"unrelated": None}), (values, {fields[0]: values[0]})]
+        misuses += [(required[:-1], {})] if required else []
+        for args, kwargs in misuses:
+            for build in (cls, twin):
+                with pytest.raises(TypeError):
+                    build(*args, **kwargs)
         for f in fields + ("unrelated",):
             with pytest.raises(AttributeError):
                 setattr(obj, f, values[0])
