@@ -1,103 +1,113 @@
-"""Built-in corpus: algebras shipped as data files, plus the standard logics,
-classes, candidates, and testbeds used throughout the examples and tests."""
+"""Built-in corpus: algebras, logics, classes and candidates shipped as data
+files, plus the testbeds used throughout the examples and tests.
+
+Reading names builds nothing.  An object is built from its document on its
+first lookup, on the budget of the first caller; serialization, and checks for
+a testbed, are imported by the first build that needs them."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import candidates as cand
 from .algebras import Budget, FiniteAlgebra, direct_product
-from .checks import Testbed, generate_testbed
-from .classes import ClassSpec
 from .errors import UnknownName
-from .logics import LogicSpec
-from .serialization import algebra_from_json, class_from_json, logic_from_json
 
+if TYPE_CHECKING:
+    from .candidates import EDCFCandidate
+    from .checks import Testbed
+    from .classes import ClassSpec
+    from .logics import LogicSpec
 
-def _read(filename: str, parse) -> dict:
-    with open(Path(__file__).parent / "data" / filename) as fh:
-        return {doc["name"]: parse(doc) for doc in json.load(fh)}
-
-
-def _isp(generator: str):
-    """The generator, its square and their subalgebras, on the caller's budget."""
-    return lambda budget: generate_testbed([algebra(generator, budget)], 2, include_subalgebras=True, budget=budget)
-
-
-def _listed(*names: str):
-    return lambda budget: tuple(algebra(n, budget) for n in names)
-
-
-# each kind's table of built-in names, loaded on first lookup; a testbed's
-# entry is its builder, called on the budget of the first caller
-_LOADERS = {
-    "algebra": lambda: _read("algebras.json", algebra_from_json),
-    "logic": lambda: _read("logics.json", lambda doc: logic_from_json(doc, algebra)),
-    "class": lambda: _read("classes.json", lambda doc: class_from_json(doc, algebra)),
-    "candidate": lambda: {c.name: c for c in (
-        cand.kl_global(), cand.lp_global(), cand.pwk_local(), cand.luk_local("and"), cand.luk_local("odot"),
-        *map(cand.luk_global, (1, 2, 3)), cand.modal_local(), *map(cand.modal_global, range(4)),
-    )},
-    "testbed": lambda: {
-        "box5": _listed("box5"),
-        "k3-isp": _isp("K3"),
-        "lattices": _listed("BOOL4", "M3"),
-        "modal-chains": _listed("mchain2", "mchain3", "mchain4"),
-        "mv-chains": _listed("L3", "L4", "L5"),
-        "wk3-isp": _isp("WK3"),
+# each kind's table of names, mapping each to its document; a file is read
+# on the first use of its kind
+_FILES = {
+    "algebra": "algebras.json", "logic": "logics.json", "class": "classes.json", "candidate": "candidates.json",
+}
+_DOCS: dict[str, dict] = {
+    # a testbed lists its algebras as they are, or closes one generator under
+    # squares and subalgebras ("isp")
+    "testbed": {
+        "box5": {"algebras": ["box5"]},
+        "k3-isp": {"isp": "K3"},
+        "lattices": {"algebras": ["BOOL4", "M3"]},
+        "modal-chains": {"algebras": ["mchain2", "mchain3", "mchain4"]},
+        "mv-chains": {"algebras": ["L3", "L4", "L5"]},
+        "wk3-isp": {"isp": "WK3"},
     },
 }
-_LOADED: dict[str, dict] = {}
-# squares and testbeds once built, outside the tables of names
-_SQUARES: dict[str, FiniteAlgebra] = {}
-_TESTBEDS: dict[str, Testbed] = {}
+# objects once built, by (kind, name); squares X^2 among them, which no
+# table of names lists
+_BUILT: dict[tuple[str, str], object] = {}
 
 
 def _table(kind: str) -> dict:
-    table = _LOADED.get(kind)
+    table = _DOCS.get(kind)
     if table is None:
-        table = _LOADED[kind] = _LOADERS[kind]()
+        with open(Path(__file__).parent / "data" / _FILES[kind]) as fh:
+            table = _DOCS[kind] = {doc["name"]: doc for doc in json.load(fh)}
     return table
 
 
-def _lookup(kind: str, name: str):
+def _doc(kind: str, name: str) -> dict:
     table = _table(kind)
     if name not in table:
         raise UnknownName(f"no built-in {kind} {name!r}")
     return table[name]
 
 
-def _kept(built: dict, name: str, build: Callable):
-    """built[name], built on first use by build(), which spends the budget of
-    the first caller; a build that raises keeps nothing."""
-    if name not in built:
-        built[name] = build()
-    return built[name]
+def _kept(kind: str, name: str, build: Callable):
+    """The object `name` of `kind`, built by build() on its first lookup and
+    kept, so that a second lookup returns it; a build that raises keeps nothing."""
+    key = (kind, name)
+    if key not in _BUILT:
+        _BUILT[key] = build()
+    return _BUILT[key]
 
 
 def algebra(name: str, budget: Budget | None = None) -> FiniteAlgebra:
+    from .serialization import algebra_from_json
+
+    root = name.removesuffix("^2")
     # squares of the corpus are common enough to resolve by name
-    if name.endswith("^2") and name not in _table("algebra"):
-        return _kept(_SQUARES, name, lambda: direct_product([algebra(name[:-2], budget)] * 2, budget).algebra)
-    return _lookup("algebra", name)
+    if name not in _table("algebra") and root in _table("algebra"):
+        return _kept("algebra", name, lambda: direct_product([algebra(root, budget)] * 2, budget).algebra)
+    return _kept("algebra", name, lambda: algebra_from_json(_doc("algebra", name)))
 
 
 def logic(name: str) -> LogicSpec:
-    return _lookup("logic", name)
+    from .serialization import logic_from_json
+
+    return _kept("logic", name, lambda: logic_from_json(_doc("logic", name), algebra))
 
 
 def class_spec(name: str) -> ClassSpec:
-    return _lookup("class", name)
+    from .serialization import class_from_json
+
+    return _kept("class", name, lambda: class_from_json(_doc("class", name), algebra))
 
 
-def candidate(name: str) -> cand.EDCFCandidate:
-    return _lookup("candidate", name)
+def candidate(name: str) -> EDCFCandidate:
+    from .serialization import candidate_from_json
+
+    def build():
+        doc = _doc("candidate", name)
+        return candidate_from_json(doc, algebra(doc["signature"]).signature)
+
+    return _kept("candidate", name, build)
 
 
 def testbed(name: str, budget: Budget | None = None) -> Testbed:
-    return _kept(_TESTBEDS, name, lambda: _lookup("testbed", name)(budget))
+    def build():
+        doc = _doc("testbed", name)
+        if "algebras" in doc:
+            return tuple(algebra(n, budget) for n in doc["algebras"])
+        from .checks import generate_testbed
+
+        return generate_testbed([algebra(doc["isp"], budget)], 2, include_subalgebras=True, budget=budget)
+
+    return _kept("testbed", name, build)
 
 
 def algebra_names() -> list[str]:

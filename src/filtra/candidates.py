@@ -11,12 +11,13 @@ Shape conventions per variant:
   local               any family size, no parameters
   parametrized        one equation set per n, parameters allowed
   parametrized_local  unrestricted
+
+The built-in candidates are documents in data/candidates.json, read by
+serialization.candidate_from_json.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from typing import Sequence
 
 from .errors import InvalidSpec
@@ -25,6 +26,9 @@ from .terms import App, Equation, Term, Var, _Record, variables
 ThetaSet = tuple[Equation, ...]
 
 VARIANTS = ("global", "local", "parametrized", "parametrized_local")
+# the properties checks.leibniz_probe refutes, kept beside VARIANTS so that
+# the command line offers both as choices without importing checks
+LEIBNIZ_MODES = ("monotone", "injective")
 
 
 class EDCFCandidate(_Record):
@@ -87,107 +91,3 @@ def leq(lhs: Term, rhs: Term, form: str = "join", meet_symbol: str = "and", join
     if form == "join":
         return Equation(App(join_symbol, (lhs, rhs)), rhs)
     raise InvalidSpec(f"leq form must be 'meet' or 'join', got {form!r}")
-
-
-def power(symbol: str, t: Term, k: int) -> Term:
-    """k-fold product t*(t*(...)) under a binary symbol, k >= 1."""
-    if k < 1:
-        raise InvalidSpec("power needs k >= 1")
-    out = t
-    for _ in range(k - 1):
-        out = App(symbol, (t, out))
-    return out
-
-
-def boxed(t: Term, k: int) -> Term:
-    """Iterated necessity: step 0 is t, step i+1 is t & box(step i)."""
-    out = t
-    for _ in range(k):
-        out = App("and", (t, App("box", (out,))))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# built-in candidate shapes
-
-
-def kl_global(n_max: int = 3) -> EDCFCandidate:
-    """Meet of the generators below the join of their negations and y."""
-    families = []
-    for n in range(n_max + 1):
-        xs = xvars(n)
-        lhs = fold_terms("and", xs, empty=App("1"))
-        rhs = fold_terms("or", [App("neg", (x,)) for x in xs] + [Var("y")])
-        families.append(((leq(lhs, rhs, "join"),),))
-    return EDCFCandidate("kl-global", n_max, tuple(tuple(f) for f in families))
-
-
-def lp_global(n_max: int = 3) -> EDCFCandidate:
-    """Meet of the generators and the negation of y, below y."""
-    families = []
-    for n in range(n_max + 1):
-        lhs = fold_terms("and", xvars(n) + [App("neg", (Var("y"),))])
-        families.append(((leq(lhs, Var("y"), "join"),),))
-    return EDCFCandidate("lp-global", n_max, tuple(tuple(f) for f in families))
-
-
-def _wk_meet(a: Term, b: Term) -> Term:
-    # meet is definable from join and negation
-    return App("neg", (App("or", (App("neg", (a,)), App("neg", (b,)))),))
-
-
-def pwk_local(n_max: int = 3) -> EDCFCandidate:
-    """y is its own excluded middle, or some subset of generators meets below y."""
-    families = []
-    y = Var("y")
-    fixpoint = Equation(y, App("or", (y, App("neg", (y,)))))
-    for n in range(n_max + 1):
-        family: list[ThetaSet] = [(fixpoint,)]
-        xs = xvars(n)
-        for r in range(1, n + 1):
-            for subset in itertools.combinations(xs, r):
-                meet = functools.reduce(_wk_meet, subset)
-                family.append((leq(meet, y, "join"),))
-        families.append(tuple(family))
-    return EDCFCandidate("pwk-local", n_max, tuple(families))
-
-
-def luk_local(fold_symbol: str = "and", k_max: int = 4, n_max: int = 3) -> EDCFCandidate:
-    """Some power of the folded generators sits below y."""
-    families = []
-    for n in range(n_max + 1):
-        base = fold_terms(fold_symbol, xvars(n), empty=App("1"))
-        family = tuple(
-            (leq(power("odot", base, k), Var("y"), "join"),) for k in range(1, k_max + 1)
-        )
-        families.append(family)
-    return EDCFCandidate(f"luk-local-{fold_symbol}", n_max, tuple(families))
-
-
-def luk_global(k: int) -> EDCFCandidate:
-    n_max = 2
-    families = []
-    for n in range(n_max + 1):
-        base = fold_terms("and", xvars(n), empty=App("1"))
-        families.append(((leq(power("odot", base, k), Var("y"), "join"),),))
-    return EDCFCandidate(f"luk-global-k{k}", n_max, tuple(families))
-
-
-def modal_local(k_max: int = 4, n_max: int = 2) -> EDCFCandidate:
-    """Some iterated necessity of the folded generators sits below y."""
-    families = []
-    for n in range(n_max + 1):
-        base = fold_terms("and", xvars(n), empty=App("1"))
-        family = tuple(
-            (leq(boxed(base, k), Var("y"), "join"),) for k in range(k_max + 1)
-        )
-        families.append(family)
-    return EDCFCandidate("modal-local", n_max, tuple(families))
-
-
-def modal_global(k: int, n_max: int = 1) -> EDCFCandidate:
-    families = []
-    for n in range(n_max + 1):
-        base = fold_terms("and", xvars(n), empty=App("1"))
-        families.append(((leq(boxed(base, k), Var("y"), "join"),),))
-    return EDCFCandidate(f"modal-global-k{k}", n_max, tuple(families))

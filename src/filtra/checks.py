@@ -34,7 +34,7 @@ from .algebras import (
     enumerate_subuniverses,
     induced_subalgebra,
 )
-from .candidates import EDCFCandidate
+from .candidates import LEIBNIZ_MODES, EDCFCandidate
 from .classes import ClassSpec, k_congruences, theta_k
 from .congruences import Congruence, leibniz_congruence
 from .errors import InvalidSpec
@@ -639,9 +639,6 @@ def dually_brouwerian_check(
                     }
                     return _resolve("dually-brouwerian", uncertified, witness, [algebra])
     return _resolve("dually-brouwerian", uncertified)
-
-
-LEIBNIZ_MODES = ("monotone", "injective")  # the properties leibniz_probe refutes
 
 
 def leibniz_probe(

@@ -2,6 +2,10 @@
 
 Exit codes are the machine contract: 0 pass, 1 fail, 2 configuration error,
 3 budget exceeded, 4 inconclusive.
+
+Each command imports the modules it runs (checks, logics, serialization) where
+it runs them, so that `filtra fg` loads no checker and `filtra list` builds
+nothing.
 """
 
 from __future__ import annotations
@@ -11,36 +15,15 @@ import json
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import builtins as bi
 from .algebras import DEFAULT_BUDGET, Budget, FiniteAlgebra, direct_product, enumerate_homomorphisms
-from .candidates import VARIANTS
-from .checks import (
-    INCONCLUSIVE,
-    LEIBNIZ_MODES,
-    PASS,
-    SEARCHES,
-    Testbed,
-    Verdict,
-    absolute_fep_check,
-    check_edcf,
-    compare_candidates,
-    dually_brouwerian_check,
-    factor_determined_check,
-    fep_check,
-    leibniz_probe,
-    search_counterexample,
-    smallest_relcong_check,
-)
+from .candidates import LEIBNIZ_MODES, VARIANTS
 from .errors import FiltraError, InvalidSpec, SizeBudgetExceeded, UnknownExample, UnknownName
-from .logics import all_filters, fg_trace, filters_certified
-from .serialization import (
-    algebra_from_json,
-    candidate_from_json,
-    class_from_json,
-    logic_from_json,
-)
+
+if TYPE_CHECKING:
+    from .checks import Testbed, Verdict
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -67,24 +50,34 @@ def _resolve(token: str | None, flag: str, read: Callable, builtin: Callable):
 # each resolver builds what a name needs (a square, a testbed) on the
 # command's budget, as do the algebras a JSON file names
 def resolve_algebra(token: str | None, budget: Budget) -> FiniteAlgebra:
+    from .serialization import algebra_from_json
+
     return _resolve(token, "--algebra", algebra_from_json, lambda name: bi.algebra(name, budget))
 
 
 def resolve_logic(token: str | None, budget: Budget):
+    from .serialization import logic_from_json
+
     by_name = partial(resolve_algebra, budget=budget)
     return _resolve(token, "--logic", lambda doc: logic_from_json(doc, by_name), bi.logic)
 
 
 def resolve_class(token: str | None, budget: Budget):
+    from .serialization import class_from_json
+
     by_name = partial(resolve_algebra, budget=budget)
     return _resolve(token, "--class", lambda doc: class_from_json(doc, by_name), bi.class_spec)
 
 
 def resolve_candidate(token: str | None, algebra_for_signature: str | None, budget: Budget):
+    from .serialization import candidate_from_json
+
     def read(doc):
-        if algebra_for_signature is None:
+        # a document's own signature entry, else the algebra the command names
+        name = doc.get("signature", algebra_for_signature)
+        if name is None:
             raise UnknownName("candidate files need --algebra to supply the signature")
-        return candidate_from_json(doc, resolve_algebra(algebra_for_signature, budget).signature)
+        return candidate_from_json(doc, resolve_algebra(name, budget).signature)
 
     return _resolve(token, "--candidate", read, bi.candidate)
 
@@ -115,14 +108,16 @@ def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
 
 
 def _verdict_exit(v: Verdict) -> int:
-    if v.outcome == PASS:
+    if v.passed:
         return EXIT_PASS
-    if v.outcome == INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
-    return EXIT_FAIL
+    if v.failed:
+        return EXIT_FAIL
+    return EXIT_INCONCLUSIVE
 
 
 def cmd_fg(args) -> int:
+    from .logics import fg_trace, filters_certified
+
     budget = Budget(args.budget)
     algebra = resolve_algebra(args.algebra, budget)
     logic = resolve_logic(args.logic, budget)
@@ -167,8 +162,9 @@ READ_BY_ALL = ("--variant", "--mode", "--arity")
 
 
 class Check(NamedTuple):
-    """A checker's flags and call. `call(args, kw, budget)` resolves the flags
-    of `reads`, then passes on `kw(args, budget)`. `kw` is the entry's own
+    """A checker's flags and call. `call(checks, args, kw, budget)` resolves
+    the flags of `reads`, then passes on `kw(args, budget)` to its checker in
+    `checks`, the module that cmd_check imports. `kw` is the entry's own
     `keywords`, which read `keyword_flags`; under `check search --property P`
     it is P's."""
 
@@ -180,36 +176,38 @@ class Check(NamedTuple):
 
 # the parser's choices
 CHECKS = {
-    "edcf": Check(("--logic", "--testbed"), lambda args, kw, budget: check_edcf(
+    "edcf": Check(("--logic", "--testbed"), lambda checks, args, kw, budget: checks.check_edcf(
         resolve_logic(args.logic, budget), resolve_testbed(args.testbed, budget), **kw(args, budget),
         budget=budget),
         ("--candidate", "--algebra", "--nmax", "--class"), lambda args, budget: {
             "candidate": resolve_candidate(args.candidate, args.algebra, budget), "variant": args.variant,
             "n_max": args.nmax, "class_spec": resolve_class(args.klass, budget) if args.klass else None}),
-    "fdc": Check(("--logic", "--generators"), lambda args, kw, budget: factor_determined_check(
+    "fdc": Check(("--logic", "--generators"), lambda checks, args, kw, budget: checks.factor_determined_check(
         resolve_logic(args.logic, budget), resolve_generators(args.generators, budget), **kw(args, budget),
         max_product_arity=args.arity, budget=budget),
         ("--relative",), lambda args, budget: {"absolute": not args.relative}),
-    "absfep": Check(("--logic", "--testbed"), lambda args, kw, budget: absolute_fep_check(
+    "absfep": Check(("--logic", "--testbed"), lambda checks, args, kw, budget: checks.absolute_fep_check(
         resolve_logic(args.logic, budget), resolve_testbed(args.testbed, budget), arity_cap=args.arity,
         budget=budget)),
-    "fep": Check(("--logic", "--testbed"), lambda args, kw, budget: fep_check(
+    "fep": Check(("--logic", "--testbed"), lambda checks, args, kw, budget: checks.fep_check(
         resolve_logic(args.logic, budget), resolve_testbed(args.testbed, budget), budget=budget)),
-    "brouwer": Check(("--logic", "--algebra"), lambda args, kw, budget: dually_brouwerian_check(
+    "brouwer": Check(("--logic", "--algebra"), lambda checks, args, kw, budget: checks.dually_brouwerian_check(
         resolve_logic(args.logic, budget), (resolve_algebra(args.algebra, budget),), budget=budget)),
-    "minrelcong": Check(("--logic", "--algebra", "--class"), lambda args, kw, budget: smallest_relcong_check(
+    "minrelcong": Check(("--logic", "--algebra", "--class"),
+                        lambda checks, args, kw, budget: checks.smallest_relcong_check(
         resolve_logic(args.logic, budget), resolve_algebra(args.algebra, budget),
         resolve_class(args.klass, budget), arity_cap=args.arity, budget=budget)),
-    "leibniz": Check(("--logic", "--testbed"), lambda args, kw, budget: leibniz_probe(
+    "leibniz": Check(("--logic", "--testbed"), lambda checks, args, kw, budget: checks.leibniz_probe(
         resolve_logic(args.logic, budget), resolve_testbed(args.testbed, budget), **kw(args, budget),
         budget=budget),
         (), lambda args, budget: {"mode": args.mode}),
     "compare": Check(("--candidate", "--candidate2", "--algebra", "--testbed", "--nmax"),
-                     lambda args, kw, budget: compare_candidates(
+                     lambda checks, args, kw, budget: checks.compare_candidates(
         resolve_candidate(args.candidate, args.algebra, budget),
         resolve_candidate(_given(args.candidate2, "--candidate2"), args.algebra, budget),
         resolve_testbed(args.testbed, budget), n_max=args.nmax, budget=budget)),
-    "search": Check(("--logic", "--property", "--generators"), lambda args, kw, budget: search_counterexample(
+    "search": Check(("--logic", "--property", "--generators"),
+                    lambda checks, args, kw, budget: checks.search_counterexample(
         resolve_logic(args.logic, budget), args.property,
         resolve_generators(args.generators, budget) if args.generators else (),
         max_product_arity=args.arity, checker_kwargs=kw(args, budget), budget=budget)),
@@ -223,17 +221,19 @@ def _given_flags(args) -> list[tuple[str, object]]:
 
 
 def cmd_check(args) -> int:
+    from . import checks
+
     checker, entry = args.checker, CHECKS[args.checker]
     keyed = entry  # the entry whose keywords the call passes on
     if checker == "search":
         name = _given(args.property, "--property")
-        if name not in SEARCHES:
+        if name not in checks.SEARCHES:
             raise InvalidSpec(f"no searchable property {name!r}")
         keyed, checker = CHECKS[name], f"search --property {name}"
     for flag, _ in _given_flags(args):
         if flag not in entry.reads + keyed.keyword_flags + READ_BY_ALL:
             raise UnknownName(f"check {checker} does not read {flag}")
-    v = entry.call(args, keyed.keywords, Budget(args.budget))
+    v = entry.call(checks, args, keyed.keywords, Budget(args.budget))
     lines = [f"checker: {v.checker}", f"outcome: {v.outcome}"]
     if v.witness:
         lines.append("witness: " + json.dumps(dict(v.witness)))
@@ -270,18 +270,24 @@ def _expect(results: list, label: str, verdict: Verdict, expected: str) -> None:
 
 
 def _reproduce_kleene_edcf(results, budget):
+    from .checks import PASS, check_edcf
+
     bed = bi.testbed("k3-isp", budget)
     v = check_edcf(bi.logic("KL"), bed, bi.candidate("kl-global"), "global", budget=budget)
     _expect(results, "kl-global passes on K3, K3^2 and subalgebras", v, PASS)
 
 
 def _reproduce_lp_edcf(results, budget):
+    from .checks import PASS, check_edcf
+
     bed = bi.testbed("k3-isp", budget)
     v = check_edcf(bi.logic("LP"), bed, bi.candidate("lp-global"), "global", budget=budget)
     _expect(results, "lp-global passes on K3, K3^2 and subalgebras", v, PASS)
 
 
 def _reproduce_pwk_local_edcf(results, budget):
+    from .checks import PASS, absolute_fep_check, check_edcf
+
     bed = bi.testbed("wk3-isp", budget)
     v = check_edcf(bi.logic("PWK"), bed, bi.candidate("pwk-local"), "local", budget=budget)
     _expect(results, "pwk-local passes on WK3, WK3^2 and subalgebras", v, PASS)
@@ -290,6 +296,8 @@ def _reproduce_pwk_local_edcf(results, budget):
 
 
 def _reproduce_pwk_no_pedcf(results, budget):
+    from .checks import factor_determined_check
+
     wk3 = bi.algebra("WK3")
     v = factor_determined_check(
         bi.logic("PWK"), bi.testbed("wk3-isp", budget), absolute=True,
@@ -311,6 +319,8 @@ def _reproduce_pwk_no_pedcf(results, budget):
 
 
 def _reproduce_box5_no_min(results, budget):
+    from .checks import smallest_relcong_check
+
     v = smallest_relcong_check(
         bi.logic("ONE"), bi.algebra("box5"), bi.class_spec("alpha12"),
         pinned_cells=[((2, 3), 4)], budget=budget,
@@ -328,6 +338,8 @@ def _reproduce_box5_no_min(results, budget):
 
 
 def _reproduce_m3_not_brouwerian(results, budget):
+    from .checks import PASS, dually_brouwerian_check
+
     v = dually_brouwerian_check(bi.logic("ORD"), (bi.algebra("M3"),), budget)
     _expect(results, "no least complement filter on the modular lattice M3", v, "fail")
     v = dually_brouwerian_check(bi.logic("ORD"), (bi.algebra("BOOL4"),), budget)
@@ -335,6 +347,8 @@ def _reproduce_m3_not_brouwerian(results, budget):
 
 
 def _reproduce_modal_local_only(results, budget):
+    from .checks import PASS, check_edcf
+
     v = check_edcf(
         bi.logic("KG"), bi.testbed("modal-chains", budget), bi.candidate("modal-local"), "local", budget=budget
     )
@@ -348,6 +362,8 @@ def _reproduce_modal_local_only(results, budget):
 
 
 def _reproduce_luk_local_only(results, budget):
+    from .checks import PASS, check_edcf, compare_candidates
+
     v = check_edcf(
         bi.logic("LUK"), bi.testbed("mv-chains", budget), bi.candidate("luk-local-and"), "local", budget=budget
     )
@@ -367,6 +383,8 @@ def _reproduce_luk_local_only(results, budget):
 
 
 def _reproduce_kl_only_filter(results, budget):
+    from .logics import all_filters, filters_certified
+
     k3 = bi.algebra("K3")
     families = [sorted(f.members) for f in all_filters(k3, bi.logic("KL"), budget)]
     expected, certified = [[2], [0, 1, 2]], filters_certified(k3, bi.logic("KL"), budget)

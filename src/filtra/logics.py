@@ -59,7 +59,7 @@ instead of overclaiming.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .algebras import (
     Budget,
@@ -77,9 +77,11 @@ from .algebras import (
     enumerate_homomorphisms,
     next_closure,
 )
-from .congruences import Congruence
 from .errors import InvalidSpec
 from .terms import _hash_fields_once, _Record, variables
+
+if TYPE_CHECKING:
+    from .congruences import Congruence
 
 DEFAULT_CLONE_ELEMENT_CAP = 3000
 MAX_CLONE_TABLE = 250_000

@@ -11,11 +11,14 @@ logic     {"kind": "rules", "signature": <algebra name|null>,
 class     {"kind": "axioms", "equations": [["lhs","rhs"]...],
            "quasi": [{"if": [["l","r"]...], "then": ["l","r"]}...]}
         | {"kind": "generators", "algebras": ["name"...]}
-candidate {"variant", "n_max", "param_count"?, "families": {"0": [[[lhs,rhs]...]...], ...},
+candidate {"variant", "signature"?: <algebra name>, "n_max", "param_count"?,
+           "families": {"0": [[[lhs,rhs]...]...], ...},
            "template"?: {"fold": "and", "leq": "meet"|"join",
                          "empty": "<term>", "meet_symbol"?, "join_symbol"?}}
 
-Candidate term strings may use the atom ``@fold`` for the fold of x1..xn under
+A candidate's terms are read under the signature its caller passes, that of
+the algebra its "signature" entry names when it has one.  Candidate term
+strings may use the atom ``@fold`` for the fold of x1..xn under
 the template's fold symbol (the template's ``empty`` term at n = 0), and
 equations may be written as ["<=", lhs, rhs] to expand through the template's
 order convention.
@@ -26,14 +29,16 @@ labels included.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .algebras import FiniteAlgebra, Matrix
-from .candidates import EDCFCandidate, fold_terms, leq
-from .classes import Axiomatic, ClassSpec, GeneratedQuasivariety, Quasiequation
+from .candidates import EDCFCandidate, fold_terms, leq, xvars
 from .errors import InvalidSpec
 from .logics import LogicSpec, MatrixDetermined, RulePresented
-from .terms import Equation, Rule, Signature, Term, Var, format_term, parse_equation, parse_term
+from .terms import Equation, Rule, Signature, Term, format_term, parse_equation, parse_term
+
+if TYPE_CHECKING:
+    from .classes import ClassSpec
 
 Resolver = Callable[[str], FiniteAlgebra]
 
@@ -77,6 +82,8 @@ def logic_from_json(doc: Mapping, resolve: Resolver) -> LogicSpec:
 
 
 def class_from_json(doc: Mapping, resolve: Resolver) -> ClassSpec:
+    from .classes import Axiomatic, GeneratedQuasivariety, Quasiequation  # only a class needs congruences
+
     kind = doc.get("kind")
     name = doc.get("name", "")
     if kind == "generators":
@@ -108,8 +115,7 @@ def _expand_candidate_term(text: str, sig: Signature, n: int, template: Mapping)
         empty = template.get("empty")
         if n == 0 and empty is None:
             raise InvalidSpec("@fold at n = 0 needs an 'empty' base term in the template")
-        xs = [Var(f"x{i}") for i in range(1, n + 1)]
-        folded = fold_terms(fold_sym, xs, empty=parse_term(empty, sig) if empty else None)
+        folded = fold_terms(fold_sym, xvars(n), empty=parse_term(empty, sig) if empty else None)
         text = text.replace("@fold", format_term(folded))
     return parse_term(text, sig)
 

@@ -123,12 +123,11 @@ def id_logic():
 
 @pytest.fixture
 def cold_contexts(monkeypatch):
-    """No (algebra, logic) context, shared clone, built-in square or built-in
-    testbed built yet, as in a fresh process."""
+    """No (algebra, logic) context, shared clone or built-in object (a square
+    and a testbed among them) built yet, as in a fresh process."""
     monkeypatch.setattr(logics, "_CONTEXTS", {})
     monkeypatch.setattr(logics, "_CLONES", {})
-    monkeypatch.setattr(bi, "_SQUARES", {})
-    monkeypatch.setattr(bi, "_TESTBEDS", {})
+    monkeypatch.setattr(bi, "_BUILT", {})
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,10 @@
+import functools
+import itertools
+
 import pytest
 
 from filtra import builtins as bi
-from filtra.candidates import (
-    EDCFCandidate,
-    boxed,
-    fold_terms,
-    kl_global,
-    leq,
-    lp_global,
-    luk_global,
-    luk_local,
-    modal_global,
-    modal_local,
-    power,
-    pwk_local,
-    xvars,
-)
+from filtra.candidates import EDCFCandidate, fold_terms, leq, xvars
 from filtra.errors import InvalidSpec
 from filtra.terms import App, Equation, Var, format_term
 
@@ -37,16 +26,57 @@ def test_leq_forms():
 
 
 def test_power_and_boxed():
-    x = Var("x")
-    assert format_term(power("odot", x, 1)) == "x"
-    assert format_term(power("odot", x, 3)) == "(odot x (odot x x))"
-    assert format_term(boxed(x, 0)) == "x"
-    assert format_term(boxed(x, 2)) == "(and x (box (and x (box x))))"
+    # the k-th member of a local family: x1's k-th power, x1 under k - 1 necessitations
+    powers = [format_term(theta[0].lhs) for theta in bi.candidate("luk-local-odot").family(1)]
+    assert powers[0] == "(or x1 y)" and powers[2] == "(or (odot x1 (odot x1 x1)) y)"
+    boxes = [format_term(theta[0].lhs) for theta in bi.candidate("modal-local").family(1)]
+    assert boxes[0] == "(or x1 y)" and boxes[2] == "(or (and x1 (box (and x1 (box x1)))) y)"
+
+
+def _power(t, k):
+    out = t
+    for _ in range(k - 1):
+        out = App("odot", (t, out))
+    return out
+
+
+def _boxed(t, k):
+    out = t
+    for _ in range(k):
+        out = App("and", (t, App("box", (out,))))
+    return out
+
+
+def _wk_meet(a, b):
+    return App("neg", (App("or", (App("neg", (a,)), App("neg", (b,)))),))
+
+
+Y = Var("y")
+# n_max and the family at n of four built-in candidates, one per shape: a fold,
+# meets of generator subsets, powers, iterated necessity
+CONSTRUCTIONS = {
+    "kl-global": (3, lambda n: [[leq(
+        fold_terms("and", xvars(n), empty=App("1")), fold_terms("or", [App("neg", (x,)) for x in xvars(n)] + [Y]))]]),
+    "pwk-local": (3, lambda n: [[Equation(Y, App("or", (Y, App("neg", (Y,)))))]] + [
+        [leq(functools.reduce(_wk_meet, subset), Y)]
+        for r in range(1, n + 1) for subset in itertools.combinations(xvars(n), r)]),
+    "luk-local-odot": (3, lambda n: [
+        [leq(_power(fold_terms("odot", xvars(n), empty=App("1")), k), Y)] for k in range(1, 5)]),
+    "modal-local": (2, lambda n: [
+        [leq(_boxed(fold_terms("and", xvars(n), empty=App("1")), k), Y)] for k in range(5)]),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTIONS)
+def test_a_builtin_candidate_equals_its_construction(name):
+    n_max, family = CONSTRUCTIONS[name]
+    families = tuple(tuple(tuple(theta) for theta in family(n)) for n in range(n_max + 1))
+    assert bi.candidate(name) == EDCFCandidate(name, n_max, families)
 
 
 def test_kl_global_materialization():
-    c = kl_global(2)
-    assert c.n_max == 2
+    c = bi.candidate("kl-global")
+    assert c.n_max == 3
     assert len(c.family(0)) == 1 and len(c.family(2)) == 1
     eq = c.family(2)[0][0]
     assert format_term(eq.lhs) == "(or (and x1 x2) (or (or (neg x1) (neg x2)) y))"
@@ -57,7 +87,7 @@ def test_kl_global_materialization():
 
 
 def test_lp_global_base_case():
-    c = lp_global(1)
+    c = bi.candidate("lp-global")
     eq0 = c.family(0)[0][0]
     # negation of y below y
     assert format_term(eq0.lhs) == "(or (neg y) y)"
@@ -65,7 +95,7 @@ def test_lp_global_base_case():
 
 
 def test_pwk_local_family_sizes():
-    c = pwk_local(3)
+    c = bi.candidate("pwk-local")
     # one fixpoint equation plus one set per non-empty generator subset
     assert [len(c.family(n)) for n in range(4)] == [1, 2, 4, 8]
     got = {format_term(th[0].lhs) for th in c.family(2)[1:]}
@@ -74,28 +104,28 @@ def test_pwk_local_family_sizes():
 
 
 def test_luk_local_family_and_folds():
-    c_and = luk_local("and", k_max=4, n_max=2)
-    c_odot = luk_local("odot", k_max=4, n_max=2)
+    c_and, c_odot = bi.candidate("luk-local-and"), bi.candidate("luk-local-odot")
     assert len(c_and.family(1)) == 4
     assert format_term(c_and.family(2)[1][0].lhs) == "(or (odot (and x1 x2) (and x1 x2)) y)"
     assert format_term(c_odot.family(2)[0][0].lhs) == "(or (odot x1 x2) y)"
 
 
 def test_modal_families():
-    local = modal_local(k_max=4, n_max=2)
+    local = bi.candidate("modal-local")
     assert len(local.family(1)) == 5  # necessitation depths 0..4
-    g1 = modal_global(1, n_max=1)
+    g1 = bi.candidate("modal-global-k1")
     eq = g1.family(1)[0][0]
     assert format_term(eq.lhs) == "(or (and x1 (box x1)) y)"
 
 
 def test_variant_shapes():
-    assert kl_global(1).matches_variant("global")
-    assert kl_global(1).matches_variant("local")
-    assert pwk_local(1).matches_variant("local")
-    assert not pwk_local(1).matches_variant("global")
+    kl, pwk = bi.candidate("kl-global"), bi.candidate("pwk-local")
+    assert kl.matches_variant("global")
+    assert kl.matches_variant("local")
+    assert pwk.matches_variant("local")
+    assert not pwk.matches_variant("global")
     with pytest.raises(InvalidSpec):
-        pwk_local(1).matches_variant("sideways")
+        pwk.matches_variant("sideways")
 
 
 def test_variable_convention_enforced():
@@ -107,9 +137,9 @@ def test_variable_convention_enforced():
 
 
 def test_family_out_of_range():
-    c = kl_global(1)
+    c = bi.candidate("kl-global")
     with pytest.raises(InvalidSpec):
-        c.family(2)
+        c.family(c.n_max + 1)
 
 
 def test_parameter_validation():

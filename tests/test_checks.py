@@ -25,7 +25,7 @@ from filtra import checks, logics
 from filtra.algebras import (
     Budget, FiniteAlgebra, compile_term, direct_product, enumerate_homomorphisms,
 )
-from filtra.candidates import EDCFCandidate, fold_terms, kl_global, lp_global, pwk_local, xvars
+from filtra.candidates import EDCFCandidate, fold_terms, xvars
 from filtra.checks import (
     _first_mismatch,
     _sweep_table,
@@ -89,10 +89,10 @@ def test_a_builtin_testbed_is_built_on_its_first_callers_budget(cold_contexts):
     spent = Budget()
     bed = bi.testbed("wk3-isp", spent)
     assert spent.spent > 0 and bi.testbed("wk3-isp", Budget(0)) is bed  # kept once built
-    bi._TESTBEDS.clear()
+    bi._BUILT.clear()
     with pytest.raises(SizeBudgetExceeded):
         bi.testbed("wk3-isp", Budget(spent.spent - 1))
-    assert "wk3-isp" not in bi._TESTBEDS  # a build that runs out keeps nothing
+    assert ("testbed", "wk3-isp") not in bi._BUILT  # a build that runs out keeps nothing
     assert bi.testbed("wk3-isp", Budget(spent.spent)) == bed
 
 
@@ -101,10 +101,10 @@ def test_a_builtin_square_is_built_on_its_first_callers_budget(cold_contexts):
     square = bi.algebra("WK3^2", spent)
     assert spent.spent > 0 and bi.algebra("WK3^2", Budget(0)) is square  # kept once built
     assert "WK3^2" not in bi.algebra_names()
-    bi._SQUARES.clear()
+    bi._BUILT.clear()
     with pytest.raises(SizeBudgetExceeded):
         bi.algebra("WK3^2", Budget(spent.spent - 1))
-    assert "WK3^2" not in bi._SQUARES  # a build that runs out keeps nothing
+    assert ("algebra", "WK3^2") not in bi._BUILT  # a build that runs out keeps nothing
     assert bi.algebra("WK3^2", Budget(spent.spent)) == square
 
 

@@ -19,6 +19,7 @@ from filtra.cli import (
     FLAGS,
     main,
 )
+from filtra.errors import FiltraError
 from filtra.terms import format_term
 
 
@@ -294,6 +295,9 @@ def test_json_files_read_as_their_built_in_names(tmp_path, capsys):
          _corpus_entry(tmp_path, "classes", "alpha12")),
         (("edcf", "--logic", "KL", "--testbed", "k3-isp", "--variant", "global", "--nmax", "1",
           "--algebra", "K3", "--candidate"), "kl-global", _kl_global_document(tmp_path, 1)),
+        # a candidate document with a signature entry needs no --algebra
+        (("edcf", "--logic", "KL", "--testbed", "k3-isp", "--variant", "global", "--nmax", "1", "--candidate"),
+         "kl-global", _corpus_entry(tmp_path, "candidates", "kl-global")),
     ]
     for argv, name, path in commands:
         outputs = []
@@ -444,7 +448,7 @@ LOOKUPS = {"algebras": bi.algebra, "logics": bi.logic, "classes": bi.class_spec,
 
 
 @pytest.mark.parametrize("kind", [*LOOKUPS, "testbeds"])
-def test_every_listed_name_resolves(capsys, kind):
+def test_every_listed_name_resolves(capsys, cold_contexts, kind):
     code, out, _ = run(capsys, "--format", "json", "list", kind)
     names = json.loads(out)[kind]
     assert code == EXIT_PASS and names == sorted(names) and names
@@ -452,10 +456,39 @@ def test_every_listed_name_resolves(capsys, kind):
         if kind == "testbeds":
             bed = bi.testbed(name)
             assert bed and all(isinstance(a, FiniteAlgebra) for a in bed)
+            assert bi.testbed(name) is bed  # built on the first lookup and kept
         else:
-            assert LOOKUPS[kind](name).name == name
+            built = LOOKUPS[kind](name)
+            assert built.name == name and LOOKUPS[kind](name) is built
 
 
+@pytest.mark.parametrize(("kind", "lookup"), [
+    ("algebra", lambda: bi.algebra("nope^2")),
+    ("algebra", lambda: bi.algebra("K3^2", Budget(0))),
+    ("logic", lambda: bi.logic("broken")),
+    ("class", lambda: bi.class_spec("nope")),
+    ("candidate", lambda: bi.candidate("broken")),
+    ("testbed", lambda: bi.testbed("wk3-isp", Budget(10))),
+], ids=["unknown-square", "square-over-budget", "logic-document", "unknown-class", "candidate-signature",
+        "testbed-over-budget"])
+def test_a_lookup_that_raises_leaves_its_table_unchanged(cold_contexts, monkeypatch, kind, lookup):
+    # two documents that fail to build: an unknown symbol, an unknown signature
+    monkeypatch.setitem(bi._table("logic"), "broken", {
+        "name": "broken", "kind": "rules", "signature": "WK3", "rules": [{"premises": [], "conclusion": "(nope x)"}]})
+    monkeypatch.setitem(bi._table("candidate"), "broken", {
+        "name": "broken", "signature": "nope", "n_max": 0, "families": {"0": [[["y", "y"]]]}})
+
+    def table():
+        return dict(bi._table(kind)), {key: obj for key, obj in bi._BUILT.items() if key[0] == kind}
+
+    bi.algebra("K3"), bi.algebra("WK3")  # lookups nested in a raising one succeed, and are kept
+    before = table()
+    with pytest.raises(FiltraError):
+        lookup()
+    assert table() == before
+
+
+# the error names the token as given, a square's included
 @pytest.mark.parametrize(("kind", "argv"), [
     ("algebra", ("fg", "--algebra", "nope", "--logic", "PWK")),
     ("algebra", ("fg", "--algebra", "nope^2", "--logic", "PWK")),
@@ -465,7 +498,8 @@ def test_every_listed_name_resolves(capsys, kind):
     ("testbed", ("check", "fep", "--logic", "KL", "--testbed", "nope")),
 ])
 def test_an_unknown_builtin_name_exits_config(capsys, kind, argv):
-    assert run(capsys, *argv) == (EXIT_CONFIG, "", f"configuration error: no built-in {kind} 'nope'\n")
+    token = next(t for t in argv if t.startswith("nope"))
+    assert run(capsys, *argv) == (EXIT_CONFIG, "", f"configuration error: no built-in {kind} {token!r}\n")
 
 
 def test_list_kinds(capsys):

@@ -1,6 +1,7 @@
 """filtra's value types are plain record classes: importing the CLI loads
-neither `dataclasses` nor `inspect`, and each record behaves as the frozen
-dataclass with the same fields would, which this module builds as a twin."""
+neither `dataclasses` nor `inspect`, nor a module its command does not run,
+and each record behaves as the frozen dataclass with the same fields would,
+which this module builds as a twin."""
 
 import dataclasses
 import os
@@ -37,12 +38,31 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert _fresh("import sys, filtra.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))") == ["[]"]
 
 
+LOADED = "print(sorted(m for m in sys.modules if m.startswith('filtra.')))"
+
+
 def test_a_module_loads_only_what_it_imports():
     # the package root re-exports nothing, so it loads no module of its own
-    loaded = "print(sorted(m for m in sys.modules if m.startswith('filtra.')))"
-    assert _fresh(f"import sys, filtra; {loaded}; import filtra.algebras; {loaded}") == [
+    assert _fresh(f"import sys, filtra; {LOADED}; import filtra.algebras; {LOADED}") == [
         "[]", "['filtra.algebras', 'filtra.errors', 'filtra.terms']",
     ]
+
+
+def test_the_cli_and_the_corpus_names_load_only_the_corpus_modules():
+    # reading names builds nothing; checks, logics and serialization wait for a command
+    names = "; ".join(f"bi.{kind}_names()" for kind in ("algebra", "logic", "class", "candidate", "testbed"))
+    assert _fresh(f"import sys, filtra.cli, filtra.builtins as bi; {names}; {LOADED}") == [
+        "['filtra.algebras', 'filtra.builtins', 'filtra.candidates', 'filtra.cli', 'filtra.errors', 'filtra.terms']",
+    ]
+
+
+def test_fg_loads_no_checker():
+    code = (
+        "import sys, filtra.cli\n"
+        "code = filtra.cli.main(['fg', '--algebra', 'WK3', '--logic', 'PWK', '--gen', ''])\n"
+        "print(code, sorted({'filtra.checks', 'filtra.classes', 'filtra.congruences'} & set(sys.modules)))"
+    )
+    assert _fresh(code)[-1] == "0 []"
 
 
 def _samples():
