@@ -10,15 +10,17 @@ entry.  Compiled tables live for one call and are never cached; each node's
 table spends its width from the caller's budget.  On carriers of at most 256
 elements a compiled table is a byte lane: a bytes object holding one value per
 byte, so operations apply to whole tables through bytes.translate and big
-integer arithmetic; above 256 elements it is a tuple.
+integer arithmetic; above 256 elements it is a tuple.  That choice is made
+here alone, by _codec, which every module holding tables reads.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import operator
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -101,6 +103,20 @@ def next_closure(size: int, close: Callable[[int], int], budget: Budget) -> Iter
         yield closed
 
 
+def _meet_closure(top, generators: Collection, meet: Callable, cost: int, budget: Budget) -> set:
+    """The closure of {top}, the empty meet, under meeting with each
+    generator; every member found meets every generator at cost steps each."""
+    found = {top}
+    frontier = [top]
+    while frontier:
+        current = frontier.pop()
+        budget.spend(cost * len(generators))
+        for met in {meet(current, g) for g in generators} - found:
+            found.add(met)
+            frontier.append(met)
+    return found
+
+
 class FiniteAlgebra(_Record):
     """A total algebra on {0, ..., size-1} with one table per symbol."""
 
@@ -146,14 +162,14 @@ class FiniteAlgebra(_Record):
 
     @cached_property
     def _byte_tables(self) -> dict[str, bytes]:
-        """The tables with at most 256 entries (size**arity <= 256), each as a
-        256-byte translation table."""
-        return {sym: bytes(table).ljust(256, b"\0") for sym, table in self.tables if len(table) <= 256}
+        """The tables with at most 256 entries (size**arity <= 256) on a
+        carrier held in byte lanes, each as a 256-byte translation table."""
+        return {s: _BYTES.row(t) for s, t in self.tables if len(t) <= 256 and _codec(self.size) is _BYTES}
 
     @cached_property
     def _basic_translations(self) -> tuple[Table, ...]:
         """The basic translations x -> f(c.., x, ..c), without repeats, as
-        byte lanes or tuples over the carrier (_table_type), in the order
+        byte lanes or tuples over the carrier (_codec), in the order
         first met.
 
         Constant maps and the identity are left out: they send a pair to one
@@ -161,7 +177,7 @@ class FiniteAlgebra(_Record):
         per call by congruences._translations, which reads them.
         """
         n = self.size
-        lane = _table_type(n)
+        lane = _codec(n).table
         found: dict[Table, None] = {}
         for sym, arity in self.signature.symbols:
             table = self._tmap[sym]
@@ -219,9 +235,20 @@ def _free_variables(names: Iterable[str], algebra: FiniteAlgebra) -> tuple[str, 
 Table = bytes | tuple[int, ...]
 
 
-def _table_type(size: int) -> type:
-    """Term tables are byte lanes on carriers of at most 256 elements, tuples above."""
-    return bytes if size <= 256 else tuple
+# how tables are held: table(values) makes one, gather(column, row(values))
+# maps each entry e of a column to values[e], join(tables) lays them end to end
+_Codec = collections.namedtuple("_Codec", "table row gather join")
+_BYTES = _Codec(bytes, lambda values: bytes(values).ljust(256, b"\0"), bytes.translate, b"".join)
+_TUPLES = _Codec(
+    tuple, tuple, lambda column, row: tuple(map(row.__getitem__, column)),
+    lambda parts: tuple(itertools.chain.from_iterable(parts)),
+)
+
+
+def _codec(size: int) -> _Codec:
+    """Tables are byte lanes on carriers of at most 256 elements, with a
+    256-byte translation table as a row; tuples above."""
+    return _BYTES if size <= 256 else _TUPLES
 
 
 def _apply_pointwise(algebra: FiniteAlgebra, symbol: str, args: Sequence[Table]) -> Table:
@@ -243,7 +270,7 @@ def _apply_pointwise(algebra: FiniteAlgebra, symbol: str, args: Sequence[Table])
     index = list(args[0])
     for arg in args[1:]:
         index = [i * algebra.size + a for i, a in zip(index, arg)]
-    return _table_type(algebra.size)(map(algebra.table(symbol).__getitem__, index))
+    return _codec(algebra.size).table(map(algebra.table(symbol).__getitem__, index))
 
 
 # translates byte 0 to 1 and every other byte to 0
@@ -257,24 +284,20 @@ def _lanes(table: bytes) -> int:
 
 def _agreement(lhs: Table, rhs: Table, partition: Sequence[int] | None = None) -> int:
     """Lanes holding 1 where the two tables agree, or with a partition (a
-    block-id array) where their values share a block, and 0 elsewhere.
-
-    Byte lanes agree where their XOR, read back as bytes, is zero; block ids
-    are below 256 there, so a translate turns each table into its block ids.
-    """
-    if isinstance(lhs, tuple):  # a carrier above 256 elements
-        if partition is not None:
-            lhs, rhs = map(partition.__getitem__, lhs), map(partition.__getitem__, rhs)
-        return _lanes(bytes(map(operator.eq, lhs, rhs)))
+    block-id array) where their values share a block, and 0 elsewhere; byte
+    lanes agree where their XOR, read back as bytes, is zero."""
     if partition is not None:
-        block = bytes(partition).ljust(256, b"\0")
-        lhs, rhs = lhs.translate(block), rhs.translate(block)
+        codec = _codec(len(partition))
+        block = codec.row(partition)
+        lhs, rhs = codec.gather(lhs, block), codec.gather(rhs, block)
+    if isinstance(lhs, tuple):  # a carrier above 256 elements
+        return _lanes(bytes(map(operator.eq, lhs, rhs)))
     differ = _lanes(lhs) ^ _lanes(rhs)
     return _lanes(differ.to_bytes(len(lhs), "little").translate(_IS_ZERO))
 
 
 def _constant_table(algebra: FiniteAlgebra, value: int, width: int) -> Table:
-    return _table_type(algebra.size)((value,)) * width
+    return _codec(algebra.size).table((value,)) * width
 
 
 def _leaf_table(algebra: FiniteAlgebra, nvars: int, node: tuple) -> Table:
@@ -282,8 +305,7 @@ def _leaf_table(algebra: FiniteAlgebra, nvars: int, node: tuple) -> Table:
     sym, arg = node
     if sym is None:
         run = algebra.size ** (nvars - arg - 1)  # consecutive valuations sharing its value
-        blocks = [_constant_table(algebra, v, run) for v in range(algebra.size)]
-        column = b"".join(blocks) if algebra.size <= 256 else tuple(itertools.chain.from_iterable(blocks))
+        column = _codec(algebra.size).join([_constant_table(algebra, v, run) for v in range(algebra.size)])
         return column * algebra.size**arg
     return _constant_table(algebra, algebra.table(sym)[0], algebra.size**nvars)
 

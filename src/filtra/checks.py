@@ -179,6 +179,13 @@ def _labels(algebra: FiniteAlgebra, elems: Iterable[int]) -> list[str]:
     return [algebra.label(e) for e in elems]
 
 
+def _generator_sets(size: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Every set of at most cap elements as its sorted tuple, by count, then
+    lexicographically: the sweep of a check that reads generators as a set."""
+    for n in range(cap + 1):
+        yield from itertools.combinations(range(size), n)
+
+
 def _uncertified(
     logic: LogicSpec, algebras: Iterable[FiniteAlgebra], budget: Budget
 ) -> dict[FiniteAlgebra, str]:
@@ -363,13 +370,8 @@ def absolute_fep_check(
     arity_cap: int = 3,
     budget: Budget | None = None,
 ) -> Verdict:
-    """Generated filters on subalgebras against their traces from above.
-
-    One step per generator set of at most arity_cap elements, each swept as
-    its sorted tuple: fg depends on the set alone, and the sorted tuple is the
-    first in product order to give a new set, so the first witness is the one
-    a sweep over every tuple finds.
-    """
+    """Generated filters on subalgebras against their traces from above, one
+    step per generator set of at most arity_cap elements (_generator_sets)."""
     budget = as_budget(budget)
     _require(arity_cap, 0, "arity_cap")
     uncertified: dict[FiniteAlgebra, str] = {}
@@ -377,27 +379,22 @@ def absolute_fep_check(
         uncertified |= _uncertified(logic, [big], budget)
         for sub, small, inclusion in _proper_subalgebras(big, budget):
             uncertified |= _uncertified(logic, [small], budget)
-            for n in range(arity_cap + 1):
-                for xs in itertools.combinations(range(small.size), n):
-                    budget.spend()
-                    inner = fg(small, frozenset(xs), logic, budget).members
-                    outer = fg(
-                        big, frozenset(inclusion[x] for x in xs), logic, budget
-                    ).members
-                    trace = frozenset(
-                        i for i in range(small.size) if inclusion[i] in outer
-                    )
-                    if inner != trace:
-                        witness = {
-                            "algebra": big.name,
-                            "subalgebra": sorted(sub),
-                            "subalgebra_labels": _labels(big, sub),
-                            "generators": [inclusion[x] for x in xs],
-                            "generator_labels": _labels(big, (inclusion[x] for x in xs)),
-                            "fg_in_subalgebra": sorted(inclusion[i] for i in inner),
-                            "trace_from_extension": sorted(inclusion[i] for i in trace),
-                        }
-                        return _resolve("absolute-fep", uncertified, witness, [big, small])
+            for xs in _generator_sets(small.size, arity_cap):
+                budget.spend()
+                inner = fg(small, frozenset(xs), logic, budget).members
+                outer = fg(big, frozenset(inclusion[x] for x in xs), logic, budget).members
+                trace = frozenset(i for i in range(small.size) if inclusion[i] in outer)
+                if inner != trace:
+                    witness = {
+                        "algebra": big.name,
+                        "subalgebra": sorted(sub),
+                        "subalgebra_labels": _labels(big, sub),
+                        "generators": [inclusion[x] for x in xs],
+                        "generator_labels": _labels(big, (inclusion[x] for x in xs)),
+                        "fg_in_subalgebra": sorted(inclusion[i] for i in inner),
+                        "trace_from_extension": sorted(inclusion[i] for i in trace),
+                    }
+                    return _resolve("absolute-fep", uncertified, witness, [big, small])
     return _resolve("absolute-fep", uncertified)
 
 
@@ -454,9 +451,10 @@ def factor_determined_check(
     generated filters; a necessary condition only, since only small index sets
     are swept.
 
-    Unless pinned, the generators are every set of at most generator_cap
-    elements, one step each, swept as sorted tuples; as in absolute_fep_check
-    the first witness is the one a sweep over every tuple finds.
+    The products are those of up to max_product_arity testbed algebras;
+    pinned factors replace them, and the testbed is then not read.  Unless
+    pinned, the generators are the sets of at most generator_cap elements
+    (_generator_sets), one step each.
     """
     budget = as_budget(budget)
     _require(generator_cap, 0, "generator_cap")
@@ -478,11 +476,7 @@ def factor_determined_check(
         if pinned_generators is not None:
             gens_sweep = [tuple(g) for g in pinned_generators]
         else:
-            gens_sweep = [
-                xs
-                for n in range(generator_cap + 1)
-                for xs in itertools.combinations(range(algebra.size), n)
-            ]
+            gens_sweep = list(_generator_sets(algebra.size, generator_cap))
         coords = [prod.to_tuple(e) for e in range(algebra.size)]
 
         def box(sets: Sequence[frozenset[int]]) -> frozenset[int]:
@@ -573,12 +567,10 @@ def smallest_relcong_check(
     budget = as_budget(budget)
     _require(arity_cap, 0, "arity_cap")
     relative = k_congruences(algebra, class_spec, budget)
-    # the generators are read as a set, so each set is swept once, as its sorted tuple
-    carrier = range(algebra.size)
     if pinned_cells is not None:
         cells = [(tuple(xs), (b,)) for xs, b in pinned_cells]
     else:
-        cells = [(xs, carrier) for n in range(arity_cap + 1) for xs in itertools.combinations(carrier, n)]
+        cells = [(xs, range(algebra.size)) for xs in _generator_sets(algebra.size, arity_cap)]
     # the relative filters are computed on the algebra, so its certification
     # is the one read
     uncertified = _uncertified(logic, [algebra], budget)

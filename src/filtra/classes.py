@@ -29,11 +29,12 @@ from .algebras import (
     _agreement,
     _canonical,
     _lanes,
+    _meet_closure,
     as_budget,
     compile_term,
     enumerate_homomorphisms,
 )
-from .congruences import Congruence, all_congruences, cg_generated
+from .congruences import Congruence, _finer_first, all_congruences, cg_generated
 from .errors import InvalidSpec
 from .terms import Equation, _Record, variables
 
@@ -70,27 +71,17 @@ class GeneratedQuasivariety(_Record):
 ClassSpec = Axiomatic | GeneratedQuasivariety
 
 
-def _same_signature(algebra: FiniteAlgebra, spec: GeneratedQuasivariety) -> None:
-    if any(g.signature != algebra.signature for g in spec.generators):
-        raise InvalidSpec("membership test across different signatures")
-
-
 def _kernels(
     algebra: FiniteAlgebra, spec: GeneratedQuasivariety, budget: Budget
 ) -> list[tuple[int, ...]]:
     """The distinct kernels of the homomorphisms from the algebra into the
-    generators, as canonical block arrays; one search per generator."""
-    _same_signature(algebra, spec)
+    generators, as canonical block arrays; one search per generator, the
+    first of which refuses a foreign signature before it spends."""
     kernels: dict[tuple[int, ...], None] = {}
     for g in spec.generators:
         for h in enumerate_homomorphisms(algebra, g, budget):
             kernels.setdefault(_canonical(h))
     return list(kernels)
-
-
-def _meet(a: tuple[int, ...], b: tuple[int, ...], budget: Budget) -> tuple[int, ...]:
-    budget.spend(len(a))
-    return _canonical(zip(a, b))
 
 
 _Axiom = tuple[list[tuple[Table, Table]], Table, Table]
@@ -166,18 +157,8 @@ def k_congruences(
             if not any(_violations(axiom, theta.partition, budget) for axiom in axioms)
         )
     kernels = _kernels(algebra, spec, budget)
-    total = (0,) * algebra.size
-    found = {total}
-    frontier = [total]
-    while frontier:
-        theta = frontier.pop()
-        for kernel in kernels:
-            meet = _meet(theta, kernel, budget)
-            if meet not in found:
-                found.add(meet)
-                frontier.append(meet)
-    lattice = [Congruence(partition) for partition in found]
-    return tuple(sorted(lattice, key=lambda t: (-t.num_blocks, t.partition)))
+    meets = _meet_closure((0,) * algebra.size, kernels, lambda a, b: _canonical(zip(a, b)), algebra.size, budget)
+    return _finer_first(meets)
 
 
 def theta_k(
@@ -215,8 +196,9 @@ def cg_k(
             ]
             if not pairs:
                 return psi
-    theta = (0,) * algebra.size
+    theta = Congruence.total(algebra.size)
     for kernel in _kernels(algebra, spec, budget):
         if all(kernel[a] == kernel[b] for a, b in pairs):
-            theta = _meet(theta, kernel, budget)
-    return Congruence(theta)
+            budget.spend(algebra.size)
+            theta = theta.meet(Congruence(kernel))
+    return theta

@@ -300,7 +300,7 @@ def _reproduce_pwk_no_pedcf(results, budget):
 
     wk3 = bi.algebra("WK3")
     v = factor_determined_check(
-        bi.logic("PWK"), bi.testbed("wk3-isp", budget), absolute=True,
+        bi.logic("PWK"), (wk3,), absolute=True,
         pinned_factors=(wk3, wk3), pinned_generators=[(6,)], budget=budget,
     )
     _expect(results, "factor-determined filters fail on WK3 x WK3 at generator (half,0)", v, "fail")

@@ -8,17 +8,16 @@ and joins work on least-member arrays instead, whose entry e is the least
 element of e's block: canonical too, and a union-find forest of depth one.
 
 Generation, the lattice and the Leibniz refinement read the algebra's basic
-translations.  They are tabulated once per algebra and kept on it as byte
-lanes (tuples above 256 elements), but priced on every call at the steps of
-tabulating them, so a call spends the same steps on a fresh algebra as on a
-warm one.
+translations.  They are tabulated once per algebra and kept on it, but priced
+on every call at the steps of tabulating them, so a call spends the same
+steps on a fresh algebra as on a warm one.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .algebras import Budget, FiniteAlgebra, Table, _canonical, _table_type, as_budget
+from .algebras import Budget, FiniteAlgebra, Table, _canonical, _codec, as_budget
 from .errors import NotACongruence
 from .terms import _Record
 
@@ -198,9 +197,12 @@ def all_congruences(algebra: FiniteAlgebra, budget: Budget | None = None) -> tup
             if joined not in found:
                 found.add(joined)
                 frontier.append(joined)
-    # deterministic order: finer first, then lexicographic on the block array
-    lattice = [Congruence(least) for least in found]
-    return tuple(sorted(lattice, key=lambda t: (-t.num_blocks, t.partition)))
+    return _finer_first(found)
+
+
+def _finer_first(partitions: Iterable[tuple[int, ...]]) -> tuple[Congruence, ...]:
+    """The congruences, finer first, then lexicographic on the block array."""
+    return tuple(sorted(map(Congruence, partitions), key=lambda t: (-t.num_blocks, t.partition)))
 
 
 def leibniz_congruence(
@@ -216,24 +218,21 @@ def leibniz_congruence(
     Every congruence compatible with F refines each round's partition, so the
     result is the largest one.
 
-    On byte lanes a round is one translate: the identity and the translations
-    joined end to end, mapped through the block array, hold the blocks that
-    element e goes to at e, e + n, e + 2n, ..., so the slice [e::n] is its key.
+    A round is one gather: the identity and the translations joined end to
+    end, mapped through the block array, hold the blocks that element e goes
+    to at e, e + n, e + 2n, ..., so the slice [e::n] is its key.
     """
     budget = as_budget(budget)
     n = algebra.size
     members = frozenset(subset)
     translations = _translations(algebra, budget)
-    lanes = bytes(range(n)) + b"".join(translations) if _table_type(n) is bytes else None
+    codec = _codec(n)
+    lanes = codec.join([codec.table(range(n)), *translations])
     blocks = _canonical([e in members for e in range(n)])
     while True:
         budget.spend(n * (len(translations) + 1))
-        if lanes is None:
-            columns = [blocks] + [[blocks[x] for x in t] for t in translations]
-            refined = _canonical(list(zip(*columns)))
-        else:
-            joined = lanes.translate(bytes(blocks).ljust(256, b"\0"))
-            refined = _canonical([joined[e::n] for e in range(n)])
+        joined = codec.gather(lanes, codec.row(blocks))
+        refined = _canonical([joined[e::n] for e in range(n)])
         if max(refined) == max(blocks):
             return Congruence(blocks)
         blocks = refined

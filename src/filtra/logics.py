@@ -59,6 +59,7 @@ instead of overclaiming.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .algebras import (
@@ -68,10 +69,12 @@ from .algebras import (
     Table,
     _apply_pointwise,
     _by_size,
+    _codec,
     _elements,
     _free_variables,
     _leaf_table,
     _mask,
+    _meet_closure,
     as_budget,
     compile_term,
     enumerate_homomorphisms,
@@ -268,23 +271,7 @@ def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int, budget: Budget
     step per tuple and lane of 256 positions.  The clone is left incomplete
     only when it outgrows the element cap.
     """
-    if max(alg.size for alg in algebras) <= 256:
-        join = b"".join
-
-        def table_row(values: tuple[int, ...]) -> bytes:
-            return bytes(values).ljust(256, b"\0")
-
-        def gather(row: bytes, column: bytes) -> bytes:
-            return column.translate(row)
-    else:
-        table_row = tuple
-
-        def join(parts: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
-            return tuple(itertools.chain.from_iterable(parts))
-
-        def gather(row: tuple[int, ...], column: tuple[int, ...]) -> tuple[int, ...]:
-            return tuple(map(row.__getitem__, column))
-
+    _, table_row, gather, join = _codec(max(alg.size for alg in algebras))
     widths = [alg.size**nvars for alg in algebras]
     step = sum(widths)
     lanes = -(-step // 256)
@@ -333,7 +320,7 @@ def _build_clone(algebras: tuple[FiniteAlgebra, ...], nvars: int, budget: Budget
                         index = [i * n + v for i, n, v in zip(index, sizes, keys[a])]
                     selected = map(list.__getitem__, rows, index)
                     source = fresh if lo else columns
-                    joined = join([gather(row, col) for row, col in zip(selected, source)])
+                    joined = join(map(gather, source, selected))
                     block = [joined[j::count] for j in range(count)]
                     if not seen.issuperset(block):
                         for last, key in enumerate(block, lo):
@@ -400,15 +387,7 @@ def _homomorphic_lower(
         for h in enumerate_homomorphisms(algebra, m.algebra, budget):
             homs.append(h)
             preimages.add(_mask(a for a in range(algebra.size) if h[a] in m.designated))
-    lower = {(1 << algebra.size) - 1}
-    frontier = list(lower)
-    while frontier:
-        mask = frontier.pop()
-        budget.spend(len(preimages))
-        for meet in {mask & p for p in preimages} - lower:
-            lower.add(meet)
-            frontier.append(meet)
-    return homs, lower
+    return homs, _meet_closure((1 << algebra.size) - 1, preimages, operator.and_, 1, budget)
 
 
 def _clone_context(

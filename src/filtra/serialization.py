@@ -11,13 +11,14 @@ logic     {"kind": "rules", "signature": <algebra name|null>,
 class     {"kind": "axioms", "equations": [["lhs","rhs"]...],
            "quasi": [{"if": [["l","r"]...], "then": ["l","r"]}...]}
         | {"kind": "generators", "algebras": ["name"...]}
-candidate {"variant", "signature"?: <algebra name>, "n_max", "param_count"?,
+candidate {"variant"?, "signature"?: <algebra name>, "n_max", "param_count"?,
            "families": {"0": [[[lhs,rhs]...]...], ...},
            "template"?: {"fold": "and", "leq": "meet"|"join",
                          "empty": "<term>", "meet_symbol"?, "join_symbol"?}}
 
 A candidate's terms are read under the signature its caller passes, that of
-the algebra its "signature" entry names when it has one.  Candidate term
+the algebra its "signature" entry names when it has one.  A candidate whose
+families do not have the shape of its "variant" is refused.  Candidate term
 strings may use the atom ``@fold`` for the fold of x1..xn under
 the template's fold symbol (the template's ``empty`` term at n = 0), and
 equations may be written as ["<=", lhs, rhs] to expand through the template's
@@ -151,5 +152,8 @@ def candidate_from_json(doc: Mapping, sig: Signature) -> EDCFCandidate:
                     raise InvalidSpec(f"equation entry {raw_eq!r} not understood")
             family.append(tuple(eqs))
         families.append(tuple(family))
-    return EDCFCandidate(doc.get("name", "candidate"), n_max, tuple(families), param_count)
+    candidate = EDCFCandidate(doc.get("name", "candidate"), n_max, tuple(families), param_count)
+    if "variant" in doc and not candidate.matches_variant(doc["variant"]):
+        raise InvalidSpec(f"candidate {candidate.name!r} does not have the {doc['variant']} shape")
+    return candidate
 

@@ -152,8 +152,9 @@ def test_compiled_term_matches_pointwise_evaluation(compilation):
 
 def _arithmetic_algebra(n, symbols):
     """An algebra on n elements with the listed symbols among f, g and h
-    (arities 1, 2 and 3), each a polynomial modulo n."""
+    (arities 1, 2 and 3), each a polynomial modulo n, and the constant c = n - 1."""
     formulas = {
+        "c": lambda: n - 1,
         "f": lambda x: (7 * x + 3) % n,
         "g": lambda x, y: (3 * x + 5 * y + x * y) % n,
         "h": lambda x, y, z: (x + 2 * y + 4 * z + x * y * z) % n,
@@ -174,6 +175,7 @@ def _arithmetic_algebra(n, symbols):
         (6, "fh", "(h (f x) y (h z x y))", "xyz"),  # 6^3 = 216
         (7, "fh", "(h (f x) y (h z x y))", "xyz"),  # 7^3 > 256
         (300, "fg", "(g (f x) (g x (f x)))", "x"),  # above 256 elements: tuples
+        (300, "cfg", "(g (f c) (g x (f x)))", "x"),  # a constant above 255 holds no byte
     ],
 )
 def test_compiled_tables_on_both_sides_of_a_byte_lane(n, symbols, text, variables):
@@ -538,18 +540,23 @@ LIBRARY_ENTRY_POINTS = {"checks.test_algebra_check", "logics.is_filter_certain"}
 def test_every_public_function_has_a_caller():
     # a caller is the function's own module, outside its body, or a module of
     # the package or the benchmark that imports it from its module, or reads
-    # it off a name bound to its module; no string or document counts
+    # it off a name bound to its module; no string or document counts.  A
+    # module-level _-prefixed function needs a caller inside the package.
     root = Path(__file__).resolve().parent.parent
-    defined, called = set(), set()
+    defined, called, called_in_package = set(), set(), set()
     for path in sorted(Path(filtra.__file__).parent.glob("*.py")) + sorted((root / "bench").glob("*.py")):
         tree = ast.parse(path.read_text())
         reads = _Reads()
         reads.visit(tree)
+        found = {reads.imports[name] for name in reads.loads if name in reads.imports}
+        found |= {(reads.modules[name], attr) for name, attr in reads.attributes if name in reads.modules}
         if path.parent.name == "filtra":
             own = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-            defined |= {(path.stem, name) for name in own if not name.startswith("_")}
-            called |= {(path.stem, name) for name in own & reads.loads}
-        called |= {reads.imports[name] for name in reads.loads if name in reads.imports}
-        called |= {(reads.modules[name], attr) for name, attr in reads.attributes if name in reads.modules}
-    uncalled = {f"{module}.{name}" for module, name in defined - called}
+            defined |= {(path.stem, name) for name in own}
+            found |= {(path.stem, name) for name in own & reads.loads}
+            called_in_package |= found
+        called |= found
+    uncalled = {f"{module}.{name}" for module, name in defined - called if not name.startswith("_")}
     assert uncalled == LIBRARY_ENTRY_POINTS
+    unread = {f"{module}.{name}" for module, name in defined - called_in_package if name.startswith("_")}
+    assert unread == set()

@@ -303,6 +303,16 @@ def test_relative_congruences_of_the_wk3_cube_spend_exact_budgets(wk3, spec_name
             relative(cube, spec, Budget(steps - 1))
 
 
+def test_the_wk3_cube_has_384_qwk3_congruences_at_an_exact_spend(wk3):
+    # one homomorphism search, then each of the 384 met with every kernel at 27 steps a meet
+    cube = direct_product([wk3, wk3, wk3]).algebra
+    exact = Budget(136_368)
+    assert len(k_congruences(cube, bi.class_spec("qwk3"), exact)) == 384
+    assert exact.spent == 136_368
+    with pytest.raises(SizeBudgetExceeded):
+        k_congruences(cube, bi.class_spec("qwk3"), Budget(136_367))
+
+
 def test_relative_congruences_build_no_quotient_and_test_no_membership(monkeypatch, wk3, box5, alpha12, pwk_quasi):
     def forbidden(*args, **kwargs):
         raise AssertionError("called")

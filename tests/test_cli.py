@@ -317,6 +317,16 @@ def test_a_candidate_file_needs_the_algebra(tmp_path, capsys):
     assert err == "configuration error: candidate files need --algebra to supply the signature\n"
 
 
+def test_a_candidate_file_whose_families_miss_its_variant_exits_config(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "name": "c", "variant": "global", "n_max": 0, "families": {"0": [[["y", "y"]], [["y", "(neg y)"]]]}}))
+    code, out, err = run(
+        capsys, "check", "edcf", "--logic", "KL", "--testbed", "k3-isp", "--algebra", "K3", "--candidate", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "configuration error: candidate 'c' does not have the global shape\n"
+
+
 def test_check_search_refuses_an_unknown_property_without_generators(capsys):
     code, out, err = run(capsys, "check", "search", "--logic", "PWK", "--property", "nope")
     assert code == EXIT_CONFIG
@@ -575,6 +585,14 @@ def test_a_cold_catalog_entry_spends_its_callers_budget_alone(cold_contexts, exa
     budget, results = Budget(), []
     assert _budgets_made(lambda: CATALOG[example](results, budget)) == 0
     assert budget.spent > 0 and all(r["ok"] for r in results)
+
+
+def test_pwk_no_pedcf_builds_no_testbed(cold_contexts):
+    # its pinned factors replace the testbed's products, so no testbed is read
+    results = []
+    CATALOG["pwk-no-pedcf"](results, Budget())
+    assert all(r["ok"] for r in results)
+    assert [key for key in bi._BUILT if key[0] == "testbed"] == []
 
 
 @pytest.mark.parametrize("kind", ["algebras", "logics", "classes", "candidates", "testbeds", "examples"])

@@ -142,6 +142,18 @@ def test_candidate_unknown_order_form_is_rejected(k3):
         candidate_from_json(doc, k3.signature)
 
 
+def test_candidate_variant_is_checked_against_its_families(k3):
+    # two members at n = 0: a local shape, not the one set of a global candidate
+    doc = {"name": "c", "variant": "global", "n_max": 0, "families": {"0": [[["y", "y"]], [["y", "(neg y)"]]]}}
+    with pytest.raises(InvalidSpec, match="does not have the global shape"):
+        candidate_from_json(doc, k3.signature)
+    doc["variant"] = "nope"
+    with pytest.raises(InvalidSpec, match="unknown variant"):
+        candidate_from_json(doc, k3.signature)
+    doc["variant"] = "local"
+    assert len(candidate_from_json(doc, k3.signature).family(0)) == 2
+
+
 def test_candidate_missing_family(k3):
     doc = {"name": "gap", "variant": "local", "n_max": 1, "families": {"0": []}}
     with pytest.raises(InvalidSpec):
