@@ -514,7 +514,7 @@ def _homomorphisms(
     with injective, an image already in use is skipped before it spends.
     """
     if dom.signature != cod.signature:
-        raise InvalidSpec("homomorphisms need a shared signature")
+        raise InvalidSpec(f"{dom.name} and {cod.name} have different signatures: homomorphisms need a shared one")
     n, m = dom.size, cod.size
     # for each element e, the op instances fully decided once 0..e are assigned
     instances_at: list[list[tuple[tuple[int, ...], tuple[int, ...], int]]] = [[] for _ in range(n)]

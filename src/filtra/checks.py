@@ -17,9 +17,8 @@ that would leave a sweep empty is a configuration error, not a vacuous pass.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .algebras import (
     Budget,
@@ -35,8 +34,6 @@ from .algebras import (
     induced_subalgebra,
 )
 from .candidates import LEIBNIZ_MODES, EDCFCandidate
-from .classes import ClassSpec, k_congruences, theta_k
-from .congruences import Congruence, leibniz_congruence
 from .errors import InvalidSpec
 from .logics import (
     LogicSpec,
@@ -47,6 +44,10 @@ from .logics import (
     fg_relative,
 )
 from .terms import _Record
+
+if TYPE_CHECKING:  # a class or a congruence is read by three checkers alone
+    from .classes import ClassSpec
+    from .congruences import Congruence
 
 PASS = "pass"
 FAIL = "fail"
@@ -290,6 +291,8 @@ def check_edcf(
     budget = as_budget(budget)
     top = _top(candidate, variant, n_max)
     uncertified = _uncertified(logic, testbed, budget)
+    if class_spec is not None:
+        from .classes import theta_k
     for algebra in testbed:
         theta = None if class_spec is None else theta_k(algebra, class_spec, budget)
         witness = _first_mismatch(logic, algebra, candidate, top, budget, theta)
@@ -564,6 +567,9 @@ def smallest_relcong_check(
 ) -> Verdict:
     """For each cell, the relative congruences putting the element into the
     relatively generated filter must have a least member."""
+    from .classes import k_congruences
+    from .congruences import Congruence
+
     budget = as_budget(budget)
     _require(arity_cap, 0, "arity_cap")
     relative = k_congruences(algebra, class_spec, budget)
@@ -587,7 +593,7 @@ def smallest_relcong_check(
             if not hit or hit in least:
                 continue
             hits = [t for i, t in enumerate(relative) if hit >> i & 1]
-            meet = functools.reduce(Congruence.meet, hits)
+            meet = Congruence(tuple(zip(*(t.partition for t in hits))))
             if meet in hits:
                 least.add(hit)
                 continue
@@ -641,6 +647,8 @@ def leibniz_probe(
 ) -> Verdict:
     """Refuter for order properties of the largest compatible congruence over
     the filters of each testbed algebra; a pass is not a proof."""
+    from .congruences import leibniz_congruence
+
     budget = as_budget(budget)
     if mode not in LEIBNIZ_MODES:
         raise InvalidSpec(f"unknown probe mode {mode!r}")

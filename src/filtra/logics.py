@@ -3,16 +3,17 @@
 A logic is given either by finitely many rules or by finitely many finite
 matrices.  Each (algebra, logic) pair has one context for the life of the
 process, built from the budget of the call that first needs it; a build that
-raises leaves nothing behind.  A context is found by the identity of the pair
-that built it, else by value, so equal algebras built apart share it.  It
-holds subsets of the carrier as bitmasks (element e is bit e) and one
-consequence step: the elements a subset's members yield outside it.  Only the
-step depends on how the logic is given.  fg iterates it to its fixpoint
-(fg_trace lists the stages), is_filter asks whether it adds nothing, and
-Ganter's NextClosure enumerates its closed sets with at most |A| closures per
-closed set.  Once that family is known, fg and is_filter read it instead.  fg
-memoizes its Filter by generator mask.  fg_relative alternates fg with
-saturation by a congruence's blocks, in the same context.
+raises leaves nothing behind.  A read finds it in one dict probe by the
+identity of the pair that built it, else by value, so equal algebras built
+apart share it.  It holds subsets of the carrier as bitmasks (element e is
+bit e) and one consequence step: the elements a subset's members yield
+outside it.  Only the step depends on how the logic is given.  fg iterates it
+to its fixpoint (fg_trace lists the stages), is_filter asks whether it adds
+nothing, and Ganter's NextClosure enumerates its closed sets with at most |A|
+closures per closed set.  Once that family is known, fg and is_filter read
+it instead.  Each closed set has one Filter: fg memoizes it under its mask
+and every generator mask asked, and all_filters returns it.  fg_relative
+alternates fg with saturation by a congruence's blocks, in the same context.
 
 Rule-presented filters are exact: a step adds the conclusion of each
 valuation instance of a rule whose premises lie in the subset.
@@ -121,8 +122,7 @@ LogicSpec = RulePresented | MatrixDetermined
 class Filter(_Record):
     """A subset of a carrier known to be closed under the logic.
 
-    The enumeration and generation routines construct instances only for
-    sets they have just verified.
+    A context builds one per closed set it verified; equal algebras built apart get copies.
     """
 
     __slots__ = _fields = ("algebra", "members")
@@ -165,7 +165,7 @@ class _Context:
         self.clone = clone
         # the highest variable count built, and whether that clone completed
         self.tried = (0, False)
-        self.memo: dict[int, Filter] = {}  # fg by generator mask
+        self.memo: dict[int, Filter] = {}  # fg by generator mask, one Filter per closed set
         # the closed sets once known: sorted by size for close, as a set for is_filter
         self.family: tuple[int, ...] | None = None
         self.family_set: frozenset[int] = frozenset()
@@ -184,11 +184,11 @@ class _Context:
             return self.stages(mask)[-1]
         return next(ms for ms in self.family if mask & ms == mask)
 
-    def is_filter(self, mask: int) -> bool:
-        return mask in self.family_set if self.family is not None else not self.step(mask)
-
-    def is_filter_certain(self, mask: int) -> bool:
-        return bool(self.exact) or mask in self.lower_set or bool(self.step(mask))
+    def filter(self, closed: int) -> Filter:
+        """The one Filter of a closed set, memoized as its own fg."""
+        if closed not in self.memo:
+            self.memo[closed] = Filter(self.algebra, frozenset(_elements(closed)))
+        return self.memo[closed]
 
     def filters(self, budget: Budget) -> tuple[int, ...]:
         """The closed sets; the lower family once that matched them."""
@@ -483,9 +483,6 @@ def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined, budget: Bud
     closed jointly.  Every layer, from the homomorphisms to the certification,
     spends the caller's budget.
     """
-    for m in logic.matrices:
-        if m.algebra.signature != algebra.signature:
-            raise InvalidSpec("matrix logic applied to an algebra of another signature")
     algebras = tuple(m.algebra for m in logic.matrices)
     bound = min(algebra.size, logic.variable_bound or algebra.size)
     homs, hom_lower = _homomorphic_lower(algebra, logic, budget)
@@ -525,17 +522,13 @@ _CONTEXTS: dict[tuple, _Context] = {}
 
 def _context(algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | None) -> _Context:
     """The pair's context, found by identity without hashing either object,
-    else by value: equal algebras built apart share it.  Built from the budget
-    of the call that first needs it, stored once built; only a build reads the
-    budget."""
-    ctx = _CONTEXTS.get((id(algebra), id(logic)))
+    else by value: equal algebras built apart share it.  Only a build, by the
+    call that first needs it, reads the budget; it is stored once built."""
+    ctx = _CONTEXTS.get((id(algebra), id(logic))) or _CONTEXTS.get((algebra, logic))
     if ctx is None:
-        key = (algebra, logic)
-        ctx = _CONTEXTS.get(key)
-        if ctx is None:
-            build = _rule_context if isinstance(logic, RulePresented) else _matrix_context
-            ctx = _CONTEXTS[key] = build(algebra, logic, as_budget(budget))
-            _CONTEXTS[id(algebra), id(logic)] = ctx
+        build = _rule_context if isinstance(logic, RulePresented) else _matrix_context
+        ctx = _CONTEXTS[algebra, logic] = build(algebra, logic, as_budget(budget))
+        _CONTEXTS[id(algebra), id(logic)] = ctx
     return ctx
 
 
@@ -550,7 +543,11 @@ def is_filter(
     Exact for rule-presented logics.  For matrix-determined logics a False is
     always definitive; a True is definitive when is_filter_certain agrees.
     """
-    return _context(algebra, logic, budget).is_filter(_mask(members))
+    ctx = _CONTEXTS.get((id(algebra), id(logic))) or _context(algebra, logic, budget)
+    mask = 0
+    for e in members:
+        mask |= 1 << e
+    return mask in ctx.family_set if ctx.family is not None else not ctx.step(mask)
 
 
 def is_filter_certain(
@@ -560,7 +557,9 @@ def is_filter_certain(
     budget: Budget | None = None,
 ) -> bool:
     """Whether is_filter's answer on this subset is conclusive."""
-    return _context(algebra, logic, budget).is_filter_certain(_mask(members))
+    ctx = _CONTEXTS.get((id(algebra), id(logic))) or _context(algebra, logic, budget)
+    mask = _mask(members)
+    return bool(ctx.exact) or mask in ctx.lower_set or bool(ctx.step(mask))
 
 
 def all_filters(
@@ -568,8 +567,9 @@ def all_filters(
 ) -> list[Filter]:
     """Every filter, ascending by cardinality then lexicographically."""
     budget = as_budget(budget)
-    family = _context(algebra, logic, budget).filters(budget)
-    return [Filter(algebra, frozenset(_elements(ms))) for ms in family]
+    ctx = _context(algebra, logic, budget)
+    filters = [ctx.filter(ms) for ms in ctx.filters(budget)]
+    return filters if ctx.algebra is algebra else [Filter(algebra, f.members) for f in filters]
 
 
 def filters_certified(
@@ -610,8 +610,8 @@ def fg_trace(
     budget: Budget | None = None,
 ) -> list[frozenset[int]]:
     """Stages of filter generation; the last stage is the filter."""
-    stages = _context(algebra, logic, budget).stages(_mask(generators))
-    return [frozenset(_elements(stage)) for stage in stages]
+    ctx = _CONTEXTS.get((id(algebra), id(logic))) or _context(algebra, logic, budget)
+    return [frozenset(_elements(stage)) for stage in ctx.stages(_mask(generators))]
 
 
 def fg(
@@ -624,13 +624,15 @@ def fg(
 
     The one-step consequence iterated to its fixpoint, or the least member of
     the family once that is known; exact whenever filters_certified holds.
-    The memoized Filter is returned as is to the algebra that built the context.
+    The memoized Filter, one per closed set, goes as is to the context's algebra.
     """
-    ctx = _context(algebra, logic, budget)
-    mask = _mask(generators)
+    ctx = _CONTEXTS.get((id(algebra), id(logic))) or _context(algebra, logic, budget)
+    mask = 0
+    for e in generators:
+        mask |= 1 << e
     f = ctx.memo.get(mask)
     if f is None:
-        f = ctx.memo[mask] = Filter(ctx.algebra, frozenset(_elements(ctx.close(mask))))
+        f = ctx.memo[mask] = ctx.filter(ctx.close(mask))
     return f if f.algebra is algebra else Filter(algebra, f.members)
 
 

@@ -85,6 +85,12 @@ def test_check_minrelcong_box5(capsys):
     assert "minimal_congruences" in out
 
 
+def test_a_foreign_signature_names_both_algebras(capsys):
+    code, out, err = run(capsys, "check", "minrelcong", "--algebra", "box5", "--class", "qwk3", "--logic", "ONE")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "configuration error: box5 and WK3 have different signatures: homomorphisms need a shared one\n"
+
+
 def test_check_brouwer(capsys):
     code, _, _ = run(capsys, "check", "brouwer", "--logic", "ORD", "--algebra", "M3")
     assert code == EXIT_FAIL

@@ -36,7 +36,7 @@ from filtra.algebras import (
     induced_subalgebra,
 )
 from filtra.congruences import Congruence, all_congruences
-from filtra.errors import SizeBudgetExceeded
+from filtra.errors import InvalidSpec, SizeBudgetExceeded
 from filtra.logics import (
     MatrixDetermined,
     _build_clone,
@@ -648,6 +648,13 @@ def test_products_with_dm4_certify_at_two_variables(cold_contexts, names, filter
     assert {f.members for f in all_filters(moved, logic)} == {frozenset(perm[x] for x in s) for s in family}
 
 
+def test_a_foreign_signature_is_refused_naming_both_algebras(cold_contexts, box5, kl):
+    # the first homomorphism search refuses before it spends, so no context is left
+    with pytest.raises(InvalidSpec, match="^box5 and K3 have different signatures"):
+        all_filters(box5, kl, Budget(0))
+    assert logics._CONTEXTS == {}
+
+
 def test_a_cold_matrix_context_spends_the_callers_budget(cold_contexts, kl):
     k3_sq = bi.algebra("K3^2")
     with pytest.raises(SizeBudgetExceeded):
@@ -715,16 +722,22 @@ def _rebuilt(algebra):
     return again
 
 
-def _answer_cold_warm_and_rebuilt(algebra, logic, closed):
-    """fg and is_filter on every subset against the closed sets: from an empty
-    cache, again warm under budgets that allow no step, and on an equal algebra
-    built apart, which shares the context by value and gets Filters of its own.
-    Above 9 elements, the subsets of at most 3 elements and 300 drawn ones."""
+def _subsets(algebra):
+    """Every subset; above 9 elements, those of at most 3 elements and 300
+    drawn ones, seeded by the size."""
     n = algebra.size
     subsets = [s for r in range(n + 1 if n <= 9 else 4) for s in itertools.combinations(range(n), r)]
     if n > 9:
         rng = random.Random(n)
         subsets += [tuple(a for a in range(n) if rng.random() < 0.5) for _ in range(300)]
+    return subsets
+
+
+def _answer_cold_warm_and_rebuilt(algebra, logic, closed):
+    """fg and is_filter on _subsets against the closed sets: from an empty
+    cache, again warm under budgets that allow no step, and on an equal algebra
+    built apart, which shares the context by value and gets Filters of its own."""
+    subsets = _subsets(algebra)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(logics, "_CONTEXTS", {})
         for subset in subsets:  # the first call builds the context, every fg fills the memo
@@ -751,6 +764,48 @@ def test_warm_queries_on_the_fg_warm_pairs_match_the_oracle(names):
     _answer_cold_warm_and_rebuilt(algebra, logic, closed)
     if isinstance(logic, MatrixDetermined):  # the oracle's two variables certify there
         assert filters_certified(algebra, logic)
+
+
+@pytest.mark.parametrize("names", FG_WARM_PAIRS, ids="-".join)
+def test_one_filter_per_closed_set_before_and_after_all_filters(names):
+    """From an empty cache, a cold miss under a budget that allows no step
+    raises and stores nothing.  Then fg and is_filter on _subsets match the
+    oracle before all_filters (on a rule logic, the step path) and after it
+    (the family path).  Each closed set has one Filter: fg returns it for every
+    form of every generator set reaching it, all_filters returns the same
+    objects, and an equal algebra built apart gets copies naming itself."""
+    algebra, logic = bi.algebra(names[0]), bi.logic(names[1])
+    closed = _oracle_family(algebra, logic)
+    subsets = _subsets(algebra)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logics, "_CONTEXTS", {})
+        for read in (fg, is_filter):
+            with pytest.raises(SizeBudgetExceeded):
+                read(algebra, (), logic, Budget(0))
+            assert logics._CONTEXTS == {}
+        first = {}
+        for subset in subsets:
+            f = first[subset] = fg(algebra, subset, logic)
+            assert f.members == oracle_least_closed(closed, subset) and f.algebra is algebra
+            assert is_filter(algebra, subset, logic) == (frozenset(subset) in closed)
+            assert is_filter(algebra, iter(subset), logic) == (frozenset(subset) in closed)
+            for form in (iter(subset), list(subset) * 2, frozenset(subset), f.members):
+                assert fg(algebra, form, logic) is f
+        filters = all_filters(algebra, logic)
+        assert [f.members for f in filters] == closed
+        assert all(f.algebra is algebra for f in filters)
+        by_members = {f.members: f for f in filters}
+        for subset in subsets:
+            f = fg(algebra, subset, logic, Budget(0))
+            assert f is first[subset] is by_members[f.members]
+            assert is_filter(algebra, subset, logic, Budget(0)) == (frozenset(subset) in closed)
+            assert fg(algebra, f.members, logic, Budget(0)) is f
+        assert all(f is g for f, g in zip(all_filters(algebra, logic, Budget(0)), filters))
+        again = _rebuilt(algebra)
+        theirs = all_filters(again, logic, Budget(0))
+        assert [f.members for f in theirs] == closed and all(f.algebra is again for f in theirs)
+        assert all(fg(again, f.members, logic, Budget(0)).algebra is again for f in filters)
+        assert all(f.algebra is algebra for f in all_filters(algebra, logic, Budget(0)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -65,6 +65,20 @@ def test_fg_loads_no_checker():
     assert _fresh(code)[-1] == "0 []"
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (["reproduce", "kleene-edcf"], "[]"),  # no class and no Leibniz probe
+    (["check", "minrelcong", "--algebra", "box5", "--class", "alpha12", "--logic", "ONE", "--arity", "1"],
+     "['filtra.classes', 'filtra.congruences']"),
+], ids=["reproduce-kleene-edcf", "check-minrelcong"])
+def test_a_checker_loads_classes_and_congruences_only_when_it_reads_them(argv, loaded):
+    code = (
+        "import sys, filtra.cli\n"
+        f"code = filtra.cli.main({argv!r})\n"
+        "print(sorted({'filtra.classes', 'filtra.congruences'} & set(sys.modules)))"
+    )
+    assert _fresh(code)[-1] == loaded
+
+
 def _samples():
     """(class, fields, defaults, two samples of field values) for every record,
     as the fields and defaults of its former dataclass declaration."""
