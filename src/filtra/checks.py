@@ -100,14 +100,18 @@ def generate_testbed(
 
     for g in generators:
         push(g)
-    for r in range(2, max_product_arity + 1):
-        for combo in itertools.combinations_with_replacement(generators, r):
-            push(direct_product(list(combo), budget=budget).algebra)
+    for combo in _factor_lists(generators, max_product_arity):
+        push(direct_product(list(combo), budget=budget).algebra)
     if include_subalgebras:
         for alg in list(algebras):
             for _, sub, _ in _proper_subalgebras(alg, budget):
                 push(sub)
     return tuple(algebras)
+
+
+def _factor_lists(algebras: Sequence[FiniteAlgebra], arity: int) -> list[tuple[FiniteAlgebra, ...]]:
+    """The factors of each product of 2 to arity of the algebras, repeats allowed, by arity."""
+    return [c for r in range(2, arity + 1) for c in itertools.combinations_with_replacement(algebras, r)]
 
 
 def _proper_subalgebras(
@@ -185,6 +189,16 @@ def _generator_sets(size: int, cap: int) -> Iterator[tuple[int, ...]]:
     lexicographically: the sweep of a check that reads generators as a set."""
     for n in range(cap + 1):
         yield from itertools.combinations(range(size), n)
+
+
+def _trace(inclusion: Sequence[int], members: frozenset[int]) -> frozenset[int]:
+    """The subalgebra's elements whose images lie in members."""
+    return frozenset(i for i, e in enumerate(inclusion) if e in members)
+
+
+def _pair(algebra: FiniteAlgebra, fm: frozenset[int], gm: frozenset[int]) -> dict:
+    """A witness's prefix naming the algebra and a pair of its filters."""
+    return {"algebra": algebra.name, "filter_f": sorted(fm), "filter_g": sorted(gm)}
 
 
 def _uncertified(
@@ -386,7 +400,7 @@ def absolute_fep_check(
                 budget.spend()
                 inner = fg(small, frozenset(xs), logic, budget).members
                 outer = fg(big, frozenset(inclusion[x] for x in xs), logic, budget).members
-                trace = frozenset(i for i in range(small.size) if inclusion[i] in outer)
+                trace = _trace(inclusion, outer)
                 if inner != trace:
                     witness = {
                         "algebra": big.name,
@@ -417,19 +431,14 @@ def fep_check(
             uncertified |= _uncertified(logic, [small], budget)
             small_filters = [f.members for f in all_filters(small, logic, budget)]
             for base in big_filters:
-                trace = frozenset(i for i in range(small.size) if inclusion[i] in base)
+                trace = _trace(inclusion, base)
                 if trace not in small_filters:
                     continue  # the submatrix is then not a model pair for this base
                 for ff in small_filters:
                     budget.spend()
                     if not (trace <= ff):
                         continue
-                    extended = any(
-                        base <= gg
-                        and frozenset(i for i in range(small.size) if inclusion[i] in gg) == ff
-                        for gg in big_filters
-                    )
-                    if not extended:
+                    if not any(base <= gg and _trace(inclusion, gg) == ff for gg in big_filters):
                         witness = {
                             "algebra": big.name,
                             "subalgebra": sorted(sub),
@@ -466,11 +475,7 @@ def factor_determined_check(
         factor_lists = [tuple(pinned_factors)]
     else:
         _require(max_product_arity, 2, "max_product_arity")
-        factor_lists = [
-            combo
-            for r in range(2, max_product_arity + 1)
-            for combo in itertools.combinations_with_replacement(tuple(testbed), r)
-        ]
+        factor_lists = _factor_lists(testbed, max_product_arity)
     uncertified: dict[FiniteAlgebra, str] = {}
     for factors in factor_lists:
         prod = direct_product(list(factors), budget=budget)
@@ -618,24 +623,14 @@ def dually_brouwerian_check(
     uncertified = _uncertified(logic, testbed, budget)
     for algebra in testbed:
         families = [f.members for f in all_filters(algebra, logic, budget)]
-        for fm in families:
-            for gm in families:
-                budget.spend()
-                candidates = [
-                    hm for hm in families if gm <= fg(algebra, fm | hm, logic, budget).members
-                ]
-                least = [h for h in candidates if all(h <= o for o in candidates)]
-                if candidates and not least:
-                    minimal = [
-                        h for h in candidates if not any(o < h for o in candidates)
-                    ]
-                    witness = {
-                        "algebra": algebra.name,
-                        "filter_f": sorted(fm),
-                        "filter_g": sorted(gm),
-                        "minimal_h": [sorted(h) for h in minimal],
-                    }
-                    return _resolve("dually-brouwerian", uncertified, witness, [algebra])
+        for fm, gm in itertools.product(families, repeat=2):
+            budget.spend()
+            candidates = [hm for hm in families if gm <= fg(algebra, fm | hm, logic, budget).members]
+            least = [h for h in candidates if all(h <= o for o in candidates)]
+            if candidates and not least:
+                minimal = [sorted(h) for h in candidates if not any(o < h for o in candidates)]
+                witness = _pair(algebra, fm, gm) | {"minimal_h": minimal}
+                return _resolve("dually-brouwerian", uncertified, witness, [algebra])
     return _resolve("dually-brouwerian", uncertified)
 
 
@@ -652,32 +647,21 @@ def leibniz_probe(
     budget = as_budget(budget)
     if mode not in LEIBNIZ_MODES:
         raise InvalidSpec(f"unknown probe mode {mode!r}")
+    monotone = mode == "monotone"
     uncertified = _uncertified(logic, testbed, budget)
     for algebra in testbed:
         families = [f.members for f in all_filters(algebra, logic, budget)]
         omegas = {fm: leibniz_congruence(algebra, fm, budget) for fm in families}
-        for fm in families:
-            for gm in families:
-                budget.spend()
-                if mode == "monotone":
-                    if fm <= gm and not omegas[fm].refines(omegas[gm]):
-                        witness = {
-                            "algebra": algebra.name,
-                            "filter_f": sorted(fm),
-                            "filter_g": sorted(gm),
-                            "omega_f": omegas[fm].to_blocks_json(),
-                            "omega_g": omegas[gm].to_blocks_json(),
-                        }
-                        return _resolve("leibniz-monotone", uncertified, witness, [algebra])
-                else:
-                    if fm < gm and omegas[fm] == omegas[gm]:
-                        witness = {
-                            "algebra": algebra.name,
-                            "filter_f": sorted(fm),
-                            "filter_g": sorted(gm),
-                            "omega_blocks": omegas[fm].to_blocks_json(),
-                        }
-                        return _resolve("leibniz-injective", uncertified, witness, [algebra])
+        for fm, gm in itertools.product(families, repeat=2):
+            budget.spend()
+            f, g = omegas[fm], omegas[gm]
+            if (fm <= gm and not f.refines(g)) if monotone else (fm < gm and f == g):
+                blocks = (
+                    {"omega_f": f.to_blocks_json(), "omega_g": g.to_blocks_json()}
+                    if monotone
+                    else {"omega_blocks": f.to_blocks_json()}
+                )
+                return _resolve(f"leibniz-{mode}", uncertified, _pair(algebra, fm, gm) | blocks, [algebra])
     return _resolve(f"leibniz-{mode}", uncertified)
 
 

@@ -39,11 +39,16 @@ def _given(token: str | None, flag: str) -> str:
 
 
 def _resolve(token: str | None, flag: str, read: Callable, builtin: Callable):
-    """The object of a JSON file, by `read(doc)`, else of a built-in name."""
+    """The object of a JSON file, by `read(doc)`, else of a built-in name.
+    A file that cannot be read, or a document of the wrong shape, is a
+    configuration error naming the file; a FiltraError passes as it is."""
     token = _given(token, flag)
     if token.endswith(".json") and Path(token).exists():
-        with open(token) as fh:
-            return read(json.load(fh))
+        try:
+            with open(token) as fh:
+                return read(json.load(fh))
+        except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise InvalidSpec(f"cannot read {flag[2:]} file {token}: {type(exc).__name__}: {exc}") from exc
     return builtin(token)
 
 
@@ -269,30 +274,31 @@ def _expect(results: list, label: str, verdict: Verdict, expected: str) -> None:
     _row(results, label, expected, verdict.outcome, verdict.outcome == expected, verdict=verdict.to_json())
 
 
-def _reproduce_kleene_edcf(results, budget):
-    from .checks import PASS, check_edcf
+def _edcf(results, label, expected, logic, testbed, candidate, variant, budget, n_max=None):
+    """A row of check_edcf with the built-in logic and candidate so named."""
+    from .checks import check_edcf
 
-    bed = bi.testbed("k3-isp", budget)
-    v = check_edcf(bi.logic("KL"), bed, bi.candidate("kl-global"), "global", budget=budget)
-    _expect(results, "kl-global passes on K3, K3^2 and subalgebras", v, PASS)
+    v = check_edcf(bi.logic(logic), testbed, bi.candidate(candidate), variant, n_max, budget=budget)
+    _expect(results, label, v, expected)
+
+
+def _reproduce_kleene_edcf(results, budget):
+    label = "kl-global passes on K3, K3^2 and subalgebras"
+    _edcf(results, label, "pass", "KL", bi.testbed("k3-isp", budget), "kl-global", "global", budget)
 
 
 def _reproduce_lp_edcf(results, budget):
-    from .checks import PASS, check_edcf
-
-    bed = bi.testbed("k3-isp", budget)
-    v = check_edcf(bi.logic("LP"), bed, bi.candidate("lp-global"), "global", budget=budget)
-    _expect(results, "lp-global passes on K3, K3^2 and subalgebras", v, PASS)
+    label = "lp-global passes on K3, K3^2 and subalgebras"
+    _edcf(results, label, "pass", "LP", bi.testbed("k3-isp", budget), "lp-global", "global", budget)
 
 
 def _reproduce_pwk_local_edcf(results, budget):
-    from .checks import PASS, absolute_fep_check, check_edcf
+    from .checks import absolute_fep_check
 
-    bed = bi.testbed("wk3-isp", budget)
-    v = check_edcf(bi.logic("PWK"), bed, bi.candidate("pwk-local"), "local", budget=budget)
-    _expect(results, "pwk-local passes on WK3, WK3^2 and subalgebras", v, PASS)
+    bed, label = bi.testbed("wk3-isp", budget), "pwk-local passes on WK3, WK3^2 and subalgebras"
+    _edcf(results, label, "pass", "PWK", bed, "pwk-local", "local", budget)
     v = absolute_fep_check(bi.logic("PWK"), bed, budget=budget)
-    _expect(results, "filter extension from subalgebras holds on the same testbed", v, PASS)
+    _expect(results, "filter extension from subalgebras holds on the same testbed", v, "pass")
 
 
 def _reproduce_pwk_no_pedcf(results, budget):
@@ -338,48 +344,32 @@ def _reproduce_box5_no_min(results, budget):
 
 
 def _reproduce_m3_not_brouwerian(results, budget):
-    from .checks import PASS, dually_brouwerian_check
+    from .checks import dually_brouwerian_check
 
     v = dually_brouwerian_check(bi.logic("ORD"), (bi.algebra("M3"),), budget)
     _expect(results, "no least complement filter on the modular lattice M3", v, "fail")
     v = dually_brouwerian_check(bi.logic("ORD"), (bi.algebra("BOOL4"),), budget)
-    _expect(results, "least complement filters exist on the Boolean 4-lattice", v, PASS)
+    _expect(results, "least complement filters exist on the Boolean 4-lattice", v, "pass")
 
 
 def _reproduce_modal_local_only(results, budget):
-    from .checks import PASS, check_edcf
-
-    v = check_edcf(
-        bi.logic("KG"), bi.testbed("modal-chains", budget), bi.candidate("modal-local"), "local", budget=budget
-    )
-    _expect(results, "necessitation-bounded local family passes on chains of length <= 4", v, PASS)
+    label = "necessitation-bounded local family passes on chains of length <= 4"
+    _edcf(results, label, "pass", "KG", bi.testbed("modal-chains", budget), "modal-local", "local", budget)
     for k in range(4):
-        fixture = bi.algebra(f"mchain{k + 2}")
-        v = check_edcf(
-            bi.logic("KG"), (fixture,), bi.candidate(f"modal-global-k{k}"), "global", budget=budget
-        )
-        _expect(results, f"fixed necessitation depth {k} fails on the {k + 2}-world chain", v, "fail")
+        _edcf(results, f"fixed necessitation depth {k} fails on the {k + 2}-world chain", "fail", "KG",
+              (bi.algebra(f"mchain{k + 2}"),), f"modal-global-k{k}", "global", budget)
 
 
 def _reproduce_luk_local_only(results, budget):
-    from .checks import PASS, check_edcf, compare_candidates
+    from .checks import compare_candidates
 
-    v = check_edcf(
-        bi.logic("LUK"), bi.testbed("mv-chains", budget), bi.candidate("luk-local-and"), "local", budget=budget
-    )
-    _expect(results, "bounded-power local family passes on L3, L4, L5", v, PASS)
-    v = compare_candidates(
-        bi.candidate("luk-local-and"), bi.candidate("luk-local-odot"), bi.testbed("mv-chains", budget),
-        budget=budget,
-    )
-    _expect(results, "lattice-meet fold and strong-conjunction fold are equivalent", v, PASS)
+    bed, label = bi.testbed("mv-chains", budget), "bounded-power local family passes on L3, L4, L5"
+    _edcf(results, label, "pass", "LUK", bed, "luk-local-and", "local", budget)
+    v = compare_candidates(bi.candidate("luk-local-and"), bi.candidate("luk-local-odot"), bed, budget=budget)
+    _expect(results, "lattice-meet fold and strong-conjunction fold are equivalent", v, "pass")
     for k in (1, 2, 3):
-        fixture = bi.algebra(f"L{k + 2}")
-        v = check_edcf(
-            bi.logic("LUK"), (fixture,), bi.candidate(f"luk-global-k{k}"), "global", n_max=1,
-            budget=budget,
-        )
-        _expect(results, f"fixed power {k} fails on the {k + 2}-element chain", v, "fail")
+        _edcf(results, f"fixed power {k} fails on the {k + 2}-element chain", "fail", "LUK",
+              (bi.algebra(f"L{k + 2}"),), f"luk-global-k{k}", "global", budget, n_max=1)
 
 
 def _reproduce_kl_only_filter(results, budget):

@@ -150,7 +150,7 @@ class _Context:
         algebra: FiniteAlgebra,
         step: Callable[[int], int],
         exact: bool | None = True,
-        lower: tuple[int, ...] = (),
+        lower: Iterable[int] = (),
         clone: _Clone | None = None,
     ):
         self.algebra = algebra
@@ -159,16 +159,14 @@ class _Context:
         # a matrix logic True from the start when the clone is complete at
         # v = |A|, else known once certified() ran
         self.exact = exact
-        # genuine filters, for a matrix logic: sorted by size, and as a set
-        self.lower = lower
-        self.lower_set = frozenset(lower)
+        # genuine filters, for a matrix logic, sorted by size
+        self.lower = dict.fromkeys(lower)
         self.clone = clone
         # the highest variable count built, and whether that clone completed
         self.tried = (0, False)
         self.memo: dict[int, Filter] = {}  # fg by generator mask, one Filter per closed set
-        # the closed sets once known: sorted by size for close, as a set for is_filter
-        self.family: tuple[int, ...] | None = None
-        self.family_set: frozenset[int] = frozenset()
+        # the closed sets once known, sorted by size: close scans them, is_filter probes them
+        self.family: dict[int, None] | None = None
 
     def stages(self, mask: int) -> list[int]:
         """Stages of the one-step consequence, first stage included."""
@@ -190,12 +188,11 @@ class _Context:
             self.memo[closed] = Filter(self.algebra, frozenset(_elements(closed)))
         return self.memo[closed]
 
-    def filters(self, budget: Budget) -> tuple[int, ...]:
+    def filters(self, budget: Budget) -> dict[int, None]:
         """The closed sets; the lower family once that matched them."""
         if self.family is None:
             closed = next_closure(self.algebra.size, self.close, budget)
-            self.family = tuple(sorted(closed, key=_by_size))
-            self.family_set = frozenset(self.family)
+            self.family = dict.fromkeys(sorted(closed, key=_by_size))
         return self.family
 
     def certified(self, budget: Budget) -> bool:
@@ -203,9 +200,9 @@ class _Context:
         the lower family (it stops at the first it meets)."""
         if self.exact is None:
             closed = next_closure(self.algebra.size, self.close, budget)
-            self.exact = all(ms in self.lower_set for ms in closed)
+            self.exact = all(ms in self.lower for ms in closed)
             if self.exact:
-                self.family, self.family_set = self.lower, self.lower_set
+                self.family = self.lower
         return self.exact
 
 
@@ -465,7 +462,7 @@ def _clone_context(
     return _Context(
         algebra, step,
         True if clone.complete and clone.nvars == algebra.size else None,
-        tuple(sorted(lower, key=_by_size)), clone,
+        sorted(lower, key=_by_size), clone,
     )
 
 
@@ -547,7 +544,7 @@ def is_filter(
     mask = 0
     for e in members:
         mask |= 1 << e
-    return mask in ctx.family_set if ctx.family is not None else not ctx.step(mask)
+    return mask in ctx.family if ctx.family is not None else not ctx.step(mask)
 
 
 def is_filter_certain(
@@ -559,7 +556,7 @@ def is_filter_certain(
     """Whether is_filter's answer on this subset is conclusive."""
     ctx = _CONTEXTS.get((id(algebra), id(logic))) or _context(algebra, logic, budget)
     mask = _mask(members)
-    return bool(ctx.exact) or mask in ctx.lower_set or bool(ctx.step(mask))
+    return bool(ctx.exact) or mask in ctx.lower or bool(ctx.step(mask))
 
 
 def all_filters(

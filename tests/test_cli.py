@@ -333,6 +333,70 @@ def test_a_candidate_file_whose_families_miss_its_variant_exits_config(tmp_path,
     assert err == "configuration error: candidate 'c' does not have the global shape\n"
 
 
+@pytest.mark.parametrize(("argv", "document", "shown"), [
+    (("fg", "--logic", "KL", "--algebra"), '{"name": "X", "signature": [], "operations": {}}',
+     "cannot read algebra file {path}: KeyError: 'size'"),
+    (("fg", "--algebra", "K3", "--logic"), '{"kind": "rules", "signature": "K3", "rules": [{"premises": ["x"]}]}',
+     "cannot read logic file {path}: KeyError: 'conclusion'"),
+    (("check", "minrelcong", "--algebra", "box5", "--logic", "ONE", "--class"), "not JSON",
+     "cannot read class file {path}: JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+    (("check", "edcf", "--logic", "KL", "--testbed", "k3-isp", "--algebra", "K3", "--candidate"),
+     '{"n_max": "two", "families": {}}',
+     "cannot read candidate file {path}: ValueError: invalid literal for int() with base 10: 'two'"),
+    (("check", "edcf", "--logic", "KL", "--testbed", "k3-isp", "--algebra", "K3", "--candidate"), "[1, 2]",
+     "cannot read candidate file {path}: AttributeError: 'list' object has no attribute 'get'"),
+    (("fg", "--logic", "KL", "--algebra"), None, "cannot read algebra file {path}: IsADirectoryError: "),
+], ids=["algebra-missing-key", "logic-missing-key", "class-not-json", "candidate-bad-value",
+        "candidate-not-an-object", "algebra-a-directory"])
+def test_a_malformed_file_exits_config_naming_it(tmp_path, capsys, argv, document, shown):
+    path = tmp_path / "bad.json"
+    if document is None:
+        path.mkdir()
+    else:
+        path.write_text(document)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("configuration error: " + shown.format(path=path))
+
+
+def test_a_square_named_in_a_file_still_exits_budget(tmp_path, capsys, cold_contexts):
+    path = tmp_path / "sq.json"
+    path.write_text('{"kind": "matrices", "matrices": [{"algebra": "K3^2", "designated": [8]}]}')
+    code, out, err = run(capsys, "--budget", "5", "fg", "--algebra", "K3", "--logic", str(path))
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err.startswith("budget exceeded: ")
+
+
+# the full JSON of the witnesses the folded builders make, key order included
+PINNED_WITNESSES = [
+    (("check", "leibniz", "--logic", "PWK", "--testbed", "wk3-isp"), {
+        "outcome": "fail", "checker": "leibniz-monotone",
+        "witness": {"algebra": "WK3xWK3", "filter_f": [1, 2, 4, 5, 7, 8], "filter_g": [1, 2, 4, 5, 6, 7, 8],
+                    "omega_f": [[0, 3, 6], [1, 4, 7], [2, 5, 8]], "omega_g": [[0, 3], [1, 4], [2, 5, 6, 7, 8]]},
+        "replay": "filtra check leibniz --logic PWK --testbed wk3-isp --variant local --mode monotone --arity 2"}),
+    (("check", "leibniz", "--logic", "ORD", "--testbed", "lattices", "--mode", "injective"), {
+        "outcome": "fail", "checker": "leibniz-injective",
+        "witness": {"algebra": "M3", "filter_f": [4], "filter_g": [1, 4], "omega_blocks": [[0], [1], [2], [3], [4]]},
+        "replay": "filtra check leibniz --logic ORD --testbed lattices --variant local --mode injective --arity 2"}),
+    (("check", "fep", "--logic", "ORD", "--testbed", "lattices"), {
+        "outcome": "fail", "checker": "fep",
+        "witness": {"algebra": "BOOL4", "subalgebra": [0, 1, 3], "base_filter": [2, 3],
+                    "filter_without_extension": [1, 3]},
+        "replay": "filtra check fep --logic ORD --testbed lattices --variant local --mode monotone --arity 2"}),
+    (("check", "brouwer", "--logic", "ORD", "--algebra", "M3"), {
+        "outcome": "fail", "checker": "dually-brouwerian",
+        "witness": {"algebra": "M3", "filter_f": [1, 4], "filter_g": [2, 4], "minimal_h": [[2, 4], [3, 4]]},
+        "replay": "filtra check brouwer --logic ORD --algebra M3 --variant local --mode monotone --arity 2"}),
+]
+
+
+@pytest.mark.parametrize(("argv", "want"), PINNED_WITNESSES,
+                         ids=["leibniz-monotone", "leibniz-injective", "fep", "dually-brouwerian"])
+def test_a_fail_prints_its_pinned_witness(capsys, argv, want):
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert (code, out) == (EXIT_FAIL, json.dumps(want, indent=1) + "\n")
+
+
 def test_check_search_refuses_an_unknown_property_without_generators(capsys):
     code, out, err = run(capsys, "check", "search", "--logic", "PWK", "--property", "nope")
     assert code == EXIT_CONFIG
