@@ -76,18 +76,18 @@ def _by_size(mask: int) -> tuple[int, list[int]]:
     return mask.bit_count(), _elements(mask)
 
 
-def next_closure(size: int, close: Callable[[int], int], budget: Budget) -> Iterator[int]:
+def next_closure(size: int, close: Callable[[int, Budget], int], budget: Budget) -> Iterator[int]:
     """The closed sets of a closure operator on {0, ..., size-1}, as bitmasks.
 
     NextClosure (Ganter 1984): the closed sets in lectic order, where the
     smaller element weighs more, each found from its predecessor A as the
     first closure of (A below i) + i that adds nothing below i.  At most size
-    closures per closed set, each spending one step; a caller that stops
-    iterating stops the search.
+    closures per closed set, each spending one step besides what the closure
+    spends of the same budget; a caller that stops iterating stops the search.
     """
     full = (1 << size) - 1
     budget.spend()
-    closed = close(0)
+    closed = close(0, budget)
     yield closed
     while closed != full:
         for i in reversed(range(size)):
@@ -96,7 +96,7 @@ def next_closure(size: int, close: Callable[[int], int], budget: Budget) -> Iter
                 continue
             below = closed & (bit - 1)
             budget.spend()
-            candidate = close(below | bit)
+            candidate = close(below | bit, budget)
             if candidate & (bit - 1) == below:
                 closed = candidate
                 break
@@ -459,7 +459,7 @@ def enumerate_subuniverses(
     """
     budget = as_budget(budget)
 
-    def close(mask: int) -> int:
+    def close(mask: int, budget: Budget) -> int:
         return _mask(subuniverse_generated(algebra, _elements(mask), budget))
 
     found = sorted((m for m in next_closure(algebra.size, close, budget) if m), key=_by_size)

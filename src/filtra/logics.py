@@ -14,9 +14,14 @@ closures per closed set.  Once that family is known, fg and is_filter read
 it instead.  Each closed set has one Filter: fg memoizes it under its mask
 and every generator mask asked, and all_filters returns it.  fg_relative
 alternates fg with saturation by a congruence's blocks, in the same context.
+Every step spends the budget of the call that takes it, by the work it does,
+so a cold fg or is_filter reads its budget, while a warm one (a memo hit, or
+a known family) takes no step and spends nothing.
 
 Rule-presented filters are exact: a step adds the conclusion of each
-valuation instance of a rule whose premises lie in the subset.
+valuation instance of a rule whose premises lie in the subset.  Instances
+sharing a premise set are kept as one entry, watched by its highest premise
+element; a step spends one step per entry its members watch.
 
 Matrix-determined filters quantify over every rule valid in the matrices; that
 is reduced to a finite check through the clone of term functions in v
@@ -36,8 +41,9 @@ The matrix step is refutation, read off rows built once per context: one per
 valuation of the clone variables in the target, each holding the meet of the
 designation masks landing on every element and the maximal masks landing on
 it.  The unrefuted subsets are its closed sets; certification stops at the
-first closed set outside the lower family.  The rows spend one step of the
-caller's budget per clone element and valuation, NextClosure one per closure.
+first closed set outside the lower family.  Building the rows spends one
+step of the caller's budget per clone element and valuation, each matrix step
+one per row it scans, and NextClosure one per closure besides its steps.
 
 The variable count ascends from 1 and stops at the first v that certifies;
 refuting power only grows with v, so a larger v could not certify more.
@@ -138,17 +144,19 @@ class Filter(_Record):
 class _Context:
     """A logic on one algebra, with what has been computed of it so far.
 
-    step(mask) is the set of elements one consequence step adds outside the
-    subset; only it depends on how the logic is given.  The closed sets of the
-    operator it iterates to are the filters of a rule logic and the unrefuted
-    family of a matrix logic.  Once the family is known, closures and
-    filterhood are read off it.
+    step(mask, budget) is the set of elements one consequence step adds
+    outside the subset, spending from the budget the work it does; only it
+    depends on how the logic is given.  The closed sets of the operator it
+    iterates to are the filters of a rule logic and the unrefuted family of a
+    matrix logic.  Once the family is known, closures and filterhood are read
+    off it.  A context outlives the calls that read it, so each call hands
+    its own budget to what it computes.
     """
 
     def __init__(
         self,
         algebra: FiniteAlgebra,
-        step: Callable[[int], int],
+        step: Callable[[int, Budget], int],
         exact: bool | None = True,
         lower: Iterable[int] = (),
         clone: _Clone | None = None,
@@ -168,18 +176,18 @@ class _Context:
         # the closed sets once known, sorted by size: close scans them, is_filter probes them
         self.family: dict[int, None] | None = None
 
-    def stages(self, mask: int) -> list[int]:
+    def stages(self, mask: int, budget: Budget) -> list[int]:
         """Stages of the one-step consequence, first stage included."""
         stages = [mask]
-        while added := self.step(stages[-1]):
+        while added := self.step(stages[-1], budget):
             stages.append(stages[-1] | added)
         return stages
 
-    def close(self, mask: int) -> int:
+    def close(self, mask: int, budget: Budget) -> int:
         """The last stage, or with the family known its first member above the
         mask: the least, as the family is sorted by size and closed under meets."""
         if self.family is None:
-            return self.stages(mask)[-1]
+            return self.stages(mask, budget)[-1]
         return next(ms for ms in self.family if mask & ms == mask)
 
     def filter(self, closed: int) -> Filter:
@@ -211,29 +219,53 @@ class _Context:
 
 
 def _rule_context(algebra: FiniteAlgebra, logic: RulePresented, budget: Budget) -> _Context:
-    """The context whose step reads every valuation instance of every rule,
-    compiled as a (premise mask, conclusion bit) pair: one budget step per
-    valuation, though equal instances are kept once."""
-    found: set[tuple[int, int]] = set()
+    """The context whose step reads the valuation instances of the rules.
+
+    Each rule's tables are compiled once, spending one budget step per
+    valuation besides their widths.  The instances are kept as one entry per
+    distinct premise mask, holding the OR of the conclusions it yields; the
+    instances with no premise, the axioms, fold into one mask that every step
+    adds.  Every other entry is watched by its highest premise element, which
+    lies in each subset holding its premises, so a step visits only the
+    entries its members watch (LinClosure, Beeri & Bernstein 1979, indexes
+    implications by premise for the same reason) and spends one step each.
+    """
+    bits = [1 << e for e in range(algebra.size)]
+    conclusions: dict[int, int] = {}
     for rule in logic.rules:
         names = _free_variables(variables(*rule.premises, rule.conclusion), algebra)
-        tables = [
+        *premises, conclusion = [
             compile_term(t, algebra, names, budget)
             for t in rule.premises + (rule.conclusion,)
         ]
-        budget.spend(len(tables[-1]))
-        for *premises, concl in set(zip(*tables)):
-            prem = _mask(premises)
+        budget.spend(len(conclusion))
+        masks = itertools.repeat(0, len(conclusion))  # the premise mask of each valuation
+        for table in premises:
+            masks = map(operator.or_, masks, map(bits.__getitem__, table))
+        for prem, concl in set(zip(masks, conclusion)):
             if not prem >> concl & 1:
-                found.add((prem, 1 << concl))
-    instances = tuple(found)
+                conclusions[prem] = conclusions.get(prem, 0) | bits[concl]
+    axioms = conclusions.pop(0, 0)
+    watched: dict[int, list[tuple[int, int]]] = {}  # by the bit of the highest premise
+    for prem, concl in conclusions.items():
+        watched.setdefault(1 << prem.bit_length() - 1, []).append((prem, concl))
+    watching = sum(watched)
 
-    def step(mask: int) -> int:
-        """The conclusions of the instances whose premises lie in the subset."""
-        added = 0
-        for prem, concl in instances:
-            if prem & mask == prem:
-                added |= concl
+    def step(mask: int, budget: Budget) -> int:
+        """The axioms and the conclusions of the entries whose premises lie in
+        the subset, outside it."""
+        added = axioms
+        visited = 0
+        rest = mask & watching
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            entries = watched[bit]
+            visited += len(entries)
+            for prem, concl in entries:
+                if prem & mask == prem:
+                    added |= concl
+        budget.spend(visited)
         return added & ~mask
 
     return _Context(algebra, step)
@@ -444,8 +476,10 @@ def _clone_context(
         kept = tuple((bits, 1 << a) for a, top in enumerate(tops) for bits in top)
         rows[tuple(meets), kept] = None  # equal rows are kept once
 
-    def step(mask: int) -> int:
-        """The elements outside the subset that some row adds."""
+    def step(mask: int, budget: Budget) -> int:
+        """The elements outside the subset that some row adds, one budget
+        step per row."""
+        budget.spend(len(rows))
         members = _elements(mask)
         added = 0
         for meets, kept in rows:
@@ -519,8 +553,8 @@ _CONTEXTS: dict[tuple, _Context] = {}
 
 def _context(algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | None) -> _Context:
     """The pair's context, found by identity without hashing either object,
-    else by value: equal algebras built apart share it.  Only a build, by the
-    call that first needs it, reads the budget; it is stored once built."""
+    else by value: equal algebras built apart share it.  A build, by the call
+    that first needs it, spends that call's budget; it is stored once built."""
     ctx = _CONTEXTS.get((id(algebra), id(logic))) or _CONTEXTS.get((algebra, logic))
     if ctx is None:
         build = _rule_context if isinstance(logic, RulePresented) else _matrix_context
@@ -539,12 +573,20 @@ def is_filter(
 
     Exact for rule-presented logics.  For matrix-determined logics a False is
     always definitive; a True is definitive when is_filter_certain agrees.
+    The family, or fg's memo, answers without a step: the subset is closed
+    when its closure is no larger.
     """
-    ctx = _CONTEXTS.get((id(algebra), id(logic))) or _context(algebra, logic, budget)
+    # a cold context and its first step spend one budget
+    ctx = _CONTEXTS.get((id(algebra), id(logic))) or _context(algebra, logic, budget := as_budget(budget))
     mask = 0
     for e in members:
         mask |= 1 << e
-    return mask in ctx.family if ctx.family is not None else not ctx.step(mask)
+    if ctx.family is not None:
+        return mask in ctx.family
+    f = ctx.memo.get(mask)
+    if f is not None:
+        return len(f.members) == mask.bit_count()
+    return not ctx.step(mask, as_budget(budget))
 
 
 def is_filter_certain(
@@ -554,9 +596,10 @@ def is_filter_certain(
     budget: Budget | None = None,
 ) -> bool:
     """Whether is_filter's answer on this subset is conclusive."""
-    ctx = _CONTEXTS.get((id(algebra), id(logic))) or _context(algebra, logic, budget)
+    budget = as_budget(budget)
+    ctx = _context(algebra, logic, budget)
     mask = _mask(members)
-    return bool(ctx.exact) or mask in ctx.lower or bool(ctx.step(mask))
+    return bool(ctx.exact) or mask in ctx.lower or bool(ctx.step(mask, budget))
 
 
 def all_filters(
@@ -607,8 +650,9 @@ def fg_trace(
     budget: Budget | None = None,
 ) -> list[frozenset[int]]:
     """Stages of filter generation; the last stage is the filter."""
-    ctx = _CONTEXTS.get((id(algebra), id(logic))) or _context(algebra, logic, budget)
-    return [frozenset(_elements(stage)) for stage in ctx.stages(_mask(generators))]
+    budget = as_budget(budget)
+    stages = _context(algebra, logic, budget).stages(_mask(generators), budget)
+    return [frozenset(_elements(stage)) for stage in stages]
 
 
 def fg(
@@ -623,13 +667,14 @@ def fg(
     the family once that is known; exact whenever filters_certified holds.
     The memoized Filter, one per closed set, goes as is to the context's algebra.
     """
-    ctx = _CONTEXTS.get((id(algebra), id(logic))) or _context(algebra, logic, budget)
+    # a cold context and its first step spend one budget
+    ctx = _CONTEXTS.get((id(algebra), id(logic))) or _context(algebra, logic, budget := as_budget(budget))
     mask = 0
     for e in generators:
         mask |= 1 << e
     f = ctx.memo.get(mask)
     if f is None:
-        f = ctx.memo[mask] = ctx.filter(ctx.close(mask))
+        f = ctx.memo[mask] = ctx.filter(ctx.close(mask, as_budget(budget)))
     return f if f.algebra is algebra else Filter(algebra, f.members)
 
 
@@ -649,6 +694,7 @@ def fg_relative(
     algebra's own context and through fg's memo: no quotient is built.  Exact
     whenever filters_certified holds.
     """
+    budget = as_budget(budget)
     blocks = [_mask(block) for block in theta.blocks()]
     block_of = [blocks[b] for b in theta.partition]
     saturated = 0

@@ -560,3 +560,102 @@ def test_every_public_function_has_a_caller():
     assert uncalled == LIBRARY_ENTRY_POINTS
     unread = {f"{module}.{name}" for module, name in defined - called_in_package if name.startswith("_")}
     assert unread == set()
+
+
+def _budget_position(function, method):
+    """Where a call passes the budget parameter positionally: its index
+    among the arguments a call writes, None when it is keyword-only, -1 when
+    the function takes no budget."""
+    names = [a.arg for a in function.args.posonlyargs + function.args.args][int(method):]
+    if "budget" in names:
+        return names.index("budget")
+    return None if any(a.arg == "budget" for a in function.args.kwonlyargs) else -1
+
+
+def _plain_corpus_lookup(target, call):
+    """bi.algebra on a name of the corpus, which builds nothing: a literal
+    without '^' (a square is built on the budget), or a candidate document's
+    signature field."""
+    if target != ("builtins", "algebra") or len(call.args) != 1:
+        return False
+    arg = call.args[0]
+    if isinstance(arg, ast.JoinedStr):
+        return all(not isinstance(part, ast.Constant) or "^" not in part.value for part in arg.values)
+    if isinstance(arg, ast.Constant):
+        return "^" not in arg.value
+    return ast.unparse(arg) == "doc['signature']"
+
+
+def _calls_leaving_out_the_budget(trees):
+    """(module, call) for each call in the modules' syntax trees of a
+    function or method that takes a budget, made without one.
+
+    A plain name resolves to its import or to its module's own function;
+    name.attr to the function of a module bound to name; any other call, a
+    method's or a closure's such as ctx.step or next_closure's close, to the
+    methods and nested functions of the package by name."""
+    top, by_name = {}, {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                top[module, node.name] = _budget_position(node, False)
+                for inner in ast.walk(node):
+                    if isinstance(inner, ast.FunctionDef) and inner is not node:
+                        by_name.setdefault(inner.name, _budget_position(inner, False))
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        by_name.setdefault(method.name, _budget_position(method, True))
+    found = []
+    for module, tree in trees.items():
+        reads = _Reads()
+        reads.visit(tree)
+        for call in ast.walk(tree):
+            func = getattr(call, "func", None)
+            if isinstance(func, ast.Name):
+                target = reads.imports.get(func.id, (module, func.id))
+                position = top[target] if target in top else by_name.get(func.id, -1)
+            elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in reads.modules:
+                target = (reads.modules[func.value.id], func.attr)
+                position = top.get(target, -1)
+            elif isinstance(func, ast.Attribute):
+                target, position = None, by_name.get(func.attr, -1)
+            else:
+                continue
+            keywords = {k.arg for k in call.keywords}
+            if (
+                position == -1
+                or keywords & {"budget", None}
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or position is not None and len(call.args) > position
+                or _plain_corpus_lookup(target, call)
+            ):
+                continue
+            found.append((module, ast.unparse(call)))
+    return found
+
+
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(Path(filtra.__file__).parent.glob("*.py"))}
+
+
+def test_every_call_that_takes_a_budget_is_handed_one():
+    # a layer that drops its caller's budget spends a default one of its own,
+    # which the caller's limit no longer bounds
+    assert _calls_leaving_out_the_budget(_package_trees()) == []
+
+
+@pytest.mark.parametrize(
+    ("module", "source"),
+    [
+        ("logics", "self.step(stages[-1], budget)"),
+        ("logics", "fg(algebra, _elements(saturated), logic, budget)"),
+        ("algebras", "close(below | bit, budget)"),
+        ("cli", "bi.algebra(name, budget)"),
+    ],
+)
+def test_the_budget_guard_finds_a_dropped_budget(module, source):
+    trees = _package_trees()
+    (call,) = [node for node in ast.walk(trees[module]) if isinstance(node, ast.Call) and ast.unparse(node) == source]
+    call.args.pop()
+    assert _calls_leaving_out_the_budget(trees) == [(module, ast.unparse(call))]

@@ -19,7 +19,7 @@ from filtra.cli import (
     FLAGS,
     main,
 )
-from filtra.errors import FiltraError
+from filtra.errors import FiltraError, SizeBudgetExceeded
 from filtra.terms import format_term
 
 
@@ -652,9 +652,21 @@ def _readme_commands() -> list[list[str]]:
 
 @pytest.mark.parametrize("example", CATALOG)
 def test_a_cold_catalog_entry_spends_its_callers_budget_alone(cold_contexts, example):
+    # it makes no Budget, passes on its own spend S and raises one step below
+    def cold(budget):
+        logics._CONTEXTS.clear()
+        logics._CLONES.clear()
+        bi._BUILT.clear()
+        results = []
+        CATALOG[example](results, budget)
+        return results
+
     budget, results = Budget(), []
-    assert _budgets_made(lambda: CATALOG[example](results, budget)) == 0
+    assert _budgets_made(lambda: results.extend(cold(budget))) == 0
     assert budget.spent > 0 and all(r["ok"] for r in results)
+    assert cold(Budget(budget.spent)) == results
+    with pytest.raises(SizeBudgetExceeded):
+        cold(Budget(budget.spent - 1))
 
 
 def test_pwk_no_pedcf_builds_no_testbed(cold_contexts):

@@ -462,6 +462,27 @@ def test_a_context_build_spends_the_callers_budget(cold_contexts):
     assert fg(mchain4, {1}, kg, Budget(0)).members == frozenset(range(16))
 
 
+def test_a_cold_fg_spends_its_steps_and_a_warm_one_nothing(cold_contexts):
+    # 256 elements and tens of thousands of rule instances: the steps of the
+    # closure are priced by the entries they visit, beyond the build
+    square, kg = bi.algebra("mchain4^2", Budget()), bi.logic("KG")
+
+    def cold(budget):
+        logics._CONTEXTS.clear()
+        return fg(square, (1,), kg, budget)
+
+    built = Budget()
+    _context(square, kg, built)
+    spent = Budget()
+    want = cold(spent)
+    assert spent.spent > built.spent
+    assert cold(Budget(spent.spent)) == want
+    with pytest.raises(SizeBudgetExceeded):
+        cold(Budget(spent.spent - 1))
+    cold(Budget())
+    assert fg(square, (1,), kg, Budget(0)) == want
+
+
 def test_rule_instances_spend_table_widths_and_points_and_fg_nothing_more(cold_contexts, k3):
     axiom = RulePresented((rule(k3.signature, [], "x"),))
     budget = Budget()
