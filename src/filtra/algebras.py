@@ -19,6 +19,7 @@ from __future__ import annotations
 import collections
 import itertools
 import operator
+import weakref
 from functools import cached_property
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -117,6 +118,11 @@ def _meet_closure(top, generators: Collection, meet: Callable, cost: int, budget
     return found
 
 
+# the live algebra of each value, keyed by its field tuple, which does not
+# hold it: an entry goes with the last reference to its algebra
+_ALGEBRAS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class FiniteAlgebra(_Record):
     """A total algebra on {0, ..., size-1} with one table per symbol."""
 
@@ -134,6 +140,9 @@ class FiniteAlgebra(_Record):
         tables: Mapping[str, Sequence[int]],
         labels: Sequence[str] | None = None,
     ) -> "FiniteAlgebra":
+        """The algebra of these fields, checked and normalised.  While an
+        algebra of equal value is alive it is returned itself, so that equal
+        algebras are one object and their caches are found by identity."""
         if size <= 0:
             raise InvalidSpec(f"algebra {name!r} must have a positive carrier")
         if labels is not None and len(labels) != size:
@@ -154,7 +163,8 @@ class FiniteAlgebra(_Record):
         extra = set(tables) - {sym for sym, _ in signature.symbols}
         if extra:
             raise InvalidSpec(f"algebra {name!r}: tables for unknown symbols {sorted(extra)}")
-        return cls(name, size, signature, tuple(normalized), tuple(labels) if labels else None)
+        built = cls(name, size, signature, tuple(normalized), tuple(labels) if labels else None)
+        return _ALGEBRAS.setdefault(built._values(built), built)
 
     @cached_property
     def _tmap(self) -> dict[str, tuple[int, ...]]:

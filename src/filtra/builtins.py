@@ -89,11 +89,13 @@ def class_spec(name: str) -> ClassSpec:
 
 
 def candidate(name: str) -> EDCFCandidate:
-    from .serialization import candidate_from_json
+    from .serialization import candidate_from_json, signature_from_json
 
     def build():
+        # the signature is read off the algebra's document, which builds nothing
         doc = _doc("candidate", name)
-        return candidate_from_json(doc, algebra(doc["signature"]).signature)
+        algebra_doc = _doc("algebra", doc["signature"].removesuffix("^2"))
+        return candidate_from_json(doc, signature_from_json(algebra_doc["signature"]))
 
     return _kept("candidate", name, build)
 

@@ -4,19 +4,19 @@ A logic is given either by finitely many rules or by finitely many finite
 matrices.  Each (algebra, logic) pair has one context for the life of the
 process, built from the budget of the call that first needs it; a build that
 raises leaves nothing behind.  A read finds it in one dict probe by the
-identity of the pair that built it, else by value, so equal algebras built
-apart share it.  It holds subsets of the carrier as bitmasks (element e is
-bit e) and one consequence step: the elements a subset's members yield
-outside it.  Only the step depends on how the logic is given.  fg iterates it
-to its fixpoint (fg_trace lists the stages), is_filter asks whether it adds
-nothing, and Ganter's NextClosure enumerates its closed sets with at most |A|
-closures per closed set.  Once that family is known, fg and is_filter read
-it instead.  Each closed set has one Filter: fg memoizes it under its mask
-and every generator mask asked, and all_filters returns it.  fg_relative
-alternates fg with saturation by a congruence's blocks, in the same context.
-Every step spends the budget of the call that takes it, by the work it does,
-so a cold fg or is_filter reads its budget, while a warm one (a memo hit, or
-a known family) takes no step and spends nothing.
+identity of the pair: FiniteAlgebra.make returns one object per value, so
+equal algebras are one object and share it.  It holds subsets of the carrier
+as bitmasks (element e is bit e) and one consequence step: the elements a
+subset's members yield outside it.  Only the step depends on how the logic is
+given.  fg iterates it to its fixpoint (fg_trace lists the stages), is_filter
+asks whether it adds nothing, and Ganter's NextClosure enumerates its closed
+sets with at most |A| closures per closed set.  Once that family is known, fg
+and is_filter read it instead.  Each closed set has one Filter: fg memoizes it
+under its mask and every generator mask asked, and all_filters returns it.
+fg_relative alternates fg with saturation by a congruence's blocks, in the
+same context.  Every step spends the budget of the call that takes it, by the
+work it does, so a cold fg or is_filter reads its budget, while a warm one (a
+memo hit, or a known family) takes no step and spends nothing.
 
 Rule-presented filters are exact: a step adds the conclusion of each
 valuation instance of a rule whose premises lie in the subset.  Instances
@@ -128,7 +128,7 @@ LogicSpec = RulePresented | MatrixDetermined
 class Filter(_Record):
     """A subset of a carrier known to be closed under the logic.
 
-    A context builds one per closed set it verified; equal algebras built apart get copies.
+    A context builds one per closed set it verified, naming the context's algebra.
     """
 
     __slots__ = _fields = ("algebra", "members")
@@ -156,12 +156,14 @@ class _Context:
     def __init__(
         self,
         algebra: FiniteAlgebra,
+        logic: LogicSpec,
         step: Callable[[int, Budget], int],
         exact: bool | None = True,
         lower: Iterable[int] = (),
         clone: _Clone | None = None,
     ):
         self.algebra = algebra
+        self.logic = logic
         self.step = step
         # whether the closed sets are the filter family: always for rules; for
         # a matrix logic True from the start when the clone is complete at
@@ -268,7 +270,7 @@ def _rule_context(algebra: FiniteAlgebra, logic: RulePresented, budget: Budget) 
         budget.spend(visited)
         return added & ~mask
 
-    return _Context(algebra, step)
+    return _Context(algebra, logic, step)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +496,7 @@ def _clone_context(
     # adding the empty set keeps the family closed under intersection
     lower = hom_lower | {0} if no_theorem else hom_lower
     return _Context(
-        algebra, step,
+        algebra, logic, step,
         True if clone.complete and clone.nvars == algebra.size else None,
         sorted(lower, key=_by_size), clone,
     )
@@ -546,20 +548,22 @@ def _matrix_context(algebra: FiniteAlgebra, logic: MatrixDetermined, budget: Bud
 # one context per (algebra, logic), and the public operations on it
 
 
-# keyed by value, and by (id(algebra), id(logic)) for the pair that built each
-# context: its value key holds both objects alive, so their ids stay theirs
-_CONTEXTS: dict[tuple, _Context] = {}
+# keyed by (id(algebra), id(logic)); each context holds its algebra and its
+# logic alive, so their ids stay theirs
+_CONTEXTS: dict[tuple[int, int], _Context] = {}
 
 
 def _context(algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | None) -> _Context:
-    """The pair's context, found by identity without hashing either object,
-    else by value: equal algebras built apart share it.  A build, by the call
-    that first needs it, spends that call's budget; it is stored once built."""
-    ctx = _CONTEXTS.get((id(algebra), id(logic))) or _CONTEXTS.get((algebra, logic))
+    """The pair's context, found by identity without hashing either object.
+    Equal algebras from FiniteAlgebra.make are one object, so they share it;
+    an algebra or logic built some other way gets a context of its own, with
+    the same answers.  A build, by the call that first needs it, spends that
+    call's budget; it is stored once built."""
+    key = (id(algebra), id(logic))
+    ctx = _CONTEXTS.get(key)
     if ctx is None:
         build = _rule_context if isinstance(logic, RulePresented) else _matrix_context
-        ctx = _CONTEXTS[algebra, logic] = build(algebra, logic, as_budget(budget))
-        _CONTEXTS[id(algebra), id(logic)] = ctx
+        ctx = _CONTEXTS[key] = build(algebra, logic, as_budget(budget))
     return ctx
 
 
@@ -608,8 +612,7 @@ def all_filters(
     """Every filter, ascending by cardinality then lexicographically."""
     budget = as_budget(budget)
     ctx = _context(algebra, logic, budget)
-    filters = [ctx.filter(ms) for ms in ctx.filters(budget)]
-    return filters if ctx.algebra is algebra else [Filter(algebra, f.members) for f in filters]
+    return [ctx.filter(ms) for ms in ctx.filters(budget)]
 
 
 def filters_certified(
@@ -665,7 +668,7 @@ def fg(
 
     The one-step consequence iterated to its fixpoint, or the least member of
     the family once that is known; exact whenever filters_certified holds.
-    The memoized Filter, one per closed set, goes as is to the context's algebra.
+    It returns the closed set's one Filter, memoized under the generators' mask.
     """
     # a cold context and its first step spend one budget
     ctx = _CONTEXTS.get((id(algebra), id(logic))) or _context(algebra, logic, budget := as_budget(budget))
@@ -675,7 +678,7 @@ def fg(
     f = ctx.memo.get(mask)
     if f is None:
         f = ctx.memo[mask] = ctx.filter(ctx.close(mask, as_budget(budget)))
-    return f if f.algebra is algebra else Filter(algebra, f.members)
+    return f
 
 
 def fg_relative(

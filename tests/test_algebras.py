@@ -1,6 +1,8 @@
 import ast
+import gc
 import itertools
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from conftest import (
 )
 
 import filtra
+from filtra import algebras
 from filtra import builtins as bi
 from filtra.algebras import (
     Budget,
@@ -574,16 +577,13 @@ def _budget_position(function, method):
 
 def _plain_corpus_lookup(target, call):
     """bi.algebra on a name of the corpus, which builds nothing: a literal
-    without '^' (a square is built on the budget), or a candidate document's
-    signature field."""
+    without '^' (a square is built on the budget)."""
     if target != ("builtins", "algebra") or len(call.args) != 1:
         return False
     arg = call.args[0]
     if isinstance(arg, ast.JoinedStr):
         return all(not isinstance(part, ast.Constant) or "^" not in part.value for part in arg.values)
-    if isinstance(arg, ast.Constant):
-        return "^" not in arg.value
-    return ast.unparse(arg) == "doc['signature']"
+    return isinstance(arg, ast.Constant) and "^" not in arg.value
 
 
 def _calls_leaving_out_the_budget(trees):
@@ -659,3 +659,64 @@ def test_the_budget_guard_finds_a_dropped_budget(module, source):
     (call,) = [node for node in ast.walk(trees[module]) if isinstance(node, ast.Call) and ast.unparse(node) == source]
     call.args.pop()
     assert _calls_leaving_out_the_budget(trees) == [(module, ast.unparse(call))]
+
+
+def _algebras_built_past_make(trees):
+    """(module, call) for each call in the modules' syntax trees that builds a
+    FiniteAlgebra without FiniteAlgebra.make: FiniteAlgebra(...) anywhere, or
+    cls(...) in the class's own methods other than make."""
+    found = []
+    for module, tree in trees.items():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] == "FiniteAlgebra":
+                found.append((module, ast.unparse(call)))
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and cls.name == "FiniteAlgebra"):
+                continue
+            for method in cls.body:
+                if isinstance(method, ast.FunctionDef) and method.name != "make":
+                    calls = [c for c in ast.walk(method) if isinstance(c, ast.Call)]
+                    found += [(module, ast.unparse(c)) for c in calls if ast.unparse(c.func) == "cls"]
+    return found
+
+
+def test_every_algebra_of_the_package_is_built_by_make():
+    # make returns the live algebra of equal value, and the filter layer finds
+    # its contexts by identity: an algebra built past make would be a second
+    # object of one value
+    assert _algebras_built_past_make(_package_trees()) == []
+
+
+@pytest.mark.parametrize(
+    ("source", "found"),
+    [
+        ("def copy(a):\n    return FiniteAlgebra(*a)", "FiniteAlgebra(*a)"),
+        ("def copy(a):\n    return algebras.FiniteAlgebra(*a)", "algebras.FiniteAlgebra(*a)"),
+        ("class FiniteAlgebra:\n    @classmethod\n    def again(cls, *a):\n        return cls(*a)", "cls(*a)"),
+    ],
+)
+def test_the_make_guard_finds_an_algebra_built_past_make(source, found):
+    trees = _package_trees()
+    trees["checks"].body += ast.parse(source).body
+    assert _algebras_built_past_make(trees) == [("checks", found)]
+
+
+def test_equal_algebras_are_one_object_while_one_is_alive(k3):
+    assert direct_product([k3, k3]).algebra is direct_product([k3, k3]).algebra
+    subuniverse = enumerate_subuniverses(k3)[0]  # {0, 2}, a proper one
+    sub, _ = induced_subalgebra(k3, subuniverse)
+    assert induced_subalgebra(k3, subuniverse)[0] is sub
+    assert FiniteAlgebra.make(k3.name, k3.size, k3.signature, dict(k3.tables), k3.labels) is k3
+    # another name is another value, and so another object
+    twin = FiniteAlgebra.make("K3-twin", k3.size, k3.signature, dict(k3.tables), k3.labels)
+    assert twin != k3 and twin is not k3
+
+
+def test_an_algebra_nobody_holds_is_freed():
+    signature = Signature((("s", 1),))
+    cycle = FiniteAlgebra.make("cycle-freed", 4, signature, {"s": [1, 2, 3, 0]})
+    ref = weakref.ref(cycle)
+    del cycle
+    gc.collect()
+    assert ref() is None
+    assert all(algebra.name != "cycle-freed" for algebra in algebras._ALGEBRAS.values())

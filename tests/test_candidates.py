@@ -5,7 +5,7 @@ import pytest
 
 from filtra import builtins as bi
 from filtra.candidates import EDCFCandidate, fold_terms, leq, xvars
-from filtra.errors import InvalidSpec
+from filtra.errors import InvalidSpec, UnknownName
 from filtra.terms import App, Equation, Var, format_term
 
 
@@ -149,3 +149,18 @@ def test_parameter_validation():
     assert not c.matches_variant("global")
     with pytest.raises(InvalidSpec):
         EDCFCandidate("param-bad", 0, (((Equation(Var("z2"), Var("y")),),),), param_count=1)
+
+
+@pytest.mark.parametrize("name", bi.candidate_names())
+def test_a_candidate_reads_its_signature_without_building_an_algebra(cold_contexts, name):
+    # the signature comes off the named algebra's document, so no algebra is
+    # built outside a caller's budget
+    bi.candidate(name)
+    assert [key for key in bi._BUILT if key[0] == "algebra"] == []
+
+
+def test_a_candidate_over_an_unknown_algebra_is_refused(cold_contexts, monkeypatch):
+    doc = dict(bi._doc("candidate", "pwk-local"), name="bad", signature="nope")
+    monkeypatch.setitem(bi._DOCS, "candidate", {"bad": doc})
+    with pytest.raises(UnknownName, match="^no built-in algebra 'nope'$"):
+        bi.candidate("bad")

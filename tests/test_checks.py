@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 import random
 from pathlib import Path
@@ -16,6 +17,7 @@ from conftest import (
     quotient,
     random_algebras,
     random_rules,
+    relabel,
     table_index,
     trivial_algebra,
 )
@@ -23,7 +25,7 @@ from conftest import (
 from filtra import builtins as bi
 from filtra import checks, logics
 from filtra.algebras import (
-    Budget, FiniteAlgebra, compile_term, direct_product, enumerate_homomorphisms,
+    Budget, FiniteAlgebra, Matrix, compile_term, direct_product, enumerate_homomorphisms,
 )
 from filtra.candidates import EDCFCandidate, fold_terms, xvars
 from filtra.checks import (
@@ -45,7 +47,7 @@ from filtra.classes import Axiomatic, GeneratedQuasivariety
 from filtra.cli import CATALOG
 from filtra.congruences import Congruence, all_congruences
 from filtra.errors import InvalidSpec, SizeBudgetExceeded
-from filtra.logics import MatrixDetermined, RulePresented, fg, filters_certified, is_filter
+from filtra.logics import MatrixDetermined, RulePresented, all_filters, fg, filters_certified, is_filter
 from filtra.terms import Equation, Rule, Signature, Var, parse_term
 
 
@@ -937,6 +939,63 @@ def test_per_algebra_verdicts_are_monotone_in_the_testbed(logic, bed, check, out
                 assert second == first, (sorted(kept), sorted(other))
                 compared.add(first)
     assert compared == outcomes
+
+
+# --- two presentations of one logic ---------------------------------------------------------
+
+
+def test_rule_and_matrix_presentations_of_pwk_agree(wk3, pwk):
+    # PWK is the logic of the matrix <WK3, {1, half}> (Bonzio, Gil-Ferez, Paoli
+    # & Peruzzi, Studia Logica 2017).  On every wk3-isp algebra and on a seeded
+    # sample of the arity-3 WK3 testbed, both presentations give the same
+    # filters, certified on the matrix side, and the same local EDCF and
+    # absolute FEP outcomes, algebra by algebra and over wk3-isp at once.
+    matrix = MatrixDetermined((Matrix(wk3, frozenset(map(wk3.element_index, ("1", "half")))),), name="PWK-matrix")
+    candidate = bi.candidate("pwk-local")
+    checkers = (lambda logic, bed: check_edcf(logic, bed, candidate, "local"), absolute_fep_check)
+    isp = bi.testbed("wk3-isp")
+    sample = random.Random(3).sample(generate_testbed([wk3], 3, include_subalgebras=True), 8)
+    for algebra in isp + tuple(sample):
+        assert [f.members for f in all_filters(algebra, matrix)] == [f.members for f in all_filters(algebra, pwk)]
+        assert filters_certified(algebra, matrix)
+        for check in checkers:
+            assert check(matrix, (algebra,)).outcome == check(pwk, (algebra,)).outcome
+    for check in checkers:
+        assert check(matrix, isp).outcome == check(pwk, isp).outcome
+
+
+# --- relabelling the carrier -----------------------------------------------------------------
+
+RELABELLED_CHECKERS = {
+    "absfep": absolute_fep_check,
+    "brouwer": dually_brouwerian_check,
+    "fdc": factor_determined_check,
+    "fep": fep_check,
+    "leibniz-monotone": functools.partial(leibniz_probe, mode="monotone"),
+    "leibniz-injective": functools.partial(leibniz_probe, mode="injective"),
+}
+
+
+@pytest.mark.parametrize(
+    ("logic", "bed", "checker"),
+    [
+        ("ORD", "lattices", c) for c in ("fep", "brouwer", "leibniz-monotone", "leibniz-injective", "absfep")
+    ] + [
+        ("PWK", "wk3-isp", c) for c in ("absfep", "fdc", "fep", "leibniz-monotone", "leibniz-injective")
+    ] + [
+        ("KG", "modal-chains", c) for c in ("absfep", "fep", "leibniz-monotone", "leibniz-injective")
+    ],
+)
+def test_checker_outcomes_survive_relabelling_the_carrier(logic, bed, checker):
+    # Each testbed algebra is relabelled by a permutation of its carrier drawn
+    # from seeds of this test.  Only outcomes are compared: a sweep runs in
+    # the order of the elements, so the first witness found may differ.
+    logic, algebras, check = bi.logic(logic), bi.testbed(bed), RELABELLED_CHECKERS[checker]
+    want = check(logic, algebras).outcome
+    for seed in range(3):
+        rng = random.Random(seed)
+        moved = tuple(relabel(a, rng.sample(range(a.size), a.size)) for a in algebras)
+        assert check(logic, moved).outcome == want, seed
 
 
 # --- one certification fold -----------------------------------------------------------------
