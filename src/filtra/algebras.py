@@ -52,7 +52,7 @@ class Budget:
     def check(self, estimate: int) -> None:
         if self.spent + estimate > self.limit:
             raise SizeBudgetExceeded(
-                f"estimated {estimate} steps would exceed budget {self.limit}"
+                f"estimated {estimate} steps, after {self.spent} spent, would exceed budget {self.limit}"
             )
 
 
@@ -422,33 +422,6 @@ def _tuple_indices(size: int, coords: Sequence[int], arity: int) -> list[int]:
     return indices
 
 
-def subuniverse_generated(
-    algebra: FiniteAlgebra, subset: Iterable[int], budget: Budget | None = None
-) -> frozenset[int]:
-    """Least subset containing the seed and all constants, closed under the tables.
-
-    With no constants and an empty seed the result is empty.
-    """
-    budget = as_budget(budget)
-    current = set(subset)
-    for c in algebra.signature.constants:
-        current.add(algebra.table(c)[0])
-    changed = True
-    while changed:
-        changed = False
-        members = sorted(current)
-        for sym, arity in algebra.signature.symbols:
-            if arity == 0:
-                continue
-            budget.spend(len(members) ** arity)
-            table = algebra.table(sym)
-            image = {table[i] for i in _tuple_indices(algebra.size, members, arity)}
-            if not image <= current:
-                current |= image
-                changed = True
-    return frozenset(current)
-
-
 def is_subuniverse(algebra: FiniteAlgebra, subset: frozenset[int]) -> bool:
     members = sorted(subset)
     return all(
@@ -456,24 +429,6 @@ def is_subuniverse(algebra: FiniteAlgebra, subset: frozenset[int]) -> bool:
         for sym, arity in algebra.signature.symbols
         for i in _tuple_indices(algebra.size, members, arity)
     )
-
-
-def enumerate_subuniverses(
-    algebra: FiniteAlgebra, budget: Budget | None = None
-) -> list[frozenset[int]]:
-    """All non-empty subuniverses containing the constants, smallest first.
-
-    They are the closed sets of subuniverse_generated, enumerated by
-    next_closure: at most |A| closures per subuniverse, each spending one
-    step besides what subuniverse_generated spends.
-    """
-    budget = as_budget(budget)
-
-    def close(mask: int, budget: Budget) -> int:
-        return _mask(subuniverse_generated(algebra, _elements(mask), budget))
-
-    found = sorted((m for m in next_closure(algebra.size, close, budget) if m), key=_by_size)
-    return [frozenset(_elements(m)) for m in found]
 
 
 def induced_subalgebra(

@@ -30,7 +30,6 @@ from .algebras import (
     compile_term,
     direct_product,
     enumerate_homomorphisms,
-    enumerate_subuniverses,
     induced_subalgebra,
 )
 from .candidates import LEIBNIZ_MODES, EDCFCandidate
@@ -117,11 +116,13 @@ def _factor_lists(algebras: Sequence[FiniteAlgebra], arity: int) -> list[tuple[F
 def _proper_subalgebras(
     big: FiniteAlgebra, budget: Budget
 ) -> Iterator[tuple[frozenset[int], FiniteAlgebra, tuple[int, ...]]]:
-    """Each proper subuniverse of big with its subalgebra and inclusion map."""
-    for sub in enumerate_subuniverses(big, budget):
-        if len(sub) == big.size:
-            continue
-        yield sub, *induced_subalgebra(big, sub, budget)
+    """Each proper non-empty subuniverse of big, smallest first, with its
+    subalgebra and inclusion map.  The subuniverses are the filters of the
+    signature read as the rules of its operations (see logics), so a warm
+    algebra's family is one context read."""
+    for f in all_filters(big, big.signature, budget):
+        if 0 < len(f.members) < big.size:
+            yield f.members, *induced_subalgebra(big, f.members, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Deductive filters and filter generation on finite algebras.
 
 A logic is given either by finitely many rules or by finitely many finite
-matrices.  Each (algebra, logic) pair has one context for the life of the
-process, built from the budget of the call that first needs it; a build that
-raises leaves nothing behind.  A read finds it in one dict probe by the
-identity of the pair: FiniteAlgebra.make returns one object per value, so
-equal algebras are one object and share it.  It holds subsets of the carrier
+matrices; a signature stands for the rules of its operations.  Each (algebra,
+logic) pair has one context for the life of the process, built from the
+budget of the call that first needs it; a build that raises leaves nothing
+behind.  A read finds it in one dict probe by the identity of the pair:
+FiniteAlgebra.make returns one object per value, so equal algebras are one
+object and share it.  It holds subsets of the carrier
 as bitmasks (element e is bit e) and one consequence step: the elements a
 subset's members yield outside it.  Only the step depends on how the logic is
 given.  fg iterates it to its fixpoint (fg_trace lists the stages), is_filter
@@ -21,7 +22,11 @@ memo hit, or a known family) takes no step and spends nothing.
 Rule-presented filters are exact: a step adds the conclusion of each
 valuation instance of a rule whose premises lie in the subset.  Instances
 sharing a premise set are kept as one entry, watched by its highest premise
-element; a step spends one step per entry its members watch.
+element; a step spends one step per entry its members watch.  A signature
+gives one rule x1, ..., xk |- f(x1, ..., xk) per symbol f, a constant an axiom,
+so its filters are the subuniverses, the empty one included when there is no
+constant, and fg(A, X, A.signature) is the subuniverse X generates (Sg is an
+algebraic closure operator; Burris & Sankappanavar 1981).
 
 Matrix-determined filters quantify over every rule valid in the matrices; that
 is reduced to a finite check through the clone of term functions in v
@@ -67,7 +72,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .algebras import (
     Budget,
@@ -88,7 +93,7 @@ from .algebras import (
     next_closure,
 )
 from .errors import InvalidSpec
-from .terms import _hash_fields_once, _Record, variables
+from .terms import Signature, _hash_fields_once, _Record, variables
 
 if TYPE_CHECKING:
     from .congruences import Congruence
@@ -122,7 +127,9 @@ class MatrixDetermined(_Record):
     __hash__ = _hash_fields_once
 
 
-LogicSpec = RulePresented | MatrixDetermined
+# a signature stands for the rules x1, ..., xk |- f(x1, ..., xk) of its
+# operations, whose filters are the subuniverses
+LogicSpec = RulePresented | MatrixDetermined | Signature
 
 
 class Filter(_Record):
@@ -132,9 +139,6 @@ class Filter(_Record):
     """
 
     __slots__ = _fields = ("algebra", "members")
-
-    def __contains__(self, element: int) -> bool:
-        return element in self.members
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +224,32 @@ class _Context:
 # rule-presented logics
 
 
-def _rule_context(algebra: FiniteAlgebra, logic: RulePresented, budget: Budget) -> _Context:
-    """The context whose step reads the valuation instances of the rules.
+def _rule_tables(
+    algebra: FiniteAlgebra, logic: RulePresented | Signature, budget: Budget
+) -> Iterator[tuple[list[Table], Table]]:
+    """Each rule's premise tables and conclusion table, over its valuations.
+    A signature's rule x1, ..., xk |- f(x1, ..., xk) reads the k projections,
+    paid at their widths before they are built, and f's own table: no term is
+    compiled, so no element label can stand in for a variable."""
+    if isinstance(logic, Signature):
+        for sym, arity in logic.symbols:
+            budget.spend(arity * algebra.size**arity)
+            yield [_leaf_table(algebra, arity, (None, i)) for i in range(arity)], algebra.table(sym)
+        return
+    for rule in logic.rules:
+        names = _free_variables(variables(*rule.premises, rule.conclusion), algebra)
+        *premises, conclusion = [
+            compile_term(t, algebra, names, budget)
+            for t in rule.premises + (rule.conclusion,)
+        ]
+        yield premises, conclusion
 
-    Each rule's tables are compiled once, spending one budget step per
+
+def _rule_context(algebra: FiniteAlgebra, logic: RulePresented | Signature, budget: Budget) -> _Context:
+    """The context whose step reads the valuation instances of the rules, or
+    of a signature's operations, whose closed sets are the subuniverses.
+
+    Each rule's tables are built once, spending one budget step per
     valuation besides their widths.  The instances are kept as one entry per
     distinct premise mask, holding the OR of the conclusions it yields; the
     instances with no premise, the axioms, fold into one mask that every step
@@ -234,12 +260,7 @@ def _rule_context(algebra: FiniteAlgebra, logic: RulePresented, budget: Budget) 
     """
     bits = [1 << e for e in range(algebra.size)]
     conclusions: dict[int, int] = {}
-    for rule in logic.rules:
-        names = _free_variables(variables(*rule.premises, rule.conclusion), algebra)
-        *premises, conclusion = [
-            compile_term(t, algebra, names, budget)
-            for t in rule.premises + (rule.conclusion,)
-        ]
+    for premises, conclusion in _rule_tables(algebra, logic, budget):
         budget.spend(len(conclusion))
         masks = itertools.repeat(0, len(conclusion))  # the premise mask of each valuation
         for table in premises:
@@ -562,7 +583,7 @@ def _context(algebra: FiniteAlgebra, logic: LogicSpec, budget: Budget | None) ->
     key = (id(algebra), id(logic))
     ctx = _CONTEXTS.get(key)
     if ctx is None:
-        build = _rule_context if isinstance(logic, RulePresented) else _matrix_context
+        build = _matrix_context if isinstance(logic, MatrixDetermined) else _rule_context
         ctx = _CONTEXTS[key] = build(algebra, logic, as_budget(budget))
     return ctx
 

@@ -117,16 +117,9 @@ Term = Var | App
 class Equation(_Record):
     __slots__ = _fields = ("lhs", "rhs")
 
-    def __str__(self):
-        return f"{format_term(self.lhs)} = {format_term(self.rhs)}"
-
 
 class Rule(_Record):
     __slots__ = _fields = ("premises", "conclusion")
-
-    def __str__(self):
-        prem = ", ".join(format_term(p) for p in self.premises)
-        return f"{prem} |- {format_term(self.conclusion)}"
 
 
 def _tokenize(text: str) -> list[str]:

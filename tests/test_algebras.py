@@ -14,6 +14,8 @@ from conftest import (
     oracle_eval,
     oracle_is_congruence,
     oracle_op,
+    oracle_subuniverse,
+    oracle_subuniverses,
     quotient,
     random_algebras,
     relabel,
@@ -22,7 +24,7 @@ from conftest import (
 )
 
 import filtra
-from filtra import algebras
+from filtra import algebras, logics
 from filtra import builtins as bi
 from filtra.algebras import (
     Budget,
@@ -31,9 +33,7 @@ from filtra.algebras import (
     compile_term,
     direct_product,
     enumerate_homomorphisms,
-    enumerate_subuniverses,
     induced_subalgebra,
-    subuniverse_generated,
 )
 from filtra.checks import generate_testbed
 from filtra.classes import Axiomatic, theta_k
@@ -44,7 +44,9 @@ from filtra.errors import (
     NotACongruence,
     SizeBudgetExceeded,
     UnboundVariable,
+    UnknownName,
 )
+from filtra.logics import all_filters, fg, fg_trace
 from filtra.terms import App, Equation, Signature, Var, parse_equation, parse_term
 
 
@@ -200,6 +202,15 @@ def test_compile_term_checks_the_budget_before_allocating():
     assert budget.spent == 0
 
 
+def test_a_refused_estimate_names_what_was_already_spent():
+    budget = Budget(100)
+    budget.spend(60)
+    with pytest.raises(SizeBudgetExceeded, match=r"^estimated 41 steps, after 60 spent, would exceed budget 100$"):
+        budget.check(41)
+    budget.check(40)
+    assert budget.spent == 60
+
+
 # --- equations -------------------------------------------------------------
 # an algebra satisfies the equations iff its least relative congruence under
 # them is the identity
@@ -275,20 +286,29 @@ def test_product_budget():
 
 
 # --- subuniverses ----------------------------------------------------------
+# the filters of the signature, read as the rules x1, ..., xk |- f(x1, ..., xk)
+
+
+def _sg(algebra, seed, budget=None):
+    return fg(algebra, seed, algebra.signature, budget).members
+
+
+def _subuniverses(algebra):
+    return [f.members for f in all_filters(algebra, algebra.signature)]
 
 
 def test_subuniverse_closed_set_is_fixed(k3):
-    assert subuniverse_generated(k3, {0, 2}) == {0, 2}
+    assert _sg(k3, {0, 2}) == {0, 2}
 
 
 def test_subuniverse_of_carrier(k3):
-    assert subuniverse_generated(k3, range(k3.size)) == frozenset(range(k3.size))
+    assert _sg(k3, range(k3.size)) == frozenset(range(k3.size))
 
 
 def test_subuniverse_empty_seed(wk3, k3):
     # no constants: the empty set is closed; with constants they appear
-    assert subuniverse_generated(wk3, ()) == frozenset()
-    assert subuniverse_generated(k3, ()) == {0, 2}
+    assert _sg(wk3, ()) == frozenset()
+    assert _sg(k3, ()) == {0, 2}
 
 
 def test_subuniverse_generated_is_a_closure_operator(wk3, k3, bool4):
@@ -298,35 +318,78 @@ def test_subuniverse_generated_is_a_closure_operator(wk3, k3, bool4):
             frozenset(c) for r in range(algebra.size + 1) for c in itertools.combinations(elements, r)
         ]
         for x in subsets:
-            cx = subuniverse_generated(algebra, x)
+            cx = _sg(algebra, x)
             assert x <= cx
-            assert subuniverse_generated(algebra, cx) == cx  # idempotent
+            assert _sg(algebra, cx) == cx  # idempotent
         for x in subsets[:16]:
             for y in subsets[:16]:
                 if x <= y:
-                    assert subuniverse_generated(algebra, x) <= subuniverse_generated(algebra, y)
+                    assert _sg(algebra, x) <= _sg(algebra, y)
 
 
-def test_subuniverse_closure_spends_one_step_per_tuple(k3):
-    # the constants add 0 and 1, then one pass over and, or, neg on three
-    # members applies 9 + 9 + 3 tuples and finds nothing new
-    assert subuniverse_generated(k3, {1}, Budget(21)) == {0, 1, 2}
+def test_subuniverse_closure_spends_an_exact_cold_budget(cold_contexts, k3):
+    # the build pays 62: each constant 1, neg 3 + 3 and each of and, or
+    # 9 + 9 + 9 (a width per projection, then one per instance); the first
+    # step adds the constants, and the second visits the two instances of neg
+    # that lead out of a one-element premise set
+    assert _sg(k3, {1}, Budget(64)) == {0, 1, 2}
+    logics._CONTEXTS.clear()
     with pytest.raises(SizeBudgetExceeded):
-        subuniverse_generated(k3, {1}, Budget(20))
+        _sg(k3, {1}, Budget(63))
 
 
 def test_enumerate_subuniverses_wk3(wk3):
-    subs = enumerate_subuniverses(wk3)
-    as_sets = [set(s) for s in subs]
-    assert {2} in as_sets  # the infectious element alone
-    assert {0, 1} in as_sets
-    assert {0, 1, 2} in as_sets
-    assert len(subs) == 3
+    # the empty one too: WK3 has no constant
+    assert _subuniverses(wk3) == [frozenset(), {2}, {0, 1}, {0, 1, 2}]
 
 
 def test_subuniverses_of_cubes_answer_within_the_default_budget(k3, wk3):
-    assert len(enumerate_subuniverses(direct_product([k3, k3, k3]).algebra)) == 122
-    assert len(enumerate_subuniverses(direct_product([wk3, wk3, wk3]).algebra)) == 601
+    assert len(_subuniverses(direct_product([k3, k3, k3]).algebra)) == 122
+    # the non-empty ones, and the empty one
+    assert len(_subuniverses(direct_product([wk3, wk3, wk3]).algebra)) == 601 + 1
+
+
+def test_subuniverses_of_the_corpus_and_its_squares_match_the_oracle():
+    corpus = [bi.algebra(name) for name in bi.algebra_names()]
+    squares = [direct_product([a, a]).algebra for a in corpus if a.size <= 4]
+    for algebra in corpus + squares:
+        assert _subuniverses(algebra) == oracle_subuniverses(algebra), algebra.name
+        if algebra.size <= 5:  # and each closure, iterated step by step
+            for r in range(algebra.size + 1):
+                for seed in itertools.combinations(range(algebra.size), r):
+                    stages = fg_trace(algebra, seed, algebra.signature)
+                    assert stages[-1] == oracle_subuniverse(algebra, seed), (algebra.name, seed)
+
+
+_UNARY = Signature((("f", 1),))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: FiniteAlgebra.make("z", 0, _UNARY, {"f": []}), InvalidSpec,
+         "algebra 'z' must have a positive carrier"),
+        (lambda: FiniteAlgebra.make("a", 2, _UNARY, {"f": [0, 1]}, ["x"]), InvalidSpec,
+         "algebra 'a': 1 labels for 2 elements"),
+        (lambda: FiniteAlgebra.make("a", 2, _UNARY, {}), InvalidSpec,
+         "algebra 'a': no table for symbol 'f'"),
+        (lambda: FiniteAlgebra.make("a", 2, _UNARY, {"f": [0, 2]}), InvalidSpec,
+         "algebra 'a': table entry out of range for 'f'"),
+        (lambda: FiniteAlgebra.make("a", 2, _UNARY, {"f": [0, 1], "g": [1, 0]}), InvalidSpec,
+         "algebra 'a': tables for unknown symbols ['g']"),
+        (lambda: bi.algebra("K3").element_index("nope"), UnknownName, "'nope' is not an element of 'K3'"),
+        (lambda: bi.algebra("K3").element_index("3"), UnknownName, "index 3 out of range for 'K3'"),
+        (lambda: direct_product([bi.algebra("K3"), bi.algebra("WK3")]), InvalidSpec,
+         "product factors must share a signature"),
+        (lambda: induced_subalgebra(bi.algebra("K3"), ()), InvalidSpec, "a subalgebra needs a non-empty carrier"),
+    ],
+    ids=["empty-carrier", "labels", "missing-table", "entry-range", "unknown-symbol", "unknown-element",
+         "index-range", "product-signatures", "empty-subalgebra"],
+)
+def test_malformed_input_is_refused_with_its_reason(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_induced_subalgebra_requires_closure(k3):
@@ -703,7 +766,7 @@ def test_the_make_guard_finds_an_algebra_built_past_make(source, found):
 
 def test_equal_algebras_are_one_object_while_one_is_alive(k3):
     assert direct_product([k3, k3]).algebra is direct_product([k3, k3]).algebra
-    subuniverse = enumerate_subuniverses(k3)[0]  # {0, 2}, a proper one
+    subuniverse = all_filters(k3, k3.signature)[0].members  # {0, 2}, a proper one
     sub, _ = induced_subalgebra(k3, subuniverse)
     assert induced_subalgebra(k3, subuniverse)[0] is sub
     assert FiniteAlgebra.make(k3.name, k3.size, k3.signature, dict(k3.tables), k3.labels) is k3

@@ -79,12 +79,23 @@ def test_generate_testbed_k3_square(k3):
     assert sorted(a.size for a in bed) == [3, 9]
 
 
-def test_generate_testbed_spends_an_exact_budget(wk3):
+def _forget_contexts() -> None:
+    """Forget every context and clone: the subuniverses a testbed build reads
+    are filters of the signature, and a warm family is read for free."""
+    logics._CONTEXTS.clear()
+    logics._CLONES.clear()
+
+
+def test_generate_testbed_spends_an_exact_budget(cold_contexts, wk3):
+    def cold(budget):
+        _forget_contexts()
+        return generate_testbed([wk3], 2, include_subalgebras=True, budget=budget)
+
     spent = Budget()
-    want = generate_testbed([wk3], 2, include_subalgebras=True, budget=spent)
-    assert generate_testbed([wk3], 2, include_subalgebras=True, budget=Budget(spent.spent)) == want
+    want = cold(spent)
+    assert cold(Budget(spent.spent)) == want
     with pytest.raises(SizeBudgetExceeded):
-        generate_testbed([wk3], 2, include_subalgebras=True, budget=Budget(spent.spent - 1))
+        cold(Budget(spent.spent - 1))
 
 
 def test_a_builtin_testbed_is_built_on_its_first_callers_budget(cold_contexts):
@@ -92,9 +103,11 @@ def test_a_builtin_testbed_is_built_on_its_first_callers_budget(cold_contexts):
     bed = bi.testbed("wk3-isp", spent)
     assert spent.spent > 0 and bi.testbed("wk3-isp", Budget(0)) is bed  # kept once built
     bi._BUILT.clear()
+    _forget_contexts()
     with pytest.raises(SizeBudgetExceeded):
         bi.testbed("wk3-isp", Budget(spent.spent - 1))
     assert ("testbed", "wk3-isp") not in bi._BUILT  # a build that runs out keeps nothing
+    _forget_contexts()
     assert bi.testbed("wk3-isp", Budget(spent.spent)) == bed
 
 
@@ -1012,3 +1025,9 @@ def test_verdicts_on_filters_are_decided_only_in_resolve():
             ):
                 makers.add(getattr(top, "name", "<module>"))
     assert makers == {"_resolve", "compare_candidates", "search_counterexample"}
+
+
+def test_leibniz_probe_refuses_an_unknown_mode(one_logic, box5):
+    with pytest.raises(InvalidSpec) as refused:
+        leibniz_probe(one_logic, (box5,), "nope")
+    assert str(refused.value) == "unknown probe mode 'nope'"

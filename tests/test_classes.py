@@ -35,6 +35,7 @@ from filtra.classes import (
 )
 from filtra.congruences import Congruence, all_congruences
 from filtra.errors import InvalidSpec, SizeBudgetExceeded
+from filtra.logics import all_filters
 from filtra.terms import Signature, parse_equation
 
 THETA1 = Congruence.from_blocks([[0, 1], [2, 4], [3]], 5)
@@ -141,11 +142,10 @@ def test_generated_quasivariety_closure_properties(wk3, k3):
         spec = GeneratedQuasivariety((gen,))
         square = direct_product([gen, gen]).algebra
         assert in_class(square, spec)
-        from filtra.algebras import enumerate_subuniverses
-
-        for sub in enumerate_subuniverses(square):
-            small, _ = induced_subalgebra(square, sub)
-            assert in_class(small, spec)
+        for sub in all_filters(square, square.signature):
+            if sub.members:  # WK3 has no constant, so the empty set is a subuniverse
+                small, _ = induced_subalgebra(square, sub.members)
+                assert in_class(small, spec)
 
 
 def test_non_member_of_generated_quasivariety(wk3):

@@ -693,3 +693,10 @@ def test_listing_names_makes_no_budget(capsys, kind):
 def test_every_other_cold_command_makes_one_budget(capsys, cold_contexts, argv):
     # names it resolves, a square or a testbed among them, are built on it
     assert _budgets_made(lambda: main(argv)) == 1
+
+
+def test_list_refuses_an_unknown_kind(capsys):
+    # cmd_list raises UnknownName, a configuration error
+    code, out, err = run(capsys, "list", "nope")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "configuration error: list expects one of algebras, candidates, classes, examples, logics, testbeds\n"

@@ -29,7 +29,7 @@ from filtra.congruences import (
     cg_generated,
     leibniz_congruence,
 )
-from filtra.errors import SizeBudgetExceeded
+from filtra.errors import NotACongruence, SizeBudgetExceeded
 from filtra.logics import all_filters
 from filtra.terms import Signature
 
@@ -355,3 +355,13 @@ def test_join_is_the_transitive_closure_of_the_union(case):
     assert {(a, b) for a in range(n) for b in range(n) if joined.same(a, b)} == related
     moved = _join(_relabel_congruence(Congruence(p), perm), _relabel_congruence(Congruence(q), perm))
     assert moved == _relabel_congruence(joined, perm)
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [([[0, 1], [1, 2]], "element 1 listed in two blocks"), ([[0, 2]], "blocks do not cover the carrier")],
+)
+def test_blocks_that_are_no_partition_are_refused(blocks, message):
+    with pytest.raises(NotACongruence) as refused:
+        Congruence.from_blocks(blocks, 3)
+    assert str(refused.value) == message

@@ -13,6 +13,7 @@ from conftest import (
     oracle_fg_relative,
     oracle_least_closed,
     oracle_op,
+    oracle_subuniverse,
     oracle_subuniverses,
     oracle_unrefuted,
     random_algebras,
@@ -32,7 +33,6 @@ from filtra.algebras import (
     _elements,
     direct_product,
     enumerate_homomorphisms,
-    enumerate_subuniverses,
     induced_subalgebra,
 )
 from filtra.congruences import Congruence, all_congruences
@@ -347,8 +347,8 @@ def test_fg_relative_is_the_pull_back_on_random_matrix_logics(algebras, data):
 def test_matrix_filters_certified_across_k3_family(k3, kl, lp):
     square = direct_product([k3, k3]).algebra
     targets = [k3, square]
-    for sub in enumerate_subuniverses(k3):
-        targets.append(induced_subalgebra(k3, sub)[0])
+    for sub in all_filters(k3, k3.signature):
+        targets.append(induced_subalgebra(k3, sub.members)[0])
     for algebra in targets:
         assert filters_certified(algebra, kl), algebra.name
         assert filters_certified(algebra, lp), algebra.name
@@ -587,7 +587,9 @@ def test_clone_by_columns_and_subuniverses_match_the_oracles(algebras, cap, limi
         for nvars in (1, 2):
             _same_build(algebras, nvars, limit + extra)
     for algebra in algebras:
-        assert enumerate_subuniverses(algebra) == oracle_subuniverses(algebra)
+        for seed in ((), (0,), tuple(range(algebra.size))):
+            assert fg_trace(algebra, seed, algebra.signature)[-1] == oracle_subuniverse(algebra, seed)
+        assert [f.members for f in all_filters(algebra, algebra.signature)] == oracle_subuniverses(algebra)
 
 
 @pytest.mark.parametrize("names", [("K3",), ("DM4",), ("K3xDM4", "K3")])

@@ -9,6 +9,7 @@ from filtra.logics import MatrixDetermined, RulePresented
 from filtra.serialization import (
     algebra_from_json,
     candidate_from_json,
+    class_from_json,
     logic_from_json,
 )
 from filtra.terms import format_term, parse_term
@@ -178,3 +179,37 @@ def test_verdict_round_trips_through_json(one_logic, box5):
     meet = Congruence.from_blocks(doc["witness"]["meet_blocks"], box5.size)
     regrown = fg_relative(box5, meet, doc["witness"]["generators"], one_logic)
     assert doc["witness"]["element"] not in regrown.members
+
+
+def _no_algebra(name):
+    raise AssertionError(f"{name!r} should not be resolved")
+
+
+_FOLD = {"n_max": 0, "families": {"0": [[["@fold", "y"]]]}}
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda: logic_from_json({"kind": "rules", "name": "r", "rules": [{"premises": [], "conclusion": "x"}]},
+                                 _no_algebra), "logic 'r': rules need a signature reference"),
+        (lambda: logic_from_json({"kind": "nope", "name": "r"}, _no_algebra),
+         "logic 'r': kind must be 'rules' or 'matrices'"),
+        (lambda: class_from_json({"kind": "axioms", "name": "c", "equations": [["x", "x"]]}, _no_algebra),
+         "class 'c': axioms need a signature reference"),
+        (lambda: class_from_json({"kind": "nope", "name": "c"}, _no_algebra),
+         "class 'c': kind must be 'axioms' or 'generators'"),
+        (lambda: candidate_from_json(_FOLD | {"template": {"empty": "1"}}, bi.algebra("K3").signature),
+         "term uses @fold but the template declares no fold symbol"),
+        (lambda: candidate_from_json(_FOLD | {"template": {"fold": "and"}}, bi.algebra("K3").signature),
+         "@fold at n = 0 needs an 'empty' base term in the template"),
+        (lambda: candidate_from_json({"n_max": 0, "families": {"0": [[["y"]]]}}, bi.algebra("K3").signature),
+         "equation entry ['y'] not understood"),
+    ],
+    ids=["rules-signature", "logic-kind", "axioms-signature", "class-kind", "fold-symbol", "fold-empty",
+         "equation-entry"],
+)
+def test_malformed_documents_are_refused_with_their_reason(read, message):
+    with pytest.raises(InvalidSpec) as refused:
+        read()
+    assert str(refused.value) == message

@@ -7,6 +7,7 @@ from filtra.terms import (
     Rule,
     Signature,
     Var,
+    _read,
     format_term,
     parse_term,
     variables,
@@ -66,3 +67,20 @@ def test_variable_collection(sig):
     assert variables(eq.lhs, eq.rhs) == ("x1", "y")
     r = Rule((parse_term("x", sig),), parse_term("(or x z)", sig))
     assert variables(*r.premises, r.conclusion) == ("x", "z")
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        # parse_term refuses an empty term itself, so this is the reader's own guard
+        (lambda sig: _read([], 0, sig), "unexpected end of term"),
+        (lambda sig: parse_term(")", sig), "unexpected ')'"),
+        (lambda sig: parse_term("(", sig), "unexpected end of term after '('"),
+        (lambda sig: parse_term("((x))", sig), "operator position must hold a symbol"),
+    ],
+    ids=["end", "close", "end-after-open", "operator"],
+)
+def test_malformed_terms_are_refused_with_their_reason(sig, read, message):
+    with pytest.raises(TermSyntaxError) as refused:
+        read(sig)
+    assert str(refused.value) == message
