@@ -422,13 +422,14 @@ def _tuple_indices(size: int, coords: Sequence[int], arity: int) -> list[int]:
     return indices
 
 
-def is_subuniverse(algebra: FiniteAlgebra, subset: frozenset[int]) -> bool:
-    members = sorted(subset)
-    return all(
-        algebra.table(sym)[i] in subset
-        for sym, arity in algebra.signature.symbols
-        for i in _tuple_indices(algebra.size, members, arity)
-    )
+def _in_carrier(algebra: FiniteAlgebra, elements: Iterable[int]) -> tuple[int, ...]:
+    """The elements as a tuple, refusing by name the first one outside the
+    algebra's carrier."""
+    elements = tuple(elements)
+    for e in elements:
+        if not 0 <= e < algebra.size:
+            raise InvalidSpec(f"element {e} is outside the carrier of {algebra.name!r}")
+    return elements
 
 
 def induced_subalgebra(
@@ -437,20 +438,23 @@ def induced_subalgebra(
     """Restrict the tables to a subuniverse, one step per table cell written.
 
     Returns the subalgebra on a re-indexed carrier together with the inclusion
-    map (sub index -> parent element), sorted ascending.
+    map (sub index -> parent element), sorted ascending.  Elements outside the
+    carrier are refused before any step, a set that an operation leaves when
+    its restriction meets a value outside the set.
     """
     budget = as_budget(budget)
-    members = tuple(sorted(set(subuniverse)))
+    members = _in_carrier(algebra, sorted(set(subuniverse)))
     if not members:
         raise InvalidSpec("a subalgebra needs a non-empty carrier")
-    if not is_subuniverse(algebra, frozenset(members)):
-        raise InvalidSpec(f"{algebra.describe(members)} is not a subuniverse of {algebra.name!r}")
     back = {e: i for i, e in enumerate(members)}
     tables = {}
     for sym, arity in algebra.signature.symbols:
         budget.spend(len(members) ** arity)
         table = algebra.table(sym)
-        tables[sym] = [back[table[i]] for i in _tuple_indices(algebra.size, members, arity)]
+        try:
+            tables[sym] = [back[table[i]] for i in _tuple_indices(algebra.size, members, arity)]
+        except KeyError:  # the operation leaves the set
+            raise InvalidSpec(f"{algebra.describe(members)} is not a subuniverse of {algebra.name!r}") from None
     labels = None
     if algebra.labels is not None:
         labels = [algebra.labels[e] for e in members]

@@ -456,7 +456,6 @@ def factor_determined_check(
     absolute: bool = True,
     max_product_arity: int = 2,
     generator_cap: int = 2,
-    pinned_factors: Sequence[FiniteAlgebra] | None = None,
     pinned_generators: Sequence[Sequence[int]] | None = None,
     budget: Budget | None = None,
 ) -> Verdict:
@@ -464,21 +463,15 @@ def factor_determined_check(
     generated filters; a necessary condition only, since only small index sets
     are swept.
 
-    The products are those of up to max_product_arity testbed algebras;
-    pinned factors replace them, and the testbed is then not read.  Unless
-    pinned, the generators are the sets of at most generator_cap elements
-    (_generator_sets), one step each.
+    The products are those of 2 to max_product_arity testbed algebras.
+    Unless pinned, the generators are the sets of at most generator_cap
+    elements (_generator_sets), one step each.
     """
     budget = as_budget(budget)
     _require(generator_cap, 0, "generator_cap")
-    if pinned_factors is not None:
-        _require(len(pinned_factors), 1, "the number of pinned factors")
-        factor_lists = [tuple(pinned_factors)]
-    else:
-        _require(max_product_arity, 2, "max_product_arity")
-        factor_lists = _factor_lists(testbed, max_product_arity)
+    _require(max_product_arity, 2, "max_product_arity")
     uncertified: dict[FiniteAlgebra, str] = {}
-    for factors in factor_lists:
+    for factors in _factor_lists(testbed, max_product_arity):
         prod = direct_product(list(factors), budget=budget)
         algebra = prod.algebra
         uncertified |= _uncertified(logic, (algebra,) + tuple(factors), budget)

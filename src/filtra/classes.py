@@ -28,6 +28,7 @@ from .algebras import (
     Table,
     _agreement,
     _canonical,
+    _in_carrier,
     _lanes,
     _meet_closure,
     as_budget,
@@ -185,6 +186,7 @@ def cg_k(
     """
     budget = as_budget(budget)
     pairs = list(pairs)
+    _in_carrier(algebra, (e for pair in pairs for e in pair))
     if isinstance(spec, Axiomatic):
         axioms = _axioms(algebra, spec, budget)
         psi = Congruence.identity(algebra.size)

@@ -282,14 +282,11 @@ def _edcf(results, label, expected, logic, testbed, candidate, variant, budget, 
     _expect(results, label, v, expected)
 
 
-def _reproduce_kleene_edcf(results, budget):
-    label = "kl-global passes on K3, K3^2 and subalgebras"
-    _edcf(results, label, "pass", "KL", bi.testbed("k3-isp", budget), "kl-global", "global", budget)
-
-
-def _reproduce_lp_edcf(results, budget):
-    label = "lp-global passes on K3, K3^2 and subalgebras"
-    _edcf(results, label, "pass", "LP", bi.testbed("k3-isp", budget), "lp-global", "global", budget)
+def _reproduce_global_edcf(logic, results, budget):
+    """The logic's global candidate, named after it, passes on k3-isp."""
+    candidate = f"{logic.lower()}-global"
+    label = f"{candidate} passes on K3, K3^2 and subalgebras"
+    _edcf(results, label, "pass", logic, bi.testbed("k3-isp", budget), candidate, "global", budget)
 
 
 def _reproduce_pwk_local_edcf(results, budget):
@@ -305,10 +302,7 @@ def _reproduce_pwk_no_pedcf(results, budget):
     from .checks import factor_determined_check
 
     wk3 = bi.algebra("WK3")
-    v = factor_determined_check(
-        bi.logic("PWK"), (wk3,), absolute=True,
-        pinned_factors=(wk3, wk3), pinned_generators=[(6,)], budget=budget,
-    )
+    v = factor_determined_check(bi.logic("PWK"), (wk3,), pinned_generators=[(6,)], budget=budget)
     _expect(results, "factor-determined filters fail on WK3 x WK3 at generator (half,0)", v, "fail")
     label = (v.witness or {}).get("element_label")
     _row(results, "witness element is (1,0)", "(1,0)", label, label == "(1,0)")
@@ -385,8 +379,8 @@ def _reproduce_kl_only_filter(results, budget):
 
 
 CATALOG = {
-    "kleene-edcf": _reproduce_kleene_edcf,
-    "lp-edcf": _reproduce_lp_edcf,
+    "kleene-edcf": partial(_reproduce_global_edcf, "KL"),
+    "lp-edcf": partial(_reproduce_global_edcf, "LP"),
     "pwk-local-edcf": _reproduce_pwk_local_edcf,
     "pwk-no-pedcf": _reproduce_pwk_no_pedcf,
     "box5-no-min": _reproduce_box5_no_min,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .algebras import Budget, FiniteAlgebra, Table, _canonical, _codec, as_budget
+from .algebras import Budget, FiniteAlgebra, Table, _canonical, _codec, _in_carrier, as_budget
 from .errors import NotACongruence
 from .terms import _Record
 
@@ -159,6 +159,8 @@ def cg_generated(
     per call.
     """
     budget = as_budget(budget)
+    pairs = list(pairs)
+    _in_carrier(algebra, (e for pair in pairs for e in pair))
     return Congruence(_generated(_translations(algebra, budget), algebra.size, pairs, budget))
 
 
@@ -224,7 +226,7 @@ def leibniz_congruence(
     """
     budget = as_budget(budget)
     n = algebra.size
-    members = frozenset(subset)
+    members = frozenset(_in_carrier(algebra, subset))
     translations = _translations(algebra, budget)
     codec = _codec(n)
     lanes = codec.join([codec.table(range(n)), *translations])

@@ -17,7 +17,10 @@ under its mask and every generator mask asked, and all_filters returns it.
 fg_relative alternates fg with saturation by a congruence's blocks, in the
 same context.  Every step spends the budget of the call that takes it, by the
 work it does, so a cold fg or is_filter reads its budget, while a warm one (a
-memo hit, or a known family) takes no step and spends nothing.
+memo hit, or a known family) takes no step and spends nothing.  An element
+outside the carrier is refused by name wherever a call computes, a negative
+one everywhere; a warm read adds no check, since no memo holds such an
+element and a known family answers is_filter False.
 
 Rule-presented filters are exact: a step adds the conclusion of each
 valuation instance of a rule whose premises lie in the subset.  Instances
@@ -84,6 +87,7 @@ from .algebras import (
     _codec,
     _elements,
     _free_variables,
+    _in_carrier,
     _leaf_table,
     _mask,
     _meet_closure,
@@ -604,13 +608,19 @@ def is_filter(
     # a cold context and its first step spend one budget
     ctx = _CONTEXTS.get((id(algebra), id(logic))) or _context(algebra, logic, budget := as_budget(budget))
     mask = 0
-    for e in members:
-        mask |= 1 << e
+    try:
+        for e in members:
+            mask |= 1 << e
+    except ValueError:  # a negative shift count
+        _in_carrier(algebra, [e])
+        raise
     if ctx.family is not None:
         return mask in ctx.family
     f = ctx.memo.get(mask)
     if f is not None:
         return len(f.members) == mask.bit_count()
+    if mask >> algebra.size:
+        _in_carrier(algebra, _elements(mask))
     return not ctx.step(mask, as_budget(budget))
 
 
@@ -623,7 +633,7 @@ def is_filter_certain(
     """Whether is_filter's answer on this subset is conclusive."""
     budget = as_budget(budget)
     ctx = _context(algebra, logic, budget)
-    mask = _mask(members)
+    mask = _mask(_in_carrier(algebra, members))
     return bool(ctx.exact) or mask in ctx.lower or bool(ctx.step(mask, budget))
 
 
@@ -675,7 +685,7 @@ def fg_trace(
 ) -> list[frozenset[int]]:
     """Stages of filter generation; the last stage is the filter."""
     budget = as_budget(budget)
-    stages = _context(algebra, logic, budget).stages(_mask(generators), budget)
+    stages = _context(algebra, logic, budget).stages(_mask(_in_carrier(algebra, generators)), budget)
     return [frozenset(_elements(stage)) for stage in stages]
 
 
@@ -694,10 +704,16 @@ def fg(
     # a cold context and its first step spend one budget
     ctx = _CONTEXTS.get((id(algebra), id(logic))) or _context(algebra, logic, budget := as_budget(budget))
     mask = 0
-    for e in generators:
-        mask |= 1 << e
+    try:
+        for e in generators:
+            mask |= 1 << e
+    except ValueError:  # a negative shift count
+        _in_carrier(algebra, [e])
+        raise
     f = ctx.memo.get(mask)
     if f is None:
+        if mask >> algebra.size:
+            _in_carrier(algebra, _elements(mask))
         f = ctx.memo[mask] = ctx.filter(ctx.close(mask, as_budget(budget)))
     return f
 
@@ -722,7 +738,7 @@ def fg_relative(
     blocks = [_mask(block) for block in theta.blocks()]
     block_of = [blocks[b] for b in theta.partition]
     saturated = 0
-    for g in generators:
+    for g in _in_carrier(algebra, generators):
         saturated |= block_of[g]
     while True:
         f = fg(algebra, _elements(saturated), logic, budget)

@@ -95,10 +95,6 @@ class Signature(_Record):
     def __contains__(self, name: str) -> bool:
         return name in self._arities
 
-    @property
-    def constants(self) -> tuple[str, ...]:
-        return tuple(name for name, arity in self.symbols if arity == 0)
-
 
 class Var(_Record):
     __slots__ = _fields = ("name",)

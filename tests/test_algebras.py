@@ -382,9 +382,14 @@ _UNARY = Signature((("f", 1),))
         (lambda: direct_product([bi.algebra("K3"), bi.algebra("WK3")]), InvalidSpec,
          "product factors must share a signature"),
         (lambda: induced_subalgebra(bi.algebra("K3"), ()), InvalidSpec, "a subalgebra needs a non-empty carrier"),
+        (lambda: induced_subalgebra(bi.algebra("K3"), {5}), InvalidSpec, "element 5 is outside the carrier of 'K3'"),
+        (lambda: induced_subalgebra(bi.algebra("K3"), {-1}), InvalidSpec,
+         "element -1 is outside the carrier of 'K3'"),
+        (lambda: induced_subalgebra(bi.algebra("K3"), {1}), InvalidSpec, "{half} is not a subuniverse of 'K3'"),
     ],
     ids=["empty-carrier", "labels", "missing-table", "entry-range", "unknown-symbol", "unknown-element",
-         "index-range", "product-signatures", "empty-subalgebra"],
+         "index-range", "product-signatures", "empty-subalgebra", "subalgebra-range", "subalgebra-negative",
+         "not-a-subuniverse"],
 )
 def test_malformed_input_is_refused_with_its_reason(call, error, message):
     with pytest.raises(error) as refused:
@@ -560,14 +565,15 @@ class _Reads(ast.NodeVisitor):
     imports maps a local name to the (module, function) it was imported as,
     modules a local name to the package module it is bound to; loads holds
     each name read outside the bodies of the functions it names, attributes
-    each (name, attribute) read off a plain name.  Package modules are
-    filtra.m, or .m from inside the package.
+    each (name, attribute) read off a plain name, and attribute_names every
+    attribute read off anything.  Package modules are filtra.m, or .m from
+    inside the package.
     """
 
     def __init__(self):
         self.scope = []
         self.imports, self.modules = {}, {}
-        self.loads, self.attributes = set(), set()
+        self.loads, self.attributes, self.attribute_names = set(), set(), set()
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -593,27 +599,37 @@ class _Reads(ast.NodeVisitor):
             self.loads.add(node.id)
 
     def visit_Attribute(self, node):
-        if isinstance(node.ctx, ast.Load) and isinstance(node.value, ast.Name):
-            self.attributes.add((node.value.id, node.attr))
+        if isinstance(node.ctx, ast.Load):
+            self.attribute_names.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                self.attributes.add((node.value.id, node.attr))
         self.generic_visit(node)
 
 
 # documented functions that answer a question nothing else answers and whose
-# inputs no command reads
-LIBRARY_ENTRY_POINTS = {"checks.test_algebra_check", "logics.is_filter_certain"}
+# inputs no command reads; Congruence.from_blocks and Congruence.same are how
+# a user writes a congruence by its blocks and reads one pair off it, which
+# the tests do, while the package itself builds and reads block arrays
+LIBRARY_ENTRY_POINTS = {
+    "checks.test_algebra_check", "logics.is_filter_certain", "Congruence.from_blocks", "Congruence.same",
+}
 
 
 def test_every_public_function_has_a_caller():
     # a caller is the function's own module, outside its body, or a module of
     # the package or the benchmark that imports it from its module, or reads
     # it off a name bound to its module; no string or document counts.  A
-    # module-level _-prefixed function needs a caller inside the package.
+    # public method of a package class is called when the package or the
+    # benchmark reads an attribute of its name off anything.  A module-level
+    # _-prefixed function needs a caller inside the package.
     root = Path(__file__).resolve().parent.parent
     defined, called, called_in_package = set(), set(), set()
+    methods, attribute_names = set(), set()
     for path in sorted(Path(filtra.__file__).parent.glob("*.py")) + sorted((root / "bench").glob("*.py")):
         tree = ast.parse(path.read_text())
         reads = _Reads()
         reads.visit(tree)
+        attribute_names |= reads.attribute_names
         found = {reads.imports[name] for name in reads.loads if name in reads.imports}
         found |= {(reads.modules[name], attr) for name, attr in reads.attributes if name in reads.modules}
         if path.parent.name == "filtra":
@@ -621,8 +637,14 @@ def test_every_public_function_has_a_caller():
             defined |= {(path.stem, name) for name in own}
             found |= {(path.stem, name) for name in own & reads.loads}
             called_in_package |= found
+            methods |= {
+                (node.name, method.name)
+                for node in tree.body if isinstance(node, ast.ClassDef)
+                for method in node.body if isinstance(method, ast.FunctionDef)
+            }
         called |= found
     uncalled = {f"{module}.{name}" for module, name in defined - called if not name.startswith("_")}
+    uncalled |= {f"{cls}.{name}" for cls, name in methods if not name.startswith("_") and name not in attribute_names}
     assert uncalled == LIBRARY_ENTRY_POINTS
     unread = {f"{module}.{name}" for module, name in defined - called_in_package if name.startswith("_")}
     assert unread == set()

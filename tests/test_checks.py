@@ -469,10 +469,8 @@ def test_fep_ord_logic_on_lattices(ord_logic):
 
 
 def test_pwk_not_factor_determined(pwk, wk3):
-    v = factor_determined_check(
-        pwk, (wk3,), absolute=True,
-        pinned_factors=(wk3, wk3), pinned_generators=[(6,)],
-    )
+    # the testbed (WK3,) at product arity 2 names WK3 x WK3 alone
+    v = factor_determined_check(pwk, (wk3,), absolute=True, pinned_generators=[(6,)])
     assert v.failed
     assert v.witness["generator_labels"] == ["(half,0)"]
     assert v.witness["element_label"] == "(1,0)"
@@ -554,21 +552,11 @@ def test_caps_at_their_least_values_still_sweep(pwk, wk3):
     # a cap of 0 sweeps the empty generator set
     assert absolute_fep_check(pwk, (wk3,), arity_cap=0).passed
     assert factor_determined_check(pwk, (wk3,), generator_cap=0).passed
-    # pinned factors need no product arity
-    v = factor_determined_check(
-        pwk, (wk3,), max_product_arity=1, pinned_factors=(wk3, wk3), pinned_generators=[(6,)]
-    )
-    assert v.failed
 
 
 def test_relative_factor_determination_runs(pwk, wk3):
     v = factor_determined_check(pwk, (wk3,), absolute=False, generator_cap=0)
     assert v.passed
-
-
-def test_factor_determination_needs_a_pinned_factor(pwk, wk3):
-    with pytest.raises(InvalidSpec, match="the number of pinned factors must be at least 1"):
-        factor_determined_check(pwk, (wk3,), pinned_factors=(), pinned_generators=[()])
 
 
 # --- test algebras ---------------------------------------------------------------------

@@ -22,6 +22,7 @@ from conftest import (
 
 from filtra import builtins as bi
 from filtra.algebras import Budget, FiniteAlgebra, direct_product
+from filtra.classes import Axiomatic, GeneratedQuasivariety, cg_k
 from filtra.congruences import (
     Congruence,
     _merged,
@@ -29,7 +30,7 @@ from filtra.congruences import (
     cg_generated,
     leibniz_congruence,
 )
-from filtra.errors import NotACongruence, SizeBudgetExceeded
+from filtra.errors import InvalidSpec, NotACongruence, SizeBudgetExceeded
 from filtra.logics import all_filters
 from filtra.terms import Signature
 
@@ -365,3 +366,21 @@ def test_blocks_that_are_no_partition_are_refused(blocks, message):
     with pytest.raises(NotACongruence) as refused:
         Congruence.from_blocks(blocks, 3)
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, element",
+    [
+        (lambda wk3: leibniz_congruence(wk3, {7}), 7),
+        (lambda wk3: leibniz_congruence(wk3, {-1}), -1),
+        (lambda wk3: cg_generated(wk3, [(0, 7)]), 7),
+        (lambda wk3: cg_generated(wk3, [(0, -1)]), -1),
+        (lambda wk3: cg_k(wk3, Axiomatic(), [(0, 7)]), 7),
+        (lambda wk3: cg_k(wk3, GeneratedQuasivariety((wk3,)), [(0, 7)]), 7),
+    ],
+    ids=["leibniz", "leibniz-negative", "cg", "cg-negative", "cg_k-axiomatic", "cg_k-generated"],
+)
+def test_congruence_entry_points_refuse_an_element_outside_the_carrier(wk3, call, element):
+    with pytest.raises(InvalidSpec) as refused:
+        call(wk3)
+    assert str(refused.value) == f"element {element} is outside the carrier of 'WK3'"

@@ -678,6 +678,34 @@ def test_a_foreign_signature_is_refused_naming_both_algebras(cold_contexts, box5
     assert logics._CONTEXTS == {}
 
 
+@pytest.mark.parametrize(
+    "call, element, name",
+    [
+        (lambda wk3, k3, pwk, kl: fg(wk3, [7], pwk), 7, "WK3"),
+        (lambda wk3, k3, pwk, kl: fg(wk3, [-1], pwk), -1, "WK3"),
+        (lambda wk3, k3, pwk, kl: (all_filters(k3, kl), fg(k3, [0, 7], kl)), 7, "K3"),
+        (lambda wk3, k3, pwk, kl: fg_trace(wk3, [7], pwk), 7, "WK3"),
+        (lambda wk3, k3, pwk, kl: fg_relative(wk3, Congruence.identity(3), [7], pwk), 7, "WK3"),
+        (lambda wk3, k3, pwk, kl: is_filter(wk3, [2, 7], pwk), 7, "WK3"),
+        (lambda wk3, k3, pwk, kl: is_filter(wk3, [-1], pwk), -1, "WK3"),
+        (lambda wk3, k3, pwk, kl: is_filter_certain(k3, [7], kl), 7, "K3"),
+    ],
+    ids=["fg", "fg-negative", "fg-family", "fg_trace", "fg_relative", "is_filter-step", "is_filter-negative",
+         "is_filter_certain"],
+)
+def test_filter_functions_refuse_an_element_outside_the_carrier(cold_contexts, wk3, k3, pwk, kl, call, element, name):
+    with pytest.raises(InvalidSpec) as refused:
+        call(wk3, k3, pwk, kl)
+    assert str(refused.value) == f"element {element} is outside the carrier of {name!r}"
+
+
+def test_a_known_family_holds_no_set_outside_the_carrier(cold_contexts, wk3, pwk):
+    all_filters(wk3, pwk)
+    assert not is_filter(wk3, [2, 7], pwk)
+    with pytest.raises(InvalidSpec):
+        fg(wk3, [2, 7], pwk)
+
+
 def test_a_cold_matrix_context_spends_the_callers_budget(cold_contexts, kl):
     k3_sq = bi.algebra("K3^2")
     with pytest.raises(SizeBudgetExceeded):
